@@ -16,7 +16,7 @@ import numpy as np
 from . import linalg
 from .fields import ScalarField, as_field
 from .geometry import Submanifold, frames_at
-from .linalg import DensityValue, Frame, SplitFrame
+from .linalg import DensityValue, Frame
 from .quadrature import as_box
 
 
@@ -61,17 +61,7 @@ def restrict(phi: AmbientDensity, core: Submanifold, u, normal=None) -> DensityV
             np.asarray(normal, dtype=float)
         if nmat.ndim == 1:
             nmat = nmat[:, None]
-    split = SplitFrame(t, nmat)
-    value = phi.coeff(sample.point) * linalg.det_abs_pow(split.full, phi.degree)
-    return DensityValue(value, phi.degree, Frame(split.full, "tangent"))
+    full = np.hstack([t, nmat])
+    value = phi.coeff(sample.point) * linalg.det_abs_pow(full, phi.degree)
+    return DensityValue(value, phi.degree, Frame(full, "tangent"))
 
-
-class RestrictedDensity:
-    """An ambient density viewed along one core, evaluated on demand."""
-
-    def __init__(self, phi: AmbientDensity, core: Submanifold):
-        self.phi = phi
-        self.core = core
-
-    def at(self, u, normal=None) -> DensityValue:
-        return restrict(self.phi, self.core, u, normal)

@@ -1,36 +1,75 @@
 """Exception types shared across the package.
 
 Every error raised on a contract violation derives from GeodensError so
-callers (and the CLI exit-code mapping) can distinguish our failures from
-genuine bugs.
+callers can distinguish our failures from genuine bugs.  Each error belongs
+to one of five categories, and the category's ``exit_code`` is the CLI's
+exit status for it.  Any other exception is a bug.
 """
 
 
 class GeodensError(Exception):
-    """Base class for all geodens errors."""
+    """Base class for all geodens errors; each category sets ``exit_code``."""
+
+    exit_code: int
+
+
+# categories
+
+class InputError(GeodensError):
+    """Scene, expression or argument error."""
+
+    exit_code = 2
+
+
+class GeometryError(GeodensError):
+    """Rank, intersection, chart or frame failure."""
+
+    exit_code = 3
+
+
+class DegreeError(GeodensError):
+    """Density degrees do not fit the operation."""
+
+    exit_code = 4
+
+
+class ConvergenceError(GeodensError):
+    """Quadrature or oracle convergence failure, or no bounded domain."""
+
+    exit_code = 5
+
+
+class TransversalityError(GeodensError):
+    """Cores fail to be transverse."""
+
+    exit_code = 6
 
 
 # linear algebra kernels
 
-class SingularFrame(GeodensError):
+class SingularFrame(GeometryError):
     """Determinant power of a singular matrix with a non-positive real degree."""
 
 
-class SpanMismatch(GeodensError):
+class SpanMismatch(GeometryError):
     """Two frames passed to a change of basis do not span the same subspace."""
 
 
-class RankDeficient(GeodensError):
+class RankDeficient(GeometryError):
     """Frame vectors are linearly dependent."""
 
 
-class DegenerateCovectors(GeodensError):
+class DegenerateCovectors(GeometryError):
     """Covector family is linearly dependent, no dual frame exists."""
+
+
+class ConormalMismatch(GeometryError):
+    """Conormal covectors fail to annihilate the tangent frame."""
 
 
 # expression language
 
-class ExprSyntaxError(GeodensError, SyntaxError):
+class ExprSyntaxError(InputError, SyntaxError):
     """Malformed expression source.  Carries the byte offset of the failure."""
 
     def __init__(self, message, offset):
@@ -38,77 +77,85 @@ class ExprSyntaxError(GeodensError, SyntaxError):
         self.offset = offset
 
 
-class UnknownFunction(GeodensError):
+class UnknownFunction(InputError):
     """Call to a function outside the fixed catalog."""
 
 
-class UnboundIdentifier(GeodensError):
+class UnboundIdentifier(InputError):
     """Identifier with no binding at evaluation time."""
 
 
-class DomainError(GeodensError):
+class DomainError(InputError):
     """Evaluation left the real domain (log of a non-positive value, etc.)."""
 
 
 # geometry
 
-class ImmersionFailure(GeodensError):
+class ImmersionFailure(GeometryError):
     """Chart jacobian loses rank somewhere on the sampled domain."""
 
 
-class MissingImplicitForm(GeodensError):
+class MissingImplicitForm(GeometryError):
     """Curved intersection requested without an implicit form to project onto."""
 
 
-class NoIntersectionFound(GeodensError):
+class NoIntersectionFound(GeometryError):
     """Intersection search found no common point."""
 
 
-class UserChartRequired(GeodensError):
+class UserChartRequired(GeometryError):
     """Positive-dimensional curved intersection needs a user-supplied chart."""
 
 
-class ChartInversionFailure(GeodensError):
+class ChartInversionFailure(GeometryError):
     """Newton iteration for chart coordinates did not stabilize."""
+
+
+class DimensionMismatch(GeometryError):
+    """Intersection core dimension differs from what transversality requires."""
 
 
 # densities, states, products
 
-class DegreeMismatch(GeodensError):
+class DegreeMismatch(DegreeError):
     """Density degrees do not satisfy the operation's compatibility rule."""
 
 
-class UnboundedDomain(GeodensError):
+class UnboundedDomain(ConvergenceError):
     """Integration domain is not a bounded box."""
 
 
-class QuadratureNotConverged(GeodensError):
+class QuadratureNotConverged(ConvergenceError):
     """Doubled-order quadrature estimate exceeded the requested tolerance."""
 
 
-class NotOnBothCores(GeodensError):
-    """Product evaluation point does not lie on both cores."""
+class NotOnBothCores(GeometryError):
+    """Point that must lie on both cores is off one of them."""
 
 
-class TransversalityFailure(GeodensError):
+class TransversalityFailure(TransversalityError):
     """Cores fail to be transverse where the operation needs them to be."""
 
 
-class NonCompactIntersection(GeodensError):
+class NonCompactIntersection(ConvergenceError):
     """Partial pairing over an intersection with no bounded integration box."""
 
 
 # oracle
 
-class NonAffineCore(GeodensError):
+class NonAffineCore(GeometryError):
     """Mollification is only implemented for affine cores."""
 
 
-class NonConvergent(GeodensError):
+class NonConvergent(ConvergenceError):
     """Oracle errors fail the convergence policy."""
+
+
+class InvalidEps(InputError):
+    """Mollifier widths not positive, or an eps sweep not strictly decreasing."""
 
 
 # scenes
 
-class SceneError(GeodensError):
+class SceneError(InputError):
     """Malformed or inconsistent scene description."""

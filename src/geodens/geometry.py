@@ -17,10 +17,12 @@ import numpy as np
 from . import exprlang, linalg
 from .errors import (
     ChartInversionFailure,
+    ConormalMismatch,
     DegenerateCovectors,
     ImmersionFailure,
     MissingImplicitForm,
     NoIntersectionFound,
+    NotOnBothCores,
     UserChartRequired,
 )
 from .exprlang import Expr
@@ -267,7 +269,7 @@ def frames_at(core: Submanifold, u) -> FrameBundleSample:
         rows = exprlang.jacobian(core.implicit, x, core.params, prefix="x")
         if core.dim and rows.size and np.max(np.abs(rows @ jac)) > \
                 linalg.ANNIHILATE_TOL * max(1.0, float(np.max(np.abs(rows)))):
-            raise ValueError(
+            raise ConormalMismatch(
                 f"implicit conormal of {core.name!r} fails to annihilate the "
                 f"tangent at u = {u}")
         conormal = Frame(rows, "covector")
@@ -340,7 +342,7 @@ def transversality_check(c: Submanifold, d: Submanifold,
     """Per-point verdicts on whether T_xC + T_xD spans R^n.
 
     Samples are ambient points that must already lie on both cores
-    (distance <= 1e-8); that is a caller contract, hence ValueError.
+    (distance <= ON_CORE_TOL), otherwise NotOnBothCores is raised.
     """
     n = c.ambient.dim
     if d.ambient.dim != n:
@@ -351,7 +353,7 @@ def transversality_check(c: Submanifold, d: Submanifold,
         uc, rc = chart_invert(c, x)
         ud, rd = chart_invert(d, x)
         if rc > ON_CORE_TOL or rd > ON_CORE_TOL:
-            raise ValueError(
+            raise NotOnBothCores(
                 f"sample {x} is off-core (distances {rc:.3g}, {rd:.3g})")
         joint = np.hstack([c.jacobian_at(uc), d.jacobian_at(ud)])
         sv = np.linalg.svd(joint, compute_uv=False) if joint.size else np.zeros(0)
@@ -475,7 +477,9 @@ def _newton_points(par: Submanifold, impl: Submanifold) -> list[np.ndarray]:
                 lam *= 0.5
             if not improved:
                 break
-        if ok and all(np.linalg.norm(x - p) > DEDUP_TOL for p in found):
+        # the implicit form may vanish off the chart's domain: keep on-core roots
+        if ok and all(np.linalg.norm(x - p) > DEDUP_TOL for p in found) \
+                and chart_invert(impl, x)[1] <= ON_CORE_TOL:
             found.append(x)
     found.sort(key=lambda p: tuple(p))
     return found

@@ -12,7 +12,13 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DegenerateCovectors, RankDeficient, SingularFrame, SpanMismatch
+from .errors import (
+    ConormalMismatch,
+    DegenerateCovectors,
+    RankDeficient,
+    SingularFrame,
+    SpanMismatch,
+)
 
 SINGULAR_TOL = 1e-12    # relative to the Hadamard bound of the matrix
 RANK_TOL = 1e-9         # relative singular value cutoff for rank decisions
@@ -156,8 +162,8 @@ def dual_normal_frame(covectors: FrameLike, tangent: FrameLike | None = None) ->
     """Normal vectors n_j (columns) with nu_i(n_j) = delta_ij, minimum-norm choice.
 
     ``covectors`` are q rows in R^n.  When a tangent frame is supplied the
-    covectors must annihilate it (|nu_i(t_j)| <= ANNIHILATE_TOL), which is a
-    caller contract, not a data condition, hence ValueError.
+    covectors must annihilate it (|nu_i(t_j)| <= ANNIHILATE_TOL), otherwise
+    ConormalMismatch is raised.
     """
     nu = np.atleast_2d(np.asarray(
         covectors.matrix if isinstance(covectors, Frame) else covectors, dtype=float))
@@ -171,7 +177,7 @@ def dual_normal_frame(covectors: FrameLike, tangent: FrameLike | None = None) ->
     if tangent is not None:
         t = _as_columns(tangent)
         if t.shape[1] and np.max(np.abs(nu @ t)) > ANNIHILATE_TOL:
-            raise ValueError("covectors do not annihilate the tangent frame")
+            raise ConormalMismatch("covectors do not annihilate the tangent frame")
     # min-norm solution of nu @ N = I_q
     return np.linalg.lstsq(nu, np.eye(q), rcond=None)[0]
 
@@ -186,18 +192,6 @@ def complete_to_ambient(tangent: FrameLike) -> np.ndarray:
     if sv[-1] <= RANK_TOL * sv[0]:
         raise RankDeficient("tangent frame is rank deficient")
     return u[:, k:]
-
-
-@dataclass(frozen=True)
-class SplitFrame:
-    """A tangent frame and a transverse normal frame at one point."""
-
-    tangent: np.ndarray  # (n, k) columns
-    normal: np.ndarray   # (n, n-k) columns
-
-    @property
-    def full(self) -> np.ndarray:
-        return np.hstack([self.tangent, self.normal])
 
 
 @dataclass(frozen=True)

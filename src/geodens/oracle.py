@@ -23,7 +23,13 @@ import numpy as np
 
 from . import exprlang, linalg, quadrature
 from .density import AmbientDensity
-from .errors import DegreeMismatch, NonAffineCore, NonConvergent, UnboundedDomain
+from .errors import (
+    DegreeMismatch,
+    InvalidEps,
+    NonAffineCore,
+    NonConvergent,
+    UnboundedDomain,
+)
 from .exprlang import BinOp, Call, Neg, Num, Var
 from .fields import ExprField
 from .geometry import Submanifold
@@ -40,8 +46,6 @@ DEFAULT_EPS = (0.2, 0.1, 0.05)
 class TubeDensity(AmbientDensity):
     """A smooth ambient density mollifying a specific state."""
 
-    base_state: GeometricState | None = None
-    width: float = 0.0
     axis_hints: np.ndarray | None = None  # per-axis resolution, eps across the core
 
 
@@ -90,9 +94,9 @@ def mollify(state: GeometricState, eps: float) -> TubeDensity:
     if not isinstance(state.coeff, ExprField):
         raise ValueError("mollification needs an expression-backed coefficient")
     if eps <= 0.0:
-        raise ValueError("tube width must be positive")
+        raise InvalidEps("tube width must be positive")
     if core.dim and state.support is None:
-        raise ValueError("mollification needs a bounded state support")
+        raise UnboundedDomain("mollification needs a bounded state support")
 
     n, k = core.ambient.dim, core.dim
     x0, t = core.form.base, core.form.tangent
@@ -126,7 +130,7 @@ def mollify(state: GeometricState, eps: float) -> TubeDensity:
     # only axes the conormal frame actually crosses are sharp at scale eps
     crossed = np.sum(np.abs(nu_hat), axis=0) > 1e-9 if nu_hat.size else np.zeros(n, bool)
     axis_hints = np.where(crossed, eps, 1.0)
-    return TubeDensity(state.degree, field, support, eps, state, eps, axis_hints)
+    return TubeDensity(state.degree, field, support, eps, axis_hints)
 
 
 def _tube_box(core: Submanifold, chart_box, nu_hat: np.ndarray, eps: float) -> np.ndarray:
@@ -200,6 +204,17 @@ class ConvergenceReport:
     final_rel_error: float
 
 
+def _check_eps(eps_list) -> tuple[float, ...]:
+    eps = tuple(float(e) for e in eps_list)
+    if len(eps) < 2:
+        raise InvalidEps(f"an eps sweep needs at least two values, got {list(eps)}")
+    if not all(0.0 < e < math.inf for e in eps):
+        raise InvalidEps(f"eps values must be positive and finite, got {list(eps)}")
+    if any(b >= a for a, b in zip(eps, eps[1:])):
+        raise InvalidEps(f"eps list must be strictly decreasing, got {list(eps)}")
+    return eps
+
+
 def converge_check(geometric: complex, eps_list, oracle_values,
                    final_rel_tol: float = 1e-2, floor_rel: float = 1e-8,
                    floor_abs: float = 1e-14) -> ConvergenceReport:
@@ -210,12 +225,10 @@ def converge_check(geometric: complex, eps_list, oracle_values,
     each error must strictly decrease.  The last error must also be within
     ``final_rel_tol`` relatively.  Raises NonConvergent otherwise.
     """
-    eps = tuple(float(e) for e in eps_list)
+    eps = _check_eps(eps_list)
     vals = tuple(complex(v) for v in oracle_values)
-    if len(eps) != len(vals) or len(eps) < 2:
-        raise ValueError("need at least two eps values with matching oracle values")
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError("eps list must be strictly decreasing")
+    if len(eps) != len(vals):
+        raise ValueError("need one oracle value per eps value")
     scale = abs(geometric)
     floor = floor_rel * scale + floor_abs
     errors = tuple(abs(v - geometric) for v in vals)
@@ -244,6 +257,7 @@ def compare_pairing(state: GeometricState, test: AmbientDensity,
                     eps_list=DEFAULT_EPS, options: QuadratureOptions | None = None,
                     final_rel_tol: float = 1e-2) -> ConvergenceReport:
     """Geometric pairing vs mollified pairings across an eps sweep."""
+    _check_eps(eps_list)
     geometric = pair_with_test(state, test, options=options).value
     oracle_values = [smooth_pair(mollify(state, e), test) for e in eps_list]
     return converge_check(geometric, eps_list, oracle_values, final_rel_tol)
@@ -254,6 +268,7 @@ def compare_inner(state1: GeometricState, state2: GeometricState,
                   options: QuadratureOptions | None = None,
                   final_rel_tol: float = 1e-2) -> ConvergenceReport:
     """Geometric partial inner product vs mollified tube pairings."""
+    _check_eps(eps_list)
     geometric = inner_product(state1, state2, core_e, support=support,
                               options=options).value
     oracle_values = [smooth_pair(mollify(state1, e), mollify(state2, e))

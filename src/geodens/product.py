@@ -21,14 +21,13 @@ the planes z=0, y=0 in R^3 with Gaussian coefficients it returns sqrt(pi/2).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg, quadrature
 from .errors import (
     DegenerateCovectors,
     DegreeMismatch,
+    DimensionMismatch,
     NonCompactIntersection,
     NotOnBothCores,
     TransversalityFailure,
@@ -39,33 +38,17 @@ from .quadrature import QuadratureOptions, intersect_boxes
 from .states import ConormalFamily, GeometricState, NormalSolver, PairingResult
 
 
-@dataclass(frozen=True, eq=False)
-class ProductRequest:
-    """A validated (state, state, intersection core) triple."""
-
-    state1: GeometricState
-    state2: GeometricState
-    intersection: Submanifold
-
-    def __post_init__(self):
-        c, d, e = self.state1.core, self.state2.core, self.intersection
-        n = c.ambient.dim
-        if d.ambient.dim != n or e.ambient.dim != n:
-            raise ValueError("cores live in different ambient spaces")
-        expected = c.dim + d.dim - n
-        if e.dim != expected:
-            raise ValueError(
-                f"intersection core has dimension {e.dim}, transversality "
-                f"requires {expected}")
-
-    def product(self, support=None) -> GeometricState:
-        return product(self.state1, self.state2, self.intersection, support=support)
-
-    def inner(self, support=None, options=None,
-              dual_solver: NormalSolver | None = None) -> PairingResult:
-        return inner_product(self.state1, self.state2, self.intersection,
-                             support=support, options=options,
-                             dual_solver=dual_solver)
+def _check_dims(theta1: GeometricState, theta2: GeometricState,
+                core_e: Submanifold) -> None:
+    c, d = theta1.core, theta2.core
+    n = c.ambient.dim
+    if d.ambient.dim != n or core_e.ambient.dim != n:
+        raise ValueError("cores live in different ambient spaces")
+    expected = c.dim + d.dim - n
+    if core_e.dim != expected:
+        raise DimensionMismatch(
+            f"intersection core has dimension {core_e.dim}, transversality "
+            f"requires {expected}")
 
 
 def _core_coords(core: Submanifold, x, picture: str):
@@ -115,7 +98,7 @@ def product_at_point(theta1: GeometricState, theta2: GeometricState,
 def product(theta1: GeometricState, theta2: GeometricState,
             core_e: Submanifold, support=None) -> GeometricState:
     """The product state on E, its coefficient evaluated on demand."""
-    ProductRequest(theta1, theta2, core_e)
+    _check_dims(theta1, theta2, core_e)
 
     def stacked_rows(w):
         x = core_e.point_at(w)
@@ -142,7 +125,7 @@ def inner_product(theta1: GeometricState, theta2: GeometricState,
         raise DegreeMismatch(
             f"partial inner product needs degrees summing to 1, got "
             f"{theta1.degree} + {theta2.degree}")
-    ProductRequest(theta1, theta2, core_e)
+    _check_dims(theta1, theta2, core_e)
     opts = options or QuadratureOptions()
 
     if core_e.dim == 0:

@@ -31,7 +31,9 @@ class QuadratureOptions:
 
 
 def as_box(box) -> np.ndarray:
-    """Validate a (k, 2) array of [lo, hi] bounds.  Must be finite, lo <= hi."""
+    """Validate a (k, 2) array of [lo, hi] bounds: not None, finite, lo <= hi."""
+    if box is None:
+        raise UnboundedDomain("no bounded box to sample or integrate over")
     b = np.asarray(box, dtype=float)
     if b.ndim == 1 and b.shape[0] == 2:
         b = b[None, :]

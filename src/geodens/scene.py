@@ -20,6 +20,7 @@ from . import exprlang
 from .density import AmbientDensity
 from .errors import DegreeMismatch, GeodensError, SceneError
 from .geometry import Submanifold
+from .quadrature import as_box
 from .states import GeometricState, make_state
 
 REQUEST_OPS = ("check", "pair", "product", "inner", "oracle", "sweep")
@@ -46,12 +47,15 @@ class Scene:
 
 
 def load_scene(path, param_overrides: Mapping[str, float] | None = None) -> Scene:
-    text = Path(path).read_text()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(Path(path).read_text(), parse_constant=_non_finite)
+    except ValueError as exc:  # bad encoding, bad JSON, NaN or Infinity
         raise SceneError(f"invalid JSON in {path}: {exc}") from None
     return scene_from_dict(data, param_overrides)
+
+
+def _non_finite(name: str):
+    raise ValueError(f"{name} is not a finite number")
 
 
 def scene_from_dict(data: dict,
@@ -184,6 +188,8 @@ def _build(data: dict, overrides: dict[str, float]) -> Scene:
         coeff = _norm_expr(_need(entry, "coeff", f"test {name!r}"))
         support = entry.get("support")
         resolution = entry.get("resolution")
+        if resolution is not None and not float(resolution) > 0.0:
+            raise SceneError(f"test {name!r} needs a positive resolution")
         tests[name] = AmbientDensity.make(
             degree, coeff, support=support,
             resolution_hint=None if resolution is None else float(resolution),
@@ -223,6 +229,16 @@ def _norm_request(entry: dict, index: int, cores, states, tests, params) -> dict
             raise SceneError(f"{where} references unknown state {name!r}")
         return name
 
+    def support_box():
+        # a chart box on the intersection, whose dimension transversality fixes
+        box = as_box(entry["support"])
+        c, d = states[out["state1"]].core, states[out["state2"]].core
+        dim = c.dim + d.dim - c.ambient.dim
+        if box.shape[0] != dim:
+            raise SceneError(f"{where} support box has {box.shape[0]} axes, "
+                             f"the intersection has dimension {dim}")
+        return _box_out(box)
+
     if op == "check":
         out["cores"] = [str(n) for n in _need(entry, "cores", where)]
         if len(out["cores"]) != 2:
@@ -232,6 +248,9 @@ def _norm_request(entry: dict, index: int, cores, states, tests, params) -> dict
                 raise SceneError(f"{where} references unknown core {name!r}")
         if entry.get("samples") is not None:
             out["samples"] = [[float(v) for v in p] for p in entry["samples"]]
+            n = cores[out["cores"][0]].ambient.dim
+            if any(len(p) != n for p in out["samples"]):
+                raise SceneError(f"{where} has a sample that is not a point of R^{n}")
     elif op == "pair":
         out["state"] = state_ref("state")
         name = str(_need(entry, "test", where))
@@ -245,12 +264,14 @@ def _norm_request(entry: dict, index: int, cores, states, tests, params) -> dict
         if entry.get("intersection") is not None:
             out["intersection"] = core_ref("intersection")
         if entry.get("support") is not None:
-            out["support"] = _box_out(entry["support"])
+            out["support"] = support_box()
         if op == "inner":
             _check_degree_sum(states[out["state1"]].degree,
                               states[out["state2"]].degree, where)
         if op == "product" and entry.get("grid") is not None:
             out["grid"] = int(entry["grid"])
+            if out["grid"] < 1:
+                raise SceneError(f"{where} needs grid >= 1")
     elif op == "oracle":
         if "test" in entry:
             out["state"] = state_ref("state")
@@ -265,7 +286,7 @@ def _norm_request(entry: dict, index: int, cores, states, tests, params) -> dict
             if entry.get("intersection") is not None:
                 out["intersection"] = core_ref("intersection")
             if entry.get("support") is not None:
-                out["support"] = _box_out(entry["support"])
+                out["support"] = support_box()
             _check_degree_sum(states[out["state1"]].degree,
                               states[out["state2"]].degree, where)
         if entry.get("eps") is not None:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from geodens.density import AmbientDensity, RestrictedDensity, restrict
+from geodens.density import AmbientDensity, restrict
 from geodens.geometry import Submanifold
 from geodens.linalg import Frame, det_abs_pow
 
@@ -76,12 +76,6 @@ def test_restrict_point_core():
     v = restrict(gaussian(1.0), p, np.zeros(0))
     # conormal of a point is the full standard coframe, its dual has det 1
     assert v.value == pytest.approx(math.exp(-0.09), rel=1e-14)
-
-
-def test_restricted_density_wrapper():
-    axis = Submanifold.affine("X", [0.0, 0.0], [1.0, 0.0])
-    r = RestrictedDensity(gaussian(0.5), axis)
-    assert r.at([0.7]).value == restrict(gaussian(0.5), axis, [0.7]).value
 
 
 def test_density_value_scales_with_frame():

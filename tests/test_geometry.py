@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from geodens.errors import (
+    ConormalMismatch,
     DegenerateCovectors,
     ImmersionFailure,
     MissingImplicitForm,
     NoIntersectionFound,
+    NotOnBothCores,
     RankDeficient,
     UserChartRequired,
 )
@@ -20,6 +22,8 @@ from geodens.geometry import (
     intersect,
     transversality_check,
 )
+from geodens.product import inner_product
+from geodens.states import make_state
 
 
 def x_axis(name="X"):
@@ -159,6 +163,14 @@ def test_frames_with_implicit_use_its_jacobian():
     assert abs(sample.conormal.matrix[0] @ sample.tangent.matrix[:, 0]) <= 1e-12
 
 
+def test_frames_at_rejects_a_conormal_that_misses_the_tangent():
+    # x2 + x1^3 - x1 vanishes at the validation samples u = -1, 0, 1 only
+    core = Submanifold.affine("W", [0.0, 0.0], [1.0, 0.0],
+                              implicit=["x2 + x1^3 - x1"])
+    with pytest.raises(ConormalMismatch):
+        frames_at(core, [0.5])
+
+
 def test_frames_at_point_core():
     sample = frames_at(Submanifold.point("P", [2.0, 1.0]), np.zeros(0))
     assert sample.tangent.matrix.shape == (2, 0)
@@ -207,7 +219,7 @@ def test_self_intersection_is_not_transverse():
 
 
 def test_transversality_rejects_off_core_samples():
-    with pytest.raises(ValueError):
+    with pytest.raises(NotOnBothCores):
         transversality_check(x_axis(), y_axis(), [[1.0, 1.0]])
 
 
@@ -266,6 +278,21 @@ def test_intersect_circle_with_distant_line():
     far = Submanifold.affine("H", [0.0, 3.0], [1.0, 0.0])
     with pytest.raises(NoIntersectionFound):
         intersect(far, unit_circle())
+
+
+def test_intersect_keeps_only_roots_on_the_chart_domain():
+    # the full circle's implicit form also vanishes at (-h, -h), off the arc
+    arc = Submanifold.chart("A", ["cos(u1)", "sin(u1)"], [[-1.0, 2.0]],
+                            implicit=["(x1^2 + x2^2 - 1)/2"])
+    h = 1.0 / math.sqrt(2.0)
+    diagonal = Submanifold.affine("M", [0.0, 0.0], [h, h])
+    res = intersect(diagonal, arc)
+    assert len(res.points) == 1
+    assert np.allclose(res.points[0], [h, h], atol=1e-12)
+    sm = make_state(diagonal, 0.5, "1", support=[[-3.0, 3.0]])
+    sa = make_state(arc, 0.5, "1", support=[[-1.0, 2.0]])
+    got = inner_product(sm, sa, res.core)
+    assert abs(got.value - 1.0) <= 1e-12
 
 
 def test_intersect_curved_needs_implicit():

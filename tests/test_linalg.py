@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from geodens.errors import (
+    ConormalMismatch,
     DegenerateCovectors,
     RankDeficient,
     SingularFrame,
@@ -14,7 +15,6 @@ from geodens.errors import (
 from geodens.linalg import (
     DensityValue,
     Frame,
-    SplitFrame,
     change_of_basis,
     complete_to_ambient,
     det_abs_pow,
@@ -162,7 +162,7 @@ def test_dual_normal_annihilation_contract():
     t_ok = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     dual_normal_frame(nu, t_ok)  # fine
     t_bad = np.array([[1.0], [0.0], [0.5]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConormalMismatch):
         dual_normal_frame(nu, t_bad)
 
 
@@ -209,7 +209,3 @@ def test_density_value_transformation_law():
     back = v2.in_frame(v1.frame)
     assert back.value == pytest.approx(v1.value, rel=1e-10)
 
-
-def test_split_frame_concatenation():
-    s = SplitFrame(np.array([[1.0], [0.0]]), np.array([[0.0], [2.0]]))
-    assert np.allclose(s.full, [[1.0, 0.0], [0.0, 2.0]])

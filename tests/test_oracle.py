@@ -14,6 +14,7 @@ import pytest
 from geodens.density import AmbientDensity
 from geodens.errors import (
     DegreeMismatch,
+    InvalidEps,
     NonAffineCore,
     NonConvergent,
     UnboundedDomain,
@@ -63,9 +64,9 @@ def test_mollify_rejects_callable_coefficients():
 
 def test_mollify_rejects_bad_width_and_missing_support():
     th = unit_state(x_axis())
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidEps):
         mollify(th, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnboundedDomain):
         mollify(make_state(x_axis(), 0.5, "1"), 0.1)
 
 
@@ -77,7 +78,7 @@ def test_tube_fields():
     tube = mollify(th, eps)
     assert isinstance(tube, TubeDensity)
     assert tube.degree == th.degree
-    assert tube.width == eps and tube.resolution_hint == eps
+    assert tube.resolution_hint == eps
     assert isinstance(tube.coeff, ExprField)
     # box: the chart image, widened by 8 eps across the core
     assert np.allclose(tube.support[0], [-8.0, 8.0], atol=1e-12)
@@ -194,10 +195,12 @@ def test_converge_check_rejects_the_wrong_limit():
 
 
 def test_converge_check_input_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidEps):
         converge_check(1.0, (0.1,), (1.0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidEps):
         converge_check(1.0, (0.1, 0.2), (1.0, 1.0))
+    with pytest.raises(InvalidEps):
+        converge_check(1.0, (-0.1, -0.2), (1.0, 1.0))
     with pytest.raises(ValueError):
         converge_check(1.0, (0.2, 0.1), (1.0,))
 

@@ -12,18 +12,14 @@ import pytest
 
 from geodens.errors import (
     DegreeMismatch,
+    DimensionMismatch,
     NonCompactIntersection,
     NotOnBothCores,
     TransversalityFailure,
 )
 from geodens.geometry import Submanifold, intersect
 from geodens.linalg import dual_normal_frame
-from geodens.product import (
-    ProductRequest,
-    inner_product,
-    product,
-    product_at_point,
-)
+from geodens.product import inner_product, product, product_at_point
 from geodens.states import make_state, recombine_conormal
 
 # composite Simpson (4000 panels) for the integral of exp(-2 w^2) on [-8, 8]
@@ -59,16 +55,18 @@ def crossed_planes():
 
 def test_request_checks_dimensions():
     th1, th2 = tilted_pair(math.pi / 3)
-    ProductRequest(th1, th2, origin())  # fine
     bad_e = Submanifold.affine("E1", [0.0, 0.0], [1.0, 0.0])
-    with pytest.raises(ValueError):
-        ProductRequest(th1, th2, bad_e)
+    for op in (product, inner_product):
+        op(th1, th2, origin())  # fine
+        with pytest.raises(DimensionMismatch):
+            op(th1, th2, bad_e)
 
 
 def test_request_checks_ambient():
     th1, th2 = tilted_pair(math.pi / 3)
-    with pytest.raises(ValueError):
-        ProductRequest(th1, th2, Submanifold.point("E", [0.0, 0.0, 0.0]))
+    for op in (product, inner_product):
+        with pytest.raises(ValueError):
+            op(th1, th2, Submanifold.point("E", [0.0, 0.0, 0.0]))
 
 
 # the tilted-lines closed form

@@ -1,7 +1,8 @@
 """Scene files and the command line front end.
 
-The CLI tests run ``python -m geodens`` as a subprocess so the documented
-exit codes are checked end to end, including the negative controls.
+The CLI happy paths and negative controls run ``python -m geodens`` as a
+subprocess, so the documented exit codes are checked end to end.  The
+exit-code tests call ``cli.main`` in-process, so a runner can be replaced.
 """
 import csv
 import json
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from geodens import cli, errors
 from geodens.errors import DegreeMismatch, SceneError
 from geodens.product import inner_product
 from geodens.scene import load_scene, scene_from_dict
@@ -172,6 +174,30 @@ def sweep_non_scalar(d):
                         "request": {"op": "check", "cores": ["X", "E"]}}
 
 
+def reversed_request_support(d):
+    d["requests"][0] = {"op": "inner", "state1": "s", "state2": "s",
+                        "support": [[8, -8]]}
+
+
+def support_rows_off_dimension(d):
+    d["requests"][0] = {"op": "inner", "state1": "s", "state2": "s",
+                        "intersection": "E", "support": [[-1, 1]]}
+
+
+def check_sample_outside_ambient(d):
+    d["requests"][0] = {"op": "check", "cores": ["X", "E"],
+                        "samples": [[0, 0, 0]]}
+
+
+def product_grid_zero(d):
+    d["requests"][0] = {"op": "product", "state1": "s", "state2": "s",
+                        "intersection": "E", "grid": 0}
+
+
+def negative_resolution(d):
+    d["tests"][0]["resolution"] = -0.1
+
+
 def ambient_mismatch(d):
     d["cores"][0] = {"name": "X", "kind": "affine", "base": [0, 0, 0],
                      "tangent": [[1, 0, 0]]}
@@ -182,6 +208,8 @@ def ambient_mismatch(d):
     state_unknown_core, bad_degree, bad_expression, unknown_op,
     pair_unknown_test, check_one_core, sweep_unknown_param,
     sweep_short_range, sweep_non_scalar, ambient_mismatch,
+    reversed_request_support, support_rows_off_dimension,
+    check_sample_outside_ambient, product_grid_zero, negative_resolution,
 ], ids=lambda f: f.__name__)
 def test_malformed_scene_raises(mutate):
     data = minimal_scene()
@@ -376,3 +404,133 @@ def test_cli_disjoint_cores_exit_3(tmp_path):
     proc = run_cli("inner", path)
     assert proc.returncode == 3
     assert proc.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{", b'{"ambient": NaN}'])
+def test_cli_undecodable_scene_exit_2(content, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert cli.main(["check", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid JSON")
+
+
+def test_cli_rejects_quad_order_below_one():
+    with pytest.raises(SystemExit) as info:
+        cli.main(["pair", str(SCENES / "tilted_lines.json"), "--quad-order", "0"])
+    assert info.value.code == 2
+
+
+def test_cli_bad_eps_list_exit_2_before_mollifying(monkeypatch):
+    def no_mollify(*args):
+        raise AssertionError("mollify ran on a bad eps list")
+
+    monkeypatch.setattr("geodens.oracle.mollify", no_mollify)
+    for bad in ("0.1,0.2", "-0.1,-0.2", "0.1"):
+        assert cli.main(["oracle", str(SCENES / "tilted_lines.json"),
+                         f"--eps-list={bad}"]) == 2
+
+
+def two_axes_scene():
+    data = minimal_scene()
+    data["cores"].append({"name": "Y", "kind": "affine", "base": [0, 0],
+                          "tangent": [[0, 1]]})
+    data["states"].append({"name": "s2", "core": "Y", "degree": 0.5,
+                           "coeff": "1", "support": [[-1, 1]]})
+    return data
+
+
+def scene_eps_increasing(d):
+    d["requests"] = [{"op": "oracle", "state1": "s", "state2": "s2",
+                      "eps": [0.1, 0.2]}]
+    return "oracle", 2
+
+
+def off_core_check_sample(d):
+    d["requests"] = [{"op": "check", "cores": ["X", "Y"], "samples": [[1, 1]]}]
+    return "check", 3
+
+
+def wrong_dimension_intersection(d):
+    d["requests"] = [{"op": "inner", "state1": "s", "state2": "s2",
+                      "intersection": "X"}]
+    return "inner", 3
+
+
+def conormal_not_annihilating(d):
+    d["states"][0]["conormal"] = [[1, 1]]
+    return "pair", 3
+
+
+def implicit_conormal_not_annihilating(d):
+    # x2 + x1^3 - x1 vanishes where the implicit form is validated
+    # (u = -1, 0, 1) but its gradient is not normal to the x axis
+    d["cores"].append({"name": "W", "kind": "affine", "base": [0, 0],
+                       "tangent": [[1, 0]], "implicit": ["x2 + x1^3 - x1"]})
+    d["requests"] = [{"op": "check", "cores": ["X", "Y"]}]
+    return "check", 3
+
+
+def mollify_without_support(d):
+    for state in d["states"]:
+        del state["support"]
+    d["requests"] = [{"op": "oracle", "state1": "s", "state2": "s2"}]
+    return "oracle", 5
+
+
+@pytest.mark.parametrize("mutate", [
+    scene_eps_increasing, off_core_check_sample, wrong_dimension_intersection,
+    conormal_not_annihilating, implicit_conormal_not_annihilating,
+    mollify_without_support,
+], ids=lambda f: f.__name__)
+def test_cli_typed_failure_exit_codes(mutate, tmp_path, capsys):
+    data = two_axes_scene()
+    command, code = mutate(data)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(data))
+    assert cli.main([command, str(path)]) == code
+    assert capsys.readouterr().err.startswith("error:")
+
+
+# exit codes of the original error types, as documented in the README
+
+EXIT_CODES = {
+    "SceneError": 2, "ExprSyntaxError": 2, "UnknownFunction": 2,
+    "UnboundIdentifier": 2, "DomainError": 2,
+    "ImmersionFailure": 3, "RankDeficient": 3, "SpanMismatch": 3,
+    "DegenerateCovectors": 3, "SingularFrame": 3, "MissingImplicitForm": 3,
+    "NoIntersectionFound": 3, "UserChartRequired": 3,
+    "ChartInversionFailure": 3, "NotOnBothCores": 3, "NonAffineCore": 3,
+    "DegreeMismatch": 4,
+    "QuadratureNotConverged": 5, "UnboundedDomain": 5,
+    "NonCompactIntersection": 5, "NonConvergent": 5,
+    "TransversalityFailure": 6,
+}
+
+
+@pytest.mark.parametrize("name,code", sorted(EXIT_CODES.items()))
+def test_cli_exit_code_of_each_error(name, code, monkeypatch, capsys):
+    cls = getattr(errors, name)
+    exc = cls("boom", 7) if name == "ExprSyntaxError" else cls("boom")
+
+    def runner(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_pair", runner)
+    assert cli.main(["pair", str(SCENES / "tilted_lines.json")]) == code
+    assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+def test_every_error_type_has_an_exit_code():
+    types = [v for v in vars(errors).values()
+             if isinstance(v, type) and issubclass(v, errors.GeodensError)
+             and v is not errors.GeodensError]
+    assert {t.exit_code for t in types} == {2, 3, 4, 5, 6}
+
+
+def test_cli_lets_a_plain_value_error_propagate(monkeypatch):
+    def runner(*args):
+        raise ValueError("a bug, not a user error")
+
+    monkeypatch.setattr(cli, "_cmd_pair", runner)
+    with pytest.raises(ValueError, match="a bug"):
+        cli.main(["pair", str(SCENES / "tilted_lines.json")])

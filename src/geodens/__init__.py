@@ -8,7 +8,7 @@ every geometric number against an independent Gaussian mollification oracle.
 
 from .density import AmbientDensity, restrict
 from .errors import *  # noqa: F403  every exception type
-from .exprlang import DualNumber, evaluate, jacobian, parse, subst, to_source
+from .exprlang import diff, evaluate, jacobian, parse, subst, to_source
 from .fields import ExprField, FuncField, ScalarField, as_field
 from .geometry import (
     Ambient,
@@ -18,6 +18,7 @@ from .geometry import (
     TransversalityReport,
     chart_invert,
     frames_at,
+    frames_many,
     intersect,
     transversality_check,
 )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
@@ -74,6 +75,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.quad_order < 1:
         parser.error("--quad-order must be at least 1")
+    if not (math.isfinite(args.quad_tol) and args.quad_tol >= 0.0):
+        parser.error("--quad-tol must be a finite number >= 0")
     try:
         return _run(args)
     except GeodensError as exc:

@@ -15,9 +15,10 @@ Any other identifier is free and must be bound at evaluation time
 (chart coordinates u1..uk, ambient coordinates x1..xn, fiber coordinates
 xi1..xiq, named scene parameters).
 
-Evaluation is polymorphic over floats, numpy arrays (elementwise), and
-DualNumber seeds; ``jacobian`` pushes dual numbers through a chart map and
-returns the exact derivative, no finite differences anywhere.
+Evaluation works on floats and, elementwise, on numpy arrays.  ``diff``
+builds the derivative of a tree as another tree, so derivatives evaluate
+through the same vectorized ``evaluate`` as values; ``jacobian`` evaluates
+them at a point.  Derivatives are exact, no finite differences anywhere.
 """
 from __future__ import annotations
 
@@ -31,8 +32,8 @@ import numpy as np
 from .errors import DomainError, ExprSyntaxError, UnboundIdentifier, UnknownFunction
 
 __all__ = [
-    "Expr", "Num", "Var", "Neg", "BinOp", "Call", "DualNumber",
-    "parse", "evaluate", "jacobian", "subst", "to_source",
+    "Expr", "Num", "Var", "Neg", "BinOp", "Call",
+    "parse", "evaluate", "diff", "jacobian", "subst", "to_source",
     "FUNCTIONS", "CONSTANTS",
 ]
 
@@ -70,137 +71,19 @@ Expr = Union[Num, Var, Neg, BinOp, Call]
 CONSTANTS = {"pi": math.pi}
 
 
-class DualNumber:
-    """Forward-mode value with a derivative vector."""
-
-    __slots__ = ("value", "deriv")
-
-    def __init__(self, value, deriv):
-        self.value = float(value)
-        self.deriv = np.asarray(deriv, dtype=float)
-
-    def __repr__(self):
-        return f"DualNumber({self.value}, {self.deriv})"
-
-    def __add__(self, other):
-        if isinstance(other, DualNumber):
-            return DualNumber(self.value + other.value, self.deriv + other.deriv)
-        return DualNumber(self.value + other, self.deriv)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return DualNumber(-self.value, -self.deriv)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, DualNumber):
-            return DualNumber(self.value * other.value,
-                              self.value * other.deriv + other.value * self.deriv)
-        return DualNumber(self.value * other, self.deriv * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, DualNumber):
-            if other.value == 0.0:
-                raise DomainError("division by zero")
-            inv = 1.0 / other.value
-            return DualNumber(self.value * inv,
-                              (self.deriv - self.value * inv * other.deriv) * inv)
-        if other == 0.0:
-            raise DomainError("division by zero")
-        return DualNumber(self.value / other, self.deriv / other)
-
-    def __rtruediv__(self, other):
-        if self.value == 0.0:
-            raise DomainError("division by zero")
-        inv = 1.0 / self.value
-        return DualNumber(other * inv, -other * inv * inv * self.deriv)
-
-    def __pow__(self, other):
-        if isinstance(other, DualNumber):
-            if np.any(other.deriv != 0.0):
-                # general a^b needs a > 0
-                if self.value <= 0.0:
-                    raise DomainError("a^b with varying exponent needs a > 0")
-                v = self.value ** other.value
-                return DualNumber(v, v * (other.value / self.value * self.deriv
-                                          + math.log(self.value) * other.deriv))
-            other = other.value
-        p = float(other)
-        if self.value < 0.0 and p != round(p):
-            raise DomainError("negative base with non-integer exponent")
-        if self.value == 0.0:
-            if p < 0.0:
-                raise DomainError("zero base with negative exponent")
-            if p == 0.0:
-                return DualNumber(1.0, np.zeros_like(self.deriv))
-            if p < 1.0:
-                raise DomainError("derivative of x^p unbounded at 0 for p < 1")
-            d = self.deriv if p == 1.0 else np.zeros_like(self.deriv)
-            return DualNumber(0.0, d)
-        return DualNumber(self.value ** p,
-                          p * self.value ** (p - 1.0) * self.deriv)
-
-    def exp(self):
-        v = math.exp(self.value)
-        return DualNumber(v, v * self.deriv)
-
-    def sin(self):
-        return DualNumber(math.sin(self.value), math.cos(self.value) * self.deriv)
-
-    def cos(self):
-        return DualNumber(math.cos(self.value), -math.sin(self.value) * self.deriv)
-
-    def sqrt(self):
-        if self.value < 0.0:
-            raise DomainError("sqrt of a negative value")
-        if self.value == 0.0:
-            raise DomainError("derivative of sqrt unbounded at 0")
-        v = math.sqrt(self.value)
-        return DualNumber(v, 0.5 / v * self.deriv)
-
-    def log(self):
-        if self.value <= 0.0:
-            raise DomainError("log of a non-positive value")
-        return DualNumber(math.log(self.value), self.deriv / self.value)
-
-
-def _f_exp(v):
-    return v.exp() if isinstance(v, DualNumber) else np.exp(v)
-
-
-def _f_sin(v):
-    return v.sin() if isinstance(v, DualNumber) else np.sin(v)
-
-
-def _f_cos(v):
-    return v.cos() if isinstance(v, DualNumber) else np.cos(v)
-
-
 def _f_sqrt(v):
-    if isinstance(v, DualNumber):
-        return v.sqrt()
     if np.any(np.asarray(v) < 0.0):
         raise DomainError("sqrt of a negative value")
     return np.sqrt(v)
 
 
 def _f_log(v):
-    if isinstance(v, DualNumber):
-        return v.log()
     if np.any(np.asarray(v) <= 0.0):
         raise DomainError("log of a non-positive value")
     return np.log(v)
 
 
-FUNCTIONS = {"exp": _f_exp, "sin": _f_sin, "cos": _f_cos,
+FUNCTIONS = {"exp": np.exp, "sin": np.sin, "cos": np.cos,
              "sqrt": _f_sqrt, "log": _f_log}
 
 
@@ -321,8 +204,8 @@ def parse(source: str) -> Expr:
 def evaluate(expr: Expr, bindings: Mapping[str, object] | None = None):
     """Evaluate an expression tree.
 
-    Bindings map identifier names to floats, numpy arrays (elementwise
-    evaluation), or DualNumber seeds.  ``pi`` resolves before bindings.
+    Bindings map identifier names to floats or numpy arrays (elementwise
+    evaluation).  ``pi`` resolves before bindings.
     """
     b = bindings or {}
 
@@ -356,20 +239,12 @@ def evaluate(expr: Expr, bindings: Mapping[str, object] | None = None):
 
 
 def _div(a, b):
-    if isinstance(a, DualNumber) or isinstance(b, DualNumber):
-        if not isinstance(a, DualNumber):
-            a = DualNumber(a, np.zeros_like(np.atleast_1d(b.deriv)))
-        return a / b
     if np.any(np.asarray(b) == 0.0):
         raise DomainError("division by zero")
     return a / b
 
 
 def _pow(a, b):
-    if isinstance(a, DualNumber) or isinstance(b, DualNumber):
-        if not isinstance(a, DualNumber):
-            a = DualNumber(a, np.zeros_like(np.atleast_1d(b.deriv)))
-        return a ** b
     av = np.asarray(a, dtype=float)
     bv = np.asarray(b, dtype=float)
     nonint = bv != np.round(bv)
@@ -380,6 +255,91 @@ def _pow(a, b):
     return a ** b
 
 
+# differentiation
+
+_ZERO, _ONE = Num(0.0), Num(1.0)
+
+
+def _plus(a: Expr, b: Expr) -> Expr:
+    if a == _ZERO:
+        return b
+    return a if b == _ZERO else BinOp("+", a, b)
+
+
+def _minus(a: Expr, b: Expr) -> Expr:
+    if b == _ZERO:
+        return a
+    return Neg(b) if a == _ZERO else BinOp("-", a, b)
+
+
+def _times(a: Expr, b: Expr) -> Expr:
+    if a == _ZERO or b == _ZERO:
+        return _ZERO
+    if a == _ONE:
+        return b
+    return a if b == _ONE else BinOp("*", a, b)
+
+
+def _over(a: Expr, b: Expr) -> Expr:
+    if a == _ZERO:
+        return _ZERO
+    return a if b == _ONE else BinOp("/", a, b)
+
+
+def _power_factor(base: Expr, p: Expr) -> Expr:
+    # d(base^p)/d(base) for an exponent that does not vary
+    if not isinstance(p, Num):
+        return BinOp("*", p, BinOp("^", base, BinOp("-", p, _ONE)))
+    if p.value in (0.0, 1.0):
+        return p  # the factors of a^0 and a^1 are 0 and 1
+    lowered = base if p.value == 2.0 else BinOp("^", base, Num(p.value - 1.0))
+    return BinOp("*", p, lowered)
+
+
+# d f(a) / da, given a and the call node f(a) itself; log's factor 1/a is
+# written exp(-log a) so that it keeps log's domain check
+_CALL_FACTORS = {
+    "exp": lambda a, e: e,
+    "sin": lambda a, e: Call("cos", a),
+    "cos": lambda a, e: Neg(Call("sin", a)),
+    "sqrt": lambda a, e: BinOp("/", Num(0.5), e),
+    "log": lambda a, e: Call("exp", Neg(e)),
+}
+
+
+def diff(expr: Expr, var: str) -> Expr:
+    """Derivative tree of ``expr`` in the identifier ``var``.
+
+    Zero and unit terms fold away, and a power with an exponent that does
+    not depend on ``var`` differentiates as ``c*a^(c-1)*a'``, so its
+    negative bases stay valid.  A varying exponent needs ``log`` of the
+    base: ``a^b (b' log a + b a'/a)``.  Evaluating the tree raises
+    DomainError where the derivative is unbounded, for instance ``sqrt``
+    or ``u^0.5`` at 0.
+    """
+    if isinstance(expr, Num):
+        return _ZERO
+    if isinstance(expr, Var):
+        return _ONE if expr.name == var else _ZERO
+    if isinstance(expr, Neg):
+        return _minus(_ZERO, diff(expr.arg, var))
+    if isinstance(expr, Call):
+        return _times(_CALL_FACTORS[expr.func](expr.arg, expr), diff(expr.arg, var))
+    a, b = expr.left, expr.right
+    da, db = diff(a, var), diff(b, var)
+    if expr.op == "+":
+        return _plus(da, db)
+    if expr.op == "-":
+        return _minus(da, db)
+    if expr.op == "*":
+        return _plus(_times(da, b), _times(a, db))
+    if expr.op == "/":
+        return _over(_minus(da, _times(expr, db)), b)
+    if db == _ZERO:
+        return _times(_power_factor(a, b), da)
+    return _times(expr, _plus(_times(db, Call("log", a)), _over(_times(b, da), a)))
+
+
 def jacobian(exprs, point, bindings: Mapping[str, float] | None = None,
              prefix: str = "u") -> np.ndarray:
     """Exact jacobian of component expressions in <prefix>1..<prefix>k at ``point``.
@@ -388,17 +348,10 @@ def jacobian(exprs, point, bindings: Mapping[str, float] | None = None,
     held constant.
     """
     p = np.asarray(point, dtype=float)
-    k = p.shape[0]
-    seeds: dict[str, object] = {
-        f"{prefix}{i + 1}": DualNumber(p[i], np.eye(k)[i]) for i in range(k)}
-    if bindings:
-        seeds.update(bindings)
-    rows = np.zeros((len(exprs), k))
-    for i, e in enumerate(exprs):
-        v = evaluate(e, seeds)
-        if isinstance(v, DualNumber):
-            rows[i] = v.deriv
-    return rows
+    names = [f"{prefix}{i + 1}" for i in range(p.shape[0])]
+    values = {**dict(zip(names, p)), **(bindings or {})}
+    rows = [[float(evaluate(diff(e, v), values)) for v in names] for e in exprs]
+    return np.array(rows, dtype=float).reshape(len(exprs), len(names))
 
 
 def subst(expr: Expr, mapping: Mapping[str, Expr]) -> Expr:

@@ -23,6 +23,7 @@ from .errors import (
     MissingImplicitForm,
     NoIntersectionFound,
     NotOnBothCores,
+    RankDeficient,
     UserChartRequired,
 )
 from .exprlang import Expr
@@ -139,45 +140,55 @@ class Submanifold:
                 raise ValueError("chart domain must be bounded")
             if np.any(self.form.domain[:, 0] > self.form.domain[:, 1]):
                 raise ValueError("chart domain has lo > hi")
-            self._validate_immersion()
-        if self.implicit is not None:
-            self._validate_implicit()
-
-    def _validate_immersion(self):
-        for u in _grid(self.form.domain, 5):
-            jac = self.jacobian_at(u)
-            sv = np.linalg.svd(jac, compute_uv=False)
-            if self.dim and (sv.size < self.dim or sv[self.dim - 1] <= IMMERSION_TOL * sv[0]):
+            coords = _grid(self.form.domain, 5)
+            u = _rank_loss(self._tangents(coords), IMMERSION_TOL, coords)
+            if u is not None:
                 raise ImmersionFailure(
                     f"chart jacobian of {self.name!r} loses rank at u = {u}")
+        if self.implicit is not None:
+            self._validate_implicit()
 
     def _validate_implicit(self):
         n, k = self.ambient.dim, self.dim
         if len(self.implicit) != n - k:
             raise ValueError(
                 f"implicit form needs {n - k} components, got {len(self.implicit)}")
-        for u in self._sample_coords(3):
-            x = self.point_at(u)
-            vals = [exprlang.evaluate(e, self._x_bindings(x)) for e in self.implicit]
-            if np.max(np.abs(vals)) > ON_CORE_TOL * max(1.0, float(np.max(np.abs(x)))):
-                raise ValueError(
-                    f"implicit form of {self.name!r} does not vanish on the core "
-                    f"(|F| = {np.max(np.abs(vals)):.3g} at u = {u})")
-            rows = exprlang.jacobian(self.implicit, x, self.params, prefix="x")
-            sv = np.linalg.svd(rows, compute_uv=False)
-            if n - k and (sv.size < n - k or sv[n - k - 1] <= linalg.RANK_TOL * sv[0]):
-                raise DegenerateCovectors(
-                    f"implicit jacobian of {self.name!r} loses rank at u = {u}")
-
-    def _sample_coords(self, per_axis: int) -> np.ndarray:
-        if isinstance(self.form, ChartForm):
-            return _grid(self.form.domain, per_axis)
-        return _grid(np.array([[-1.0, 1.0]] * self.dim), per_axis)
+        box = self.domain if self.domain is not None else np.array([[-1.0, 1.0]] * k)
+        coords = _grid(box, 3)
+        x = self.points_at(coords)
+        b = self._x_bindings(x.T)
+        vals = np.array([np.broadcast_to(exprlang.evaluate(e, b), (len(x),))
+                         for e in self.implicit]).reshape(n - k, len(x))
+        worst = np.max(np.abs(vals), axis=0, initial=0.0)
+        off = worst > ON_CORE_TOL * np.maximum(1.0, np.max(np.abs(x), axis=1))
+        if np.any(off):
+            i = int(np.argmax(off))
+            raise ValueError(
+                f"implicit form of {self.name!r} does not vanish on the core "
+                f"(|F| = {worst[i]:.3g} at u = {coords[i]})")
+        u = _rank_loss(self._implicit_rows(x), linalg.RANK_TOL, coords)
+        if u is not None:
+            raise DegenerateCovectors(
+                f"implicit jacobian of {self.name!r} loses rank at u = {u}")
 
     def _x_bindings(self, x):
         b = {f"x{i + 1}": x[i] for i in range(self.ambient.dim)}
         b.update(self.params)
         return b
+
+    def _derivatives(self, exprs, prefix: str, values) -> np.ndarray:
+        """Evaluate the trees d exprs_i / d <prefix>j, built once per core, at ``values``.
+
+        ``values`` holds one coordinate array per variable (a batch) or one
+        number per variable (a point).  Returns (m, len(exprs), len(values)).
+        """
+        key = ("trees", prefix)
+        if key not in self._cache:
+            names = [f"{prefix}{j + 1}" for j in range(len(values))]
+            self._cache[key] = [[exprlang.diff(e, v) for v in names] for e in exprs]
+        b = {f"{prefix}{j + 1}": v for j, v in enumerate(values)}
+        b.update(self.params)
+        return _evaluate_table(self._cache[key], b, (len(exprs), len(values)))
 
     # basic maps
 
@@ -211,11 +222,17 @@ class Submanifold:
         return np.stack(cols, axis=1)
 
     def jacobian_at(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float).ravel()
+        return self._tangents(np.asarray(u, dtype=float).ravel())[0]
+
+    def _tangents(self, coords) -> np.ndarray:
+        """Chart jacobians (m, n, k) at (N, k) coordinates or at one (k,) point."""
         if isinstance(self.form, AffineForm):
-            return self.form.tangent
-        return exprlang.jacobian(self.form.exprs, u, self.params).reshape(
-            self.ambient.dim, self.dim) if self.dim else np.zeros((self.ambient.dim, 0))
+            return self.form.tangent[None]
+        return self._derivatives(self.form.exprs, "u", np.asarray(coords).T)
+
+    def _implicit_rows(self, points) -> np.ndarray:
+        """Implicit jacobian rows (m, n - k, n) at (N, n) points or at one (n,) point."""
+        return self._derivatives(self.implicit, "x", np.asarray(points).T)
 
     def seed_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached (coords, images) grid used to start Newton iterations."""
@@ -237,6 +254,32 @@ def _coerce_exprs(exprs) -> tuple[Expr, ...] | None:
     return tuple(out)
 
 
+def _evaluate_table(trees, bindings, shape) -> np.ndarray:
+    # a tree free of the bound arrays evaluates to a scalar; when every tree
+    # does, the table has one entry on the leading axis and broadcasts
+    vals = [[np.asarray(exprlang.evaluate(t, bindings), dtype=float) for t in row]
+            for row in trees]
+    out = np.empty((max((v.size for row in vals for v in row), default=1),) + shape)
+    for i, row in enumerate(vals):
+        for j, v in enumerate(row):
+            out[:, i, j] = v
+    return out
+
+
+def _at(coords: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    # coordinates of the first failing frame; a single frame stands for all
+    return coords[min(int(np.argmax(bad)), len(coords) - 1)]
+
+
+def _rank_loss(stack: np.ndarray, tol: float, coords: np.ndarray):
+    """Coordinates of the first matrix whose singular values fall below tol * largest."""
+    if 0 in stack.shape[1:]:
+        return None
+    sv = np.linalg.svd(stack, compute_uv=False)
+    bad = sv[:, -1] <= tol * sv[:, 0]
+    return _at(coords, bad) if np.any(bad) else None
+
+
 # frames
 
 @dataclass(frozen=True, eq=False)
@@ -250,32 +293,46 @@ class FrameBundleSample:
     conormal: Frame       # kind "covector", (n-k, n) rows
 
 
-def frames_at(core: Submanifold, u) -> FrameBundleSample:
-    """Sample the tangent and conormal frames of a core at chart coordinates u.
+def frames_many(core: Submanifold, coords) -> tuple[np.ndarray, ...]:
+    """Points (N, n), tangents (m, n, k), conormal rows (m, n - k, n) at (N, k) coordinates.
 
-    The conormal comes from the implicit form's jacobian rows when the core
-    has one, otherwise from the orthonormal complement of the tangent.
+    m is 1 when every derivative tree of the core is constant (an affine
+    core, or a linear implicit form) and N otherwise.  The conormal is the
+    implicit form's jacobian, or else the orthonormal complement of the
+    tangent.  Each frame is checked for immersion (ImmersionFailure), for
+    implicit rows that annihilate the tangent (ConormalMismatch) and for
+    their rank (RankDeficient).
     """
-    u = np.asarray(u, dtype=float).ravel()
-    x = core.point_at(u)
-    jac = core.jacobian_at(u)
-    if core.dim:
-        sv = np.linalg.svd(jac, compute_uv=False)
-        if sv[core.dim - 1] <= IMMERSION_TOL * sv[0]:
-            raise ImmersionFailure(
-                f"tangent frame of {core.name!r} degenerates at u = {u}")
-    tangent = Frame(jac, "tangent")
-    if core.implicit is not None:
-        rows = exprlang.jacobian(core.implicit, x, core.params, prefix="x")
-        if core.dim and rows.size and np.max(np.abs(rows @ jac)) > \
-                linalg.ANNIHILATE_TOL * max(1.0, float(np.max(np.abs(rows)))):
+    coords = np.asarray(coords, dtype=float)
+    points = core.points_at(coords)
+    tangents = core._tangents(coords)
+    u = _rank_loss(tangents, IMMERSION_TOL, coords)
+    if u is not None:
+        raise ImmersionFailure(f"tangent frame of {core.name!r} degenerates at u = {u}")
+    if core.implicit is None:
+        rows = np.swapaxes(linalg.complete_to_ambient(tangents), 1, 2)
+    else:
+        rows = core._implicit_rows(points)
+        leak = np.max(np.abs(rows @ tangents), axis=(1, 2), initial=0.0)
+        bad = leak > linalg.ANNIHILATE_TOL * np.max(np.abs(rows), axis=(1, 2), initial=1.0)
+        if np.any(bad):
             raise ConormalMismatch(
                 f"implicit conormal of {core.name!r} fails to annihilate the "
-                f"tangent at u = {u}")
-        conormal = Frame(rows, "covector")
-    else:
-        conormal = Frame(linalg.complete_to_ambient(jac).T, "covector")
-    return FrameBundleSample(core, u, x, tangent, conormal)
+                f"tangent at u = {_at(coords, bad)}")
+        u = _rank_loss(rows, linalg.RANK_TOL, coords)
+        if u is not None:
+            raise RankDeficient(f"implicit conormal of {core.name!r} loses rank at u = {u}")
+    m = max(len(tangents), len(rows))
+    return (points, *(a if len(a) == m else np.broadcast_to(a, (m,) + a.shape[1:])
+                      for a in (tangents, rows)))
+
+
+def frames_at(core: Submanifold, u) -> FrameBundleSample:
+    """Frames of a core at chart coordinates u: ``frames_many`` at one point."""
+    u = np.asarray(u, dtype=float).ravel()
+    points, tangents, rows = frames_many(core, u[None, :])
+    return FrameBundleSample(core, u, points[0], Frame(tangents[0], "tangent"),
+                             Frame(rows[0], "covector"))
 
 
 # chart inversion
@@ -462,8 +519,7 @@ def _newton_points(par: Submanifold, impl: Submanifold) -> list[np.ndarray]:
             if np.linalg.norm(r) <= INTERSECT_RESIDUAL:
                 ok = True
                 break
-            rows = exprlang.jacobian(impl.implicit, x, impl.params, prefix="x")
-            jac = rows @ par.jacobian_at(u)
+            jac = impl._implicit_rows(x)[0] @ par.jacobian_at(u)
             step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
             lam, improved = 1.0, False
             while lam > 1e-8:

@@ -183,15 +183,16 @@ def dual_normal_frame(covectors: FrameLike, tangent: FrameLike | None = None) ->
 
 
 def complete_to_ambient(tangent: FrameLike) -> np.ndarray:
-    """Orthonormal columns spanning the orthogonal complement of a tangent frame."""
-    t = _as_columns(tangent)
-    n, k = t.shape
+    """Orthonormal columns spanning the orthogonal complement of a tangent frame,
+    or of each frame in an (..., n, k) stack."""
+    t = tangent.columns if isinstance(tangent, Frame) else np.asarray(tangent, dtype=float)
+    n, k = t.shape[-2:]
     if k == 0:
-        return np.eye(n)
+        return np.broadcast_to(np.eye(n), t.shape[:-2] + (n, n)).copy()
     u, sv, _ = np.linalg.svd(t, full_matrices=True)
-    if sv[-1] <= RANK_TOL * sv[0]:
+    if np.any(sv[..., -1] <= RANK_TOL * sv[..., 0]):
         raise RankDeficient("tangent frame is rank deficient")
-    return u[:, k:]
+    return u[..., k:]
 
 
 @dataclass(frozen=True)

@@ -100,13 +100,14 @@ def product(theta1: GeometricState, theta2: GeometricState,
     """The product state on E, its coefficient evaluated on demand."""
     _check_dims(theta1, theta2, core_e)
 
-    def stacked_rows(w):
-        x = core_e.point_at(w)
-        return np.vstack([theta1.conormal.rows_at(_core_coords(theta1.core, x, "first")),
-                          theta2.conormal.rows_at(_core_coords(theta2.core, x, "second"))])
+    def stacked_rows(coords, frames):
+        return np.stack([np.vstack([
+            theta1.conormal.rows_at(_core_coords(theta1.core, x, "first")),
+            theta2.conormal.rows_at(_core_coords(theta2.core, x, "second"))])
+            for x in frames[0]])
 
     coeff = FuncField(lambda w: product_at_point(theta1, theta2, core_e, w))
-    family = ConormalFamily(stacked_rows, provenance="concatenated")
+    family = ConormalFamily(stacked_rows, core_e)
     return GeometricState(core_e, theta1.degree + theta2.degree, coeff,
                           family, None if support is None else quadrature.as_box(support))
 

@@ -162,7 +162,8 @@ def integrate(f_many, box, options: QuadratureOptions | None = None):
 def ensure_converged(value: complex, estimate: float,
                      options: QuadratureOptions | None = None) -> None:
     opts = options or QuadratureOptions()
-    if estimate > opts.rel_tol * abs(value) + opts.abs_tol:
+    # written so that a NaN estimate or tolerance fails the check
+    if not estimate <= opts.rel_tol * abs(value) + opts.abs_tol:
         raise QuadratureNotConverged(
             f"quadrature estimate {estimate:.3g} exceeds tolerance for value "
             f"{abs(value):.6g}")

@@ -14,7 +14,7 @@ not depend on any of the frame choices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -22,60 +22,49 @@ from . import exprlang, linalg, quadrature
 from .errors import DegreeMismatch, UnboundedDomain
 from .fields import ExprField, FuncField, ScalarField, as_field
 from .density import AmbientDensity
-from .geometry import Submanifold, frames_at
+from .geometry import Submanifold, frames_many
 from .quadrature import QuadratureOptions, as_box, intersect_boxes
 
 NormalSolver = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class ConormalFamily:
-    """A frame family of q conormal covectors along a core.
+    """A frame family of q conormal covectors along a core, as one batched callable.
 
-    ``rows_at(u)`` returns the (q, n) covector rows at chart coordinates u.
-    Families built from an affine core without an implicit form are constant
-    and advertise that through ``constant`` so integrators can hoist them.
+    ``rows_many(coords, frames)`` takes a batch of chart coordinates (N, k)
+    and that batch's ``frames_many`` output, and returns the family's
+    covector rows (m, q, n): m is 1 when the rows are the same at every node
+    and N otherwise.  Families that read the frames sample them on ``core``
+    when the caller has none.  ``rows_at(u)`` is the one-point case.
     """
 
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray],
-                 constant: np.ndarray | None = None, provenance: str = "custom"):
+    def __init__(self, fn: Callable[[np.ndarray, tuple | None], np.ndarray],
+                 core: Submanifold | None = None):
         self._fn = fn
-        self.constant = None if constant is None else np.asarray(constant, dtype=float)
-        self.provenance = provenance
+        self.core = core
 
     @classmethod
     def from_core(cls, core: Submanifold) -> "ConormalFamily":
-        provenance = "implicit" if core.implicit is not None else "complement"
-        if core.is_affine:
-            rows = frames_at(core, np.zeros(core.dim)).conormal.matrix
-            if core.implicit is None or _constant_rows(core, rows):
-                return cls(lambda u, r=rows: r, rows, provenance)
-        return cls(lambda u: frames_at(core, u).conormal.matrix, None, provenance)
+        return cls(lambda coords, frames: frames[2], core)
 
     @classmethod
     def from_rows(cls, rows) -> "ConormalFamily":
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        return cls(lambda u: rows, rows, "custom")
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))[None]
+        return cls(lambda coords, frames: rows)
+
+    def rows_many(self, coords, frames=None) -> np.ndarray:
+        coords = np.asarray(coords, dtype=float)
+        if frames is None and self.core is not None:
+            frames = frames_many(self.core, coords)
+        return self._fn(coords, frames)
 
     def rows_at(self, u) -> np.ndarray:
-        if self.constant is not None:
-            return self.constant
-        return np.atleast_2d(np.asarray(self._fn(np.asarray(u, dtype=float)),
-                                        dtype=float))
+        return self.rows_many(np.asarray(u, dtype=float).reshape(1, -1))[0]
 
     def recombined(self, b) -> "ConormalFamily":
         b = np.asarray(b, dtype=float)
-        const = None if self.constant is None else b @ self.constant
-        return ConormalFamily(lambda u: b @ self.rows_at(u), const,
-                              self.provenance + "+recombined")
-
-
-def _constant_rows(core: Submanifold, rows: np.ndarray) -> bool:
-    # an implicit form on an affine core may still vary off the base point
-    for u in np.linspace(-1.0, 1.0, 3):
-        probe = frames_at(core, np.full(core.dim, u)).conormal.matrix
-        if not np.allclose(probe, rows, atol=1e-12):
-            return False
-    return True
+        return ConormalFamily(lambda coords, frames: b @ self._fn(coords, frames),
+                              self.core)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,15 +148,10 @@ def pair_with_test(state: GeometricState, phi: AmbientDensity,
         raise DegreeMismatch(
             f"pairing needs degrees summing to 1, got {state.degree} + {phi.degree}")
     opts = options or QuadratureOptions()
-    solver = normal_solver or linalg.dual_normal_frame
+    integrand = _pairing_integrand(state, phi, normal_solver or linalg.dual_normal_frame)
     core = state.core
-
     if core.dim == 0:
-        u = np.zeros(0)
-        x = core.point_at(u)
-        nmat = solver(state.conormal.rows_at(u), np.zeros((core.ambient.dim, 0)))
-        value = state.coeff(u) * phi.coeff(x) * linalg.det_abs_pow(nmat, phi.degree)
-        return PairingResult(value, 0.0)
+        return PairingResult(complex(integrand(np.zeros((1, 0)))[0]), 0.0)
 
     if core.domain is None and state.support is None:
         raise UnboundedDomain(
@@ -176,7 +160,6 @@ def pair_with_test(state: GeometricState, phi: AmbientDensity,
     if box is None:
         return PairingResult(0.0 + 0.0j, 0.0)
 
-    integrand = _pairing_integrand(state, phi, solver)
     value, estimate = quadrature.integrate(integrand, box, opts)
     quadrature.ensure_converged(value, estimate, opts)
     return PairingResult(value, estimate)
@@ -184,26 +167,23 @@ def pair_with_test(state: GeometricState, phi: AmbientDensity,
 
 def _pairing_integrand(state: GeometricState, phi: AmbientDensity,
                        solver: NormalSolver):
+    """g(u) f(psi(u)) |det [t(u) | n(u)]|^(1-alpha) on a batch of chart coordinates.
+
+    Frames are sampled once per batch; the solver and the determinant run
+    once per distinct frame, so once for a constant frame and N times for
+    a curved one.
+    """
     core = state.core
-    if core.is_affine and state.conormal.constant is not None:
-        t = core.form.tangent
-        nmat = solver(state.conormal.constant, t)
-        factor = linalg.det_abs_pow(np.hstack([t, nmat]), phi.degree)
 
-        def fast(coords: np.ndarray) -> np.ndarray:
-            x = core.points_at(coords)
-            return state.coeff.eval_many(coords) * phi.coeff.eval_many(x) * factor
+    def integrand(coords: np.ndarray) -> np.ndarray:
+        frames = frames_many(core, coords)
+        points, tangents, _ = frames
+        rows = state.conormal.rows_many(coords, frames)
+        m = max(len(tangents), len(rows))
+        factors = np.array([
+            linalg.det_abs_pow(np.hstack([t, solver(nu, t)]), phi.degree)
+            for t, nu in zip(np.broadcast_to(tangents, (m,) + tangents.shape[1:]),
+                             np.broadcast_to(rows, (m,) + rows.shape[1:]))])
+        return state.coeff.eval_many(coords) * phi.coeff.eval_many(points) * factors
 
-        return fast
-
-    def general(coords: np.ndarray) -> np.ndarray:
-        out = np.empty(coords.shape[0], dtype=complex)
-        for i, u in enumerate(coords):
-            sample = frames_at(core, u)
-            t = sample.tangent.matrix
-            nmat = solver(state.conormal.rows_at(u), t)
-            out[i] = state.coeff(u) * phi.coeff(sample.point) * \
-                linalg.det_abs_pow(np.hstack([t, nmat]), phi.degree)
-        return out
-
-    return general
+    return integrand

@@ -3,7 +3,7 @@
 Division and the non-integer power shield their critical argument (denominator
 bounded away from 0, base bounded away from 0 from above), sqrt and log get a
 positive shift, so central finite differences are valid everywhere and the
-dual-number jacobian can be compared against them without domain babysitting.
+symbolic jacobian can be compared against them without domain babysitting.
 """
 import numpy as np
 

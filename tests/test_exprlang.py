@@ -1,4 +1,4 @@
-"""Parser, printer, evaluator, and dual-number differentiation.
+"""Parser, printer, evaluator, and symbolic differentiation.
 
 The golden corpus in golden_exprs.json freezes, per expression: the printed
 canonical form, the value at a fixed binding point, and the gradient there.
@@ -21,7 +21,6 @@ from geodens.errors import (
 from geodens.exprlang import (
     BinOp,
     Call,
-    DualNumber,
     Neg,
     Num,
     Var,
@@ -157,17 +156,31 @@ def test_vectorized_domain_error():
         evaluate(parse("log(u1)"), {"u1": np.array([1.0, -1.0])})
 
 
-# dual numbers
+# jacobians
 
 def test_dual_arithmetic():
-    x = DualNumber(3.0, np.array([1.0]))
-    y = x * x
-    assert y.value == 9.0 and y.deriv[0] == 6.0
-    z = 1.0 / x
-    assert z.value == pytest.approx(1.0 / 3.0)
-    assert z.deriv[0] == pytest.approx(-1.0 / 9.0)
-    w = x ** 2 - 2.0 * x + 1.0
-    assert w.value == 4.0 and w.deriv[0] == 4.0
+    # the value/derivative pairs the forward-mode numbers used to pin
+    x = np.array([3.0])
+    for src, value, deriv in [("u1*u1", 9.0, 6.0),
+                              ("1/u1", 1.0 / 3.0, -1.0 / 9.0),
+                              ("u1^2 - 2*u1 + 1", 4.0, 4.0)]:
+        tree = parse(src)
+        assert evaluate(tree, {"u1": 3.0}) == pytest.approx(value)
+        assert jacobian([tree], x)[0, 0] == pytest.approx(deriv)
+
+
+@pytest.mark.parametrize("source, point, want", [
+    ("(u1-3)^2", [0.0], [-6.0]),        # negative base, integer exponent
+    ("u1^0", [0.0], [0.0]),
+    ("u1^u2", [-1.0, 2.0], DomainError),  # a varying exponent needs a > 0
+    ("log(u1)", [-1.0], DomainError),
+])
+def test_jacobian_power_rules(source, point, want):
+    if want is DomainError:
+        with pytest.raises(DomainError):
+            jacobian([parse(source)], np.array(point))
+    else:
+        assert np.array_equal(jacobian([parse(source)], np.array(point))[0], want)
 
 
 def test_dual_sqrt_at_zero_is_a_domain_error():

@@ -108,3 +108,10 @@ def test_integrate_escalates_until_converged():
 def test_ensure_converged_raises():
     with pytest.raises(QuadratureNotConverged):
         ensure_converged(1.0 + 0.0j, 0.5, QuadratureOptions())
+
+
+@pytest.mark.parametrize("estimate, rel_tol", [
+    (float("nan"), 1e-8), (0.0, float("nan")), (float("nan"), float("inf"))])
+def test_ensure_converged_fails_closed_on_nan(estimate, rel_tol):
+    with pytest.raises(QuadratureNotConverged):
+        ensure_converged(1.0 + 0.0j, estimate, QuadratureOptions(rel_tol=rel_tol))

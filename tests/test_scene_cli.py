@@ -420,6 +420,13 @@ def test_cli_rejects_quad_order_below_one():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_cli_rejects_a_quad_tol_that_is_not_finite_and_non_negative(tol):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["pair", str(SCENES / "tilted_lines.json"), f"--quad-tol={tol}"])
+    assert info.value.code == 2
+
+
 def test_cli_bad_eps_list_exit_2_before_mollifying(monkeypatch):
     def no_mollify(*args):
         raise AssertionError("mollify ran on a bad eps list")

@@ -4,7 +4,8 @@ The invariance tests exercise the two gauge freedoms of the construction:
 which conormal frame the state is written against, and which transverse
 normal representatives the pairing integrand picks.  The reparametrization
 test swaps a chart u = v^3 + v under a half-density and checks the pairing
-does not move.
+does not move.  The cross-check compares the batched pairing integrand
+with a per-node evaluation built from ``frames_at``.
 """
 import math
 
@@ -14,10 +15,11 @@ import pytest
 from geodens.density import AmbientDensity
 from geodens.errors import DegreeMismatch, UnboundedDomain
 from geodens.fields import ExprField, FuncField
-from geodens.geometry import Submanifold
+from geodens.geometry import Submanifold, frames_at, frames_many
 from geodens.linalg import det_abs_pow, dual_normal_frame
 from geodens.states import (
     ConormalFamily,
+    _pairing_integrand,
     make_state,
     pair_with_test,
     recombine_conormal,
@@ -46,7 +48,8 @@ def test_make_state_default_conormal_is_the_complement():
     rows = th.conormal.rows_at([0.0])
     assert rows.shape == (1, 2)
     assert abs(rows[0, 0]) <= 1e-14 and abs(abs(rows[0, 1]) - 1.0) <= 1e-14
-    assert th.conormal.constant is not None  # affine cores hoist the frame
+    # an affine core has one frame for the whole batch
+    assert th.conormal.rows_many(np.linspace(-8.0, 8.0, 5)[:, None]).shape == (1, 1, 2)
     assert th.codim == 1
 
 
@@ -73,7 +76,7 @@ def test_conormal_family_from_rows_and_recombination():
     fam = ConormalFamily.from_rows([[0.0, 1.0]])
     fam2 = fam.recombined([[3.0]])
     assert np.allclose(fam2.rows_at([0.0]), [[0.0, 3.0]])
-    assert fam2.constant is not None
+    assert fam2.rows_many(np.zeros((4, 1))).shape == (1, 1, 2)
 
 
 # pairing basics
@@ -131,6 +134,62 @@ def test_complex_degree_pairing_runs():
     got = pair_with_test(th, phi)
     # frame factors are 1 here, so the value is the plain overlap integral
     assert got.value == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-10)
+
+
+def test_pairing_on_a_line_with_a_curved_implicit_form():
+    # F = x2 f(x1) cuts out the x1-axis; its gradient (0, f) equals (0, 1)
+    # only at x1 = -1, 0, 1, so sampling those points hides that it varies
+    core = Submanifold.affine("W", [0.0, 0.0], [1.0, 0.0],
+                              implicit=["x2*(1 + x1^2*(x1^2-1)^2)"])
+    th = make_state(core, 0.5, "exp(-u1^2)", support=[[-4.0, 4.0]])
+    got = pair_with_test(th, gaussian_test()).value
+    # n = (0, 1/f), so |det [t | n]|^(1/2) = f^(-1/2)
+    x, w = np.polynomial.legendre.leggauss(400)
+    u = 4.0 * x
+    f = 1.0 + u ** 2 * (u ** 2 - 1.0) ** 2
+    want = 4.0 * np.sum(w * np.exp(-2.0 * u ** 2) / np.sqrt(f))
+    assert got == pytest.approx(want, rel=1e-8)
+
+
+def _per_node_integrand(state, phi, coords):
+    out = []
+    for u in coords:
+        sample = frames_at(state.core, u)
+        t = sample.tangent.matrix
+        n = dual_normal_frame(sample.conormal, t)
+        out.append(state.coeff(u) * phi.coeff(sample.point)
+                   * det_abs_pow(np.hstack([t, n]), phi.degree))
+    return np.array(out)
+
+
+def _cross_check_cases():
+    circle = Submanifold.chart("S", ["cos(u1)", "sin(u1)"], [[0.0, 2.0 * math.pi]],
+                               implicit=["(x1^2 + x2^2 - 1)/2"])
+    sphere = Submanifold.chart("P", ["sin(u1)*cos(u2)", "sin(u1)*sin(u2)", "cos(u1)"],
+                               [[0.3, 1.2], [0.0, 1.5]])
+    slanted = Submanifold.affine("L", [0.0, 1.0], [1.0, 0.5],
+                                 implicit=["x2 - 0.5*x1 - 1"])
+    wavy = Submanifold.affine("W", [0.0, 0.0], [1.0, 0.0],
+                              implicit=["x2*(1 + x1^2*(x1^2-1)^2)"])
+    plane_test = AmbientDensity.make(0.6 - 0.2j, "exp(-x1^2 - x2^2)")
+    space_test = AmbientDensity.make(0.6 - 0.2j, "exp(-x1^2 - x2^2 - x3^2)")
+    return [(circle, "cos(u1)", plane_test, False),
+            (sphere, "exp(-u2^2)*u1", space_test, False),
+            (slanted, "exp(-u1^2)", plane_test, True),
+            (wavy, "exp(-u1^2)", plane_test, False)]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_batched_integrand_matches_per_node_frames(case):
+    core, coeff, phi, constant = _cross_check_cases()[case]
+    th = make_state(core, 0.4 + 0.2j, coeff)
+    box = core.domain if core.domain is not None else np.array([[-3.0, 3.0]])
+    rng = np.random.default_rng(20261018 + case)
+    coords = rng.uniform(box[:, 0], box[:, 1], size=(17, core.dim))
+    got = _pairing_integrand(th, phi, dual_normal_frame)(coords)
+    want = _per_node_integrand(th, phi, coords)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    assert frames_many(core, coords)[1].shape[0] == (1 if constant else len(coords))
 
 
 # the delta picture

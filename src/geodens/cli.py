@@ -20,7 +20,7 @@ import numpy as np
 
 from . import oracle as oracle_mod
 from .errors import GeodensError
-from .geometry import frames_at, intersect, transversality_check
+from .geometry import frames_many, intersect, transversality_check
 from .product import inner_product, product, product_at_point
 from .quadrature import QuadratureOptions, as_box, intersect_boxes
 from .scene import Scene, load_scene
@@ -168,16 +168,11 @@ def _cmd_check(scene: Scene, requests, opts, args):
 
 
 def _frame_probes(scene: Scene, rng) -> int:
-    """Sample every core's frames at random points; ``frames_at`` checks them."""
-    count = 0
+    """Sample every core's frames at three random points; ``frames_many`` checks them."""
     for core in scene.cores.values():
-        box = core.domain
-        for _ in range(3):
-            u = (rng.uniform(box[:, 0], box[:, 1]) if box is not None
-                 else rng.uniform(-1.0, 1.0, core.dim))
-            frames_at(core, u)
-            count += 1
-    return count
+        box = core.domain if core.domain is not None else np.tile([-1.0, 1.0], (core.dim, 1))
+        frames_many(core, rng.uniform(box[:, 0], box[:, 1], (3, core.dim)))
+    return 3 * len(scene.cores)
 
 
 # pair

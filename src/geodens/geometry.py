@@ -35,6 +35,7 @@ INTERSECT_RESIDUAL = 1e-10
 SEEDS_PER_AXIS = 20
 SEED_CAP = 10_000
 MAX_NEWTON_STEPS = 50
+DAMPING_FLOOR = 1e-8       # Gauss-Newton halves a step no further than this fraction
 DEDUP_TOL = 1e-6
 
 
@@ -54,25 +55,18 @@ class AffineForm:
     base: np.ndarray     # (n,)
     tangent: np.ndarray  # (n, k) columns
 
-    def __post_init__(self):
-        object.__setattr__(self, "base", np.asarray(self.base, dtype=float))
-        object.__setattr__(self, "tangent", np.asarray(self.tangent, dtype=float))
-
 
 @dataclass(frozen=True, eq=False)
 class ChartForm:
     exprs: tuple[Expr, ...]  # n component expressions in u1..uk
     domain: np.ndarray       # (k, 2) bounded box
 
-    def __post_init__(self):
-        object.__setattr__(self, "domain", np.asarray(self.domain, dtype=float))
 
-
-def _grid(box: np.ndarray, per_axis: int, cap: int = SEED_CAP) -> np.ndarray:
+def _grid(box: np.ndarray, per_axis: int) -> np.ndarray:
     k = box.shape[0]
     if k == 0:
         return np.zeros((1, 0))
-    while per_axis > 2 and per_axis ** k > cap:
+    while per_axis > 2 and per_axis ** k > SEED_CAP:
         per_axis -= 1
     axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
     return np.array(list(itertools.product(*axes)))
@@ -156,10 +150,7 @@ class Submanifold:
         box = self.domain if self.domain is not None else np.array([[-1.0, 1.0]] * k)
         coords = _grid(box, 3)
         x = self.points_at(coords)
-        b = self._x_bindings(x.T)
-        vals = np.array([np.broadcast_to(exprlang.evaluate(e, b), (len(x),))
-                         for e in self.implicit]).reshape(n - k, len(x))
-        worst = np.max(np.abs(vals), axis=0, initial=0.0)
+        worst = np.max(np.abs(self._implicit_values(x)), axis=1, initial=0.0)
         off = worst > ON_CORE_TOL * np.maximum(1.0, np.max(np.abs(x), axis=1))
         if np.any(off):
             i = int(np.argmax(off))
@@ -202,12 +193,7 @@ class Submanifold:
         return self.form.domain if isinstance(self.form, ChartForm) else None
 
     def point_at(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float).ravel()
-        if isinstance(self.form, AffineForm):
-            return self.form.base + self.form.tangent @ u
-        b = {f"u{i + 1}": u[i] for i in range(self.dim)}
-        b.update(self.params)
-        return np.array([float(exprlang.evaluate(e, b)) for e in self.form.exprs])
+        return self.points_at(np.asarray(u, dtype=float).reshape(1, self.dim))[0]
 
     def points_at(self, coords: np.ndarray) -> np.ndarray:
         """Vectorized chart map on an (N, k) coordinate array."""
@@ -229,6 +215,12 @@ class Submanifold:
         if isinstance(self.form, AffineForm):
             return self.form.tangent[None]
         return self._derivatives(self.form.exprs, "u", np.asarray(coords).T)
+
+    def _implicit_values(self, points) -> np.ndarray:
+        """Implicit form values (N, n - k) at (N, n) points."""
+        b = self._x_bindings(points.T)
+        return np.array([np.broadcast_to(exprlang.evaluate(e, b), (len(points),))
+                         for e in self.implicit]).reshape(len(self.implicit), len(points)).T
 
     def _implicit_rows(self, points) -> np.ndarray:
         """Implicit jacobian rows (m, n - k, n) at (N, n) points or at one (n,) point."""
@@ -259,7 +251,7 @@ def _evaluate_table(trees, bindings, shape) -> np.ndarray:
     # does, the table has one entry on the leading axis and broadcasts
     vals = [[np.asarray(exprlang.evaluate(t, bindings), dtype=float) for t in row]
             for row in trees]
-    out = np.empty((max((v.size for row in vals for v in row), default=1),) + shape)
+    out = np.empty(np.broadcast_shapes((1,), *(v.shape for row in vals for v in row)) + shape)
     for i, row in enumerate(vals):
         for j, v in enumerate(row):
             out[:, i, j] = v
@@ -286,8 +278,6 @@ def _rank_loss(stack: np.ndarray, tol: float, coords: np.ndarray):
 class FrameBundleSample:
     """Tangent frame and conormal frame of a core at one point."""
 
-    core: Submanifold
-    coords: np.ndarray    # (k,) chart coordinates
     point: np.ndarray     # (n,) ambient point
     tangent: Frame        # kind "tangent", (n, k)
     conormal: Frame       # kind "covector", (n-k, n) rows
@@ -331,45 +321,78 @@ def frames_at(core: Submanifold, u) -> FrameBundleSample:
     """Frames of a core at chart coordinates u: ``frames_many`` at one point."""
     u = np.asarray(u, dtype=float).ravel()
     points, tangents, rows = frames_many(core, u[None, :])
-    return FrameBundleSample(core, u, points[0], Frame(tangents[0], "tangent"),
+    return FrameBundleSample(points[0], Frame(tangents[0], "tangent"),
                              Frame(rows[0], "covector"))
 
 
 # chart inversion
 
-def chart_invert(core: Submanifold, x, max_steps: int = MAX_NEWTON_STEPS):
-    """Chart coordinates of an ambient point: returns (u, residual).
+def _gauss_newton(residual, jacobian, u0, box, tol):
+    """Damped Gauss-Newton on an (N, k) stack of iterates, one problem per row.
 
-    Affine cores invert in closed form.  Charts run a damped Gauss-Newton
-    from the nearest grid seed; the iteration converging to a point *near*
-    the core is the caller's on-core decision, a non-stabilizing iteration
-    raises ChartInversionFailure.
+    ``residual`` maps (N, k) coordinates to (N, q) residuals, ``jacobian``
+    maps the rows still iterating to (m, q, k) jacobians, m being 1 or their
+    count.  Each row halves its own step, down to the floor DAMPING_FLOOR,
+    until its residual drops; trials are clipped to ``box`` (None: unbounded).
+    A row stops once its residual is <= tol, once no damping lowers it, or
+    once its accepted step is <= 1e-12 (1 + |u|).  Returns u, the residual
+    norms and the rows still moving after MAX_NEWTON_STEPS.
     """
-    x = np.asarray(x, dtype=float).ravel()
+    u = np.array(u0, dtype=float)
+    lo, hi = (None, None) if box is None else box.T
+    r = residual(u)
+    norm = np.linalg.norm(r, axis=1)
+    moving = norm > tol
+    for _ in range(MAX_NEWTON_STEPS):
+        if not moving.any():
+            break
+        step = np.zeros_like(u)
+        step[moving] = -(np.linalg.pinv(jacobian(u[moving])) @ r[moving, :, None])[..., 0]
+        lam = np.ones(len(u))
+        pending, improved = moving.copy(), np.zeros(len(u), dtype=bool)
+        while pending.any():
+            trial = np.where(pending[:, None], np.clip(u + lam[:, None] * step, lo, hi), u)
+            r_trial = residual(trial)
+            n_trial = np.linalg.norm(r_trial, axis=1)
+            better = pending & (n_trial < norm)
+            u[better], r[better], norm[better] = trial[better], r_trial[better], n_trial[better]
+            improved |= better
+            pending &= ~better
+            lam[pending] *= 0.5
+            pending &= lam > DAMPING_FLOOR
+        tiny = np.linalg.norm(lam[:, None] * step, axis=1) \
+            <= 1e-12 * (1.0 + np.linalg.norm(u, axis=1))
+        moving &= improved & ~tiny & (norm > tol)
+    return u, norm, moving
+
+
+def chart_invert(core: Submanifold, x):
+    """Chart coordinates of ambient points.
+
+    One point (n,) gives (u (k,), residual); a stack (N, n) gives
+    (u (N, k), residuals (N,)).  Affine cores invert in closed form.  Charts
+    run the damped Gauss-Newton from each point's nearest grid seed; the
+    iteration converging to a point *near* the core is the caller's on-core
+    decision, a row that does not stabilize raises ChartInversionFailure.
+    """
+    x = np.asarray(x, dtype=float)
+    xs = np.atleast_2d(x)
     if isinstance(core.form, AffineForm):
-        if core.dim == 0:
-            return np.zeros(0), float(np.linalg.norm(core.form.base - x))
-        u, *_ = np.linalg.lstsq(core.form.tangent, x - core.form.base, rcond=None)
-        return u, float(np.linalg.norm(core.point_at(u) - x))
-    coords, images = core.seed_table()
-    u = coords[np.argmin(np.sum((images - x) ** 2, axis=1))].copy()
-    lo, hi = core.form.domain[:, 0], core.form.domain[:, 1]
-    r = core.point_at(u) - x
-    for _ in range(max_steps):
-        jac = core.jacobian_at(u)
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        lam, improved = 1.0, False
-        while lam > 1e-6:
-            trial = np.clip(u + lam * step, lo, hi)
-            r_trial = core.point_at(trial) - x
-            if np.linalg.norm(r_trial) < np.linalg.norm(r):
-                u, r, improved = trial, r_trial, True
-                break
-            lam *= 0.5
-        if not improved or np.linalg.norm(lam * step) <= 1e-12 * (1.0 + np.linalg.norm(u)):
-            return u, float(np.linalg.norm(r))
-    raise ChartInversionFailure(
-        f"inversion on {core.name!r} did not stabilize near x = {x}")
+        u = np.linalg.lstsq(core.form.tangent, (xs - core.form.base).T, rcond=None)[0].T
+        resid = np.linalg.norm(core.points_at(u) - xs, axis=1)
+    else:
+        coords, images = core.seed_table()
+        # blocks of rows keep the (rows, seeds, n) difference array near 8 MB
+        block = max(1, 2 ** 20 // images.size)
+        nearest = np.concatenate([
+            np.argmin(np.sum((images - b[:, None]) ** 2, axis=2), axis=1)
+            for b in np.split(xs, range(block, len(xs), block))])
+        u, resid, moving = _gauss_newton(lambda u: core.points_at(u) - xs, core._tangents,
+                                         coords[nearest], core.form.domain, 0.0)
+        if moving.any():
+            raise ChartInversionFailure(f"inversion on {core.name!r} did not "
+                                        f"stabilize near x = {xs[np.argmax(moving)]}")
+    return (u[0], float(resid[0])) if x.ndim == 1 else (u, resid)
 
 
 # transversality
@@ -404,18 +427,19 @@ def transversality_check(c: Submanifold, d: Submanifold,
     n = c.ambient.dim
     if d.ambient.dim != n:
         raise ValueError("cores live in different ambient spaces")
-    out = []
-    for x in samples:
-        x = np.asarray(x, dtype=float).ravel()
-        uc, rc = chart_invert(c, x)
-        ud, rd = chart_invert(d, x)
-        if rc > ON_CORE_TOL or rd > ON_CORE_TOL:
-            raise NotOnBothCores(
-                f"sample {x} is off-core (distances {rc:.3g}, {rd:.3g})")
-        joint = np.hstack([c.jacobian_at(uc), d.jacobian_at(ud)])
-        sv = np.linalg.svd(joint, compute_uv=False) if joint.size else np.zeros(0)
-        rank = int(np.sum(sv > linalg.RANK_TOL * sv[0])) if sv.size and sv[0] > 0 else 0
-        out.append(TransversalitySample(x, rank, rank == n))
+    x = np.asarray(samples, dtype=float).reshape(len(samples), n)
+    uc, rc = chart_invert(c, x)
+    ud, rd = chart_invert(d, x)
+    off = (rc > ON_CORE_TOL) | (rd > ON_CORE_TOL)
+    if off.any():
+        i = int(np.argmax(off))
+        raise NotOnBothCores(
+            f"sample {x[i]} is off-core (distances {rc[i]:.3g}, {rd[i]:.3g})")
+    joint = np.concatenate([np.broadcast_to(t, (len(x),) + t.shape[1:])
+                            for t in (c._tangents(uc), d._tangents(ud))], axis=2)
+    sv = np.linalg.svd(joint, compute_uv=False)
+    ranks = np.sum(sv > linalg.RANK_TOL * sv[:, :1], axis=1).tolist()
+    out = [TransversalitySample(p, rank, rank == n) for p, rank in zip(x, ranks)]
     return TransversalityReport(c.name, d.name, n, c.dim + d.dim - n, tuple(out))
 
 
@@ -442,7 +466,9 @@ def intersect(c: Submanifold, d: Submanifold) -> IntersectionResult:
     when the expected dimension is 0 (a positive-dimensional curved
     intersection needs a user-supplied chart); the search runs Gauss-Newton
     on one core's implicit form composed with the other core's
-    parametrization, from a grid of seeds.
+    parametrization, from every point of a seed grid as one stack of
+    iterates, then keeps the roots that one stacked ``chart_invert`` puts on
+    the implicit core and merges near duplicates in seed order.
     """
     n = c.ambient.dim
     if d.ambient.dim != n:
@@ -501,41 +527,16 @@ def _intersect_affine(c: Submanifold, d: Submanifold) -> IntersectionResult:
 
 
 def _newton_points(par: Submanifold, impl: Submanifold) -> list[np.ndarray]:
-    """Solve F_impl(psi_par(u)) = 0 from grid seeds; dedup converged roots."""
-    seeds, _ = par.seed_table()
-    found: list[np.ndarray] = []
-
-    def residual(u):
-        x = par.point_at(u)
-        return np.array([float(exprlang.evaluate(e, impl._x_bindings(x)))
-                         for e in impl.implicit]), x
-
-    box = par.domain
-    for u0 in seeds:
-        u = u0.copy()
-        r, x = residual(u)
-        ok = False
-        for _ in range(MAX_NEWTON_STEPS):
-            if np.linalg.norm(r) <= INTERSECT_RESIDUAL:
-                ok = True
-                break
-            jac = impl._implicit_rows(x)[0] @ par.jacobian_at(u)
-            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-            lam, improved = 1.0, False
-            while lam > 1e-8:
-                trial = u + lam * step
-                if box is not None:
-                    trial = np.clip(trial, box[:, 0], box[:, 1])
-                r_trial, x_trial = residual(trial)
-                if np.linalg.norm(r_trial) < np.linalg.norm(r):
-                    u, r, x, improved = trial, r_trial, x_trial, True
-                    break
-                lam *= 0.5
-            if not improved:
-                break
-        # the implicit form may vanish off the chart's domain: keep on-core roots
-        if ok and all(np.linalg.norm(x - p) > DEDUP_TOL for p in found) \
-                and chart_invert(impl, x)[1] <= ON_CORE_TOL:
-            found.append(x)
-    found.sort(key=lambda p: tuple(p))
-    return found
+    """Solve F_impl(psi_par(u)) = 0 from all grid seeds at once; dedup converged roots."""
+    u, resid, _ = _gauss_newton(
+        lambda u: impl._implicit_values(par.points_at(u)),
+        lambda u: impl._implicit_rows(par.points_at(u)) @ par._tangents(u),
+        par.seed_table()[0], par.domain, INTERSECT_RESIDUAL)
+    x = par.points_at(u[resid <= INTERSECT_RESIDUAL])
+    # the implicit form may vanish off the chart's domain: keep on-core roots
+    x = x[chart_invert(impl, x)[1] <= ON_CORE_TOL]
+    found = []
+    while len(x):
+        found.append(x[0])
+        x = x[np.linalg.norm(x - x[0], axis=1) > DEDUP_TOL]
+    return sorted(found, key=tuple)

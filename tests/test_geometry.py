@@ -203,6 +203,40 @@ def test_chart_invert_reports_off_core_distance():
     assert resid == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("centre, radius", [((0.0, 0.0), 1.0), ((0.37, -0.21), 1.3),
+                                            ((-0.45, 0.12), 0.85)])
+def test_chart_invert_across_the_periodic_seam(centre, radius):
+    # u = 0 and u = 2 pi map to the same point: the nearest seed must be
+    # chosen from exact distances there, one point at a time or stacked
+    cx, cy = centre
+    s = Submanifold.chart("S", [f"{cx!r}+{radius!r}*cos(u1)", f"{cy!r}+{radius!r}*sin(u1)"],
+                          [[0.0, 2.0 * math.pi]])
+    t = np.linspace(-0.3, 0.3, 41)
+    x = np.stack([cx + radius * np.cos(t), cy + radius * np.sin(t)], axis=1)
+    for p in x:
+        assert chart_invert(s, p)[1] <= 1e-10
+    u, resid = chart_invert(s, x)
+    assert u.shape == (41, 1)
+    assert np.all(resid <= 1e-10)
+
+
+@pytest.mark.parametrize("core, points", [
+    (unit_circle(), [[1.0, 0.0], [0.0, -1.0], [0.6, 0.8], [2.0, 0.0], [-0.3, 0.1]]),
+    (Submanifold.chart("P", ["sin(u1)*cos(u2)", "sin(u1)*sin(u2)", "cos(u1)"],
+                       [[0.3, 1.2], [0.0, 1.5]]),
+     [[0.5, 0.4, math.sqrt(0.59)], [0.2, 0.7, 0.7], [0.0, 0.0, 1.0]]),
+    (Submanifold.affine("L", [1.0, 0.0], [1.0, 1.0]), [[3.0, 2.0], [3.0, 0.0], [-1.0, 5.0]]),
+    (Submanifold.point("Q", [2.0, 1.0]), [[2.0, 1.0], [0.0, 0.0]]),
+])
+def test_stacked_chart_invert_matches_single_points(core, points):
+    u, resid = chart_invert(core, points)
+    assert u.shape == (len(points), core.dim) and resid.shape == (len(points),)
+    for p, ui, ri in zip(points, u, resid):
+        u1, r1 = chart_invert(core, p)
+        assert ui == pytest.approx(u1, rel=1e-12, abs=1e-300)
+        assert ri == pytest.approx(r1, rel=1e-12, abs=1e-300)
+
+
 # transversality
 
 def test_transverse_axes():
@@ -223,6 +257,18 @@ def test_transversality_rejects_off_core_samples():
         transversality_check(x_axis(), y_axis(), [[1.0, 1.0]])
 
 
+def test_transversality_samples_in_one_stack():
+    s, line = unit_circle(), Submanifold.affine("L", [0.0, 1.0], [1.0, 0.0])
+    rep = transversality_check(s, x_axis(), [[1.0, 0.0], [-1.0, 0.0]])
+    assert [p.rank for p in rep.samples] == [2, 2]
+    assert np.allclose(rep.samples[1].point, [-1.0, 0.0])
+    assert transversality_check(s, line, [[0.0, 1.0]]).samples[0].rank == 1
+    assert transversality_check(s, line, []).samples == ()
+    # the first off-core sample is named, as when samples were checked one by one
+    with pytest.raises(NotOnBothCores, match=r"sample \[0\.6 0\.8\] is off-core"):
+        transversality_check(s, x_axis(), [[1.0, 0.0], [0.6, 0.8], [0.0, 1.5]])
+
+
 # intersection
 
 def test_intersect_axes():
@@ -230,6 +276,17 @@ def test_intersect_axes():
     assert res.dim == 0
     assert np.allclose(res.points[0], [0.0, 0.0], atol=1e-12)
     assert res.core is not None and res.core.dim == 0
+
+
+def test_full_dimensional_cores_with_an_empty_implicit_form():
+    # n - k = 0 implicit components: the Newton residual is an (N, 0) stack
+    Submanifold.affine("P", [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], implicit=[])
+    q = Submanifold.chart("Q", ["u1 + 0.1*u2^2", "u2"], [[-2.0, 2.0], [-2.0, 2.0]],
+                          implicit=[])
+    pt = Submanifold.point("x", [0.5, 0.3])
+    for a, b in ((pt, q), (q, pt)):
+        res = intersect(a, b)
+        assert len(res.points) == 1 and np.allclose(res.points[0], [0.5, 0.3])
 
 
 def test_intersect_parallel_lines_fails():

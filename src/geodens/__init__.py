@@ -12,7 +12,6 @@ from .exprlang import diff, evaluate, jacobian, parse, subst, to_source
 from .fields import ExprField, FuncField, ScalarField, as_field
 from .geometry import (
     Ambient,
-    FrameBundleSample,
     IntersectionResult,
     Submanifold,
     TransversalityReport,

@@ -52,16 +52,15 @@ def restrict(phi: AmbientDensity, core: Submanifold, u, normal=None) -> DensityV
     Returns a DensityValue whose frame is the combined ambient frame [t | n],
     so the usual |det B|^alpha transformation rule applies to it directly.
     """
-    sample = frames_at(core, u)
-    t = sample.tangent.matrix
+    x, t, rows = frames_at(core, u)
     if normal is None:
-        nmat = linalg.dual_normal_frame(sample.conormal, t)
+        nmat = linalg.dual_normal_frame(rows, t)
     else:
         nmat = normal.columns if isinstance(normal, Frame) else \
             np.asarray(normal, dtype=float)
         if nmat.ndim == 1:
             nmat = nmat[:, None]
     full = np.hstack([t, nmat])
-    value = phi.coeff(sample.point) * linalg.det_abs_pow(full, phi.degree)
+    value = phi.coeff(x) * linalg.det_abs_pow(full, phi.degree)
     return DensityValue(value, phi.degree, Frame(full, "tangent"))
 

@@ -27,7 +27,6 @@ from .errors import (
     UserChartRequired,
 )
 from .exprlang import Expr
-from .linalg import Frame
 
 IMMERSION_TOL = 1e-8       # relative singular value cutoff for chart jacobians
 ON_CORE_TOL = 1e-8         # "the point lies on the core"
@@ -123,7 +122,7 @@ class Submanifold:
             if self.form.base.shape != (n,) or self.form.tangent.shape != (n, k):
                 raise ValueError("affine form shapes do not match ambient/dim")
             if k:
-                Frame.tangent(self.form.tangent.T)  # raises RankDeficient
+                linalg.complete_to_ambient(self.form.tangent)  # raises RankDeficient
         else:
             if len(self.form.exprs) != n:
                 raise ValueError(
@@ -207,11 +206,8 @@ class Submanifold:
                 for e in self.form.exprs]
         return np.stack(cols, axis=1)
 
-    def jacobian_at(self, u) -> np.ndarray:
-        return self._tangents(np.asarray(u, dtype=float).ravel())[0]
-
     def _tangents(self, coords) -> np.ndarray:
-        """Chart jacobians (m, n, k) at (N, k) coordinates or at one (k,) point."""
+        """Chart jacobians (m, n, k) at (N, k) coordinates."""
         if isinstance(self.form, AffineForm):
             return self.form.tangent[None]
         return self._derivatives(self.form.exprs, "u", np.asarray(coords).T)
@@ -223,7 +219,7 @@ class Submanifold:
                          for e in self.implicit]).reshape(len(self.implicit), len(points)).T
 
     def _implicit_rows(self, points) -> np.ndarray:
-        """Implicit jacobian rows (m, n - k, n) at (N, n) points or at one (n,) point."""
+        """Implicit jacobian rows (m, n - k, n) at (N, n) points."""
         return self._derivatives(self.implicit, "x", np.asarray(points).T)
 
     def seed_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -274,15 +270,6 @@ def _rank_loss(stack: np.ndarray, tol: float, coords: np.ndarray):
 
 # frames
 
-@dataclass(frozen=True, eq=False)
-class FrameBundleSample:
-    """Tangent frame and conormal frame of a core at one point."""
-
-    point: np.ndarray     # (n,) ambient point
-    tangent: Frame        # kind "tangent", (n, k)
-    conormal: Frame       # kind "covector", (n-k, n) rows
-
-
 def frames_many(core: Submanifold, coords) -> tuple[np.ndarray, ...]:
     """Points (N, n), tangents (m, n, k), conormal rows (m, n - k, n) at (N, k) coordinates.
 
@@ -290,8 +277,8 @@ def frames_many(core: Submanifold, coords) -> tuple[np.ndarray, ...]:
     core, or a linear implicit form) and N otherwise.  The conormal is the
     implicit form's jacobian, or else the orthonormal complement of the
     tangent.  Each frame is checked for immersion (ImmersionFailure), for
-    implicit rows that annihilate the tangent (ConormalMismatch) and for
-    their rank (RankDeficient).
+    implicit rows that annihilate the tangent (ConormalMismatch, relative to
+    max|rows| max|tangent|) and for their rank (RankDeficient).
     """
     coords = np.asarray(coords, dtype=float)
     points = core.points_at(coords)
@@ -303,8 +290,9 @@ def frames_many(core: Submanifold, coords) -> tuple[np.ndarray, ...]:
         rows = np.swapaxes(linalg.complete_to_ambient(tangents), 1, 2)
     else:
         rows = core._implicit_rows(points)
-        leak = np.max(np.abs(rows @ tangents), axis=(1, 2), initial=0.0)
-        bad = leak > linalg.ANNIHILATE_TOL * np.max(np.abs(rows), axis=(1, 2), initial=1.0)
+        leak, nu_max, t_max = (np.max(np.abs(a), axis=(1, 2), initial=0.0)
+                               for a in (rows @ tangents, rows, tangents))
+        bad = leak > linalg.ANNIHILATE_TOL * nu_max * t_max
         if np.any(bad):
             raise ConormalMismatch(
                 f"implicit conormal of {core.name!r} fails to annihilate the "
@@ -317,12 +305,11 @@ def frames_many(core: Submanifold, coords) -> tuple[np.ndarray, ...]:
                       for a in (tangents, rows)))
 
 
-def frames_at(core: Submanifold, u) -> FrameBundleSample:
-    """Frames of a core at chart coordinates u: ``frames_many`` at one point."""
-    u = np.asarray(u, dtype=float).ravel()
-    points, tangents, rows = frames_many(core, u[None, :])
-    return FrameBundleSample(points[0], Frame(tangents[0], "tangent"),
-                             Frame(rows[0], "covector"))
+def frames_at(core: Submanifold, u) -> tuple[np.ndarray, ...]:
+    """Point (n,), tangent (n, k) and conormal rows (n - k, n) at chart
+    coordinates u: ``frames_many`` at one point."""
+    frames = frames_many(core, np.asarray(u, dtype=float).reshape(1, core.dim))
+    return tuple(a[0] for a in frames)
 
 
 # chart inversion

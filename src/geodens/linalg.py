@@ -23,7 +23,7 @@ from .errors import (
 SINGULAR_TOL = 1e-12    # relative to the Hadamard bound of the matrix
 RANK_TOL = 1e-9         # relative singular value cutoff for rank decisions
 SPAN_TOL = 1e-9         # relative residual for span membership
-ANNIHILATE_TOL = 1e-9   # |nu_i(t_j)| above this is not "annihilates"
+ANNIHILATE_TOL = 1e-9   # relative to max|nu| max|t|: above this is not "annihilates"
 
 
 def _log_hadamard(m: np.ndarray) -> float:
@@ -162,8 +162,8 @@ def dual_normal_frame(covectors: FrameLike, tangent: FrameLike | None = None) ->
     """Normal vectors n_j (columns) with nu_i(n_j) = delta_ij, minimum-norm choice.
 
     ``covectors`` are q rows in R^n.  When a tangent frame is supplied the
-    covectors must annihilate it (|nu_i(t_j)| <= ANNIHILATE_TOL), otherwise
-    ConormalMismatch is raised.
+    covectors must annihilate it, |nu_i(t_j)| <= ANNIHILATE_TOL max|nu| max|t|,
+    otherwise ConormalMismatch is raised.
     """
     nu = np.atleast_2d(np.asarray(
         covectors.matrix if isinstance(covectors, Frame) else covectors, dtype=float))
@@ -176,10 +176,26 @@ def dual_normal_frame(covectors: FrameLike, tangent: FrameLike | None = None) ->
             f"covector family of {q} rows is rank deficient")
     if tangent is not None:
         t = _as_columns(tangent)
-        if t.shape[1] and np.max(np.abs(nu @ t)) > ANNIHILATE_TOL:
+        if t.shape[1] and np.abs(nu @ t).max() > \
+                ANNIHILATE_TOL * np.abs(nu).max() * np.abs(t).max():
             raise ConormalMismatch("covectors do not annihilate the tangent frame")
     # min-norm solution of nu @ N = I_q
     return np.linalg.lstsq(nu, np.eye(q), rcond=None)[0]
+
+
+def frame_factors(tangents, rows, degree, solver) -> np.ndarray:
+    """|det [t | solver(nu, t)]|^degree for each distinct frame of a batch.
+
+    ``tangents`` (m, n, k) and conormal ``rows`` (m, q, n) hold one frame per
+    node, or one for every node when m is 1 on either side; the solver and the
+    determinant run once per distinct frame.
+    """
+    out = np.empty(max(len(tangents), len(rows)), dtype=complex)
+    for i in range(len(out)):
+        # i % 1 == 0: a stack of one frame serves every node
+        t, nu = tangents[i % len(tangents)], rows[i % len(rows)]
+        out[i] = det_abs_pow(np.hstack([t, solver(nu, t)]), degree)
+    return out
 
 
 def complete_to_ambient(tangent: FrameLike) -> np.ndarray:

@@ -5,13 +5,16 @@ multiply to a state of degree alpha + beta on E = C ∩ D.  At a point x of E
 the coefficient is assembled from frames alone:
 
     1. tangent frames s of E, a of C, b of D; conormal rows nu_C, nu_D
-    2. dual normals n_C of (nu_C, a), n_D of (nu_D, b), and n_E of the
-       stacked family (nu_C; nu_D) along E
-    3. full ambient frames w* = [s | n_E], w1 = [a | n_C], w2 = [b | n_D]
-    4. change-of-basis matrices w* = w1 @ M1 = w2 @ M2
-    5. coefficient g1(u_C) g2(u_D) |det M1|^alpha |det M2|^beta
+    2. the pairing's frame factor F(t, nu, p) = |det [t | n]|^p, n the dual
+       normals of (nu, t), for (a, nu_C), (b, nu_D) and the stacked
+       family (s, [nu_C; nu_D])
+    3. coefficient g1(u_C) g2(u_D) F(a, nu_C, -alpha) F(b, nu_D, -beta)
+       F(s, [nu_C; nu_D], alpha + beta)
 
-against the convention (chart frame of E, concatenated (nu_C, nu_D)).  The
+against the convention (chart frame of E, concatenated (nu_C, nu_D)).  This
+is g1 g2 |det M1|^alpha |det M2|^beta for the changes of basis
+[s | n_E] = [a | n_C] M1 = [b | n_D] M2, since |det M1| is
+|det [s | n_E]| / |det [a | n_C]|, and likewise for M2.  The
 stacked conormal family losing rank is exactly failure of transversality.
 
 When alpha + beta = 1 the conormal power of the product is trivial and the
@@ -33,7 +36,7 @@ from .errors import (
     TransversalityFailure,
 )
 from .fields import FuncField
-from .geometry import ON_CORE_TOL, Submanifold, chart_invert, frames_at
+from .geometry import ON_CORE_TOL, Submanifold, chart_invert, frames_many
 from .quadrature import QuadratureOptions, intersect_boxes
 from .states import ConormalFamily, GeometricState, NormalSolver, PairingResult
 
@@ -51,12 +54,22 @@ def _check_dims(theta1: GeometricState, theta2: GeometricState,
             f"requires {expected}")
 
 
-def _core_coords(core: Submanifold, x, picture: str):
+def _core_coords(core: Submanifold, x, picture: str) -> np.ndarray:
+    """Chart coordinates (N, k) of the points x (N, n), which must lie on the core."""
     u, resid = chart_invert(core, x)
-    if resid > ON_CORE_TOL:
-        raise NotOnBothCores(
-            f"point {x} is {resid:.3g} away from {picture} core {core.name!r}")
+    off = resid > ON_CORE_TOL
+    if off.any():
+        i = int(np.argmax(off))
+        raise NotOnBothCores(f"point {x[i]} is {resid[i]:.3g} away from {picture} "
+                             f"core {core.name!r}")
     return u
+
+
+def _stacked(rows_c: np.ndarray, rows_d: np.ndarray) -> np.ndarray:
+    # (m, q_C + q_D, n), m being 1 only when both factors' rows are constant
+    m = max(len(rows_c), len(rows_d))
+    return np.concatenate([np.repeat(r, m // len(r), axis=0) for r in (rows_c, rows_d)],
+                          axis=1)
 
 
 def product_at_point(theta1: GeometricState, theta2: GeometricState,
@@ -64,35 +77,24 @@ def product_at_point(theta1: GeometricState, theta2: GeometricState,
                      dual_solver: NormalSolver | None = None) -> complex:
     """Coefficient of the transverse product at E-chart coordinates w."""
     solver = dual_solver or linalg.dual_normal_frame
-    w = np.asarray(w, dtype=float).ravel()
-    e_sample = frames_at(core_e, w)
-    x, s = e_sample.point, e_sample.tangent.matrix
-
+    w = np.asarray(w, dtype=float).reshape(1, core_e.dim)
+    x, s, _ = frames_many(core_e, w)
     u_c = _core_coords(theta1.core, x, "first")
     u_d = _core_coords(theta2.core, x, "second")
-    a = theta1.core.jacobian_at(u_c)
-    b = theta2.core.jacobian_at(u_d)
-    nu_c = theta1.conormal.rows_at(u_c)
-    nu_d = theta2.conormal.rows_at(u_d)
-
-    n_c = solver(nu_c, a)
-    n_d = solver(nu_d, b)
-    stacked = np.vstack([nu_c, nu_d])
+    frames_c = frames_many(theta1.core, u_c)
+    frames_d = frames_many(theta2.core, u_d)
+    nu_c = theta1.conormal.rows_many(u_c, frames_c)
+    nu_d = theta2.conormal.rows_many(u_d, frames_d)
+    f_c = linalg.frame_factors(frames_c[1], nu_c, -theta1.degree, solver)
+    f_d = linalg.frame_factors(frames_d[1], nu_d, -theta2.degree, solver)
     try:
-        n_e = solver(stacked, s)
+        f_e = linalg.frame_factors(s, _stacked(nu_c, nu_d),
+                                   theta1.degree + theta2.degree, solver)
     except DegenerateCovectors as exc:
         raise TransversalityFailure(
             f"{theta1.core.name!r} and {theta2.core.name!r} are not "
-            f"transverse at {x}: stacked conormals lose rank") from exc
-
-    w_star = np.hstack([s, n_e])
-    w1 = np.hstack([a, n_c])
-    w2 = np.hstack([b, n_d])
-    m1 = linalg.change_of_basis(w1, w_star)
-    m2 = linalg.change_of_basis(w2, w_star)
-    return (theta1.coeff(u_c) * theta2.coeff(u_d)
-            * linalg.det_abs_pow(m1, theta1.degree)
-            * linalg.det_abs_pow(m2, theta2.degree))
+            f"transverse at {x[0]}: stacked conormals lose rank") from exc
+    return complex(theta1.coeff(u_c[0]) * theta2.coeff(u_d[0]) * f_c[0] * f_d[0] * f_e[0])
 
 
 def product(theta1: GeometricState, theta2: GeometricState,
@@ -101,10 +103,9 @@ def product(theta1: GeometricState, theta2: GeometricState,
     _check_dims(theta1, theta2, core_e)
 
     def stacked_rows(coords, frames):
-        return np.stack([np.vstack([
-            theta1.conormal.rows_at(_core_coords(theta1.core, x, "first")),
-            theta2.conormal.rows_at(_core_coords(theta2.core, x, "second"))])
-            for x in frames[0]])
+        return _stacked(*(
+            theta.conormal.rows_many(_core_coords(theta.core, frames[0], picture))
+            for theta, picture in ((theta1, "first"), (theta2, "second"))))
 
     coeff = FuncField(lambda w: product_at_point(theta1, theta2, core_e, w))
     family = ConormalFamily(stacked_rows, core_e)

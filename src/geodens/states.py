@@ -169,21 +169,16 @@ def _pairing_integrand(state: GeometricState, phi: AmbientDensity,
                        solver: NormalSolver):
     """g(u) f(psi(u)) |det [t(u) | n(u)]|^(1-alpha) on a batch of chart coordinates.
 
-    Frames are sampled once per batch; the solver and the determinant run
-    once per distinct frame, so once for a constant frame and N times for
-    a curved one.
+    Frames are sampled once per batch; ``linalg.frame_factors`` runs the
+    solver and the determinant once per distinct frame, so once for a
+    constant frame and N times for a curved one.
     """
     core = state.core
 
     def integrand(coords: np.ndarray) -> np.ndarray:
         frames = frames_many(core, coords)
-        points, tangents, _ = frames
-        rows = state.conormal.rows_many(coords, frames)
-        m = max(len(tangents), len(rows))
-        factors = np.array([
-            linalg.det_abs_pow(np.hstack([t, solver(nu, t)]), phi.degree)
-            for t, nu in zip(np.broadcast_to(tangents, (m,) + tangents.shape[1:]),
-                             np.broadcast_to(rows, (m,) + rows.shape[1:]))])
-        return state.coeff.eval_many(coords) * phi.coeff.eval_many(points) * factors
+        factors = linalg.frame_factors(frames[1], state.conormal.rows_many(coords, frames),
+                                       phi.degree, solver)
+        return state.coeff.eval_many(coords) * phi.coeff.eval_many(frames[0]) * factors
 
     return integrand

@@ -4,6 +4,9 @@ Closed forms used here: two unit half-density lines meeting at angle phi
 have inner product 1/|sin phi|; orthogonal Gaussian planes in R^3 give
 sqrt(pi/2) along their common line.  The latter is checked against a
 composite-Simpson value computed independently and frozen.
+``reference_product`` evaluates the coefficient the long way, through the
+change-of-basis matrices M1 and M2, and the frame-factor coefficient must
+match it at rel 1e-12 on flat, curved and gauge-shifted cases.
 """
 import math
 
@@ -17,8 +20,8 @@ from geodens.errors import (
     NotOnBothCores,
     TransversalityFailure,
 )
-from geodens.geometry import Submanifold, intersect
-from geodens.linalg import dual_normal_frame
+from geodens.geometry import Submanifold, chart_invert, frames_at, intersect
+from geodens.linalg import change_of_basis, det_abs_pow, dual_normal_frame
 from geodens.product import inner_product, product, product_at_point
 from geodens.states import make_state, recombine_conormal
 
@@ -199,16 +202,16 @@ def test_product_survives_conormal_recombination():
 
 def test_product_ignores_the_normal_representative():
     th1, th2, e = crossed_planes()
-
-    def shifted_solver(nu, t):
-        n = dual_normal_frame(nu, t)
-        if t.shape[1]:
-            n = n + t @ np.full((t.shape[1], n.shape[1]), 0.3)
-        return n
-
     base = product_at_point(th1, th2, e, [0.6])
     got = product_at_point(th1, th2, e, [0.6], dual_solver=shifted_solver)
     assert got == pytest.approx(base, rel=1e-12)
+
+
+def shifted_solver(nu, t):
+    n = dual_normal_frame(nu, t)
+    if t.shape[1]:
+        n = n + t @ np.full((t.shape[1], n.shape[1]), 0.3)
+    return n
 
 
 def test_inner_product_via_intersect():
@@ -217,3 +220,92 @@ def test_inner_product_via_intersect():
     res = intersect(th1.core, th2.core)
     got = inner_product(th1, th2, res.core)
     assert got.value == pytest.approx(2.0, rel=1e-12)
+
+
+# the frame-factor coefficient against the change-of-basis formula
+
+def reference_product(theta1, theta2, core_e, w, solver):
+    """g1 g2 |det M1|^alpha |det M2|^beta with [s | n_E] = [a | n_C] M1 = [b | n_D] M2."""
+    x, s, _ = frames_at(core_e, w)
+    u_c, u_d = chart_invert(theta1.core, x)[0], chart_invert(theta2.core, x)[0]
+    a, b = frames_at(theta1.core, u_c)[1], frames_at(theta2.core, u_d)[1]
+    nu_c, nu_d = theta1.conormal.rows_at(u_c), theta2.conormal.rows_at(u_d)
+    w_star = np.hstack([s, solver(np.vstack([nu_c, nu_d]), s)])
+    m1 = change_of_basis(np.hstack([a, solver(nu_c, a)]), w_star)
+    m2 = change_of_basis(np.hstack([b, solver(nu_d, b)]), w_star)
+    return (theta1.coeff(u_c) * theta2.coeff(u_d)
+            * det_abs_pow(m1, theta1.degree) * det_abs_pow(m2, theta2.degree))
+
+
+def line_and_circle():
+    line_core = Submanifold.affine("L", [0.0, 0.4], [1.0, 0.2])
+    circle = Submanifold.chart("S", ["cos(u1)", "sin(u1)"], [[0.0, 2.0 * math.pi]],
+                               implicit=["(x1^2 + x2^2 - 1)/2"])
+    th1 = make_state(line_core, 0.3 + 0.2j, "exp(-u1^2)")
+    th2 = make_state(circle, 0.7 - 0.2j, "cos(u1) + 2")
+    points = intersect(line_core, circle).point_cores()
+    assert len(points) == 2
+    return th1, th2, points
+
+
+def sphere_and_plane():
+    sphere = Submanifold.chart("P", ["sin(u1)*cos(u2)", "sin(u1)*sin(u2)", "cos(u1)"],
+                               [[0.3, 1.2], [0.0, 1.5]])
+    plane = Submanifold.affine("Z", [0.0, 0.0, 0.5], [[1, 0], [0, 1], [0, 0]])
+    ring = Submanifold.chart("R", ["r*cos(u1)", "r*sin(u1)", "0.5"], [[0.1, 1.4]],
+                             params={"r": math.sqrt(3.0) / 2.0})
+    th1 = make_state(sphere, 0.4, "u1*exp(-u2^2)")
+    th2 = make_state(plane, 0.6, "exp(-u1^2 - u2^2)")
+    return th1, th2, ring
+
+
+def _product_cases():
+    # (name, theta1, theta2, E, E coordinates, dual solver)
+    th1, th2 = tilted_pair(math.pi / 5, alpha=0.3, beta=0.45)
+    cases = [("tilted lines", th1, th2, origin(), [np.zeros(0)], dual_normal_frame)]
+    th1, th2, e = crossed_planes()
+    cases += [("crossed planes", th1, th2, e, [[-1.0], [0.0], [0.7]], dual_normal_frame),
+              ("shifted solver", th1, th2, e, [[0.6], [-1.3]], shifted_solver)]
+    th1, th2, points = line_and_circle()
+    recombined = recombine_conormal(th1, [[-2.5]]), recombine_conormal(th2, [[0.4]])
+    for p in points:
+        cases += [("line x circle", th1, th2, p, [np.zeros(0)], dual_normal_frame),
+                  ("recombined", *recombined, p, [np.zeros(0)], dual_normal_frame)]
+    th1, th2, ring = sphere_and_plane()
+    return cases + [("sphere x plane", th1, th2, ring, [[0.2], [0.8], [1.3]],
+                     dual_normal_frame)]
+
+
+@pytest.mark.parametrize("case", _product_cases(), ids=lambda case: case[0])
+def test_product_matches_the_change_of_basis_formula(case):
+    _, th1, th2, e, coords, solver = case
+    for w in coords:
+        got = product_at_point(th1, th2, e, w, dual_solver=solver)
+        want = reference_product(th1, th2, e, w, solver)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        assert abs(want) > 1e-3
+
+
+# the product state's conormal family on a stack
+
+@pytest.mark.parametrize("factors", [crossed_planes, sphere_and_plane])
+def test_product_rows_many_matches_rows_at(factors):
+    th1, th2, e = factors()
+    family = product(th1, th2, e).conormal
+    coords = np.linspace(0.2, 1.3, 6)[:, None]
+    rows = family.rows_many(coords)
+    per_point = np.array([family.rows_at(w) for w in coords])
+    assert np.allclose(np.broadcast_to(rows, per_point.shape), per_point,
+                       rtol=0.0, atol=1e-15)
+    both_affine = th1.core.is_affine and th2.core.is_affine
+    assert len(rows) == (1 if both_affine else len(coords))
+
+
+def test_product_rows_many_names_the_off_core_node():
+    th1, th2, _ = crossed_planes()
+    bump = Submanifold.chart("B", ["u1", "0", "exp(-100*(u1-1.5)^2)"], [[-2.0, 2.0]])
+    coords = np.array([[-1.0], [0.0], [0.5], [1.5], [-0.5]])
+    off = bump.points_at(coords)[3]
+    with pytest.raises(NotOnBothCores, match=r"first core 'P1'") as err:
+        product(th1, th2, bump).conormal.rows_many(coords)
+    assert str(off) in str(err.value)

@@ -272,6 +272,15 @@ def test_cli_inner_planes():
     assert value == pytest.approx(math.sqrt(math.pi / 2), rel=1e-8)
 
 
+def test_cli_inner_curved_scene():
+    # the x-axis crosses the unit circle at right angles at (-1, 0) and (1, 0)
+    proc = run_cli("inner", SCENES / "circle_xaxis.json")
+    assert proc.returncode == 0, proc.stderr
+    assert "(2 intersection points)" in proc.stdout
+    value = float(VALUE_RE.search(proc.stdout).group(1))
+    assert value == pytest.approx(2.0, rel=1e-12)
+
+
 def test_cli_product_csv(tmp_path):
     out = tmp_path / "product.csv"
     proc = run_cli("product", SCENES / "planes_r3.json", "--out", out)

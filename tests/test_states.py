@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from geodens.density import AmbientDensity
-from geodens.errors import DegreeMismatch, UnboundedDomain
+from geodens.errors import ConormalMismatch, DegreeMismatch, UnboundedDomain
 from geodens.fields import ExprField, FuncField
 from geodens.geometry import Submanifold, frames_at, frames_many
 from geodens.linalg import det_abs_pow, dual_normal_frame
@@ -154,10 +154,9 @@ def test_pairing_on_a_line_with_a_curved_implicit_form():
 def _per_node_integrand(state, phi, coords):
     out = []
     for u in coords:
-        sample = frames_at(state.core, u)
-        t = sample.tangent.matrix
-        n = dual_normal_frame(sample.conormal, t)
-        out.append(state.coeff(u) * phi.coeff(sample.point)
+        x, t, rows = frames_at(state.core, u)
+        n = dual_normal_frame(rows, t)
+        out.append(state.coeff(u) * phi.coeff(x)
                    * det_abs_pow(np.hstack([t, n]), phi.degree))
     return np.array(out)
 
@@ -190,6 +189,28 @@ def test_batched_integrand_matches_per_node_frames(case):
     want = _per_node_integrand(th, phi, coords)
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
     assert frames_many(core, coords)[1].shape[0] == (1 if constant else len(coords))
+
+
+# annihilation is judged relative to max|nu| max|t|
+
+@pytest.mark.parametrize("r", [1e-6, 1.0, 1e4, 1e6])
+def test_circle_pairing_at_any_radius(r):
+    # n = nu / |nu|^2 makes |det [t | n]| = 1, so the unit pairing is 2 pi
+    circle = Submanifold.chart("S", ["r*cos(u1)", "r*sin(u1)"], [[0.0, 2.0 * math.pi]],
+                               implicit=["(x1^2 + x2^2 - r^2)/2"], params={"r": r})
+    got = pair_with_test(make_state(circle, 0.5, "1"), AmbientDensity.make(0.5, "1"))
+    assert got.value == pytest.approx(2.0 * math.pi, rel=1e-10)
+
+
+def test_tiny_tangent_is_not_annihilated_by_a_transverse_row():
+    # [1, 0] @ (1e-10, 1e-10) is small in absolute terms, not relative to |t|
+    line = Submanifold.affine("L", [0.0, 0.0], [1e-10, 1e-10])
+    th = make_state(line, 0.5, "exp(-u1^2)", conormal=[[1.0, 0.0]], support=[[-1.0, 1.0]])
+    with pytest.raises(ConormalMismatch):
+        pair_with_test(th, gaussian_test())
+    implicit = Submanifold.affine("L", [0.0, 0.0], [1e-10, 1e-10], implicit=["x1"])
+    with pytest.raises(ConormalMismatch):
+        frames_many(implicit, [[0.5]])
 
 
 # the delta picture

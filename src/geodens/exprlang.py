@@ -207,35 +207,37 @@ def evaluate(expr: Expr, bindings: Mapping[str, object] | None = None):
     Bindings map identifier names to floats or numpy arrays (elementwise
     evaluation).  ``pi`` resolves before bindings.
     """
-    b = bindings or {}
+    return _ev(expr, bindings or {})
 
-    def ev(e):
-        if isinstance(e, Num):
-            return e.value
-        if isinstance(e, Var):
-            if e.name in CONSTANTS:
-                return CONSTANTS[e.name]
-            try:
-                return b[e.name]
-            except KeyError:
-                raise UnboundIdentifier(f"unbound identifier {e.name!r}") from None
-        if isinstance(e, Neg):
-            return -ev(e.arg)
-        if isinstance(e, Call):
-            return FUNCTIONS[e.func](ev(e.arg))
-        left = ev(e.left)
-        right = ev(e.right)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        if e.op == "/":
-            return _div(left, right)
-        return _pow(left, right)
 
-    return ev(expr)
+def _ev(e: Expr, b: Mapping[str, object]):
+    # module level, not a closure over itself: a self-referencing closure is
+    # a reference cycle that would keep the bindings alive until the cyclic
+    # collector runs
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        if e.name in CONSTANTS:
+            return CONSTANTS[e.name]
+        try:
+            return b[e.name]
+        except KeyError:
+            raise UnboundIdentifier(f"unbound identifier {e.name!r}") from None
+    if isinstance(e, Neg):
+        return -_ev(e.arg, b)
+    if isinstance(e, Call):
+        return FUNCTIONS[e.func](_ev(e.arg, b))
+    left = _ev(e.left, b)
+    right = _ev(e.right, b)
+    if e.op == "+":
+        return left + right
+    if e.op == "-":
+        return left - right
+    if e.op == "*":
+        return left * right
+    if e.op == "/":
+        return _div(left, right)
+    return _pow(left, right)
 
 
 def _div(a, b):

@@ -9,7 +9,7 @@ fixed-order global rule cannot see those.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -78,8 +78,7 @@ def tensor_rule(box, order: int):
     k = b.shape[0]
     if k == 0:
         return np.zeros((1, 0)), np.ones(1)
-    axes = [_axis_nodes(lo, hi, order) for lo, hi in b]
-    return _tensorize(axes, k)
+    return _tensorize([_axis_nodes(lo, hi, order) for lo, hi in b])
 
 
 def composite_rule(box, panel_width, order: int = 12):
@@ -97,30 +96,25 @@ def composite_rule(box, panel_width, order: int = 12):
         raise ValueError("panel width must be positive")
     axes = []
     for (lo, hi), pw in zip(b, widths):
-        width = hi - lo
-        panels = min(MAX_PANELS_PER_AXIS, max(1, int(np.ceil(width / pw))))
-        edges = np.linspace(lo, hi, panels + 1)
-        xs, ws = [], []
-        for i in range(panels):
-            x, w = _axis_nodes(edges[i], edges[i + 1], order)
-            xs.append(x)
-            ws.append(w)
-        axes.append((np.concatenate(xs), np.concatenate(ws)))
-    return _tensorize(axes, k)
+        panels = min(MAX_PANELS_PER_AXIS, max(1, int(np.ceil((hi - lo) / pw))))
+        edges = np.linspace(lo, hi, panels + 1)[:, None]
+        # a (panels, order) block: raveled, the panels follow one another
+        x, w = _axis_nodes(edges[:-1], edges[1:], order)
+        axes.append((x.ravel(), w.ravel()))
+    return _tensorize(axes)
 
 
-def _tensorize(axes, k: int):
-    grids = np.meshgrid(*[x for x, _ in axes], indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=1)
-    weights = np.ones(points.shape[0])
-    # accumulate per-axis weights onto the flattened tensor grid
-    shape = [len(x) for x, _ in axes]
-    for i, (_, w) in enumerate(axes):
-        expand = np.ones(k, dtype=int)
-        expand[i] = shape[i]
-        weights = weights * np.broadcast_to(
-            w.reshape(expand), shape).ravel()
-    return points, weights
+def _tensorize(axes):
+    # each axis is written straight into the (N, k) result, and the weights
+    # are the outer product ((w0 w1) w2)..., so nothing grid-sized is built
+    # besides the two returned arrays
+    shape = tuple(len(x) for x, _ in axes)
+    k = len(shape)
+    points = np.empty((*shape, k))
+    for i, (x, _) in enumerate(axes):
+        points[..., i] = x.reshape((-1,) + (1,) * (k - 1 - i))
+    weights = reduce(np.multiply.outer, [w for _, w in axes]).ravel()
+    return points.reshape(-1, k), weights
 
 
 def weighted_sum(f_many, points: np.ndarray, weights: np.ndarray) -> complex:

@@ -5,8 +5,10 @@ canonical form, the value at a fixed binding point, and the gradient there.
 Values and gradients were computed symbolically with an independent CAS and
 frozen; the printed column pins the printer against regressions.
 """
+import gc
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +156,28 @@ def test_vectorized_evaluation():
 def test_vectorized_domain_error():
     with pytest.raises(DomainError):
         evaluate(parse("log(u1)"), {"u1": np.array([1.0, -1.0])})
+
+
+def _evaluate_and_forget(source, value):
+    arr = np.full(3, value)
+    ref = weakref.ref(arr)
+    try:
+        evaluate(parse(source), {"u1": arr})
+    except DomainError:
+        pass
+    return ref
+
+
+@pytest.mark.parametrize("source, value", [
+    ("exp(-u1^2) * u1 + 1", 2.0), ("log(u1)", -1.0)])
+def test_evaluate_drops_its_bindings(source, value):
+    # a reference cycle inside the evaluator would keep every chunk of
+    # quadrature nodes alive until the cyclic collector happens to run
+    gc.disable()
+    try:
+        assert _evaluate_and_forget(source, value)() is None
+    finally:
+        gc.enable()
 
 
 # jacobians

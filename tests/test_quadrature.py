@@ -3,12 +3,14 @@
 Reference masses come from closed forms (polynomial moments, erf).
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from geodens.errors import QuadratureNotConverged, UnboundedDomain
 from geodens.quadrature import (
+    MAX_PANELS_PER_AXIS,
     QuadratureOptions,
     as_box,
     composite_rule,
@@ -70,6 +72,91 @@ def test_composite_rule_per_axis_widths():
     # 2 panels x 1 panel of a 4-point rule per axis
     assert pts.shape == (32, 2)
     assert wts.sum() == pytest.approx(1.0, rel=1e-13)
+
+
+# the grid construction the rules used to make, kept as the reference: a
+# meshgrid, a stack of its raveled axes, and one broadcast copy of the
+# weights per axis
+
+
+def reference_tensorize(axes):
+    if not axes:
+        return np.zeros((1, 0)), np.ones(1)
+    k = len(axes)
+    grids = np.meshgrid(*[x for x, _ in axes], indexing="ij")
+    points = np.stack([g.ravel() for g in grids], axis=1)
+    weights = np.ones(points.shape[0])
+    shape = [len(x) for x, _ in axes]
+    for i, (_, w) in enumerate(axes):
+        expand = np.ones(k, dtype=int)
+        expand[i] = shape[i]
+        weights = weights * np.broadcast_to(w.reshape(expand), shape).ravel()
+    return points, weights
+
+
+def reference_axis(lo, hi, order):
+    x, w = np.polynomial.legendre.leggauss(order)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return mid + half * x, half * w
+
+
+def reference_composite_axis(lo, hi, pw, order):
+    panels = min(MAX_PANELS_PER_AXIS, max(1, int(np.ceil((hi - lo) / pw))))
+    edges = np.linspace(lo, hi, panels + 1)
+    xs, ws = [], []
+    for i in range(panels):
+        x, w = reference_axis(edges[i], edges[i + 1], order)
+        xs.append(x)
+        ws.append(w)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+BOX3 = as_box([[-1.0, 2.0], [0.5, 1.25], [-3.0, 0.0]])
+
+
+def assert_same_rule(got, want):
+    assert got[0].shape == want[0].shape and got[1].shape == want[1].shape
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("order", [4, 32, 64])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_tensor_rule_matches_the_meshgrid_construction(k, order):
+    box = BOX3[:k]
+    want = reference_tensorize([reference_axis(lo, hi, order) for lo, hi in box])
+    assert_same_rule(tensor_rule(box, order), want)
+
+
+# composite orders stop at 32: three axes of 3 x 2 x 1 panels at order 64
+# would build 1.6 M nodes twice
+@pytest.mark.parametrize("order", [4, 12, 32])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_composite_rule_matches_the_per_panel_loop(k, order):
+    box, widths = BOX3[:k], np.array([1.0, 0.4, 5.0])[:k]
+    want = reference_tensorize([reference_composite_axis(lo, hi, pw, order)
+                                for (lo, hi), pw in zip(box, widths)])
+    assert_same_rule(composite_rule(box, widths, order), want)
+
+
+def test_composite_rule_matches_the_loop_on_random_axes():
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        lo = rng.uniform(-5.0, 5.0)
+        hi = lo + rng.uniform(1e-3, 10.0)
+        pw = rng.uniform(1e-2, 3.0)
+        want = reference_tensorize([reference_composite_axis(lo, hi, pw, 12)])
+        assert_same_rule(composite_rule([[lo, hi]], pw), want)
+
+
+def test_tensor_rule_allocates_only_its_result():
+    tensor_rule(BOX3, 128)  # warm the node cache
+    tracemalloc.start()
+    try:
+        points, weights = tensor_rule(BOX3, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * (points.nbytes + weights.nbytes)
 
 
 def test_composite_rule_resolves_a_narrow_gaussian():

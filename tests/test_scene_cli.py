@@ -5,6 +5,7 @@ subprocess, so the documented exit codes are checked end to end.  The
 exit-code tests call ``cli.main`` in-process, so a runner can be replaced.
 """
 import csv
+import gc
 import json
 import math
 import re
@@ -550,3 +551,41 @@ def test_cli_lets_a_plain_value_error_propagate(monkeypatch):
     monkeypatch.setattr(cli, "_cmd_pair", runner)
     with pytest.raises(ValueError, match="a bug"):
         cli.main(["pair", str(SCENES / "tilted_lines.json")])
+
+
+# reference cycles: garbage in a cycle lives until the cyclic collector runs,
+# and with it every array the cycle holds
+
+
+def cli_runs():
+    for path in sorted(SCENES.glob("*.json")):
+        ops = {r["op"] for r in json.loads(path.read_text())["requests"]}
+        for command in ("check", "pair", "inner", "product", "oracle"):
+            if command != "oracle" or "oracle" in ops:
+                yield path.name, command
+
+
+def defining_module(obj):
+    if hasattr(obj, "f_globals"):
+        return obj.f_globals.get("__name__", "")
+    if callable(obj) and isinstance(getattr(obj, "__module__", None), str):
+        return obj.__module__
+    return type(obj).__module__
+
+
+@pytest.mark.parametrize("name, command", list(cli_runs()))
+def test_cli_run_leaves_no_geodens_reference_cycles(name, command, capsys):
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        cli.main([command, str(SCENES / name)])
+        gc.collect()
+        # argparse's own cycles are allowed
+        cyclic = {f"{defining_module(o)}:{getattr(o, '__qualname__', type(o).__name__)}"
+                  for o in gc.garbage if defining_module(o).startswith("geodens")}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not cyclic

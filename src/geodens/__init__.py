@@ -23,7 +23,6 @@ from .geometry import (
 )
 from .linalg import (
     DensityValue,
-    Frame,
     change_of_basis,
     complete_to_ambient,
     det_abs_pow,
@@ -31,7 +30,6 @@ from .linalg import (
 )
 from .oracle import (
     ConvergenceReport,
-    TubeDensity,
     compare_inner,
     compare_pairing,
     converge_check,

@@ -21,7 +21,7 @@ import numpy as np
 from . import oracle as oracle_mod
 from .errors import GeodensError
 from .geometry import frames_many, intersect, transversality_check
-from .product import inner_product, product, product_at_point
+from .product import inner_product, product
 from .quadrature import QuadratureOptions, as_box, intersect_boxes
 from .scene import Scene, load_scene
 from .states import pair_with_test

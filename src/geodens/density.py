@@ -16,7 +16,7 @@ import numpy as np
 from . import linalg
 from .fields import ScalarField, as_field
 from .geometry import Submanifold, frames_at
-from .linalg import DensityValue, Frame
+from .linalg import DensityValue
 from .quadrature import as_box
 
 
@@ -27,7 +27,7 @@ class AmbientDensity:
     degree: complex
     coeff: ScalarField
     support: np.ndarray | None = None     # (n, 2) truncation hint, ambient coords
-    resolution_hint: float | None = None  # finest length scale, guides the oracle
+    resolution_hint: float | np.ndarray | None = None  # finest scale, or one per axis
 
     @classmethod
     def make(cls, degree, coeff, support=None, resolution_hint=None,
@@ -35,13 +35,9 @@ class AmbientDensity:
         return cls(complex(degree), as_field(coeff, "x", params),
                    None if support is None else as_box(support), resolution_hint)
 
-    def coefficient_at(self, x) -> complex:
-        return self.coeff(x)
-
     def value_in_frame(self, x, frame) -> complex:
-        """Density value against an explicit ambient frame (columns)."""
-        b = frame.columns if isinstance(frame, Frame) else np.asarray(frame, dtype=float)
-        return self.coeff(x) * linalg.det_abs_pow(b, self.degree)
+        """Density value against an explicit (n, n) ambient frame of columns."""
+        return self.coeff(x) * linalg.det_abs_pow(frame, self.degree)
 
 
 def restrict(phi: AmbientDensity, core: Submanifold, u, normal=None) -> DensityValue:
@@ -53,14 +49,8 @@ def restrict(phi: AmbientDensity, core: Submanifold, u, normal=None) -> DensityV
     so the usual |det B|^alpha transformation rule applies to it directly.
     """
     x, t, rows = frames_at(core, u)
-    if normal is None:
-        nmat = linalg.dual_normal_frame(rows, t)
-    else:
-        nmat = normal.columns if isinstance(normal, Frame) else \
-            np.asarray(normal, dtype=float)
-        if nmat.ndim == 1:
-            nmat = nmat[:, None]
-    full = np.hstack([t, nmat])
+    nmat = linalg.dual_normal_frame(rows, t) if normal is None else normal
+    full = np.column_stack([t, nmat])  # a normal of shape (n,) is one column
     value = phi.coeff(x) * linalg.det_abs_pow(full, phi.degree)
-    return DensityValue(value, phi.degree, Frame(full, "tangent"))
+    return DensityValue(value, phi.degree, full)
 

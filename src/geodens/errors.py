@@ -56,7 +56,7 @@ class SpanMismatch(GeometryError):
 
 
 class RankDeficient(GeometryError):
-    """Frame vectors are linearly dependent."""
+    """The vectors of a frame are linearly dependent."""
 
 
 class DegenerateCovectors(GeometryError):

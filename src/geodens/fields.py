@@ -16,14 +16,13 @@ from .exprlang import BinOp, Expr, Num
 
 
 class ScalarField:
-    """Interface: a complex scalar field evaluated pointwise or on batches."""
-
-    def __call__(self, point) -> complex:
-        raise NotImplementedError
+    """Interface: a complex scalar field evaluated on (N, dim) batches of points."""
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        return np.array([self(p) for p in points], dtype=complex)
+        raise NotImplementedError
+
+    def __call__(self, point) -> complex:
+        return complex(self.eval_many(np.asarray(point, dtype=float).reshape(1, -1))[0])
 
 
 class ExprField(ScalarField):
@@ -36,27 +35,17 @@ class ExprField(ScalarField):
         self.prefix = prefix
         self.params = dict(params or {})
 
-    def _bindings(self, coords):
-        b = {f"{self.prefix}{i + 1}": c for i, c in enumerate(coords)}
-        b.update(self.params)
-        return b
-
-    def __call__(self, point) -> complex:
-        p = np.asarray(point, dtype=float).ravel()
-        b = self._bindings(p)
-        re = exprlang.evaluate(self.re_expr, b)
-        im = exprlang.evaluate(self.im_expr, b) if self.im_expr is not None else 0.0
-        return complex(re) + 1j * float(im)
-
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         n = points.shape[0]
-        b = self._bindings([points[:, i] for i in range(points.shape[1])])
-        re = np.broadcast_to(np.asarray(exprlang.evaluate(self.re_expr, b)), (n,))
+        b = {f"{self.prefix}{i + 1}": points[:, i] for i in range(points.shape[1])}
+        b.update(self.params)
+        # np.full spreads a constant tree's scalar over the points, and costs a
+        # few microseconds less than np.broadcast_to on a one-point call
+        re = np.full(n, exprlang.evaluate(self.re_expr, b), dtype=complex)
         if self.im_expr is None:
-            return re.astype(complex)
-        im = np.broadcast_to(np.asarray(exprlang.evaluate(self.im_expr, b)), (n,))
-        return re + 1j * im
+            return re
+        return re + 1j * np.full(n, exprlang.evaluate(self.im_expr, b))
 
     def scaled(self, factor: complex) -> "ExprField":
         """Fold a complex constant into the expression trees."""
@@ -95,8 +84,9 @@ class FuncField(ScalarField):
     def __init__(self, fn: Callable[[np.ndarray], complex]):
         self.fn = fn
 
-    def __call__(self, point) -> complex:
-        return complex(self.fn(np.asarray(point, dtype=float).ravel()))
+    def eval_many(self, points: np.ndarray) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
+        return np.array([complex(self.fn(p)) for p in points], dtype=complex)
 
 
 def as_field(obj, prefix: str = "u",

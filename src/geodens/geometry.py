@@ -191,9 +191,6 @@ class Submanifold:
         """Chart coordinate box, or None when the core is affine (unbounded)."""
         return self.form.domain if isinstance(self.form, ChartForm) else None
 
-    def point_at(self, u) -> np.ndarray:
-        return self.points_at(np.asarray(u, dtype=float).reshape(1, self.dim))[0]
-
     def points_at(self, coords: np.ndarray) -> np.ndarray:
         """Vectorized chart map on an (N, k) coordinate array."""
         coords = np.asarray(coords, dtype=float)

@@ -1,14 +1,16 @@
-"""Frames, density values, and the determinant-power kernels under everything else.
+"""Kernels on frames, density values, and the determinant powers under everything else.
 
-All ambient spaces here are R^n at desk scale (n <= 10), so every routine is
-dense and direct: slogdet, lstsq, pinv, svd.  Degrees are complex throughout;
-|det|^degree is computed as exp(degree * ln|det|).
+A frame is its matrix: tangent and normal frames are (n, k) arrays of column
+vectors, conormal frames are (q, n) arrays of covector rows, and a stack of
+frames adds a leading axis.  All ambient spaces here are R^n at desk scale
+(n <= 10), so every routine is dense and direct: slogdet, lstsq, pinv, svd.
+Degrees are complex throughout; |det|^degree is computed as
+exp(degree * ln|det|).
 """
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -58,84 +60,14 @@ def det_abs_pow(matrix, degree) -> complex:
     return cmath.exp(a * logabs)
 
 
-@dataclass(frozen=True)
-class Frame:
-    """An ordered, independent family of vectors or covectors in R^n.
-
-    Tangent and normal frames store their vectors as columns of an (n, m)
-    matrix; covector frames store rows of an (m, n) matrix, so that
-    ``covectors @ vectors`` is the natural pairing.
-    """
-
-    matrix: np.ndarray
-    kind: str  # "tangent" | "normal" | "covector"
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if m.ndim != 2:
-            raise ValueError("frame matrix must be 2-d")
-        if self.kind not in ("tangent", "normal", "covector"):
-            raise ValueError(f"unknown frame kind {self.kind!r}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        if self.count:
-            sv = np.linalg.svd(self.matrix, compute_uv=False)
-            if sv[-1] <= RANK_TOL * sv[0]:
-                raise RankDeficient(
-                    f"{self.kind} frame of {self.count} vectors has rank "
-                    f"{int(np.sum(sv > RANK_TOL * sv[0]))}")
-
-    @classmethod
-    def tangent(cls, vectors) -> "Frame":
-        return cls(_columns_from(vectors), "tangent")
-
-    @classmethod
-    def normal(cls, vectors) -> "Frame":
-        return cls(_columns_from(vectors), "normal")
-
-    @classmethod
-    def covector(cls, rows) -> "Frame":
-        return cls(np.atleast_2d(np.asarray(rows, dtype=float)), "covector")
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.matrix.shape[1] if self.kind == "covector" else self.matrix.shape[0]
-
-    @property
-    def count(self) -> int:
-        return self.matrix.shape[0] if self.kind == "covector" else self.matrix.shape[1]
-
-    @property
-    def columns(self) -> np.ndarray:
-        """Coefficient vectors as columns, regardless of kind."""
-        return self.matrix.T if self.kind == "covector" else self.matrix
-
-
-def _columns_from(vectors) -> np.ndarray:
-    a = np.asarray(vectors, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None]
-    elif a.ndim == 2:
-        # rows in, columns out
-        a = a.T
-    else:
-        raise ValueError("expected a vector or a sequence of vectors")
-    return a
-
-
-FrameLike = Union[Frame, np.ndarray, list, tuple]
-
-
-def _as_columns(frame: FrameLike) -> np.ndarray:
-    if isinstance(frame, Frame):
-        return frame.columns
+def _as_columns(frame) -> np.ndarray:
     a = np.asarray(frame, dtype=float)
     if a.ndim != 2:
-        raise ValueError("expected a Frame or a 2-d column matrix")
+        raise ValueError("expected a 2-d column matrix")
     return a
 
 
-def change_of_basis(source: FrameLike, target: FrameLike) -> np.ndarray:
+def change_of_basis(source, target) -> np.ndarray:
     """Matrix B with target = source @ B, both frames spanning the same subspace.
 
     Raises SpanMismatch when the counts differ or the residual of the
@@ -158,15 +90,14 @@ def change_of_basis(source: FrameLike, target: FrameLike) -> np.ndarray:
     return b
 
 
-def dual_normal_frame(covectors: FrameLike, tangent: FrameLike | None = None) -> np.ndarray:
+def dual_normal_frame(covectors, tangent=None) -> np.ndarray:
     """Normal vectors n_j (columns) with nu_i(n_j) = delta_ij, minimum-norm choice.
 
     ``covectors`` are q rows in R^n.  When a tangent frame is supplied the
     covectors must annihilate it, |nu_i(t_j)| <= ANNIHILATE_TOL max|nu| max|t|,
     otherwise ConormalMismatch is raised.
     """
-    nu = np.atleast_2d(np.asarray(
-        covectors.matrix if isinstance(covectors, Frame) else covectors, dtype=float))
+    nu = np.atleast_2d(np.asarray(covectors, dtype=float))
     q, n = nu.shape
     if q == 0:
         return np.zeros((n, 0))
@@ -198,10 +129,10 @@ def frame_factors(tangents, rows, degree, solver) -> np.ndarray:
     return out
 
 
-def complete_to_ambient(tangent: FrameLike) -> np.ndarray:
+def complete_to_ambient(tangent) -> np.ndarray:
     """Orthonormal columns spanning the orthogonal complement of a tangent frame,
     or of each frame in an (..., n, k) stack."""
-    t = tangent.columns if isinstance(tangent, Frame) else np.asarray(tangent, dtype=float)
+    t = np.asarray(tangent, dtype=float)
     n, k = t.shape[-2:]
     if k == 0:
         return np.broadcast_to(np.eye(n), t.shape[:-2] + (n, n)).copy()
@@ -211,7 +142,7 @@ def complete_to_ambient(tangent: FrameLike) -> np.ndarray:
     return u[..., k:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityValue:
     """Value of an alpha-density against one frame.
 
@@ -221,8 +152,8 @@ class DensityValue:
 
     value: complex
     degree: complex
-    frame: Frame
+    frame: np.ndarray  # (n, n) columns
 
-    def in_frame(self, other: Frame) -> "DensityValue":
+    def in_frame(self, other) -> "DensityValue":
         b = change_of_basis(self.frame, other)
         return DensityValue(self.value * det_abs_pow(b, self.degree), self.degree, other)

@@ -35,18 +35,11 @@ from .fields import ExprField
 from .geometry import Submanifold
 from .product import inner_product
 from .quadrature import QuadratureOptions, intersect_boxes
-from .states import GeometricState, PairingResult, pair_with_test
+from .states import GeometricState, pair_with_test
 
 ORACLE_ORDER = 12
 TRUNCATION_WIDTHS = 8.0  # keep 8 eps of every Gaussian tail
 DEFAULT_EPS = (0.2, 0.1, 0.05)
-
-
-@dataclass(frozen=True, eq=False)
-class TubeDensity(AmbientDensity):
-    """A smooth ambient density mollifying a specific state."""
-
-    axis_hints: np.ndarray | None = None  # per-axis resolution, eps across the core
 
 
 def _linear_expr(coeffs, origin) -> exprlang.Expr:
@@ -80,12 +73,13 @@ def _times_expr(field: ExprField, factor: exprlang.Expr) -> ExprField:
     return ExprField(re, im, field.prefix, field.params)
 
 
-def mollify(state: GeometricState, eps: float) -> TubeDensity:
+def mollify(state: GeometricState, eps: float) -> AmbientDensity:
     """Gaussian tube of width eps around an affine core, as a real density.
 
-    Requires an affine core, an expression-backed coefficient, and a bounded
-    state support (the truncation box widens it by 8 eps in every normal
-    direction).  The tube has the same degree as the state.
+    Requires an affine core, an expression-backed coefficient, a finite
+    positive eps, and a bounded state support (the truncation box widens it
+    by 8 eps in every normal direction).  The tube has the state's degree and
+    a resolution hint of eps on the axes its conormal frame crosses, 1 elsewhere.
     """
     core = state.core
     if not core.is_affine:
@@ -93,8 +87,8 @@ def mollify(state: GeometricState, eps: float) -> TubeDensity:
             f"mollification needs an affine core, {core.name!r} is a chart")
     if not isinstance(state.coeff, ExprField):
         raise ValueError("mollification needs an expression-backed coefficient")
-    if eps <= 0.0:
-        raise InvalidEps("tube width must be positive")
+    if not 0.0 < eps < math.inf:
+        raise InvalidEps(f"tube width must be positive and finite, got {eps}")
     if core.dim and state.support is None:
         raise UnboundedDomain("mollification needs a bounded state support")
 
@@ -129,8 +123,7 @@ def mollify(state: GeometricState, eps: float) -> TubeDensity:
     support = _tube_box(core, state.support, nu_hat, eps)
     # only axes the conormal frame actually crosses are sharp at scale eps
     crossed = np.sum(np.abs(nu_hat), axis=0) > 1e-9 if nu_hat.size else np.zeros(n, bool)
-    axis_hints = np.where(crossed, eps, 1.0)
-    return TubeDensity(state.degree, field, support, eps, axis_hints)
+    return AmbientDensity(state.degree, field, support, np.where(crossed, eps, 1.0))
 
 
 def _tube_box(core: Submanifold, chart_box, nu_hat: np.ndarray, eps: float) -> np.ndarray:
@@ -173,11 +166,8 @@ def smooth_pair(phi1: AmbientDensity, phi2: AmbientDensity,
 
 
 def _axis_panels(phi: AmbientDensity, box: np.ndarray) -> np.ndarray:
-    hints = getattr(phi, "axis_hints", None)
-    if hints is not None:
-        return np.asarray(hints, dtype=float)
-    scale = phi.resolution_hint if phi.resolution_hint else 1.0
-    return np.full(box.shape[0], scale)
+    hint = 1.0 if phi.resolution_hint is None else phi.resolution_hint
+    return np.broadcast_to(np.asarray(hint, dtype=float), box.shape[:1])
 
 
 def integrate_coefficient(phi: AmbientDensity, box=None,

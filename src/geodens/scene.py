@@ -2,7 +2,7 @@
 
 A scene pins down everything a CLI run needs.  Loading builds the geometry
 and validates every request (including degree compatibility, so a bad scene
-fails before any quadrature runs).  ``normalized()`` returns the canonical
+fails before any quadrature runs).  ``Scene.source`` holds the canonical
 form: expressions reprinted from their parse trees, degrees as [re, im]
 pairs, cores/states/tests sorted by name.  Dumping and reloading the
 normalized form is a fixed point.
@@ -35,9 +35,6 @@ class Scene:
     tests: dict[str, AmbientDensity]
     requests: list[dict]
     source: dict  # normalized form
-
-    def normalized(self) -> dict:
-        return self.source
 
     def dump(self) -> str:
         return json.dumps(self.source, sort_keys=True, indent=2) + "\n"
@@ -78,6 +75,14 @@ def _need(entry: dict, key: str, where: str):
     return entry[key]
 
 
+def _integer(v, what: str) -> int:
+    # 3 and 3.0 count, true and 2.7 do not: int() would truncate them silently
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer)) or \
+            (isinstance(v, float) and not v.is_integer()):
+        raise SceneError(f"{what} must be an integer, got {v!r}")
+    return int(v)
+
+
 def _norm_expr(src) -> str:
     if isinstance(src, (int, float)):
         src = repr(float(src))
@@ -108,7 +113,7 @@ def _box_out(b) -> list[list[float]] | None:
 
 
 def _build(data: dict, overrides: dict[str, float]) -> Scene:
-    ambient = int(_need(data, "ambient", "scene"))
+    ambient = _integer(_need(data, "ambient", "scene"), "scene ambient")
     params = {str(k): float(v) for k, v in (data.get("params") or {}).items()}
     params.update({k: float(v) for k, v in overrides.items()})
 
@@ -269,7 +274,7 @@ def _norm_request(entry: dict, index: int, cores, states, tests, params) -> dict
             _check_degree_sum(states[out["state1"]].degree,
                               states[out["state2"]].degree, where)
         if op == "product" and entry.get("grid") is not None:
-            out["grid"] = int(entry["grid"])
+            out["grid"] = _integer(entry["grid"], f"{where} grid")
             if out["grid"] < 1:
                 raise SceneError(f"{where} needs grid >= 1")
     elif op == "oracle":
@@ -300,7 +305,7 @@ def _norm_request(entry: dict, index: int, cores, states, tests, params) -> dict
         else:
             start = float(_need(entry, "start", where))
             stop = float(_need(entry, "stop", where))
-            count = int(_need(entry, "count", where))
+            count = _integer(_need(entry, "count", where), f"{where} count")
             if count < 2:
                 raise SceneError(f"{where} needs count >= 2")
             out["values"] = [float(v) for v in np.linspace(start, stop, count)]

@@ -77,10 +77,6 @@ class GeometricState:
     conormal: ConormalFamily
     support: np.ndarray | None = None  # (k, 2) chart box
 
-    @property
-    def codim(self) -> int:
-        return self.core.ambient.dim - self.core.dim
-
 
 def make_state(core: Submanifold, degree, coeff, conormal=None,
                support=None) -> GeometricState:

@@ -66,7 +66,7 @@ def test_affine_rejects_rank_deficient_tangent():
 def test_point_core():
     p = Submanifold.point("P", [1.0, -2.0])
     assert p.dim == 0 and p.ambient.dim == 2
-    assert np.allclose(p.point_at(np.zeros(0)), [1.0, -2.0])
+    assert np.allclose(p.points_at(np.zeros((1, 0)))[0], [1.0, -2.0])
     assert p.domain is None
 
 
@@ -110,7 +110,7 @@ def test_implicit_count():
 def test_chart_params():
     c = Submanifold.chart("D", ["u1*cos(phi)", "u1*sin(phi)"], [[-2.0, 2.0]],
                           params={"phi": math.pi / 6})
-    got = c.point_at([2.0])
+    got = c.points_at([[2.0]])[0]
     assert np.allclose(got, [2.0 * math.cos(math.pi / 6), 1.0])
 
 
@@ -119,7 +119,7 @@ def test_chart_params():
 def test_point_at_and_jacobian_on_circle():
     s = unit_circle()
     u = 0.7
-    assert np.allclose(s.point_at([u]), [math.cos(u), math.sin(u)], atol=1e-15)
+    assert np.allclose(s.points_at([[u]])[0], [math.cos(u), math.sin(u)], atol=1e-15)
     jac = frames_many(s, [[u]])[1][0]
     assert np.allclose(jac[:, 0], [-math.sin(u), math.cos(u)], atol=1e-15)
 
@@ -128,7 +128,7 @@ def test_points_at_vectorized_matches_loop():
     s = unit_circle()
     coords = np.linspace(0.1, 6.0, 17)[:, None]
     many = s.points_at(coords)
-    rows = np.array([s.point_at(u) for u in coords])
+    rows = np.array([s.points_at(u[None])[0] for u in coords])
     assert np.allclose(many, rows, atol=1e-15)
 
 

@@ -1,4 +1,4 @@
-"""Determinant powers, frames, change of basis, dual normals."""
+"""Determinant powers, frame factors, change of basis, dual normals."""
 import cmath
 import math
 
@@ -14,11 +14,11 @@ from geodens.errors import (
 )
 from geodens.linalg import (
     DensityValue,
-    Frame,
     change_of_basis,
     complete_to_ambient,
     det_abs_pow,
     dual_normal_frame,
+    frame_factors,
 )
 
 
@@ -74,36 +74,6 @@ def test_det_pow_rejects_non_square():
         det_abs_pow(np.zeros((2, 3)), 1.0)
 
 
-# frames
-
-def test_frame_kinds_and_columns():
-    t = Frame.tangent([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    assert t.matrix.shape == (3, 2)          # vectors are columns
-    assert t.count == 2 and t.ambient_dim == 3
-    c = Frame.covector([[1.0, 0.0, 0.0]])
-    assert c.matrix.shape == (1, 3)          # covectors are rows
-    assert c.count == 1 and c.ambient_dim == 3
-    assert c.columns.shape == (3, 1)
-
-
-def test_frame_rejects_rank_deficiency():
-    with pytest.raises(RankDeficient):
-        Frame.tangent([[1.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(RankDeficient):
-        Frame.covector([[1.0, 2.0], [2.0, 4.0]])
-
-
-def test_frame_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        Frame(np.eye(2), "widget")
-
-
-def test_frame_matrix_is_read_only():
-    f = Frame.tangent([[1.0, 0.0]])
-    with pytest.raises(ValueError):
-        f.matrix[0, 0] = 2.0
-
-
 # change of basis
 
 def test_change_of_basis_recovers_the_matrix():
@@ -133,12 +103,6 @@ def test_change_of_basis_ambient_mismatch():
 
 def test_change_of_basis_empty():
     assert change_of_basis(np.zeros((3, 0)), np.zeros((3, 0))).shape == (0, 0)
-
-
-def test_change_of_basis_accepts_frames():
-    f = Frame.tangent([[2.0, 0.0], [0.0, 3.0]])
-    b = change_of_basis(f, np.eye(2))
-    assert np.allclose(b, np.diag([0.5, 1.0 / 3.0]))
 
 
 # dual normal frames
@@ -175,6 +139,55 @@ def test_dual_normal_empty_family():
     assert dual_normal_frame(np.zeros((0, 3))).shape == (3, 0)
 
 
+# frame factors of a batch
+
+def _per_node(tangents, rows, p):
+    m = max(len(tangents), len(rows))
+    return np.array([det_abs_pow(np.hstack([t, dual_normal_frame(nu, t)]), p)
+                     for t, nu in zip(np.broadcast_to(tangents, (m,) + tangents.shape[1:]),
+                                      np.broadcast_to(rows, (m,) + rows.shape[1:]))])
+
+
+@pytest.mark.parametrize("p", [0.5, -0.5 + 0.25j])
+def test_frame_factors_one_tangent_serves_every_node(p):
+    # one tangent frame of a 2-plane in R^4, one conormal frame per node
+    rng = np.random.default_rng(21)
+    t = rng.normal(size=(4, 2))
+    comp = complete_to_ambient(t).T
+    rows = np.array([(rng.normal(size=(2, 2)) + 3.0 * np.eye(2)) @ comp
+                     for _ in range(5)])
+    got = frame_factors(t[None], rows, p, dual_normal_frame)
+    assert got.shape == (5,)
+    assert np.allclose(got, _per_node(t[None], rows, p), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("p", [0.5, -0.5 + 0.25j])
+def test_frame_factors_one_conormal_serves_every_node(p):
+    # one conormal frame, one tangent frame per node, all in its kernel
+    rng = np.random.default_rng(22)
+    nu = rng.normal(size=(1, 3))
+    kernel = complete_to_ambient(nu.T)
+    tangents = np.array([kernel @ (rng.normal(size=(2, 2)) + 3.0 * np.eye(2))
+                         for _ in range(4)])
+    got = frame_factors(tangents, nu[None], p, dual_normal_frame)
+    assert got.shape == (4,)
+    assert np.allclose(got, _per_node(tangents, nu[None], p), rtol=1e-14, atol=0.0)
+    # a stack of one on both sides is one frame
+    one = frame_factors(tangents[:1], nu[None], p, dual_normal_frame)
+    assert one.shape == (1,) and one[0] == got[0]
+
+
+def test_frame_factors_singular_frame():
+    # the tangent columns repeat, so [t | n] is singular
+    t = np.array([[[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]])
+    nu = np.array([[[0.0, 0.0, 1.0]]])
+    assert frame_factors(t, nu, 0.5, dual_normal_frame)[0] == 0.0
+    assert frame_factors(t, nu, 0.5 + 2.0j, dual_normal_frame)[0] == 0.0
+    for p in (0.0, -0.5, 1j):
+        with pytest.raises(SingularFrame):
+            frame_factors(t, nu, p, dual_normal_frame)
+
+
 # orthonormal completion
 
 def test_complete_to_ambient():
@@ -202,10 +215,17 @@ def test_density_value_transformation_law():
     m = rng.normal(size=(3, 3)) + 2.0 * np.eye(3)
     b = rng.normal(size=(3, 3)) + 2.0 * np.eye(3)
     alpha = 0.5 + 0.25j
-    v1 = DensityValue(1.3 + 0.0j, alpha, Frame(m, "tangent"))
-    v2 = v1.in_frame(Frame(m @ b, "tangent"))
+    v1 = DensityValue(1.3 + 0.0j, alpha, m)
+    v2 = v1.in_frame(m @ b)
     assert v2.value == pytest.approx(1.3 * det_abs_pow(b, alpha), rel=1e-12)
     # returning to the original frame undoes the factor
     back = v2.in_frame(v1.frame)
     assert back.value == pytest.approx(v1.value, rel=1e-10)
 
+
+def test_density_values_compare_by_identity():
+    # the frame is an array, so field-wise == would be ambiguous
+    v = DensityValue(1.0 + 0.0j, 0.5, np.eye(2))
+    assert v == v
+    assert v != DensityValue(1.0 + 0.0j, 0.5, np.eye(2))
+    assert len({v, v}) == 1

@@ -23,7 +23,6 @@ from geodens.fields import ExprField
 from geodens.geometry import Submanifold
 from geodens.oracle import (
     DEFAULT_EPS,
-    TubeDensity,
     compare_inner,
     compare_pairing,
     converge_check,
@@ -70,21 +69,27 @@ def test_mollify_rejects_bad_width_and_missing_support():
         mollify(make_state(x_axis(), 0.5, "1"), 0.1)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_mollify_rejects_non_finite_width(eps):
+    # a NaN width would slip past "eps <= 0" and give an all-NaN support box
+    with pytest.raises(InvalidEps):
+        mollify(unit_state(x_axis()), eps)
+
+
 # tube structure
 
 def test_tube_fields():
     eps = 0.1
     th = make_state(x_axis(), 0.5, "exp(-u1^2)", support=[[-8.0, 8.0]])
     tube = mollify(th, eps)
-    assert isinstance(tube, TubeDensity)
+    assert isinstance(tube, AmbientDensity)
     assert tube.degree == th.degree
-    assert tube.resolution_hint == eps
     assert isinstance(tube.coeff, ExprField)
     # box: the chart image, widened by 8 eps across the core
     assert np.allclose(tube.support[0], [-8.0, 8.0], atol=1e-12)
     assert np.allclose(tube.support[1], [-0.8, 0.8], atol=1e-12)
     # only the crossed axis is sharp
-    assert np.allclose(tube.axis_hints, [1.0, eps])
+    assert np.allclose(tube.resolution_hint, [1.0, eps])
 
 
 def test_tube_coefficient_on_the_core():
@@ -92,10 +97,10 @@ def test_tube_coefficient_on_the_core():
     th = make_state(x_axis(), 0.5, "exp(-u1^2)", support=[[-8.0, 8.0]])
     tube = mollify(th, eps)
     peak = 1.0 / math.sqrt(2.0 * math.pi * eps * eps)
-    got = tube.coefficient_at([0.3, 0.0])
+    got = tube.coeff([0.3, 0.0])
     assert got == pytest.approx(math.exp(-0.09) * peak, rel=1e-13)
     # one width out, the profile drops by exp(-1/2)
-    got = tube.coefficient_at([0.3, eps])
+    got = tube.coeff([0.3, eps])
     assert got == pytest.approx(math.exp(-0.09) * peak * math.exp(-0.5), rel=1e-13)
 
 

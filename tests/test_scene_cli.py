@@ -62,7 +62,7 @@ def test_dump_is_a_fixed_point(name):
 
 
 def test_normalized_form_details():
-    norm = load_scene(SCENES / "tilted_lines.json").normalized()
+    norm = load_scene(SCENES / "tilted_lines.json").source
     names = [c["name"] for c in norm["cores"]]
     assert names == sorted(names)
     psi1 = next(s for s in norm["states"] if s["name"] == "psi1")
@@ -199,6 +199,43 @@ def negative_resolution(d):
     d["tests"][0]["resolution"] = -0.1
 
 
+def ambient_fractional(d):
+    d["ambient"] = 2.7
+
+
+def ambient_bool(d):
+    d["ambient"] = True
+
+
+def ambient_infinite(d):
+    # json reads 1e999 as inf, which int() cannot convert
+    d["ambient"] = math.inf
+
+
+def product_grid_fractional(d):
+    d["requests"][0] = {"op": "product", "state1": "s", "state2": "s",
+                        "intersection": "E", "grid": 2.5}
+
+
+def product_grid_bool(d):
+    d["requests"][0] = {"op": "product", "state1": "s", "state2": "s",
+                        "intersection": "E", "grid": True}
+
+
+def sweep_count_fractional(d):
+    d["params"] = {"a": 1.0}
+    d["requests"][0] = {"op": "sweep", "param": "a", "start": 0.0, "stop": 1.0,
+                        "count": 2.5,
+                        "request": {"op": "pair", "state": "s", "test": "t"}}
+
+
+def sweep_count_bool(d):
+    d["params"] = {"a": 1.0}
+    d["requests"][0] = {"op": "sweep", "param": "a", "start": 0.0, "stop": 1.0,
+                        "count": True,
+                        "request": {"op": "pair", "state": "s", "test": "t"}}
+
+
 def ambient_mismatch(d):
     d["cores"][0] = {"name": "X", "kind": "affine", "base": [0, 0, 0],
                      "tangent": [[1, 0, 0]]}
@@ -211,12 +248,31 @@ def ambient_mismatch(d):
     sweep_short_range, sweep_non_scalar, ambient_mismatch,
     reversed_request_support, support_rows_off_dimension,
     check_sample_outside_ambient, product_grid_zero, negative_resolution,
+    ambient_fractional, ambient_bool, ambient_infinite, product_grid_fractional,
+    product_grid_bool,
+    sweep_count_fractional, sweep_count_bool,
 ], ids=lambda f: f.__name__)
 def test_malformed_scene_raises(mutate):
     data = minimal_scene()
     mutate(data)
     with pytest.raises(SceneError):
         scene_from_dict(data)
+
+
+def test_integral_floats_are_integers():
+    data = minimal_scene()
+    data["ambient"] = 2.0
+    data["params"] = {"a": 1.0}
+    data["requests"] = [
+        {"op": "product", "state1": "s", "state2": "s", "intersection": "E",
+         "grid": 3.0},
+        {"op": "sweep", "param": "a", "start": 0.0, "stop": 1.0, "count": 3.0,
+         "request": {"op": "pair", "state": "s", "test": "t"}},
+    ]
+    scene = scene_from_dict(data)
+    assert scene.ambient == 2 and type(scene.source["ambient"]) is int
+    assert scene.requests[0]["grid"] == 3
+    assert scene.requests[1]["values"] == [0.0, 0.5, 1.0]
 
 
 def test_scene_must_be_an_object():

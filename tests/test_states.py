@@ -50,7 +50,7 @@ def test_make_state_default_conormal_is_the_complement():
     assert abs(rows[0, 0]) <= 1e-14 and abs(abs(rows[0, 1]) - 1.0) <= 1e-14
     # an affine core has one frame for the whole batch
     assert th.conormal.rows_many(np.linspace(-8.0, 8.0, 5)[:, None]).shape == (1, 1, 2)
-    assert th.codim == 1
+    assert th.core.ambient.dim - th.core.dim == 1
 
 
 def test_make_state_explicit_rows():

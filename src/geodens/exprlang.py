@@ -19,6 +19,8 @@ Evaluation works on floats and, elementwise, on numpy arrays.  ``diff``
 builds the derivative of a tree as another tree, so derivatives evaluate
 through the same vectorized ``evaluate`` as values; ``jacobian`` evaluates
 them at a point.  Derivatives are exact, no finite differences anywhere.
+A domain guard costs a pass over an array only when the operand that
+decides it can trigger it: ``x^2`` never scans ``x``, ``x^0.5`` does.
 """
 from __future__ import annotations
 
@@ -250,9 +252,9 @@ def _pow(a, b):
     av = np.asarray(a, dtype=float)
     bv = np.asarray(b, dtype=float)
     nonint = bv != np.round(bv)
-    if np.any((av < 0.0) & nonint):
+    if np.any(nonint) and np.any((av < 0.0) & nonint):
         raise DomainError("negative base with non-integer exponent")
-    if np.any((av == 0.0) & (bv < 0.0)):
+    if np.any(bv < 0.0) and np.any((av == 0.0) & (bv < 0.0)):
         raise DomainError("zero base with negative exponent")
     return a ** b
 

@@ -75,28 +75,33 @@ def _need(entry: dict, key: str, where: str):
     return entry[key]
 
 
+def _number(v, what: str) -> float:
+    # float() alone would take true, "3", "nan" and "inf"; json reads 1e999 as inf
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or \
+            not abs(v) <= np.finfo(float).max:
+        raise SceneError(f"{what} must be a finite number, got {v!r}")
+    return float(v)
+
+
 def _integer(v, what: str) -> int:
     # 3 and 3.0 count, true and 2.7 do not: int() would truncate them silently
-    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer)) or \
-            (isinstance(v, float) and not v.is_integer()):
+    if not _number(v, what).is_integer():
         raise SceneError(f"{what} must be an integer, got {v!r}")
     return int(v)
 
 
 def _norm_expr(src) -> str:
     if isinstance(src, (int, float)):
-        src = repr(float(src))
+        src = repr(_number(src, "numeric expression"))
     if not isinstance(src, str):
         raise SceneError(f"expected an expression string, got {type(src).__name__}")
     return exprlang.to_source(exprlang.parse(src))
 
 
 def _degree_in(v) -> complex:
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    if isinstance(v, (int, float)):
-        return complex(float(v), 0.0)
-    raise SceneError(f"bad degree {v!r}: expected a number or [re, im]")
+    real, imag = v if isinstance(v, (list, tuple)) and len(v) == 2 else (v, 0.0)
+    what = "degree (a number or [re, im])"
+    return complex(_number(real, what), _number(imag, what))
 
 
 def _degree_out(c: complex) -> list[float]:
@@ -106,16 +111,16 @@ def _degree_out(c: complex) -> list[float]:
 def _box_out(b) -> list[list[float]] | None:
     if b is None:
         return None
-    arr = np.asarray(b, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    return [[float(lo), float(hi)] for lo, hi in arr]
+    rows = np.asarray(b, dtype=object)
+    if rows.ndim == 1:
+        rows = rows[None, :]
+    return [[_number(lo, "box bound"), _number(hi, "box bound")] for lo, hi in rows]
 
 
 def _build(data: dict, overrides: dict[str, float]) -> Scene:
     ambient = _integer(_need(data, "ambient", "scene"), "scene ambient")
-    params = {str(k): float(v) for k, v in (data.get("params") or {}).items()}
-    params.update({k: float(v) for k, v in overrides.items()})
+    params = {str(k): _number(v, f"param {k!r}")
+              for k, v in {**(data.get("params") or {}), **overrides}.items()}
 
     norm: dict = {"ambient": ambient,
                   "params": {k: params[k] for k in sorted(params)}}
@@ -130,14 +135,17 @@ def _build(data: dict, overrides: dict[str, float]) -> Scene:
         implicit = entry.get("implicit")
         ncore: dict = {"name": name, "kind": kind}
         if kind == "affine":
-            base = [float(v) for v in _need(entry, "base", f"core {name!r}")]
-            tangent = [[float(v) for v in row] for row in entry.get("tangent") or []]
+            base = [_number(v, "core base")
+                    for v in _need(entry, "base", f"core {name!r}")]
+            tangent = [[_number(v, "core tangent") for v in row]
+                       for row in entry.get("tangent") or []]
             core = Submanifold.affine(name, base, np.array(tangent, dtype=float).T
                                       if tangent else np.zeros((len(base), 0)),
                                       implicit=implicit, params=params)
             ncore.update(base=base, tangent=tangent)
         elif kind == "point":
-            location = [float(v) for v in _need(entry, "location", f"core {name!r}")]
+            location = [_number(v, "core location")
+                        for v in _need(entry, "location", f"core {name!r}")]
             core = Submanifold.point(name, location)
             ncore.update(location=location)
         elif kind == "chart":
@@ -168,18 +176,18 @@ def _build(data: dict, overrides: dict[str, float]) -> Scene:
             raise SceneError(f"state {name!r} references unknown core {core_name!r}")
         degree = _degree_in(_need(entry, "degree", f"state {name!r}"))
         coeff = _norm_expr(_need(entry, "coeff", f"state {name!r}"))
-        support = entry.get("support")
+        support = _box_out(entry.get("support"))
         conormal = entry.get("conormal")
-        states[name] = make_state(
-            cores[core_name], degree, coeff,
-            conormal=None if conormal is None else np.asarray(conormal, dtype=float),
-            support=support)
+        if conormal is not None:
+            conormal = [[_number(v, "conormal") for v in row] for row in conormal]
+        states[name] = make_state(cores[core_name], degree, coeff,
+                                  conormal=conormal, support=support)
         nstate = {"name": name, "core": core_name, "degree": _degree_out(degree),
                   "coeff": coeff}
         if support is not None:
-            nstate["support"] = _box_out(support)
+            nstate["support"] = support
         if conormal is not None:
-            nstate["conormal"] = [[float(v) for v in row] for row in conormal]
+            nstate["conormal"] = conormal
         norm_states.append(nstate)
     norm["states"] = sorted(norm_states, key=lambda s: s["name"])
 
@@ -191,9 +199,9 @@ def _build(data: dict, overrides: dict[str, float]) -> Scene:
             raise SceneError(f"duplicate test density name {name!r}")
         degree = _degree_in(_need(entry, "degree", f"test {name!r}"))
         coeff = _norm_expr(_need(entry, "coeff", f"test {name!r}"))
-        support = entry.get("support")
+        support = _box_out(entry.get("support"))
         resolution = entry.get("resolution")
-        if resolution is not None and not float(resolution) > 0.0:
+        if resolution is not None and not _number(resolution, "resolution") > 0.0:
             raise SceneError(f"test {name!r} needs a positive resolution")
         tests[name] = AmbientDensity.make(
             degree, coeff, support=support,
@@ -201,7 +209,7 @@ def _build(data: dict, overrides: dict[str, float]) -> Scene:
             params=params)
         ntest = {"name": name, "degree": _degree_out(degree), "coeff": coeff}
         if support is not None:
-            ntest["support"] = _box_out(support)
+            ntest["support"] = support
         if resolution is not None:
             ntest["resolution"] = float(resolution)
         norm_tests.append(ntest)
@@ -236,7 +244,7 @@ def _norm_request(entry: dict, index: int, cores, states, tests, params) -> dict
 
     def support_box():
         # a chart box on the intersection, whose dimension transversality fixes
-        box = as_box(entry["support"])
+        box = as_box(_box_out(entry["support"]))
         c, d = states[out["state1"]].core, states[out["state2"]].core
         dim = c.dim + d.dim - c.ambient.dim
         if box.shape[0] != dim:
@@ -252,7 +260,7 @@ def _norm_request(entry: dict, index: int, cores, states, tests, params) -> dict
             if name not in cores:
                 raise SceneError(f"{where} references unknown core {name!r}")
         if entry.get("samples") is not None:
-            out["samples"] = [[float(v) for v in p] for p in entry["samples"]]
+            out["samples"] = [[_number(v, "sample") for v in p] for p in entry["samples"]]
             n = cores[out["cores"][0]].ambient.dim
             if any(len(p) != n for p in out["samples"]):
                 raise SceneError(f"{where} has a sample that is not a point of R^{n}")
@@ -295,16 +303,16 @@ def _norm_request(entry: dict, index: int, cores, states, tests, params) -> dict
             _check_degree_sum(states[out["state1"]].degree,
                               states[out["state2"]].degree, where)
         if entry.get("eps") is not None:
-            out["eps"] = [float(e) for e in entry["eps"]]
+            out["eps"] = [_number(e, f"{where} eps") for e in entry["eps"]]
     else:  # sweep
         out["param"] = str(_need(entry, "param", where))
         if out["param"] not in params:
             raise SceneError(f"{where} sweeps unknown parameter {out['param']!r}")
         if entry.get("values") is not None:
-            out["values"] = [float(v) for v in entry["values"]]
+            out["values"] = [_number(v, f"{where} value") for v in entry["values"]]
         else:
-            start = float(_need(entry, "start", where))
-            stop = float(_need(entry, "stop", where))
+            start = _number(_need(entry, "start", where), f"{where} start")
+            stop = _number(_need(entry, "stop", where), f"{where} stop")
             count = _integer(_need(entry, "count", where), f"{where} count")
             if count < 2:
                 raise SceneError(f"{where} needs count >= 2")

@@ -26,6 +26,7 @@ from geodens.exprlang import (
     Neg,
     Num,
     Var,
+    _pow,
     evaluate,
     jacobian,
     parse,
@@ -156,6 +157,66 @@ def test_vectorized_evaluation():
 def test_vectorized_domain_error():
     with pytest.raises(DomainError):
         evaluate(parse("log(u1)"), {"u1": np.array([1.0, -1.0])})
+
+
+def reference_pow(a, b):
+    # both guards scan the base whatever the exponent
+    av = np.asarray(a, dtype=float)
+    bv = np.asarray(b, dtype=float)
+    nonint = bv != np.round(bv)
+    if np.any((av < 0.0) & nonint):
+        raise DomainError("negative base with non-integer exponent")
+    if np.any((av == 0.0) & (bv < 0.0)):
+        raise DomainError("zero base with negative exponent")
+    return a ** b
+
+
+def _pow_outcome(pow_, a, b):
+    try:
+        return pow_(a, b)
+    except DomainError as exc:
+        return str(exc)
+
+
+SPECIAL = [2.0, 0.0, -1.0, -2.0, 0.5, -0.5, math.nan, math.inf, -math.inf]
+BASE_ARRAYS = [
+    np.array([-2.0, -0.5, 0.0, -0.0, 1.5, math.nan, math.inf, -math.inf]),
+    np.array([-2.0, -0.5, -math.inf]),
+    np.array([-0.5, 2.0]),
+    np.array([0.0, -0.0]),
+    np.array([-0.0, 1.0]),
+    np.array([1.5, 3.0, math.nan, math.inf]),
+]
+EXPONENT_ARRAYS = [
+    np.array(SPECIAL)[:, None],  # every base against every exponent
+    np.array([[2.0], [3.0], [-4.0]]),
+    np.array([[2.0], [0.5]]),
+    np.array([[2.0], [-1.0]]),
+    np.array([[math.nan]]),
+]
+
+
+def test_pow_guards_match_the_reference():
+    # _pow decides each guard on the exponent before it scans the base; its
+    # values and DomainError messages must be exactly those of reference_pow
+    bases = BASE_ARRAYS + [-2.0, -0.5, 0.0, -0.0, math.nan, math.inf]
+    bases += [np.array(v) for v in (-2.0, 0.0, -0.0, math.nan, 1.5)]
+    exponents = SPECIAL + [np.array(v) for v in SPECIAL] + EXPONENT_ARRAYS
+    messages = set()
+    for a in bases:
+        for b in exponents:
+            want = _pow_outcome(reference_pow, a, b)
+            got = _pow_outcome(_pow, a, b)
+            assert type(got) is type(want), (a, b, want, got)
+            if isinstance(want, str):
+                assert got == want, (a, b)
+                messages.add(want)
+            else:
+                assert np.shape(got) == np.shape(want), (a, b)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (a, b)
+                assert np.array_equal(got, want, equal_nan=True), (a, b)
+    assert messages == {"negative base with non-integer exponent",
+                        "zero base with negative exponent"}
 
 
 def _evaluate_and_forget(source, value):

@@ -241,6 +241,45 @@ def ambient_mismatch(d):
                      "tangent": [[1, 0, 0]]}
 
 
+# float() takes these strings and true, and json reads 1e999 as inf; none of
+# them is a finite number
+NOT_NUMBERS = {"nan_string": "nan", "inf_string": "inf", "json_1e999": math.inf,
+               "numeric_string": "3", "true": True}
+
+
+def in_params(d, v):
+    d["params"] = {"a": v}
+
+
+def in_core_base(d, v):
+    d["cores"][0]["base"] = [v, 0]
+
+
+def in_degree(d, v):
+    d["states"][0]["degree"] = [0.5, v]
+
+
+def in_support_box(d, v):
+    d["states"][0]["support"] = [[-1, v]]
+
+
+def in_eps_list(d, v):
+    d["requests"].append({"op": "oracle", "state": "s", "test": "t",
+                          "eps": [0.1, v]})
+
+
+def _put_not_number(place, label):
+    def mutate(d):
+        place(d, NOT_NUMBERS[label])
+    mutate.__name__ = f"{place.__name__}_{label}"
+    return mutate
+
+
+NOT_NUMBER_PLACES = (in_params, in_core_base, in_degree, in_support_box, in_eps_list)
+NOT_NUMBER_MUTATIONS = [_put_not_number(place, label)
+                        for place in NOT_NUMBER_PLACES for label in NOT_NUMBERS]
+
+
 @pytest.mark.parametrize("mutate", [
     drop_ambient, unknown_kind, duplicate_core, missing_core_field,
     state_unknown_core, bad_degree, bad_expression, unknown_op,
@@ -250,7 +289,7 @@ def ambient_mismatch(d):
     check_sample_outside_ambient, product_grid_zero, negative_resolution,
     ambient_fractional, ambient_bool, ambient_infinite, product_grid_fractional,
     product_grid_bool,
-    sweep_count_fractional, sweep_count_bool,
+    sweep_count_fractional, sweep_count_bool, *NOT_NUMBER_MUTATIONS,
 ], ids=lambda f: f.__name__)
 def test_malformed_scene_raises(mutate):
     data = minimal_scene()
@@ -448,6 +487,23 @@ def test_cli_bad_expression_exit_2(tmp_path):
     proc = run_cli("pair", bad)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("text, old, new", [
+    ((SCENES / "tilted_lines.json").read_text(), '"phi": 0.5235987755982988',
+     '"phi": 1e999'),
+    (json.dumps(minimal_scene()), '"base": [0, 0]', '"base": ["nan", 0]'),
+], ids=["param_1e999", "base_nan_string"])
+def test_cli_non_finite_number_exit_2(tmp_path, text, old, new):
+    # json reads 1e999 as inf and float() reads "nan"; neither may reach cos()
+    # or the quadrature
+    assert old in text
+    bad = tmp_path / "nonfinite.json"
+    bad.write_text(text.replace(old, new))
+    proc = run_cli("pair", bad)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Warning" not in proc.stderr
 
 
 def test_cli_disjoint_cores_exit_3(tmp_path):

@@ -27,7 +27,7 @@ class AmbientDensity:
     degree: complex
     coeff: ScalarField
     support: np.ndarray | None = None     # (n, 2) truncation hint, ambient coords
-    resolution_hint: float | np.ndarray | None = None  # finest scale, or one per axis
+    resolution_hint: float | np.ndarray | None = None  # panel width, or one per axis
 
     @classmethod
     def make(cls, degree, coeff, support=None, resolution_hint=None,

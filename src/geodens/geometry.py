@@ -421,7 +421,9 @@ def transversality_check(c: Submanifold, d: Submanifold,
             f"sample {x[i]} is off-core (distances {rc[i]:.3g}, {rd[i]:.3g})")
     joint = np.concatenate([np.broadcast_to(t, (len(x),) + t.shape[1:])
                             for t in (c._tangents(uc), d._tangents(ud))], axis=2)
-    sv = np.linalg.svd(joint, compute_uv=False)
+    # unit columns: the verdict must not depend on how long a chart's tangents are
+    lengths = np.linalg.norm(joint, axis=1, keepdims=True)
+    sv = np.linalg.svd(joint / np.where(lengths > 0.0, lengths, 1.0), compute_uv=False)
     ranks = np.sum(sv > linalg.RANK_TOL * sv[:, :1], axis=1).tolist()
     out = [TransversalitySample(p, rank, rank == n) for p, rank in zip(x, ranks)]
     return TransversalityReport(c.name, d.name, n, c.dim + d.dim - n, tuple(out))

@@ -16,6 +16,7 @@ composite panel rule sized by the tube width.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +40,12 @@ from .states import GeometricState, pair_with_test
 
 ORACLE_ORDER = 12
 TRUNCATION_WIDTHS = 8.0  # keep 8 eps of every Gaussian tail
+# Panels are 2 tube widths wide: along axis i a tube Gaussian has deviation
+# eps / |nu_hat[:, i]|, and smooth_pair takes the smaller width of two densities,
+# so a panel spans at most 2 sqrt(2) < 3 deviations of a product of two tubes.
+# The order-12 rule is at round-off up to 3 deviations (oracle values on 2 and
+# 3 eps panels match eps panels to 4.5e-16) and loses digits at 4 (1.9e-12).
+PANEL_WIDTHS = 2.0
 DEFAULT_EPS = (0.2, 0.1, 0.05)
 
 
@@ -79,7 +86,7 @@ def mollify(state: GeometricState, eps: float) -> AmbientDensity:
     Requires an affine core, an expression-backed coefficient, a finite
     positive eps, and a bounded state support (the truncation box widens it
     by 8 eps in every normal direction).  The tube has the state's degree and
-    a resolution hint of eps on the axes its conormal frame crosses, 1 elsewhere.
+    a resolution hint of PANEL_WIDTHS tube widths, at most 1, on each axis.
     """
     core = state.core
     if not core.is_affine:
@@ -92,24 +99,16 @@ def mollify(state: GeometricState, eps: float) -> AmbientDensity:
     if core.dim and state.support is None:
         raise UnboundedDomain("mollification needs a bounded state support")
 
-    n, k = core.ambient.dim, core.dim
+    k = core.dim
     x0, t = core.form.base, core.form.tangent
-    if k:
-        q_mat, r_mat = np.linalg.qr(t)
-        proj = np.linalg.pinv(t)  # u(x) = proj @ (x - x0) for points near the core
-        tangent_factor = linalg.det_abs_pow(np.linalg.inv(r_mat), state.degree)
-    else:
-        q_mat = np.zeros((n, 0))
-        proj = np.zeros((0, n))
-        tangent_factor = 1.0 + 0.0j
-    nu_hat = linalg.complete_to_ambient(q_mat if k else np.zeros((n, 0))).T
-    nu_decl = state.conormal.rows_at(np.zeros(k))
-    if nu_hat.shape[0]:
-        # nu_hat = b_nu @ nu_decl; SpanMismatch if the declared family is not conormal
-        b_nu = linalg.change_of_basis(nu_decl.T, nu_hat.T).T
-        conormal_factor = linalg.det_abs_pow(b_nu, 1.0 - state.degree)
-    else:
-        conormal_factor = 1.0 + 0.0j
+    # t is (n, 0) on a point core, nu_hat (0, n) on a full-space one; empty frames give 1
+    q_mat, r_mat = np.linalg.qr(t)
+    proj = np.linalg.pinv(t)  # u(x) = proj @ (x - x0) for points near the core
+    tangent_factor = linalg.det_abs_pow(np.linalg.inv(r_mat), state.degree)
+    nu_hat = linalg.complete_to_ambient(q_mat).T
+    # nu_hat = b_nu @ nu_decl; SpanMismatch if the declared family is not conormal
+    b_nu = linalg.change_of_basis(state.conormal.rows_at(np.zeros(k)).T, nu_hat.T).T
+    conormal_factor = linalg.det_abs_pow(b_nu, 1.0 - state.degree)
 
     coord_exprs = {f"u{i + 1}": _linear_expr(proj[i], x0) for i in range(k)}
     field = ExprField(
@@ -121,22 +120,17 @@ def mollify(state: GeometricState, eps: float) -> AmbientDensity:
         field = _times_expr(field, _gaussian_expr(_linear_expr(nu_hat[j], x0), eps))
 
     support = _tube_box(core, state.support, nu_hat, eps)
-    # only axes the conormal frame actually crosses are sharp at scale eps
-    crossed = np.sum(np.abs(nu_hat), axis=0) > 1e-9 if nu_hat.size else np.zeros(n, bool)
-    return AmbientDensity(state.degree, field, support, np.where(crossed, eps, 1.0))
+    # the tube is eps / reach wide along each axis; one it does not cross gets 1
+    reach = np.linalg.norm(nu_hat, axis=0)
+    hint = np.where(reach > 1e-9, PANEL_WIDTHS * eps / np.maximum(reach, 1e-9), 1.0)
+    return AmbientDensity(state.degree, field, support, np.minimum(hint, 1.0))
 
 
 def _tube_box(core: Submanifold, chart_box, nu_hat: np.ndarray, eps: float) -> np.ndarray:
-    n, k = core.ambient.dim, core.dim
     x0, t = core.form.base, core.form.tangent
-    if k:
-        corners = np.array([[box_row[i] for box_row, i in zip(chart_box, bits)]
-                            for bits in np.ndindex(*(2,) * k)])
-        images = x0 + corners @ t.T
-    else:
-        images = x0[None, :]
-    margin = TRUNCATION_WIDTHS * eps * np.sum(np.abs(nu_hat), axis=0) if nu_hat.size \
-        else np.zeros(n)
+    corners = np.array(list(itertools.product(*chart_box))) if core.dim else np.zeros((1, 0))
+    images = x0 + corners @ t.T
+    margin = TRUNCATION_WIDTHS * eps * np.sum(np.abs(nu_hat), axis=0)
     return np.stack([images.min(axis=0) - margin, images.max(axis=0) + margin], axis=1)
 
 

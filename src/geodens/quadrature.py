@@ -8,6 +8,7 @@ fixed-order global rule cannot see those.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -78,6 +79,7 @@ def tensor_rule(box, order: int):
     k = b.shape[0]
     if k == 0:
         return np.zeros((1, 0)), np.ones(1)
+    _check_budget(order ** k, f"a {k}-D order-{order} rule")
     return _tensorize([_axis_nodes(lo, hi, order) for lo, hi in b])
 
 
@@ -94,10 +96,12 @@ def composite_rule(box, panel_width, order: int = 12):
     widths = np.broadcast_to(np.asarray(panel_width, dtype=float), (k,))
     if np.any(widths <= 0.0):
         raise ValueError("panel width must be positive")
+    panels = [min(MAX_PANELS_PER_AXIS, max(1, int(np.ceil((hi - lo) / pw))))
+              for (lo, hi), pw in zip(b, widths)]
+    _check_budget(math.prod(panels) * order ** k, f"a {k}-D composite rule")
     axes = []
-    for (lo, hi), pw in zip(b, widths):
-        panels = min(MAX_PANELS_PER_AXIS, max(1, int(np.ceil((hi - lo) / pw))))
-        edges = np.linspace(lo, hi, panels + 1)[:, None]
+    for (lo, hi), m in zip(b, panels):
+        edges = np.linspace(lo, hi, m + 1)[:, None]
         # a (panels, order) block: raveled, the panels follow one another
         x, w = _axis_nodes(edges[:-1], edges[1:], order)
         axes.append((x.ravel(), w.ravel()))
@@ -127,6 +131,16 @@ def weighted_sum(f_many, points: np.ndarray, weights: np.ndarray) -> complex:
 
 
 MAX_ORDER = 512
+# Largest grid a rule may build: 1.07 GB of 3-D points and weights.  A 3-D
+# order-256 or 4-D order-64 level (16.8 M nodes) fits; the 134 M-node 3-D
+# order-512 level (4.3 GB) does not.
+MAX_NODES = 1 << 25
+
+
+def _check_budget(nodes: int, what: str) -> None:
+    if nodes > MAX_NODES:
+        raise QuadratureNotConverged(
+            f"{what} needs {nodes:,} nodes, over the node budget of {MAX_NODES:,}")
 
 
 def integrate(f_many, box, options: QuadratureOptions | None = None):
@@ -136,7 +150,8 @@ def integrate(f_many, box, options: QuadratureOptions | None = None):
     difference against the previous order.  Orders keep doubling from the
     base until the estimate meets tolerance or MAX_ORDER is reached;
     enforcement of the final estimate is the caller's decision, see
-    ``ensure_converged``.
+    ``ensure_converged``.  A level whose grid would pass MAX_NODES raises
+    QuadratureNotConverged instead of being built.
     """
     opts = options or QuadratureOptions()
     b = as_box(box)

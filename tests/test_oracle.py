@@ -11,24 +11,33 @@ import math
 import numpy as np
 import pytest
 
+from geodens import quadrature
 from geodens.density import AmbientDensity
 from geodens.errors import (
     DegreeMismatch,
     InvalidEps,
     NonAffineCore,
     NonConvergent,
+    QuadratureNotConverged,
     UnboundedDomain,
 )
 from geodens.fields import ExprField
 from geodens.geometry import Submanifold
 from geodens.oracle import (
     DEFAULT_EPS,
+    ORACLE_ORDER,
+    PANEL_WIDTHS,
     compare_inner,
     compare_pairing,
     converge_check,
     integrate_coefficient,
     mollify,
     smooth_pair,
+)
+from geodens.quadrature import (
+    composite_rule,
+    intersect_boxes,
+    weighted_sum,
 )
 from geodens.states import make_state, pair_with_test, recombine_conormal
 
@@ -88,8 +97,12 @@ def test_tube_fields():
     # box: the chart image, widened by 8 eps across the core
     assert np.allclose(tube.support[0], [-8.0, 8.0], atol=1e-12)
     assert np.allclose(tube.support[1], [-0.8, 0.8], atol=1e-12)
-    # only the crossed axis is sharp
-    assert np.allclose(tube.resolution_hint, [1.0, eps])
+    # panels two tube widths wide on the crossed axis, 1 wide along the core
+    assert np.allclose(tube.resolution_hint, [1.0, PANEL_WIDTHS * eps])
+    # a tilted tube is eps / |nu_hat[:, i]| wide along axis i
+    tilted = mollify(make_state(Submanifold.affine("D", [0.0, 0.0], [0.8, 0.6]),
+                                0.5, "1", support=[[-8.0, 8.0]]), eps)
+    assert np.allclose(tilted.resolution_hint, PANEL_WIDTHS * eps / np.array([0.6, 0.8]))
 
 
 def test_tube_coefficient_on_the_core():
@@ -150,6 +163,93 @@ def test_crossed_gaussian_tubes_analytic_value():
         got = smooth_pair(mollify(sx, eps), mollify(sy, eps))
         want = 1.0 / (1.0 + 2.0 * eps * eps)
         assert got == pytest.approx(want, rel=1e-8)
+
+
+def plane(name, *tangents):
+    return Submanifold.affine(name, [0.0, 0.0, 0.0], np.array(tangents, dtype=float).T)
+
+
+def line(name, angle, offset=0.0):
+    return Submanifold.affine(name, [-offset * math.sin(angle), offset * math.cos(angle)],
+                              [math.cos(angle), math.sin(angle)])
+
+
+def sweep_planes():
+    # the z=0 and y=0 planes of the oracle-sweep benchmark, on a 6-panel x1 window
+    p1 = make_state(plane("P1", [1, 0, 0], [0, 1, 0]), 0.5, "exp(-u1^2/0.45-u2^2/1.1)",
+                    support=[[-2.7, 2.8], [-8.0, 8.0]])
+    p2 = make_state(plane("P2", [1, 0, 0], [0, 0, 1]), 0.5, "exp(-u1^2/0.42-u2^2/0.9)",
+                    support=[[-2.9, 2.6], [-8.0, 8.0]])
+    return p1, p2
+
+
+def gaussian_test(n, centre):
+    arg = "+".join(f"(x{i + 1}-{c})^2" for i, c in enumerate(centre))
+    return AmbientDensity.make(0.5, f"exp(-({arg})/1.1)", support=[[-8.0, 8.0]] * n)
+
+
+def eps_panel_pair(phi1, phi2, widths):
+    """The reference: smooth_pair's integral on panels of the given widths,
+    eps on each axis a tube crosses and 1 elsewhere."""
+    box = intersect_boxes(phi1.support, phi2.support)
+    points, weights = composite_rule(box, widths, ORACLE_ORDER)
+    return weighted_sum(lambda p: phi1.coeff.eval_many(p) * phi2.coeff.eval_many(p),
+                        points, weights)
+
+
+def tube_pair_cases():
+    p1, p2 = sweep_planes()
+    a = make_state(line("A", 0.4), 0.5, "exp(-u1^2)", support=[[-6.0, 6.0]])
+    b = make_state(line("B", 1.1), 0.5, "exp(-u1^2/2)", support=[[-6.0, 6.0]])
+    # parallel tubes: equal widths on one axis, so their product is sqrt(2)
+    # narrower than either and a panel spans 2 sqrt(2) of its deviations
+    c = make_state(line("C", 0.0), 0.5, "exp(-u1^2)", support=[[-6.0, 6.0]])
+    d = make_state(line("D", 0.0, 0.03), 0.5, "exp(-u1^2/2)", support=[[-6.0, 6.0]])
+    return {
+        "z=0 x y=0": (lambda e: (mollify(p1, e), mollify(p2, e)), lambda e: [1.0, e, e]),
+        "z=0 x test": (lambda e: (mollify(p1, e), gaussian_test(3, [0.1, -0.1, 0.2])),
+                       lambda e: [1.0, 1.0, e]),
+        "0.4 x 1.1 rad": (lambda e: (mollify(a, e), mollify(b, e)), lambda e: [e, e]),
+        "0.4 rad x test": (lambda e: (mollify(a, e), gaussian_test(2, [0.3, -0.2])),
+                           lambda e: [e, e]),
+        "1.1 rad x test": (lambda e: (mollify(b, e), gaussian_test(2, [0.3, -0.2])),
+                           lambda e: [e, e]),
+        "same axis": (lambda e: (mollify(c, e), mollify(d, e)), lambda e: [1.0, e]),
+    }
+
+
+@pytest.mark.parametrize("case", list(tube_pair_cases()))
+@pytest.mark.parametrize("eps", DEFAULT_EPS)
+def test_tube_width_panels_match_eps_panels(case, eps):
+    densities, widths = tube_pair_cases()[case]
+    phi1, phi2 = densities(eps)
+    want = eps_panel_pair(phi1, phi2, widths(eps))
+    assert abs(smooth_pair(phi1, phi2) - want) <= 1e-13 * abs(want)
+
+
+def test_sweep_plane_grid_is_two_tube_widths_per_panel(monkeypatch):
+    shapes = []
+
+    def counting(*args):
+        points, weights = composite_rule(*args)
+        shapes.append(tuple(np.unique(points[:, i]).size for i in range(points.shape[1])))
+        return points, weights
+
+    monkeypatch.setattr(quadrature, "composite_rule", counting)
+    p1, p2 = sweep_planes()
+    smooth_pair(mollify(p1, 0.05), mollify(p2, 0.05))
+    # 6 x1 panels, and 8 panels of 2 eps across each 16 eps wide tube box
+    assert shapes == [(72, 96, 96)]
+
+
+def test_tilted_codim_2_tube_is_refused_at_the_node_budget():
+    # a line along (1, 1, 1) in R^3: at eps 0.05 the grid would hold 3.6 GB
+    # of points and weights, and composite_rule refuses it before allocating
+    core = Submanifold.affine("L", [0.1, 0.0, 0.0], [1.0, 1.0, 1.0])
+    th = make_state(core, 0.0, "1", support=[[-2.0, 2.0]])
+    g = AmbientDensity.make(1.0, "exp(-x1^2-x2^2-x3^2)", support=[[-5.0, 5.0]] * 3)
+    with pytest.raises(QuadratureNotConverged, match="113,356,800 nodes, over the node budget"):
+        smooth_pair(mollify(th, 0.05), g)
 
 
 def test_smooth_pair_needs_complementary_degrees():

@@ -8,8 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from geodens import quadrature
 from geodens.errors import QuadratureNotConverged, UnboundedDomain
 from geodens.quadrature import (
+    MAX_NODES,
     MAX_PANELS_PER_AXIS,
     QuadratureOptions,
     as_box,
@@ -190,6 +192,39 @@ def test_integrate_escalates_until_converged():
     value, estimate = integrate(f, [[-4.0, 4.0]], opts)
     ensure_converged(value, estimate, opts)
     assert value == pytest.approx(1.0, rel=1e-8)
+
+
+def test_node_budget_admits_order_256_in_3d_and_order_64_in_4d():
+    assert 256 ** 3 <= MAX_NODES and 64 ** 4 <= MAX_NODES
+    assert 512 ** 3 > MAX_NODES and 128 ** 4 > MAX_NODES
+
+
+def test_composite_rule_refuses_a_grid_over_the_node_budget():
+    # 84 panels of order 12 on each of three axes would be 1.02e9 nodes
+    with pytest.raises(QuadratureNotConverged, match="1,024,192,512 nodes, over the node budget") as info:
+        composite_rule([[0.0, 1.0]] * 3, 0.012, order=12)
+    assert info.value.exit_code == 5
+
+
+def test_integrate_stops_doubling_at_the_node_budget(monkeypatch):
+    orders = []
+
+    def recording(box, order):
+        orders.append(order)
+        return tensor_rule(box, order)
+
+    monkeypatch.setattr(quadrature, "tensor_rule", recording)
+    # a budget of 128^3 keeps the grids small; the real one stops before 512^3
+    monkeypatch.setattr(quadrature, "MAX_NODES", 128 ** 3)
+    never = lambda p: np.cos(300.0 * p[:, 0])  # 760 periods: no order resolves it
+    with pytest.raises(QuadratureNotConverged,
+                       match="order-256 rule needs 16,777,216 nodes, over the node budget"):
+        integrate(never, [[-8.0, 8.0]] * 3)
+    assert orders == [32, 64, 128, 256]
+    # a base level over the budget is refused before anything is built
+    with pytest.raises(QuadratureNotConverged, match="node budget"):
+        integrate(never, [[-8.0, 8.0]] * 5)
+    assert orders == [32, 64, 128, 256, 32]
 
 
 def test_ensure_converged_raises():

@@ -8,6 +8,7 @@ import csv
 import gc
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -336,6 +337,19 @@ def test_cli_check_tilted_lines():
     assert "frame probes" in proc.stdout
 
 
+@pytest.mark.parametrize("s", [1e-10, 1.0, 1e10])
+def test_cli_check_does_not_depend_on_tangent_length(s, tmp_path):
+    # C along (s, s) and D at 60 degrees cross at 15 degrees for every s
+    data = json.loads((SCENES / "tilted_lines.json").read_text())
+    data["params"]["phi"] = math.pi / 3
+    data["cores"][0]["tangent"] = [[s, s]]
+    path = tmp_path / "long_tangent.json"
+    path.write_text(json.dumps(data))
+    proc = run_cli("check", path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "rank 2/2, transverse" in proc.stdout
+
+
 def test_cli_inner_csv(tmp_path):
     out = tmp_path / "inner.csv"
     proc = run_cli("inner", SCENES / "tilted_lines.json", "--out", out)
@@ -526,6 +540,65 @@ def test_cli_disjoint_cores_exit_3(tmp_path):
     proc = run_cli("inner", path)
     assert proc.returncode == 3
     assert proc.stderr.startswith("error:")
+
+
+# runs the CLI with its address space capped at 2 GiB, so a grid that slips
+# past the node budget fails in the child, and prints the child's peak RSS;
+# one BLAS thread keeps the per-thread buffers of the numpy import under the cap
+CAPPED = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+          "from geodens.cli import main; rc = main(sys.argv[1:]); "
+          "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(rc)")
+
+
+def run_capped(*argv):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-c", CAPPED, *map(str, argv)],
+                          capture_output=True, text=True, timeout=600, env=env)
+
+
+def peak_rss_mb(proc):
+    return int(proc.stdout.split()[-1]) / 1024.0  # ru_maxrss is in KiB
+
+
+def test_cli_divergent_3d_pairing_exits_5_at_the_node_budget(tmp_path):
+    # 760 periods along u1: no order converges.  Order 256 (16.8 M nodes,
+    # 537 MB of points and weights) runs; order 512 (4.3 GB) is refused
+    scene = {
+        "ambient": 3,
+        "cores": [{"name": "R3", "kind": "affine", "base": [0, 0, 0],
+                   "tangent": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}],
+        "states": [{"name": "s", "core": "R3", "degree": 0.5, "coeff": "cos(300*u1)",
+                    "support": [[-8, 8]] * 3}],
+        "tests": [{"name": "g", "degree": 0.5, "coeff": "1"}],
+        "requests": [{"op": "pair", "state": "s", "test": "g"}],
+    }
+    path = tmp_path / "divergent.json"
+    path.write_text(json.dumps(scene))
+    proc = run_capped("pair", path)
+    assert proc.returncode == 5, proc.stderr
+    assert "order-512 rule needs 134,217,728 nodes, over the node budget" in proc.stderr
+    assert peak_rss_mb(proc) < 1024.0
+
+
+def test_cli_tilted_codim_2_oracle_exits_5_at_the_node_budget(tmp_path):
+    # a line along (1, 1, 1) in R^3: the tube grids at eps 0.2 and 0.1 (6.2 M
+    # and 21.9 M nodes) are built; the one at eps 0.05 (3.6 GB) is refused
+    scene = {
+        "ambient": 3,
+        "cores": [{"name": "L", "kind": "affine", "base": [0.1, 0, 0],
+                   "tangent": [[1, 1, 1]]}],
+        "states": [{"name": "s", "core": "L", "degree": 0.0, "coeff": "1",
+                    "support": [[-2, 2]]}],
+        "tests": [{"name": "g", "degree": 1.0, "coeff": "exp(-x1^2-x2^2-x3^2)",
+                   "support": [[-5, 5]] * 3}],
+        "requests": [{"op": "oracle", "state": "s", "test": "g", "eps": [0.2, 0.1, 0.05]}],
+    }
+    path = tmp_path / "tilted_tube.json"
+    path.write_text(json.dumps(scene))
+    proc = run_capped("oracle", path)
+    assert proc.returncode == 5, proc.stderr
+    assert "113,356,800 nodes, over the node budget" in proc.stderr
+    assert peak_rss_mb(proc) < 1024.0
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe{", b'{"ambient": NaN}'])

@@ -13,12 +13,14 @@ import numpy as np
 
 from . import exprlang
 from .exprlang import BinOp, Expr, Num
+from .quadrature import Grid
 
 
 class ScalarField:
-    """Interface: a complex scalar field evaluated on (N, dim) batches of points."""
+    """Interface: a complex scalar field evaluated on (N, dim) batches of points,
+    or on a quadrature ``Grid``, with values in the grid's ``dims`` shape."""
 
-    def eval_many(self, points: np.ndarray) -> np.ndarray:
+    def eval_many(self, points: np.ndarray | Grid) -> np.ndarray:
         raise NotImplementedError
 
     def __call__(self, point) -> complex:
@@ -35,7 +37,16 @@ class ExprField(ScalarField):
         self.prefix = prefix
         self.params = dict(params or {})
 
-    def eval_many(self, points: np.ndarray) -> np.ndarray:
+    def eval_many(self, points: np.ndarray | Grid) -> np.ndarray:
+        if isinstance(points, Grid):
+            # each sub-expression runs on the axes it reads; a real field stays
+            # real, which halves the bytes of the products and sums that follow
+            b = {f"{self.prefix}{i + 1}": c for i, c in enumerate(points.columns())}
+            b.update(self.params)
+            value = np.asarray(exprlang.evaluate(self.re_expr, b), dtype=float)
+            if self.im_expr is not None:
+                value = value + 1j * np.asarray(exprlang.evaluate(self.im_expr, b))
+            return np.broadcast_to(value, points.dims)
         points = np.asarray(points, dtype=float)
         n = points.shape[0]
         b = {f"{self.prefix}{i + 1}": points[:, i] for i in range(points.shape[1])}
@@ -84,9 +95,9 @@ class FuncField(ScalarField):
     def __init__(self, fn: Callable[[np.ndarray], complex]):
         self.fn = fn
 
-    def eval_many(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        return np.array([complex(self.fn(p)) for p in points], dtype=complex)
+    def eval_many(self, points: np.ndarray | Grid) -> np.ndarray:
+        values = np.array([complex(self.fn(p)) for p in np.asarray(points, float)], complex)
+        return values.reshape(points.dims) if isinstance(points, Grid) else values
 
 
 def as_field(obj, prefix: str = "u",

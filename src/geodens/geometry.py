@@ -8,7 +8,6 @@ Everything is desk scale: 1 <= n <= 10, dense linear algebra, grid seeding.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -27,6 +26,7 @@ from .errors import (
     UserChartRequired,
 )
 from .exprlang import Expr
+from .quadrature import Grid
 
 IMMERSION_TOL = 1e-8       # relative singular value cutoff for chart jacobians
 ON_CORE_TOL = 1e-8         # "the point lies on the core"
@@ -62,13 +62,9 @@ class ChartForm:
 
 
 def _grid(box: np.ndarray, per_axis: int) -> np.ndarray:
-    k = box.shape[0]
-    if k == 0:
-        return np.zeros((1, 0))
-    while per_axis > 2 and per_axis ** k > SEED_CAP:
+    while per_axis > 2 and per_axis ** box.shape[0] > SEED_CAP:
         per_axis -= 1
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
-    return np.array(list(itertools.product(*axes)))
+    return Grid([np.linspace(lo, hi, per_axis) for lo, hi in box]).points()
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +191,8 @@ class Submanifold:
         """Vectorized chart map on an (N, k) coordinate array."""
         coords = np.asarray(coords, dtype=float)
         if isinstance(self.form, AffineForm):
-            return self.form.base + coords @ self.form.tangent.T
+            # (n, k) @ (k, N) runs far faster than the tall-skinny (N, k) @ (k, n)
+            return self.form.base + (self.form.tangent @ coords.T).T
         b = {f"u{i + 1}": coords[:, i] for i in range(self.dim)}
         b.update(self.params)
         cols = [np.broadcast_to(np.asarray(exprlang.evaluate(e, b), dtype=float),

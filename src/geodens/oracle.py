@@ -153,10 +153,10 @@ def smooth_pair(phi1: AmbientDensity, phi2: AmbientDensity,
             return 0.0 + 0.0j
     box = quadrature.as_box(box)
     panel = np.minimum(_axis_panels(phi1, box), _axis_panels(phi2, box))
-    points, weights = quadrature.composite_rule(box, panel, order)
+    grid, weights = quadrature.composite_rule(box, panel, order)
     return quadrature.weighted_sum(
-        lambda p: phi1.coeff.eval_many(p) * phi2.coeff.eval_many(p),
-        points, weights)
+        lambda g: phi1.coeff.eval_many(g) * phi2.coeff.eval_many(g),
+        grid, weights)
 
 
 def _axis_panels(phi: AmbientDensity, box: np.ndarray) -> np.ndarray:
@@ -172,8 +172,8 @@ def integrate_coefficient(phi: AmbientDensity, box=None,
             raise UnboundedDomain("no bounded box to integrate over")
         box = phi.support
     box = quadrature.as_box(box)
-    points, weights = quadrature.composite_rule(box, _axis_panels(phi, box), order)
-    return quadrature.weighted_sum(lambda p: phi.coeff.eval_many(p), points, weights)
+    grid, weights = quadrature.composite_rule(box, _axis_panels(phi, box), order)
+    return quadrature.weighted_sum(phi.coeff.eval_many, grid, weights)
 
 
 @dataclass(frozen=True)

@@ -144,9 +144,9 @@ def inner_product(theta1: GeometricState, theta2: GeometricState,
     # fail fast on a non-transverse configuration before spending quadrature
     product_at_point(theta1, theta2, core_e, box.mean(axis=1), dual_solver)
 
-    def integrand(coords: np.ndarray) -> np.ndarray:
+    def integrand(grid: quadrature.Grid) -> np.ndarray:
         return np.array([product_at_point(theta1, theta2, core_e, w, dual_solver)
-                         for w in coords], dtype=complex)
+                         for w in grid.points()], dtype=complex)
 
     value, estimate = quadrature.integrate(integrand, box, opts)
     quadrature.ensure_converged(value, estimate, opts)

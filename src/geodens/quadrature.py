@@ -4,7 +4,9 @@ Two rules live here.  The single-box rule (order 32, doubled to 64 for the
 error estimate) integrates smooth geometric pairings.  The composite rule
 splits each axis into panels of a requested width and is what the mollifier
 oracle uses to resolve tubes whose cross section is a width-eps Gaussian; a
-fixed-order global rule cannot see those.
+fixed-order global rule cannot see those.  Both return a ``Grid`` of
+per-axis nodes, flattened only for an integrand that asks, so expression
+fields evaluate each sub-expression on the axes it reads.
 """
 from __future__ import annotations
 
@@ -73,12 +75,33 @@ def _axis_nodes(lo: float, hi: float, order: int):
     return mid + half * x, half * w
 
 
+class Grid:
+    """Tensor product of per-axis nodes: ``shape`` (N, k) as for the flat points,
+    ``dims`` the per-axis counts, ``columns()`` the open grid ``np.ix_(*axes)``;
+    ``points()`` or ``np.asarray`` builds the C-order (N, k) points."""
+
+    def __init__(self, axes):
+        self.axes = tuple(axes)
+        self.dims = tuple(len(x) for x in self.axes)
+        self.shape = (math.prod(self.dims), len(self.axes))
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return np.ix_(*self.axes)
+
+    def points(self) -> np.ndarray:
+        out = np.empty((*self.dims, len(self.axes)))
+        for i, col in enumerate(self.columns()):
+            out[..., i] = col
+        return out.reshape(self.shape)
+
+    def __array__(self, dtype=None, copy=None):
+        return self.points() if dtype is None else self.points().astype(dtype, copy=False)
+
+
 def tensor_rule(box, order: int):
-    """Points (N, k) and weights (N,) for one Gauss-Legendre box rule."""
+    """Grid and weights (N,) for one Gauss-Legendre box rule."""
     b = as_box(box)
     k = b.shape[0]
-    if k == 0:
-        return np.zeros((1, 0)), np.ones(1)
     _check_budget(order ** k, f"a {k}-D order-{order} rule")
     return _tensorize([_axis_nodes(lo, hi, order) for lo, hi in b])
 
@@ -91,8 +114,6 @@ def composite_rule(box, panel_width, order: int = 12):
     """
     b = as_box(box)
     k = b.shape[0]
-    if k == 0:
-        return np.zeros((1, 0)), np.ones(1)
     widths = np.broadcast_to(np.asarray(panel_width, dtype=float), (k,))
     if np.any(widths <= 0.0):
         raise ValueError("panel width must be positive")
@@ -109,31 +130,28 @@ def composite_rule(box, panel_width, order: int = 12):
 
 
 def _tensorize(axes):
-    # each axis is written straight into the (N, k) result, and the weights
-    # are the outer product ((w0 w1) w2)..., so nothing grid-sized is built
-    # besides the two returned arrays
-    shape = tuple(len(x) for x, _ in axes)
-    k = len(shape)
-    points = np.empty((*shape, k))
-    for i, (x, _) in enumerate(axes):
-        points[..., i] = x.reshape((-1,) + (1,) * (k - 1 - i))
-    weights = reduce(np.multiply.outer, [w for _, w in axes]).ravel()
-    return points.reshape(-1, k), weights
+    # the weights ((1 w0) w1)... are the only grid-sized array a rule builds
+    weights = reduce(np.multiply.outer, [w for _, w in axes], np.ones(())).ravel()
+    return Grid(x for x, _ in axes), weights
 
 
-def weighted_sum(f_many, points: np.ndarray, weights: np.ndarray) -> complex:
-    """sum_i w_i f(p_i), evaluating f in chunks to bound peak memory."""
+def weighted_sum(f_many, grid: Grid, weights: np.ndarray) -> complex:
+    """sum_i w_i f(p_i), f run on blocks of whole first-axis rows (at most EVAL_CHUNK
+    nodes, one row at least); f takes a block's Grid, returns values in its dims or flat."""
+    row = math.prod(grid.dims[1:])  # nodes per first-axis row
+    step = max(1, EVAL_CHUNK // row)
     total = 0.0 + 0.0j
-    for start in range(0, points.shape[0], EVAL_CHUNK):
-        sl = slice(start, start + EVAL_CHUNK)
-        total += complex(np.sum(np.asarray(f_many(points[sl])) * weights[sl]))
+    for start in range(0, grid.shape[0] // row, step):
+        block = Grid([x[start:start + step] for x in grid.axes[:1]] + list(grid.axes[1:]))
+        w = weights[start * row:start * row + block.shape[0]].reshape(block.dims)
+        total += complex(np.sum(np.reshape(f_many(block), block.dims) * w))
     return total
 
 
 MAX_ORDER = 512
-# Largest grid a rule may build: 1.07 GB of 3-D points and weights.  A 3-D
-# order-256 or 4-D order-64 level (16.8 M nodes) fits; the 134 M-node 3-D
-# order-512 level (4.3 GB) does not.
+# Largest grid a rule may build: its weights take 268 MB, and the axes next to
+# nothing.  A 3-D order-256 or 4-D order-64 level (16.8 M nodes) fits; the
+# 134 M-node 3-D order-512 level does not.
 MAX_NODES = 1 << 25
 
 
@@ -156,12 +174,12 @@ def integrate(f_many, box, options: QuadratureOptions | None = None):
     opts = options or QuadratureOptions()
     b = as_box(box)
     order = opts.order
-    p, w = tensor_rule(b, order)
-    value = weighted_sum(f_many, p, w)
+    grid, w = tensor_rule(b, order)
+    value = weighted_sum(f_many, grid, w)
     while True:
         order *= 2
-        p, w = tensor_rule(b, order)
-        refined = weighted_sum(f_many, p, w)
+        grid, w = tensor_rule(b, order)
+        refined = weighted_sum(f_many, grid, w)
         estimate = abs(refined - value)
         value = refined
         if estimate <= opts.rel_tol * abs(value) + opts.abs_tol or order >= MAX_ORDER:

@@ -171,7 +171,8 @@ def _pairing_integrand(state: GeometricState, phi: AmbientDensity,
     """
     core = state.core
 
-    def integrand(coords: np.ndarray) -> np.ndarray:
+    def integrand(coords) -> np.ndarray:
+        coords = np.asarray(coords, dtype=float)  # a quadrature Grid flattens to its points
         frames = frames_many(core, coords)
         factors = linalg.frame_factors(frames[1], state.conormal.rows_many(coords, frames),
                                        phi.degree, solver)

@@ -1,9 +1,16 @@
-"""Coefficient field coercion and evaluation."""
+"""Coefficient field coercion and evaluation.
+
+On a quadrature Grid an expression field evaluates each sub-expression on the
+broadcast axes it reads; the cross-checks hold it bitwise to the flat path.
+"""
 import numpy as np
 import pytest
 
-from geodens.exprlang import parse, to_source
+from _exprgen import random_expr
+from geodens.errors import DomainError
+from geodens.exprlang import BinOp, Call, Num, Var, parse, subst, to_source
 from geodens.fields import ExprField, FuncField, as_field
+from geodens.quadrature import Grid
 
 
 def test_string_coercion_uses_the_prefix():
@@ -78,3 +85,71 @@ def test_scaled_trees_stay_printable():
 def test_expr_tree_coercion():
     f = as_field(parse("u1 - u2"))
     assert f((5.0, 3.0)) == 2.0
+
+
+# Grid evaluation against the flat (N, k) path
+
+
+def _random_grid(rng, k):
+    # a few nodes per axis, with the exact values that trip the domain guards
+    axes = []
+    for _ in range(k):
+        x = rng.uniform(-2.0, 2.0, size=int(rng.integers(1, 6)))
+        x[rng.random(x.size) < 0.2] = rng.choice([0.0, 1.0, -1.0])
+        axes.append(x)
+    return Grid(axes)
+
+
+def _random_field_expr(rng, k):
+    # coordinates past k read the parameter a, so k = 0 gives constant trees;
+    # the outer call may leave its domain on some grids
+    e = subst(random_expr(rng, 3, 4), {f"u{j}": Var("a") for j in range(k + 1, 4)})
+    r = rng.random()
+    if r < 0.2:
+        return Call("sqrt", e)
+    if r < 0.3:
+        return Call("log", e)
+    if r < 0.4:
+        return BinOp("/", Num(1.0), e)
+    if r < 0.5:
+        return BinOp("^", e, Num(0.5))
+    return e
+
+
+def _outcome(field, points):
+    try:
+        return np.ascontiguousarray(field.eval_many(points), dtype=complex).tobytes()
+    except DomainError as exc:
+        return ("DomainError", str(exc))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_grid_evaluation_is_bitwise_the_flat_evaluation(k):
+    rng = np.random.default_rng(20261018 + k)
+    raised = 0
+    for _ in range(150):
+        grid = _random_grid(rng, k)
+        re = _random_field_expr(rng, k)
+        im = _random_field_expr(rng, k) if rng.random() < 0.5 else None
+        field = ExprField(re, im, params={"a": float(rng.uniform(-1.0, 1.0))})
+        got, want = _outcome(field, grid), _outcome(field, grid.points())
+        assert got == want, (to_source(re), im and to_source(im))
+        if isinstance(got, tuple):
+            raised += 1
+        else:
+            assert field.eval_many(grid).shape == grid.dims
+    assert 10 < raised < 140, raised
+
+
+def test_grid_evaluation_stays_on_the_axes_it_reads():
+    grid = Grid([np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 4), np.zeros(5)])
+    got = as_field("exp(-x1^2) + x2", prefix="x").eval_many(grid)
+    assert got.shape == (3, 4, 5) and got.strides[-1] == 0 and got.dtype == float
+
+
+def test_funcfield_on_a_grid_returns_its_dims():
+    grid = Grid([np.array([1.0, 2.0]), np.array([3.0, 4.0, 5.0])])
+    f = FuncField(lambda x: x[0] + 1j * x[1])
+    got = f.eval_many(grid)
+    assert got.shape == (2, 3)
+    assert np.array_equal(got, [[1 + 3j, 1 + 4j, 1 + 5j], [2 + 3j, 2 + 4j, 2 + 5j]])

@@ -132,6 +132,21 @@ def test_points_at_vectorized_matches_loop():
     assert np.allclose(many, rows, atol=1e-15)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_affine_points_at_is_bitwise_the_row_product(k):
+    # points_at multiplies (n, k) @ (k, N); the rows' own (N, k) @ (k, n)
+    # product must give the same bits
+    rng = np.random.default_rng(31 + k)
+    for n in (max(k, 1), k + 1, 4):
+        base = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+        tangent = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-3, 4)
+        core = Submanifold.affine("A", base, tangent)
+        for size in (1, 3, 64, 5000):
+            coords = rng.normal(size=(size, k)) * 10.0 ** rng.integers(-3, 4)
+            want = base + coords @ tangent.T
+            assert core.points_at(coords).tobytes() == want.tobytes()
+
+
 def test_points_at_constant_component_broadcasts():
     c = Submanifold.chart("flatline", ["u1", "0"], [[-1.0, 1.0]])
     got = c.points_at(np.array([[0.2], [0.5]]))

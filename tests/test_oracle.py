@@ -192,9 +192,9 @@ def eps_panel_pair(phi1, phi2, widths):
     """The reference: smooth_pair's integral on panels of the given widths,
     eps on each axis a tube crosses and 1 elsewhere."""
     box = intersect_boxes(phi1.support, phi2.support)
-    points, weights = composite_rule(box, widths, ORACLE_ORDER)
-    return weighted_sum(lambda p: phi1.coeff.eval_many(p) * phi2.coeff.eval_many(p),
-                        points, weights)
+    grid, weights = composite_rule(box, widths, ORACLE_ORDER)
+    return weighted_sum(lambda g: phi1.coeff.eval_many(g) * phi2.coeff.eval_many(g),
+                        grid, weights)
 
 
 def tube_pair_cases():
@@ -231,9 +231,9 @@ def test_sweep_plane_grid_is_two_tube_widths_per_panel(monkeypatch):
     shapes = []
 
     def counting(*args):
-        points, weights = composite_rule(*args)
-        shapes.append(tuple(np.unique(points[:, i]).size for i in range(points.shape[1])))
-        return points, weights
+        grid, weights = composite_rule(*args)
+        shapes.append(grid.dims)
+        return grid, weights
 
     monkeypatch.setattr(quadrature, "composite_rule", counting)
     p1, p2 = sweep_planes()
@@ -243,8 +243,8 @@ def test_sweep_plane_grid_is_two_tube_widths_per_panel(monkeypatch):
 
 
 def test_tilted_codim_2_tube_is_refused_at_the_node_budget():
-    # a line along (1, 1, 1) in R^3: at eps 0.05 the grid would hold 3.6 GB
-    # of points and weights, and composite_rule refuses it before allocating
+    # a line along (1, 1, 1) in R^3: at eps 0.05 the grid would hold 113 M
+    # nodes, and composite_rule refuses it before allocating
     core = Submanifold.affine("L", [0.1, 0.0, 0.0], [1.0, 1.0, 1.0])
     th = make_state(core, 0.0, "1", support=[[-2.0, 2.0]])
     g = AmbientDensity.make(1.0, "exp(-x1^2-x2^2-x3^2)", support=[[-5.0, 5.0]] * 3)

@@ -2,6 +2,7 @@
 
 Reference masses come from closed forms (polynomial moments, erf).
 """
+import itertools
 import math
 import tracemalloc
 
@@ -11,6 +12,7 @@ import pytest
 from geodens import quadrature
 from geodens.errors import QuadratureNotConverged, UnboundedDomain
 from geodens.quadrature import (
+    Grid,
     MAX_NODES,
     MAX_PANELS_PER_AXIS,
     QuadratureOptions,
@@ -49,30 +51,33 @@ def test_intersect_boxes():
 
 def test_tensor_rule_polynomial_exactness():
     # order-q Gauss-Legendre is exact through degree 2q-1
-    pts, wts = tensor_rule(as_box([[0.0, 1.0]]), 4)
+    grid, wts = tensor_rule(as_box([[0.0, 1.0]]), 4)
+    pts = grid.points()
     assert wts.sum() == pytest.approx(1.0, rel=1e-14)
     got = float(np.sum(wts * pts[:, 0] ** 7))
     assert got == pytest.approx(1.0 / 8.0, rel=1e-14)
 
 
 def test_tensor_rule_2d():
-    pts, wts = tensor_rule(as_box([[0.0, 1.0], [0.0, 2.0]]), 6)
+    grid, wts = tensor_rule(as_box([[0.0, 1.0], [0.0, 2.0]]), 6)
+    pts = grid.points()
     got = float(np.sum(wts * pts[:, 0] ** 3 * pts[:, 1] ** 2))
     # int x^3 dx * int y^2 dy = 1/4 * 8/3
     assert got == pytest.approx(2.0 / 3.0, rel=1e-13)
 
 
 def test_tensor_rule_zero_dimensional():
-    pts, wts = tensor_rule(np.zeros((0, 2)), 8)
-    assert pts.shape == (1, 0) and wts.shape == (1,)
+    grid, wts = tensor_rule(np.zeros((0, 2)), 8)
+    assert grid.shape == (1, 0) and grid.dims == () and wts.shape == (1,)
+    assert grid.points().shape == (1, 0) and len(grid.columns()) == 0
     assert wts[0] == 1.0
 
 
 def test_composite_rule_per_axis_widths():
     box = as_box([[0.0, 1.0], [0.0, 1.0]])
-    pts, wts = composite_rule(box, np.array([0.5, 1.0]), order=4)
+    grid, wts = composite_rule(box, np.array([0.5, 1.0]), order=4)
     # 2 panels x 1 panel of a 4-point rule per axis
-    assert pts.shape == (32, 2)
+    assert grid.shape == (32, 2) and grid.dims == (8, 4)
     assert wts.sum() == pytest.approx(1.0, rel=1e-13)
 
 
@@ -117,8 +122,9 @@ BOX3 = as_box([[-1.0, 2.0], [0.5, 1.25], [-3.0, 0.0]])
 
 
 def assert_same_rule(got, want):
-    assert got[0].shape == want[0].shape and got[1].shape == want[1].shape
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    points = got[0].points()
+    assert got[0].shape == points.shape == want[0].shape and got[1].shape == want[1].shape
+    assert np.array_equal(points, want[0]) and np.array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("order", [4, 32, 64])
@@ -154,31 +160,71 @@ def test_tensor_rule_allocates_only_its_result():
     tensor_rule(BOX3, 128)  # warm the node cache
     tracemalloc.start()
     try:
-        points, weights = tensor_rule(BOX3, 128)
+        grid, weights = tensor_rule(BOX3, 128)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * (points.nbytes + weights.nbytes)
+    # no (N, k) points array: the weights and the three axes
+    assert peak <= 1.1 * (weights.nbytes + sum(x.nbytes for x in grid.axes))
 
 
 def test_composite_rule_resolves_a_narrow_gaussian():
     eps = 0.01
     box = as_box([[-0.5, 0.5]])
-    pts, wts = composite_rule(box, eps, order=12)
+    grid, wts = composite_rule(box, eps, order=12)
+    pts = grid.points()
     norm = 1.0 / math.sqrt(2.0 * math.pi * eps * eps)
     got = float(np.sum(wts * norm * np.exp(-pts[:, 0] ** 2 / (2 * eps * eps))))
     assert got == pytest.approx(1.0, rel=1e-12)
 
 
 def test_weighted_sum_matches_direct_dot():
-    pts, wts = tensor_rule(as_box([[0.0, 1.0]]), 8)
-    f = lambda p: np.exp(p[:, 0])
-    got = weighted_sum(f, pts, wts)
-    assert got == pytest.approx(float(np.sum(wts * f(pts))), rel=1e-15)
+    grid, wts = tensor_rule(as_box([[0.0, 1.0]]), 8)
+    f = lambda g: np.exp(g.points()[:, 0])
+    got = weighted_sum(f, grid, wts)
+    assert got == pytest.approx(float(np.sum(wts * f(grid))), rel=1e-15)
+
+
+def test_grid_columns_broadcast_to_the_points():
+    axes = [np.array([0.5, -1.0]), np.array([2.0, 3.0, 4.0]), np.array([7.0])]
+    grid = Grid(axes)
+    assert grid.shape == (6, 3) and grid.dims == (2, 3, 1)
+    points = grid.points()
+    assert np.array_equal(points, list(itertools.product(*axes)))
+    for i, col in enumerate(grid.columns()):
+        assert np.array_equal(np.broadcast_to(col, grid.dims).ravel(), points[:, i])
+    assert np.array_equal(np.asarray(grid), points)
+
+
+@pytest.mark.parametrize("chunk, dims", [
+    (7, (40, 3)),      # two rows a block, the last one short
+    (5, (3, 4, 2)),    # a row of 8 nodes is wider than a chunk: one row a block
+    (100, (4, 5)),     # one block
+    (3, (11,)),
+])
+def test_weighted_sum_blocks_match_a_flat_sum(monkeypatch, chunk, dims):
+    monkeypatch.setattr(quadrature, "EVAL_CHUNK", chunk)
+    rng = np.random.default_rng(sum(dims))
+    grid = Grid([rng.uniform(-1.0, 1.0, n) for n in dims])
+    weights = rng.uniform(0.0, 1.0, grid.shape[0])
+    f = lambda p: np.exp(-np.sum(p ** 2, axis=1)) * (1.0 + 1j * p[:, 0])
+    blocks = []
+
+    def flat(block):
+        blocks.append(block.dims)
+        return f(block.points())
+
+    want = np.sum(f(grid.points()) * weights)
+    got = weighted_sum(flat, grid, weights)
+    assert abs(got - want) <= 1e-15 * abs(want)
+    row = math.prod(dims[1:])
+    assert all(b[1:] == dims[1:] and b[0] * row <= max(chunk, row) for b in blocks)
+    assert sum(b[0] for b in blocks) == dims[0]
+    assert len(blocks) == -(-dims[0] // max(1, chunk // row))
 
 
 def test_integrate_gaussian_mass():
-    f = lambda p: np.exp(-p[:, 0] ** 2)
+    f = lambda g: np.exp(-g.points()[:, 0] ** 2)
     value, estimate = integrate(f, [[-8.0, 8.0]])
     assert abs(value - math.sqrt(math.pi)) <= 1e-12 * math.sqrt(math.pi)
     assert estimate <= 1e-8 * abs(value)
@@ -187,7 +233,7 @@ def test_integrate_gaussian_mass():
 def test_integrate_escalates_until_converged():
     # sharp for the base order, fine after doubling
     sig = 0.05
-    f = lambda p: np.exp(-p[:, 0] ** 2 / (2 * sig * sig)) / math.sqrt(2 * math.pi * sig * sig)
+    f = lambda g: np.exp(-g.points()[:, 0] ** 2 / (2 * sig * sig)) / math.sqrt(2 * math.pi * sig * sig)
     opts = QuadratureOptions(order=32)
     value, estimate = integrate(f, [[-4.0, 4.0]], opts)
     ensure_converged(value, estimate, opts)
@@ -216,7 +262,7 @@ def test_integrate_stops_doubling_at_the_node_budget(monkeypatch):
     monkeypatch.setattr(quadrature, "tensor_rule", recording)
     # a budget of 128^3 keeps the grids small; the real one stops before 512^3
     monkeypatch.setattr(quadrature, "MAX_NODES", 128 ** 3)
-    never = lambda p: np.cos(300.0 * p[:, 0])  # 760 periods: no order resolves it
+    never = lambda g: np.cos(300.0 * g.points()[:, 0])  # 760 periods: no order resolves it
     with pytest.raises(QuadratureNotConverged,
                        match="order-256 rule needs 16,777,216 nodes, over the node budget"):
         integrate(never, [[-8.0, 8.0]] * 3)

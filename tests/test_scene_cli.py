@@ -562,7 +562,7 @@ def peak_rss_mb(proc):
 
 def test_cli_divergent_3d_pairing_exits_5_at_the_node_budget(tmp_path):
     # 760 periods along u1: no order converges.  Order 256 (16.8 M nodes,
-    # 537 MB of points and weights) runs; order 512 (4.3 GB) is refused
+    # 134 MB of weights) runs; order 512 (134 M nodes) is refused
     scene = {
         "ambient": 3,
         "cores": [{"name": "R3", "kind": "affine", "base": [0, 0, 0],
@@ -577,12 +577,12 @@ def test_cli_divergent_3d_pairing_exits_5_at_the_node_budget(tmp_path):
     proc = run_capped("pair", path)
     assert proc.returncode == 5, proc.stderr
     assert "order-512 rule needs 134,217,728 nodes, over the node budget" in proc.stderr
-    assert peak_rss_mb(proc) < 1024.0
+    assert peak_rss_mb(proc) < 500.0
 
 
 def test_cli_tilted_codim_2_oracle_exits_5_at_the_node_budget(tmp_path):
     # a line along (1, 1, 1) in R^3: the tube grids at eps 0.2 and 0.1 (6.2 M
-    # and 21.9 M nodes) are built; the one at eps 0.05 (3.6 GB) is refused
+    # and 21.9 M nodes) are built; the one at eps 0.05 (113 M nodes) is refused
     scene = {
         "ambient": 3,
         "cores": [{"name": "L", "kind": "affine", "base": [0.1, 0, 0],
@@ -598,7 +598,7 @@ def test_cli_tilted_codim_2_oracle_exits_5_at_the_node_budget(tmp_path):
     proc = run_capped("oracle", path)
     assert proc.returncode == 5, proc.stderr
     assert "113,356,800 nodes, over the node budget" in proc.stderr
-    assert peak_rss_mb(proc) < 1024.0
+    assert peak_rss_mb(proc) < 500.0
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe{", b'{"ambient": NaN}'])

@@ -1,0 +1,105 @@
+"""Value goldens: every command on every shipped scene, run in process.
+
+Each ``geodens <command> scenes/<name>.json --out <csv>`` run must give the
+recorded exit code exactly, and its CSV rows must match the recorded ones:
+text cells exactly, numeric cells to rel 1e-12 of the largest number in
+their row (an estimate or an error is a difference of values of that size,
+so it moves on the row's scale, not on its own).
+
+The goldens live in ``scene_values.json`` next to this file.  Re-record them
+only for a change that means to move values, with
+
+    PYTHONPATH=src python tests/test_scene_values.py --record
+"""
+import contextlib
+import csv
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from geodens import cli
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
+GOLDEN = Path(__file__).resolve().parent / "scene_values.json"
+COMMANDS = ("check", "pair", "product", "inner", "oracle", "sweep")
+REL = 1e-12
+
+
+def run(command: str, scene: Path) -> dict:
+    """Exit code and CSV rows (None when the run writes no CSV) of one CLI run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.csv"
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([command, str(scene), "--out", str(out)])
+        rows = None
+        if out.exists():
+            with open(out, newline="") as fh:
+                rows = list(csv.reader(fh))
+    return {"exit": code, "rows": rows}
+
+
+def _number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _rows_match(got, want) -> bool:
+    if got is None or want is None:
+        return got is want
+    if len(got) != len(want):
+        return False
+    for g_row, w_row in zip(got, want):
+        if len(g_row) != len(w_row):
+            return False
+        scale = max((abs(v) for v in map(_number, w_row) if v is not None), default=0.0)
+        for g, w in zip(g_row, w_row):
+            g_num, w_num = _number(g), _number(w)
+            if w_num is None or g_num is None:
+                if g != w:
+                    return False
+            elif abs(g_num - w_num) > REL * scale:
+                return False
+    return True
+
+
+CASES = [(scene.name, command) for scene in sorted(SCENES.glob("*.json"))
+         for command in COMMANDS]
+
+
+@pytest.fixture(scope="module")
+def goldens():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_goldens_cover_every_scene_and_command(goldens):
+    assert sorted(goldens) == sorted(f"{s}/{c}" for s, c in CASES)
+
+
+@pytest.mark.parametrize("scene,command", CASES)
+def test_scene_values_match_goldens(goldens, scene, command):
+    want = goldens[f"{scene}/{command}"]
+    got = run(command, SCENES / scene)
+    assert got["exit"] == want["exit"]
+    assert _rows_match(got["rows"], want["rows"]), (got["rows"], want["rows"])
+
+
+def test_rows_match_reads_numbers_on_the_row_scale():
+    want = [["s", "t", "2.0", "0", "1e-9"]]
+    assert _rows_match([["s", "t", "2.0000000000001", "1e-13", "1.0000000001e-9"]], want)
+    assert not _rows_match([["s", "t", "2.00000000001", "0", "1e-9"]], want)
+    assert not _rows_match([["s", "u", "2.0", "0", "1e-9"]], want)
+    assert not _rows_match(None, want) and _rows_match(None, None)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(__doc__)
+    GOLDEN.write_text(json.dumps(
+        {f"{s}/{c}": run(c, SCENES / s) for s, c in CASES}, indent=1) + "\n")

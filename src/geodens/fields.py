@@ -17,10 +17,11 @@ from .quadrature import Grid
 
 
 class ScalarField:
-    """Interface: a complex scalar field evaluated on (N, dim) batches of points,
-    or on a quadrature ``Grid``, with values in the grid's ``dims`` shape."""
+    """Interface: a complex scalar field evaluated on a batch: a quadrature ``Grid``
+    (values in its ``dims``), a tuple of coordinate arrays (values in their
+    broadcast shape) or an (N, dim) array of points (values (N,))."""
 
-    def eval_many(self, points: np.ndarray | Grid) -> np.ndarray:
+    def eval_many(self, points) -> np.ndarray:
         raise NotImplementedError
 
     def __call__(self, point) -> complex:
@@ -37,26 +38,22 @@ class ExprField(ScalarField):
         self.prefix = prefix
         self.params = dict(params or {})
 
-    def eval_many(self, points: np.ndarray | Grid) -> np.ndarray:
+    def eval_many(self, points) -> np.ndarray:
+        # each sub-expression runs on the coordinate arrays it reads; a real field
+        # stays real, which halves the bytes of the products and sums that follow
         if isinstance(points, Grid):
-            # each sub-expression runs on the axes it reads; a real field stays
-            # real, which halves the bytes of the products and sums that follow
-            b = {f"{self.prefix}{i + 1}": c for i, c in enumerate(points.columns())}
-            b.update(self.params)
-            value = np.asarray(exprlang.evaluate(self.re_expr, b), dtype=float)
-            if self.im_expr is not None:
-                value = value + 1j * np.asarray(exprlang.evaluate(self.im_expr, b))
-            return np.broadcast_to(value, points.dims)
-        points = np.asarray(points, dtype=float)
-        n = points.shape[0]
-        b = {f"{self.prefix}{i + 1}": points[:, i] for i in range(points.shape[1])}
+            cols, shape = points.columns(), points.dims
+        elif isinstance(points, tuple):
+            cols, shape = points, np.broadcast_shapes(*(np.shape(c) for c in points))
+        else:
+            points = np.asarray(points, dtype=float)
+            cols, shape = points.T, points.shape[:1]
+        b = {f"{self.prefix}{i + 1}": c for i, c in enumerate(cols)}
         b.update(self.params)
-        # np.full spreads a constant tree's scalar over the points, and costs a
-        # few microseconds less than np.broadcast_to on a one-point call
-        re = np.full(n, exprlang.evaluate(self.re_expr, b), dtype=complex)
-        if self.im_expr is None:
-            return re
-        return re + 1j * np.full(n, exprlang.evaluate(self.im_expr, b))
+        value = np.asarray(exprlang.evaluate(self.re_expr, b), dtype=float)
+        if self.im_expr is not None:
+            value = value + 1j * np.asarray(exprlang.evaluate(self.im_expr, b))
+        return np.broadcast_to(value, shape)
 
     def scaled(self, factor: complex) -> "ExprField":
         """Fold a complex constant into the expression trees."""
@@ -95,9 +92,13 @@ class FuncField(ScalarField):
     def __init__(self, fn: Callable[[np.ndarray], complex]):
         self.fn = fn
 
-    def eval_many(self, points: np.ndarray | Grid) -> np.ndarray:
-        values = np.array([complex(self.fn(p)) for p in np.asarray(points, float)], complex)
-        return values.reshape(points.dims) if isinstance(points, Grid) else values
+    def eval_many(self, points) -> np.ndarray:
+        if isinstance(points, Grid):
+            return self.eval_many(points.points()).reshape(points.dims)
+        if isinstance(points, tuple):
+            stacked = np.stack(np.broadcast_arrays(*points), axis=-1)
+            return self.eval_many(stacked.reshape(-1, len(points))).reshape(stacked.shape[:-1])
+        return np.array([complex(self.fn(p)) for p in np.asarray(points, float)], complex)
 
 
 def as_field(obj, prefix: str = "u",

@@ -8,7 +8,9 @@ Everything is desk scale: 1 <= n <= 10, dense linear algebra, grid seeding.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -25,7 +27,7 @@ from .errors import (
     RankDeficient,
     UserChartRequired,
 )
-from .exprlang import Expr
+from .exprlang import Expr, Num
 from .quadrature import Grid
 
 IMMERSION_TOL = 1e-8       # relative singular value cutoff for chart jacobians
@@ -157,24 +159,40 @@ class Submanifold:
             raise DegenerateCovectors(
                 f"implicit jacobian of {self.name!r} loses rank at u = {u}")
 
-    def _x_bindings(self, x):
-        b = {f"x{i + 1}": x[i] for i in range(self.ambient.dim)}
-        b.update(self.params)
-        return b
+    def _bindings(self, prefix: str, values) -> dict:
+        return {**{f"{prefix}{i + 1}": v for i, v in enumerate(values)}, **self.params}
 
-    def _derivatives(self, exprs, prefix: str, values) -> np.ndarray:
-        """Evaluate the trees d exprs_i / d <prefix>j, built once per core, at ``values``.
+    def _trees(self, prefix: str) -> list[list[Expr]]:
+        """d exprs_i / d <prefix>j once per core: the chart's for "u", the implicit's for "x"."""
+        if ("trees", prefix) not in self._cache:
+            exprs, count = ((self.form.exprs, self.dim) if prefix == "u"
+                            else (self.implicit, self.ambient.dim))
+            self._cache["trees", prefix] = [[exprlang.diff(e, f"{prefix}{j + 1}")
+                                             for j in range(count)] for e in exprs]
+        return self._cache["trees", prefix]
 
-        ``values`` holds one coordinate array per variable (a batch) or one
-        number per variable (a point).  Returns (m, len(exprs), len(values)).
-        """
-        key = ("trees", prefix)
-        if key not in self._cache:
-            names = [f"{prefix}{j + 1}" for j in range(len(values))]
-            self._cache[key] = [[exprlang.diff(e, v) for v in names] for e in exprs]
-        b = {f"{prefix}{j + 1}": v for j, v in enumerate(values)}
-        b.update(self.params)
-        return _evaluate_table(self._cache[key], b, (len(exprs), len(values)))
+    def _derivatives(self, prefix: str, values) -> np.ndarray:
+        """The ``_trees(prefix)`` table (m, rows, len(values)) at one coordinate array
+        per variable.  A tree free of them evaluates to a scalar; m is 1 when every
+        tree does, else the size of the batch they broadcast to, in C order."""
+        trees, b = self._trees(prefix), self._bindings(prefix, values)
+        vals = [[np.asarray(exprlang.evaluate(t, b), dtype=float) for t in row] for row in trees]
+        lead = (np.broadcast_shapes(*map(np.shape, values))
+                if any(v.ndim for row in vals for v in row) else (1,))
+        out = np.empty(lead + (len(trees), len(values)))
+        for i, row in enumerate(vals):
+            for j, v in enumerate(row):
+                out[..., i, j] = v
+        return out.reshape((math.prod(lead),) + out.shape[-2:])
+
+    @cached_property
+    def frames_constant(self) -> bool:
+        """Whether no chart or implicit derivative tree reads a coordinate, so that every
+        node has the same frame: ``diff`` folds each such tree's derivatives to zero."""
+        trees = (([] if self.is_affine else self._trees("u"))
+                 + ([] if self.implicit is None else self._trees("x")))
+        return all(exprlang.diff(t, f"{p}{j + 1}") == Num(0.0) for row in trees for t in row
+                   for p in "ux" for j in range(self.ambient.dim))
 
     # basic maps
 
@@ -187,34 +205,47 @@ class Submanifold:
         """Chart coordinate box, or None when the core is affine (unbounded)."""
         return self.form.domain if isinstance(self.form, ChartForm) else None
 
-    def points_at(self, coords: np.ndarray) -> np.ndarray:
-        """Vectorized chart map on an (N, k) coordinate array."""
+    def points_at(self, coords):
+        """Chart map: (N, n) points at an (N, k) coordinate array; at a quadrature
+        Grid, the n ambient coordinates as a tuple of arrays over its open axes."""
+        if isinstance(coords, Grid):
+            return self._map(coords.columns())
         coords = np.asarray(coords, dtype=float)
         if isinstance(self.form, AffineForm):
             # (n, k) @ (k, N) runs far faster than the tall-skinny (N, k) @ (k, n)
             return self.form.base + (self.form.tangent @ coords.T).T
-        b = {f"u{i + 1}": coords[:, i] for i in range(self.dim)}
-        b.update(self.params)
-        cols = [np.broadcast_to(np.asarray(exprlang.evaluate(e, b), dtype=float),
-                                (coords.shape[0],))
-                for e in self.form.exprs]
-        return np.stack(cols, axis=1)
+        return np.stack([np.broadcast_to(x, coords.shape[:1]) for x in self._map(coords.T)],
+                        axis=1)
+
+    def _map(self, cols) -> tuple:
+        """The n ambient coordinates at k broadcastable coordinate arrays."""
+        if isinstance(self.form, AffineForm):
+            out = []
+            for x, row in zip(self.form.base, self.form.tangent):
+                for t, c in zip(row, cols):  # each term widens x by its own axis only
+                    x = x + t * c if t != 0.0 else x
+                out.append(x)
+            return tuple(out)
+        b = self._bindings("u", cols)
+        return tuple(np.asarray(exprlang.evaluate(e, b), dtype=float) for e in self.form.exprs)
 
     def _tangents(self, coords) -> np.ndarray:
-        """Chart jacobians (m, n, k) at (N, k) coordinates."""
+        """Chart jacobians (m, n, k) at (N, k) coordinates or at a Grid's nodes."""
         if isinstance(self.form, AffineForm):
             return self.form.tangent[None]
-        return self._derivatives(self.form.exprs, "u", np.asarray(coords).T)
+        return self._derivatives(
+            "u", coords.columns() if isinstance(coords, Grid) else np.asarray(coords).T)
 
     def _implicit_values(self, points) -> np.ndarray:
         """Implicit form values (N, n - k) at (N, n) points."""
-        b = self._x_bindings(points.T)
+        b = self._bindings("x", points.T)
         return np.array([np.broadcast_to(exprlang.evaluate(e, b), (len(points),))
                          for e in self.implicit]).reshape(len(self.implicit), len(points)).T
 
     def _implicit_rows(self, points) -> np.ndarray:
-        """Implicit jacobian rows (m, n - k, n) at (N, n) points."""
-        return self._derivatives(self.implicit, "x", np.asarray(points).T)
+        """Implicit jacobian rows (m, n - k, n) at (N, n) points or ``points_at(grid)``."""
+        return self._derivatives("x", points if isinstance(points, tuple)
+                                 else np.asarray(points).T)
 
     def seed_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached (coords, images) grid used to start Newton iterations."""
@@ -236,20 +267,11 @@ def _coerce_exprs(exprs) -> tuple[Expr, ...] | None:
     return tuple(out)
 
 
-def _evaluate_table(trees, bindings, shape) -> np.ndarray:
-    # a tree free of the bound arrays evaluates to a scalar; when every tree
-    # does, the table has one entry on the leading axis and broadcasts
-    vals = [[np.asarray(exprlang.evaluate(t, bindings), dtype=float) for t in row]
-            for row in trees]
-    out = np.empty(np.broadcast_shapes((1,), *(v.shape for row in vals for v in row)) + shape)
-    for i, row in enumerate(vals):
-        for j, v in enumerate(row):
-            out[:, i, j] = v
-    return out
-
-
-def _at(coords: np.ndarray, bad: np.ndarray) -> np.ndarray:
+def _at(coords, bad: np.ndarray) -> np.ndarray:
     # coordinates of the first failing frame; a single frame stands for all
+    if isinstance(coords, Grid):
+        index = np.unravel_index(np.argmax(bad), coords.dims)
+        return np.array([x[j] for x, j in zip(coords.axes, index)])
     return coords[min(int(np.argmax(bad)), len(coords) - 1)]
 
 
@@ -264,18 +286,22 @@ def _rank_loss(stack: np.ndarray, tol: float, coords: np.ndarray):
 
 # frames
 
-def frames_many(core: Submanifold, coords) -> tuple[np.ndarray, ...]:
-    """Points (N, n), tangents (m, n, k), conormal rows (m, n - k, n) at (N, k) coordinates.
+def frames_many(core: Submanifold, coords) -> tuple:
+    """``core.points_at(coords)``, tangents (m, n, k) and conormal rows (m, n - k, n)
+    at chart coordinates (N, k) or a quadrature Grid of N nodes.
 
-    m is 1 when every derivative tree of the core is constant (an affine
-    core, or a linear implicit form) and N otherwise.  The conormal is the
-    implicit form's jacobian, or else the orthonormal complement of the
-    tangent.  Each frame is checked for immersion (ImmersionFailure), for
-    implicit rows that annihilate the tangent (ConormalMismatch, relative to
-    max|rows| max|tangent|) and for their rank (RankDeficient).
+    m is 1 when ``core.frames_constant``, checked once and cached on the
+    core, and N otherwise.  The conormal is the implicit form's jacobian, or
+    else the orthonormal complement of the tangent.  Each frame is checked
+    for immersion (ImmersionFailure), for implicit rows that annihilate the
+    tangent (ConormalMismatch, relative to max|rows| max|tangent|) and for
+    their rank (RankDeficient).
     """
-    coords = np.asarray(coords, dtype=float)
+    if not isinstance(coords, Grid):
+        coords = np.asarray(coords, dtype=float)
     points = core.points_at(coords)
+    if "frames" in core._cache:
+        return (points, *core._cache["frames"])
     tangents = core._tangents(coords)
     u = _rank_loss(tangents, IMMERSION_TOL, coords)
     if u is not None:
@@ -295,8 +321,13 @@ def frames_many(core: Submanifold, coords) -> tuple[np.ndarray, ...]:
         if u is not None:
             raise RankDeficient(f"implicit conormal of {core.name!r} loses rank at u = {u}")
     m = max(len(tangents), len(rows))
-    return (points, *(a if len(a) == m else np.broadcast_to(a, (m,) + a.shape[1:])
-                      for a in (tangents, rows)))
+    frames = tuple(a if len(a) == m else np.broadcast_to(a, (m,) + a.shape[1:])
+                   for a in (tangents, rows))
+    if core.frames_constant:
+        for a in frames:
+            a.flags.writeable = False  # every later batch shares them
+        core._cache["frames"] = frames
+    return (points, *frames)
 
 
 def frames_at(core: Submanifold, u) -> tuple[np.ndarray, ...]:

@@ -119,14 +119,14 @@ def frame_factors(tangents, rows, degree, solver) -> np.ndarray:
 
     ``tangents`` (m, n, k) and conormal ``rows`` (m, q, n) hold one frame per
     node, or one for every node when m is 1 on either side; the solver and the
-    determinant run once per distinct frame.
+    determinant run once per distinct frame.  They are float64 for a real degree.
     """
     out = np.empty(max(len(tangents), len(rows)), dtype=complex)
     for i in range(len(out)):
         # i % 1 == 0: a stack of one frame serves every node
         t, nu = tangents[i % len(tangents)], rows[i % len(rows)]
         out[i] = det_abs_pow(np.hstack([t, solver(nu, t)]), degree)
-    return out
+    return out if complex(degree).imag else out.real.copy()
 
 
 def complete_to_ambient(tangent) -> np.ndarray:

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .fields import FuncField
 from .geometry import ON_CORE_TOL, Submanifold, chart_invert, frames_many
-from .quadrature import QuadratureOptions, intersect_boxes
+from .quadrature import Grid, QuadratureOptions, intersect_boxes
 from .states import ConormalFamily, GeometricState, NormalSolver, PairingResult
 
 
@@ -103,8 +103,9 @@ def product(theta1: GeometricState, theta2: GeometricState,
     _check_dims(theta1, theta2, core_e)
 
     def stacked_rows(coords, frames):
+        x = core_e.points_at(coords.points()) if isinstance(coords, Grid) else frames[0]
         return _stacked(*(
-            theta.conormal.rows_many(_core_coords(theta.core, frames[0], picture))
+            theta.conormal.rows_many(_core_coords(theta.core, x, picture))
             for theta, picture in ((theta1, "first"), (theta2, "second"))))
 
     coeff = FuncField(lambda w: product_at_point(theta1, theta2, core_e, w))
@@ -144,7 +145,7 @@ def inner_product(theta1: GeometricState, theta2: GeometricState,
     # fail fast on a non-transverse configuration before spending quadrature
     product_at_point(theta1, theta2, core_e, box.mean(axis=1), dual_solver)
 
-    def integrand(grid: quadrature.Grid) -> np.ndarray:
+    def integrand(grid: Grid) -> np.ndarray:
         return np.array([product_at_point(theta1, theta2, core_e, w, dual_solver)
                          for w in grid.points()], dtype=complex)
 

@@ -78,7 +78,7 @@ def _axis_nodes(lo: float, hi: float, order: int):
 class Grid:
     """Tensor product of per-axis nodes: ``shape`` (N, k) as for the flat points,
     ``dims`` the per-axis counts, ``columns()`` the open grid ``np.ix_(*axes)``;
-    ``points()`` or ``np.asarray`` builds the C-order (N, k) points."""
+    only ``points()`` builds the C-order (N, k) points, not ``np.asarray``."""
 
     def __init__(self, axes):
         self.axes = tuple(axes)
@@ -93,9 +93,6 @@ class Grid:
         for i, col in enumerate(self.columns()):
             out[..., i] = col
         return out.reshape(self.shape)
-
-    def __array__(self, dtype=None, copy=None):
-        return self.points() if dtype is None else self.points().astype(dtype, copy=False)
 
 
 def tensor_rule(box, order: int):

@@ -31,7 +31,7 @@ NormalSolver = Callable[[np.ndarray, np.ndarray], np.ndarray]
 class ConormalFamily:
     """A frame family of q conormal covectors along a core, as one batched callable.
 
-    ``rows_many(coords, frames)`` takes a batch of chart coordinates (N, k)
+    ``rows_many(coords, frames)`` takes chart coordinates (N, k) or a Grid,
     and that batch's ``frames_many`` output, and returns the family's
     covector rows (m, q, n): m is 1 when the rows are the same at every node
     and N otherwise.  Families that read the frames sample them on ``core``
@@ -53,7 +53,6 @@ class ConormalFamily:
         return cls(lambda coords, frames: rows)
 
     def rows_many(self, coords, frames=None) -> np.ndarray:
-        coords = np.asarray(coords, dtype=float)
         if frames is None and self.core is not None:
             frames = frames_many(self.core, coords)
         return self._fn(coords, frames)
@@ -147,7 +146,7 @@ def pair_with_test(state: GeometricState, phi: AmbientDensity,
     integrand = _pairing_integrand(state, phi, normal_solver or linalg.dual_normal_frame)
     core = state.core
     if core.dim == 0:
-        return PairingResult(complex(integrand(np.zeros((1, 0)))[0]), 0.0)
+        return PairingResult(complex(integrand(quadrature.Grid([]))), 0.0)
 
     if core.domain is None and state.support is None:
         raise UnboundedDomain(
@@ -163,19 +162,20 @@ def pair_with_test(state: GeometricState, phi: AmbientDensity,
 
 def _pairing_integrand(state: GeometricState, phi: AmbientDensity,
                        solver: NormalSolver):
-    """g(u) f(psi(u)) |det [t(u) | n(u)]|^(1-alpha) on a batch of chart coordinates.
+    """g(u) f(psi(u)) |det [t(u) | n(u)]|^(1-alpha) on a quadrature Grid, in its dims.
 
-    Frames are sampled once per batch; ``linalg.frame_factors`` runs the
-    solver and the determinant once per distinct frame, so once for a
-    constant frame and N times for a curved one.
+    Each factor runs on the grid's axes, never on flat points: g on the
+    chart columns, f on the ambient coordinate arrays of ``frames_many``,
+    and the frame factor once per distinct frame.  A real degree with real
+    coefficients keeps the product float64.
     """
     core = state.core
 
-    def integrand(coords) -> np.ndarray:
-        coords = np.asarray(coords, dtype=float)  # a quadrature Grid flattens to its points
-        frames = frames_many(core, coords)
-        factors = linalg.frame_factors(frames[1], state.conormal.rows_many(coords, frames),
+    def integrand(grid: quadrature.Grid) -> np.ndarray:
+        frames = frames_many(core, grid)
+        factors = linalg.frame_factors(frames[1], state.conormal.rows_many(grid, frames),
                                        phi.degree, solver)
-        return state.coeff.eval_many(coords) * phi.coeff.eval_many(frames[0]) * factors
+        factors = factors.reshape(grid.dims if len(factors) > 1 else ())
+        return state.coeff.eval_many(grid) * phi.coeff.eval_many(frames[0]) * factors
 
     return integrand

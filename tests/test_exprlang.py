@@ -27,6 +27,7 @@ from geodens.exprlang import (
     Num,
     Var,
     _pow,
+    diff,
     evaluate,
     jacobian,
     parse,
@@ -322,3 +323,14 @@ def test_subst():
 def test_subst_builds_real_trees():
     out = subst(parse("exp(u1)"), {"u1": parse("-x1^2")})
     assert out == Call("exp", Neg(BinOp("^", Var("x1"), Num(2.0))))
+
+
+def test_diff_of_a_tree_free_of_the_variable_is_the_zero_tree():
+    # Submanifold.frames_constant reads a frame's constancy off this folding
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        tree = random_expr(rng, 3, 4)
+        assert diff(tree, "u4") == Num(0.0)
+        assert diff(diff(tree, "u1"), "a") == Num(0.0)
+    assert diff(parse("a*u1 + 2"), "u1") == Var("a")
+    assert diff(parse("u1 - u1"), "u1") != Num(0.0)  # unfolded: counted as varying

@@ -193,7 +193,9 @@ def test_grid_columns_broadcast_to_the_points():
     assert np.array_equal(points, list(itertools.product(*axes)))
     for i, col in enumerate(grid.columns()):
         assert np.array_equal(np.broadcast_to(col, grid.dims).ravel(), points[:, i])
-    assert np.array_equal(np.asarray(grid), points)
+    # only points() flattens: an accidental np.asarray of a grid fails loudly
+    with pytest.raises(TypeError):
+        np.asarray(grid, dtype=float)
 
 
 @pytest.mark.parametrize("chunk, dims", [

@@ -4,8 +4,9 @@ The invariance tests exercise the two gauge freedoms of the construction:
 which conormal frame the state is written against, and which transverse
 normal representatives the pairing integrand picks.  The reparametrization
 test swaps a chart u = v^3 + v under a half-density and checks the pairing
-does not move.  The cross-check compares the batched pairing integrand
-with a per-node evaluation built from ``frames_at``.
+does not move.  The cross-check compares the pairing integrand, which runs
+on a quadrature grid's axes, with a per-node evaluation built from
+``frames_at`` at the grid's flat points.
 """
 import math
 
@@ -16,7 +17,9 @@ from geodens.density import AmbientDensity
 from geodens.errors import ConormalMismatch, DegreeMismatch, UnboundedDomain
 from geodens.fields import ExprField, FuncField
 from geodens.geometry import Submanifold, frames_at, frames_many
+from geodens.exprlang import parse
 from geodens.linalg import det_abs_pow, dual_normal_frame
+from geodens.quadrature import Grid
 from geodens.states import (
     ConormalFamily,
     _pairing_integrand,
@@ -162,6 +165,17 @@ def _per_node_integrand(state, phi, coords):
 
 
 def _cross_check_cases():
+    # (core, coefficient, test, frames constant); tangents with zero entries
+    # take the affine chart map's short sums, the wavy line's implicit form
+    # makes an affine core's conormal vary, and a callable test coefficient
+    # takes the flat-points fallback
+    point = Submanifold.point("P", [0.3, -0.2, 0.5])
+    line = Submanifold.affine("L", [0.5, 0.0, -1.0], [1.0, 0.0, 2.0])
+    plane = Submanifold.affine("Q", [0.1, 0.2, 0.3, 0.4],
+                               np.transpose([[1.0, 0.0, 0.0, 2.0], [0.0, 3.0, 0.0, -1.0]]))
+    space = Submanifold.affine("V", [0.0, 1.0, -1.0, 0.5],
+                               np.transpose([[0.9, 0.0, 0.3, 0.0], [0.0, 1.1, 0.0, 0.2],
+                                             [0.4, 0.0, 0.0, 1.2]]))
     circle = Submanifold.chart("S", ["cos(u1)", "sin(u1)"], [[0.0, 2.0 * math.pi]],
                                implicit=["(x1^2 + x2^2 - 1)/2"])
     sphere = Submanifold.chart("P", ["sin(u1)*cos(u2)", "sin(u1)*sin(u2)", "cos(u1)"],
@@ -170,25 +184,108 @@ def _cross_check_cases():
                                  implicit=["x2 - 0.5*x1 - 1"])
     wavy = Submanifold.affine("W", [0.0, 0.0], [1.0, 0.0],
                               implicit=["x2*(1 + x1^2*(x1^2-1)^2)"])
-    plane_test = AmbientDensity.make(0.6 - 0.2j, "exp(-x1^2 - x2^2)")
-    space_test = AmbientDensity.make(0.6 - 0.2j, "exp(-x1^2 - x2^2 - x3^2)")
-    return [(circle, "cos(u1)", plane_test, False),
-            (sphere, "exp(-u2^2)*u1", space_test, False),
-            (slanted, "exp(-u1^2)", plane_test, True),
-            (wavy, "exp(-u1^2)", plane_test, False)]
+    complex_coeff = ExprField(parse("exp(-u1^2)"), parse("u1/3 - 0.5"))
+
+    def test(n, degree, fn=None):
+        form = "exp(-(" + " + ".join(f"x{i + 1}^2" for i in range(n)) + ")/4)"
+        return AmbientDensity.make(degree, fn or form)
+
+    callable_test = test(2, 0.5, lambda x: math.exp(-x @ x) * (1.0 + 0.5j * x[0]))
+    return [(circle, "cos(u1)", test(2, 0.6 - 0.2j), False, 0.4 + 0.2j),
+            (sphere, "exp(-u2^2)*u1", test(3, 0.6 - 0.2j), False, 0.4 + 0.2j),
+            (slanted, "exp(-u1^2)", test(2, 0.6 - 0.2j), True, 0.4 + 0.2j),
+            (wavy, complex_coeff, test(2, 0.5), False, 0.5),
+            (point, "2", test(3, 0.75), True, 0.25),
+            (line, "exp(-u1^2)", test(3, 0.6 - 0.2j), True, 0.4 + 0.2j),
+            (plane, complex_coeff, test(4, 0.5), True, 0.5),
+            (space, "cos(u1)*exp(-u3^2)", test(4, 0.25), True, 0.75),
+            (circle, "sin(u1)", callable_test, False, 0.5)]
 
 
-@pytest.mark.parametrize("case", range(4))
+def _random_grid(core, rng):
+    box = core.domain if core.domain is not None else np.tile([-2.0, 2.0], (core.dim, 1))
+    return Grid([np.sort(rng.uniform(lo, hi, int(rng.integers(1, 6)))) for lo, hi in box])
+
+
+CROSS_CHECK_CASES = range(len(_cross_check_cases()))
+
+
+@pytest.mark.parametrize("case", CROSS_CHECK_CASES)
 def test_batched_integrand_matches_per_node_frames(case):
-    core, coeff, phi, constant = _cross_check_cases()[case]
-    th = make_state(core, 0.4 + 0.2j, coeff)
-    box = core.domain if core.domain is not None else np.array([[-3.0, 3.0]])
+    # the batch is a quadrature grid, the reference the frames at its flat points
+    core, coeff, phi, constant, degree = _cross_check_cases()[case]
+    th = make_state(core, degree, coeff)
     rng = np.random.default_rng(20261018 + case)
-    coords = rng.uniform(box[:, 0], box[:, 1], size=(17, core.dim))
-    got = _pairing_integrand(th, phi, dual_normal_frame)(coords)
-    want = _per_node_integrand(th, phi, coords)
-    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
-    assert frames_many(core, coords)[1].shape[0] == (1 if constant else len(coords))
+    for _ in range(5):
+        grid = _random_grid(core, rng)
+        got = _pairing_integrand(th, phi, dual_normal_frame)(grid)
+        assert got.shape == grid.dims
+        # a real degree and real expression coefficients keep the product real
+        real = complex(degree).imag == 0.0 and all(
+            isinstance(f, ExprField) and f.im_expr is None for f in (th.coeff, phi.coeff))
+        assert got.dtype == (float if real else complex)
+        want = _per_node_integrand(th, phi, grid.points())
+        assert np.all(np.abs(got.ravel() - want) <= 1e-14 * np.abs(want))
+        assert frames_many(core, grid)[1].shape[0] == (1 if constant else grid.shape[0])
+
+
+@pytest.mark.parametrize("case", CROSS_CHECK_CASES)
+def test_grid_points_and_frames_match_the_flat_ones(case):
+    core = _cross_check_cases()[case][0]
+    rng = np.random.default_rng(7 + case)
+    for _ in range(5):
+        grid = _random_grid(core, rng)
+        flat = grid.points()
+        points, tangents, rows = frames_many(core, grid)
+        want_points, want_tangents, want_rows = frames_many(core, flat)
+        assert isinstance(points, tuple) and len(points) == core.ambient.dim
+        assert np.array_equal(core.points_at(grid)[0], points[0])
+        if core.is_affine:
+            # base + sum of terms against the (n, k) @ (k, N) product
+            scale = np.abs(core.form.base) + np.abs(flat) @ np.abs(core.form.tangent).T
+        else:
+            scale = np.abs(want_points)
+        for j, x in enumerate(points):
+            got = np.broadcast_to(x, grid.dims).ravel()
+            assert np.all(np.abs(got - want_points[:, j]) <= 1e-15 * scale[:, j])
+        assert tangents.tobytes() == want_tangents.tobytes()
+        assert rows.tobytes() == want_rows.tobytes()
+
+
+def test_constant_frames_are_checked_once_and_cached():
+    cases = _cross_check_cases()
+    for core, _, _, constant, _ in cases:
+        assert core.frames_constant == constant
+    slanted, wavy = cases[2][0], cases[3][0]
+    first = frames_many(slanted, [[0.1], [0.2]])
+    again = frames_many(slanted, [[0.7]])
+    assert first[1] is again[1] and first[2] is again[2]
+    assert not first[2].flags.writeable
+    frames_many(wavy, [[0.1], [0.2]])
+    assert "frames" not in wavy._cache
+    # a chart whose map is linear in u, with a scene parameter, is constant too
+    linear = Submanifold.chart("D", ["a*u1 + 1", "2*u1"], [[-1.0, 1.0]],
+                               implicit=["2*x1 - a*x2 - 2"], params={"a": 3.0})
+    assert linear.frames_constant
+    assert not Submanifold.chart("C", ["u1", "u1^2"], [[-1.0, 1.0]]).frames_constant
+
+
+def test_pairings_never_build_the_flat_points(monkeypatch):
+    core = Submanifold.affine("Q", [0.0, 0.0, 0.5], np.transpose([[1.0, 0.0, 0.0],
+                                                                 [0.0, 2.0, 1.0]]))
+    plane = make_state(core, 0.5, "exp(-u1^2 - u2^2)", support=[[-6.0, 6.0]] * 2)
+    circle = make_state(Submanifold.chart("S", ["cos(u1)", "sin(u1)"], [[0.0, 2.0 * math.pi]],
+                                          implicit=["(x1^2 + x2^2 - 1)/2"]), 0.5, "cos(u1)^2")
+    tests = [AmbientDensity.make(0.5, "exp(-x1^2 - x2^2 - x3^2)"),
+             AmbientDensity.make(0.5, "exp(-x1^2)")]
+    want = [pair_with_test(th, phi).value for th, phi in zip((plane, circle), tests)]
+
+    def flatten(grid):
+        raise AssertionError("the pairing flattened its grid")
+
+    monkeypatch.setattr(Grid, "points", flatten)
+    got = [pair_with_test(th, phi).value for th, phi in zip((plane, circle), tests)]
+    assert got == want
 
 
 # annihilation is judged relative to max|nu| max|t|

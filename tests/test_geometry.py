@@ -24,6 +24,7 @@ from geodens.geometry import (
     transversality_check,
 )
 from geodens.product import inner_product
+from geodens.quadrature import Grid
 from geodens.states import make_state
 
 
@@ -88,6 +89,16 @@ def test_chart_immersion_failure():
     # jacobian (2u, 3u^2) vanishes at u = 0
     with pytest.raises(ImmersionFailure):
         Submanifold.chart("cusp", ["u1^2", "u1^3"], [[-1.0, 1.0]])
+
+
+def test_frames_on_a_grid_name_the_failing_node():
+    # the 5-point validation grid of [-1, 2] misses the cusp at u1 = 0; the
+    # flat index of the first bad node maps back to its grid coordinates
+    cusp = Submanifold.chart("cusp", ["u1^2", "u1^3", "u2"], [[-1.0, 2.0], [0.0, 1.0]])
+    grid = Grid([np.array([0.5, 0.0]), np.array([0.2, 0.7, 0.9])])
+    with pytest.raises(ImmersionFailure) as info:
+        frames_many(cusp, grid)
+    assert str(np.array([0.0, 0.2])) in str(info.value)
 
 
 def test_implicit_must_vanish_on_core():

@@ -4,7 +4,9 @@ Each ``geodens <command> scenes/<name>.json --out <csv>`` run must give the
 recorded exit code exactly, and its CSV rows must match the recorded ones:
 text cells exactly, numeric cells to rel 1e-12 of the largest number in
 their row (an estimate or an error is a difference of values of that size,
-so it moves on the row's scale, not on its own).
+so it moves on the row's scale, not on its own).  Each scene's
+``--dump-normalized`` run must also give its recorded exit code, normalized
+text and error message exactly.
 
 The goldens live in ``scene_values.json`` next to this file.  Re-record them
 only for a change that means to move values, with
@@ -43,6 +45,14 @@ def run(command: str, scene: Path) -> dict:
     return {"exit": code, "rows": rows}
 
 
+def dump(scene: Path) -> dict:
+    """Exit code, stdout and stderr of one ``--dump-normalized`` run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["check", str(scene), "--dump-normalized"])
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
 def _number(cell: str):
     try:
         return float(cell)
@@ -71,6 +81,7 @@ def _rows_match(got, want) -> bool:
 
 CASES = [(scene.name, command) for scene in sorted(SCENES.glob("*.json"))
          for command in COMMANDS]
+DUMPS = [scene.name for scene in sorted(SCENES.glob("*.json"))]
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +90,8 @@ def goldens():
 
 
 def test_goldens_cover_every_scene_and_command(goldens):
-    assert sorted(goldens) == sorted(f"{s}/{c}" for s, c in CASES)
+    assert sorted(goldens) == sorted([f"{s}/{c}" for s, c in CASES]
+                                     + [f"{s}/--dump-normalized" for s in DUMPS])
 
 
 @pytest.mark.parametrize("scene,command", CASES)
@@ -88,6 +100,11 @@ def test_scene_values_match_goldens(goldens, scene, command):
     got = run(command, SCENES / scene)
     assert got["exit"] == want["exit"]
     assert _rows_match(got["rows"], want["rows"]), (got["rows"], want["rows"])
+
+
+@pytest.mark.parametrize("scene", DUMPS)
+def test_normalized_scenes_match_goldens(goldens, scene):
+    assert dump(SCENES / scene) == goldens[f"{scene}/--dump-normalized"]
 
 
 def test_rows_match_reads_numbers_on_the_row_scale():
@@ -102,4 +119,5 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)
     GOLDEN.write_text(json.dumps(
-        {f"{s}/{c}": run(c, SCENES / s) for s, c in CASES}, indent=1) + "\n")
+        {**{f"{s}/{c}": run(c, SCENES / s) for s, c in CASES},
+         **{f"{s}/--dump-normalized": dump(SCENES / s) for s in DUMPS}}, indent=1) + "\n")

@@ -22,7 +22,6 @@ from .geometry import (
     transversality_check,
 )
 from .linalg import (
-    DensityValue,
     change_of_basis,
     complete_to_ambient,
     det_abs_pow,

@@ -22,7 +22,7 @@ from . import oracle as oracle_mod
 from .errors import GeodensError
 from .geometry import frames_many, intersect, transversality_check
 from .product import inner_product, product
-from .quadrature import QuadratureOptions, as_box, intersect_boxes
+from .quadrature import Grid, QuadratureOptions, as_box, intersect_boxes
 from .scene import Scene, load_scene
 from .states import pair_with_test
 
@@ -209,14 +209,11 @@ def _cmd_product(scene: Scene, requests, opts, args):
         for core_e in cores_e:
             state = product(s1, s2, core_e,
                             support=req.get("support"))
-            if core_e.dim == 0:
-                grid = np.zeros((1, 0))
-            else:
+            axes = []
+            if core_e.dim:
                 box = as_box(intersect_boxes(core_e.domain, req.get("support")))
-                per_axis = int(req.get("grid", 5))
-                axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
-                grid = np.stack(np.meshgrid(*axes, indexing="ij"),
-                                axis=-1).reshape(-1, core_e.dim)
+                axes = [np.linspace(lo, hi, int(req.get("grid", 5))) for lo, hi in box]
+            grid = Grid(axes).points()
             print(f"product {req['state1']},{req['state2']} on {core_e.name}: "
                   f"degree {fmt_value(state.degree)}, {grid.shape[0]} samples")
             for w in grid:

@@ -2,9 +2,11 @@
 
 An ambient alpha-density is a coefficient field against the standard frame;
 its value against any other frame e = (standard) @ B is coeff * |det B|^alpha.
-Restriction to a k-dimensional core splits the value across a tangent frame
-and a chosen transverse normal frame: the restricted value against (t, n) is
-coeff(x) * |det [t | n]|^alpha.
+Restriction to a k-dimensional core is the pullback (Hormander, ALPDO I,
+section 6.1): it splits the value across a tangent frame and a chosen
+transverse normal frame, so the restricted value against (t, n) is
+coeff(x) * |det [t | n]|^alpha.  ``restrict`` computes it on a whole batch of
+chart coordinates at once; a pairing is a state coefficient times it.
 """
 from __future__ import annotations
 
@@ -15,9 +17,8 @@ import numpy as np
 
 from . import linalg
 from .fields import ScalarField, as_field
-from .geometry import Submanifold, frames_at
-from .linalg import DensityValue
-from .quadrature import as_box
+from .geometry import Submanifold, frames_many
+from .quadrature import Grid, as_box
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,22 +36,23 @@ class AmbientDensity:
         return cls(complex(degree), as_field(coeff, "x", params),
                    None if support is None else as_box(support), resolution_hint)
 
-    def value_in_frame(self, x, frame) -> complex:
-        """Density value against an explicit (n, n) ambient frame of columns."""
-        return self.coeff(x) * linalg.det_abs_pow(frame, self.degree)
 
+def restrict(phi: AmbientDensity, core: Submanifold, coords, conormal=None,
+             solver=None) -> np.ndarray:
+    """f(psi(u)) |det [t(u) | solver(nu(u), t(u))]|^degree at chart coordinates
+    (N, k), values (N,), or on a quadrature Grid, values in its ``dims``.
 
-def restrict(phi: AmbientDensity, core: Submanifold, u, normal=None) -> DensityValue:
-    """Restrict an ambient density to a core at chart coordinates u.
-
-    The value refers to the pair (chart tangent frame at u, normal frame n);
-    by default n is the minimum-norm dual of the core's conormal frame.
-    Returns a DensityValue whose frame is the combined ambient frame [t | n],
-    so the usual |det B|^alpha transformation rule applies to it directly.
+    The rows nu are ``conormal.rows_many(coords, frames)``, or the core's own
+    conormal rows when ``conormal`` is None; ``solver`` defaults to their
+    minimum-norm dual normals, and an explicit normal frame n is the constant
+    solver ``lambda nu, t: n``.  The frame factor runs once per distinct frame,
+    and a real degree with a real coefficient gives float64 values.
     """
-    x, t, rows = frames_at(core, u)
-    nmat = linalg.dual_normal_frame(rows, t) if normal is None else normal
-    full = np.column_stack([t, nmat])  # a normal of shape (n,) is one column
-    value = phi.coeff(x) * linalg.det_abs_pow(full, phi.degree)
-    return DensityValue(value, phi.degree, full)
-
+    points, tangents, rows = frames_many(core, coords)
+    if conormal is not None:
+        rows = conormal.rows_many(coords, (points, tangents, rows))
+    factors = linalg.frame_factors(tangents, rows, phi.degree,
+                                   solver or linalg.dual_normal_frame)
+    dims = coords.dims if isinstance(coords, Grid) else (len(coords),)
+    value = phi.coeff.eval_many(points) * factors.reshape(dims if len(factors) > 1 else ())
+    return np.broadcast_to(value, dims)

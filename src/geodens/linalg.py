@@ -1,4 +1,4 @@
-"""Kernels on frames, density values, and the determinant powers under everything else.
+"""Kernels on frames and the determinant powers under everything else.
 
 A frame is its matrix: tangent and normal frames are (n, k) arrays of column
 vectors, conormal frames are (q, n) arrays of covector rows, and a stack of
@@ -10,7 +10,6 @@ exp(degree * ln|det|).
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,20 +139,3 @@ def complete_to_ambient(tangent) -> np.ndarray:
     if np.any(sv[..., -1] <= RANK_TOL * sv[..., 0]):
         raise RankDeficient("tangent frame is rank deficient")
     return u[..., k:]
-
-
-@dataclass(frozen=True, eq=False)
-class DensityValue:
-    """Value of an alpha-density against one frame.
-
-    Transforms by |det B|^degree under frame change: if ``other = frame @ B``
-    then the value against ``other`` is value * |det B|^degree.
-    """
-
-    value: complex
-    degree: complex
-    frame: np.ndarray  # (n, n) columns
-
-    def in_frame(self, other) -> "DensityValue":
-        b = change_of_basis(self.frame, other)
-        return DensityValue(self.value * det_abs_pow(b, self.degree), self.degree, other)

@@ -264,46 +264,27 @@ def _norm_request(entry: dict, index: int, cores, states, tests, params) -> dict
             n = cores[out["cores"][0]].ambient.dim
             if any(len(p) != n for p in out["samples"]):
                 raise SceneError(f"{where} has a sample that is not a point of R^{n}")
-    elif op == "pair":
+    elif op == "pair" or (op == "oracle" and "test" in entry):
         out["state"] = state_ref("state")
         name = str(_need(entry, "test", where))
         if name not in tests:
             raise SceneError(f"{where} references unknown test density {name!r}")
         out["test"] = name
         _check_degree_sum(states[out["state"]].degree, tests[name].degree, where)
-    elif op in ("product", "inner"):
+    elif op in ("product", "inner", "oracle"):
         out["state1"] = state_ref("state1")
         out["state2"] = state_ref("state2")
         if entry.get("intersection") is not None:
             out["intersection"] = core_ref("intersection")
         if entry.get("support") is not None:
             out["support"] = support_box()
-        if op == "inner":
+        if op != "product":
             _check_degree_sum(states[out["state1"]].degree,
                               states[out["state2"]].degree, where)
-        if op == "product" and entry.get("grid") is not None:
+        elif entry.get("grid") is not None:
             out["grid"] = _integer(entry["grid"], f"{where} grid")
             if out["grid"] < 1:
                 raise SceneError(f"{where} needs grid >= 1")
-    elif op == "oracle":
-        if "test" in entry:
-            out["state"] = state_ref("state")
-            name = str(_need(entry, "test", where))
-            if name not in tests:
-                raise SceneError(f"{where} references unknown test density {name!r}")
-            out["test"] = name
-            _check_degree_sum(states[out["state"]].degree, tests[name].degree, where)
-        else:
-            out["state1"] = state_ref("state1")
-            out["state2"] = state_ref("state2")
-            if entry.get("intersection") is not None:
-                out["intersection"] = core_ref("intersection")
-            if entry.get("support") is not None:
-                out["support"] = support_box()
-            _check_degree_sum(states[out["state1"]].degree,
-                              states[out["state2"]].degree, where)
-        if entry.get("eps") is not None:
-            out["eps"] = [_number(e, f"{where} eps") for e in entry["eps"]]
     else:  # sweep
         out["param"] = str(_need(entry, "param", where))
         if out["param"] not in params:
@@ -323,6 +304,8 @@ def _norm_request(entry: dict, index: int, cores, states, tests, params) -> dict
             raise SceneError(
                 f"{where} can only sweep scalar-result requests (pair, inner)")
         out["request"] = _norm_request(inner_req, index, cores, states, tests, params)
+    if op == "oracle" and entry.get("eps") is not None:
+        out["eps"] = [_number(e, f"{where} eps") for e in entry["eps"]]
     return out
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import exprlang, linalg, quadrature
 from .errors import DegreeMismatch, UnboundedDomain
 from .fields import ExprField, FuncField, ScalarField, as_field
-from .density import AmbientDensity
+from .density import AmbientDensity, restrict
 from .geometry import Submanifold, frames_many
 from .quadrature import QuadratureOptions, as_box, intersect_boxes
 
@@ -143,7 +143,7 @@ def pair_with_test(state: GeometricState, phi: AmbientDensity,
         raise DegreeMismatch(
             f"pairing needs degrees summing to 1, got {state.degree} + {phi.degree}")
     opts = options or QuadratureOptions()
-    integrand = _pairing_integrand(state, phi, normal_solver or linalg.dual_normal_frame)
+    integrand = _pairing_integrand(state, phi, normal_solver)
     core = state.core
     if core.dim == 0:
         return PairingResult(complex(integrand(quadrature.Grid([]))), 0.0)
@@ -161,21 +161,9 @@ def pair_with_test(state: GeometricState, phi: AmbientDensity,
 
 
 def _pairing_integrand(state: GeometricState, phi: AmbientDensity,
-                       solver: NormalSolver):
-    """g(u) f(psi(u)) |det [t(u) | n(u)]|^(1-alpha) on a quadrature Grid, in its dims.
-
-    Each factor runs on the grid's axes, never on flat points: g on the
-    chart columns, f on the ambient coordinate arrays of ``frames_many``,
-    and the frame factor once per distinct frame.  A real degree with real
-    coefficients keeps the product float64.
-    """
-    core = state.core
-
-    def integrand(grid: quadrature.Grid) -> np.ndarray:
-        frames = frames_many(core, grid)
-        factors = linalg.frame_factors(frames[1], state.conormal.rows_many(grid, frames),
-                                       phi.degree, solver)
-        factors = factors.reshape(grid.dims if len(factors) > 1 else ())
-        return state.coeff.eval_many(grid) * phi.coeff.eval_many(frames[0]) * factors
-
-    return integrand
+                       solver: NormalSolver | None):
+    """g(u) times the test density restricted to the core, ``restrict`` with the
+    state's conormal family, on a quadrature Grid in its dims; float64 for a
+    real degree with real coefficients."""
+    return lambda grid: state.coeff.eval_many(grid) * restrict(
+        phi, state.core, grid, state.conormal, solver)

@@ -13,7 +13,6 @@ from geodens.errors import (
     SpanMismatch,
 )
 from geodens.linalg import (
-    DensityValue,
     change_of_basis,
     complete_to_ambient,
     det_abs_pow,
@@ -206,26 +205,3 @@ def test_complete_to_ambient_of_nothing():
 def test_complete_to_ambient_rank_deficient():
     with pytest.raises(RankDeficient):
         complete_to_ambient(np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]]))
-
-
-# density values
-
-def test_density_value_transformation_law():
-    rng = np.random.default_rng(5)
-    m = rng.normal(size=(3, 3)) + 2.0 * np.eye(3)
-    b = rng.normal(size=(3, 3)) + 2.0 * np.eye(3)
-    alpha = 0.5 + 0.25j
-    v1 = DensityValue(1.3 + 0.0j, alpha, m)
-    v2 = v1.in_frame(m @ b)
-    assert v2.value == pytest.approx(1.3 * det_abs_pow(b, alpha), rel=1e-12)
-    # returning to the original frame undoes the factor
-    back = v2.in_frame(v1.frame)
-    assert back.value == pytest.approx(v1.value, rel=1e-10)
-
-
-def test_density_values_compare_by_identity():
-    # the frame is an array, so field-wise == would be ambiguous
-    v = DensityValue(1.0 + 0.0j, 0.5, np.eye(2))
-    assert v == v
-    assert v != DensityValue(1.0 + 0.0j, 0.5, np.eye(2))
-    assert len({v, v}) == 1

@@ -43,6 +43,16 @@ def test_value_in_frame():
         assert got[0] == pytest.approx(math.sqrt(6.0), rel=1e-14)
 
 
+def test_density_value_scales_with_frame():
+    # doubling the frame of a full-dimensional core scales the value by |det 2I|^alpha
+    phi = gaussian(0.5)
+    unit = restrict(phi, Submanifold.affine("I", [0.0, 0.0], np.eye(2)), [[0.0, 0.0]])
+    doubled = restrict(phi, Submanifold.affine("D", [0.0, 0.0], 2.0 * np.eye(2)),
+                       [[0.0, 0.0]])
+    assert doubled[0] == pytest.approx(unit[0] * det_abs_pow(2.0 * np.eye(2), 0.5))
+    assert doubled[0] == pytest.approx(2.0, rel=1e-14)
+
+
 def test_restrict_to_axis_is_the_coefficient():
     # [t | n] is the standard frame, so the determinant factor is 1
     axis = Submanifold.affine("X", [0.0, 0.0], [1.0, 0.0])

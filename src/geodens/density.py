@@ -43,7 +43,7 @@ def restrict(phi: AmbientDensity, core: Submanifold, coords, conormal=None,
     (N, k), values (N,), or on a quadrature Grid, values in its ``dims``.
 
     The rows nu are ``conormal.rows_many(coords, frames)``, or the core's own
-    conormal rows when ``conormal`` is None; ``solver`` defaults to their
+    conormal rows when ``conormal`` is None; ``solver`` None means their
     minimum-norm dual normals, and an explicit normal frame n is the constant
     solver ``lambda nu, t: n``.  The frame factor runs once per distinct frame,
     and a real degree with a real coefficient gives float64 values.
@@ -51,8 +51,7 @@ def restrict(phi: AmbientDensity, core: Submanifold, coords, conormal=None,
     points, tangents, rows = frames_many(core, coords)
     if conormal is not None:
         rows = conormal.rows_many(coords, (points, tangents, rows))
-    factors = linalg.frame_factors(tangents, rows, phi.degree,
-                                   solver or linalg.dual_normal_frame)
+    factors = linalg.frame_factors(tangents, rows, phi.degree, solver)
     dims = coords.dims if isinstance(coords, Grid) else (len(coords),)
     value = phi.coeff.eval_many(points) * factors.reshape(dims if len(factors) > 1 else ())
     return np.broadcast_to(value, dims)

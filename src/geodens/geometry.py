@@ -63,6 +63,11 @@ class ChartForm:
     domain: np.ndarray       # (k, 2) bounded box
 
 
+def on_core_tol(x: np.ndarray) -> np.ndarray:
+    """Largest residuals (N,) that put points x (N, n) on a core, at any scale."""
+    return ON_CORE_TOL * np.maximum(1.0, np.max(np.abs(x), axis=1, initial=0.0))
+
+
 def _grid(box: np.ndarray, per_axis: int) -> np.ndarray:
     while per_axis > 2 and per_axis ** box.shape[0] > SEED_CAP:
         per_axis -= 1
@@ -148,7 +153,7 @@ class Submanifold:
         coords = _grid(box, 3)
         x = self.points_at(coords)
         worst = np.max(np.abs(self._implicit_values(x)), axis=1, initial=0.0)
-        off = worst > ON_CORE_TOL * np.maximum(1.0, np.max(np.abs(x), axis=1))
+        off = worst > on_core_tol(x)
         if np.any(off):
             i = int(np.argmax(off))
             raise ValueError(
@@ -382,15 +387,19 @@ def chart_invert(core: Submanifold, x):
     """Chart coordinates of ambient points.
 
     One point (n,) gives (u (k,), residual); a stack (N, n) gives
-    (u (N, k), residuals (N,)).  Affine cores invert in closed form.  Charts
-    run the damped Gauss-Newton from each point's nearest grid seed; the
-    iteration converging to a point *near* the core is the caller's on-core
-    decision, a row that does not stabilize raises ChartInversionFailure.
+    (u (N, k), residuals (N,)).  Affine cores invert as (x - base) P^T, P the
+    tangent's pseudo-inverse, cached on the core.  Charts run the damped
+    Gauss-Newton from each point's nearest grid seed; the caller decides
+    whether a residual is on the core (``on_core_tol``), and a row that does
+    not stabilize raises ChartInversionFailure.
     """
     x = np.asarray(x, dtype=float)
     xs = np.atleast_2d(x)
     if isinstance(core.form, AffineForm):
-        u = np.linalg.lstsq(core.form.tangent, (xs - core.form.base).T, rcond=None)[0].T
+        if "pinv" not in core._cache:
+            core._cache["pinv"] = np.linalg.pinv(core.form.tangent).T
+            core._cache["pinv"].flags.writeable = False
+        u = (xs - core.form.base) @ core._cache["pinv"]
         resid = np.linalg.norm(core.points_at(u) - xs, axis=1)
     else:
         coords, images = core.seed_table()
@@ -434,7 +443,7 @@ def transversality_check(c: Submanifold, d: Submanifold,
     """Per-point verdicts on whether T_xC + T_xD spans R^n.
 
     Samples are ambient points that must already lie on both cores
-    (distance <= ON_CORE_TOL), otherwise NotOnBothCores is raised.
+    (distance <= ``on_core_tol``), otherwise NotOnBothCores is raised.
     """
     n = c.ambient.dim
     if d.ambient.dim != n:
@@ -442,7 +451,8 @@ def transversality_check(c: Submanifold, d: Submanifold,
     x = np.asarray(samples, dtype=float).reshape(len(samples), n)
     uc, rc = chart_invert(c, x)
     ud, rd = chart_invert(d, x)
-    off = (rc > ON_CORE_TOL) | (rd > ON_CORE_TOL)
+    tol = on_core_tol(x)
+    off = (rc > tol) | (rd > tol)
     if off.any():
         i = int(np.argmax(off))
         raise NotOnBothCores(

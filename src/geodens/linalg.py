@@ -5,11 +5,9 @@ vectors, conormal frames are (q, n) arrays of covector rows, and a stack of
 frames adds a leading axis.  All ambient spaces here are R^n at desk scale
 (n <= 10), so every routine is dense and direct: slogdet, lstsq, pinv, svd.
 Degrees are complex throughout; |det|^degree is computed as
-exp(degree * ln|det|).
+exp(degree * ln|det|).  Each rule is written once, on stacks of frames.
 """
 from __future__ import annotations
-
-import cmath
 
 import numpy as np
 
@@ -27,12 +25,18 @@ SPAN_TOL = 1e-9         # relative residual for span membership
 ANNIHILATE_TOL = 1e-9   # relative to max|nu| max|t|: above this is not "annihilates"
 
 
-def _log_hadamard(m: np.ndarray) -> float:
-    # log of prod_i ||row_i||, the natural scale of det for these entries
-    norms = np.linalg.norm(m, axis=1)
-    if np.any(norms == 0.0):
-        return -np.inf
-    return float(np.sum(np.log(norms)))
+def _det_abs_pows(mats: np.ndarray, degree) -> np.ndarray:
+    """|det M|^degree, complex, for each matrix of an (m, d, d) stack."""
+    a = complex(degree)
+    sign, logabs = np.linalg.slogdet(mats)
+    with np.errstate(divide="ignore"):
+        # log of prod_i ||row_i||, the natural scale of det for these entries
+        log_hadamard = np.sum(np.log(np.linalg.norm(mats, axis=2)), axis=1)
+    singular = (sign == 0.0) | (logabs <= np.log(SINGULAR_TOL) + log_hadamard)
+    if singular.any() and a.real <= 0.0:
+        raise SingularFrame(f"singular frame matrix (log|det| = "
+                            f"{logabs[np.argmax(singular)]:.3g}) with degree {a}")
+    return np.where(singular, 0.0, np.exp(a * np.where(singular, 0.0, logabs)))
 
 
 def det_abs_pow(matrix, degree) -> complex:
@@ -41,22 +45,13 @@ def det_abs_pow(matrix, degree) -> complex:
     Computed as exp(degree * ln|det M|).  A matrix is treated as singular when
     |det| <= SINGULAR_TOL * (Hadamard bound); then the result is 0 for
     Re(degree) > 0 and SingularFrame is raised otherwise (including degree 0:
-    0^0 on a degenerate frame is not a meaningful density value).
+    0^0 on a degenerate frame is not a meaningful density value).  The rule of
+    ``frame_factors`` on a stack of one; the empty frame has det 1.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    a = complex(degree)
-    if m.shape[0] == 0:
-        # empty frame on a zero-dimensional space, det is 1 by convention
-        return 1.0 + 0.0j
-    sign, logabs = np.linalg.slogdet(m)
-    if sign == 0.0 or logabs <= np.log(SINGULAR_TOL) + _log_hadamard(m):
-        if a.real > 0.0:
-            return 0.0 + 0.0j
-        raise SingularFrame(
-            f"singular frame matrix (log|det| = {logabs:.3g}) with degree {a}")
-    return cmath.exp(a * logabs)
+    return complex(_det_abs_pows(m[None], degree)[0])
 
 
 def _as_columns(frame) -> np.ndarray:
@@ -89,42 +84,56 @@ def change_of_basis(source, target) -> np.ndarray:
     return b
 
 
+def _dual_normals(nu: np.ndarray, t: np.ndarray | None) -> np.ndarray:
+    """Minimum-norm dual normals (m, n, q) of an (m, q, n) stack of covector rows,
+    checked against (m, n, k) tangents when given: one SVD for the rank test and
+    the pseudo-inverse, one annihilation test."""
+    m, q, n = nu.shape
+    if q == 0:
+        return np.zeros((m, n, 0))
+    u, sv, vt = np.linalg.svd(nu, full_matrices=False)
+    if np.any(sv[:, -1] <= RANK_TOL * sv[:, 0]):
+        raise DegenerateCovectors(f"covector family of {q} rows is rank deficient")
+    if t is not None and t.shape[2] and np.any(
+            np.abs(nu @ t).max(axis=(1, 2))
+            > ANNIHILATE_TOL * np.abs(nu).max(axis=(1, 2)) * np.abs(t).max(axis=(1, 2))):
+        raise ConormalMismatch("covectors do not annihilate the tangent frame")
+    # the pseudo-inverse V S^-1 U^T solves nu @ N = I_q with least norm
+    return np.swapaxes(vt, 1, 2) @ (np.swapaxes(u, 1, 2) / sv[:, :, None])
+
+
 def dual_normal_frame(covectors, tangent=None) -> np.ndarray:
     """Normal vectors n_j (columns) with nu_i(n_j) = delta_ij, minimum-norm choice.
 
     ``covectors`` are q rows in R^n.  When a tangent frame is supplied the
     covectors must annihilate it, |nu_i(t_j)| <= ANNIHILATE_TOL max|nu| max|t|,
-    otherwise ConormalMismatch is raised.
+    otherwise ConormalMismatch is raised.  ``frame_factors``'s default solver
+    on a stack of one.
     """
     nu = np.atleast_2d(np.asarray(covectors, dtype=float))
-    q, n = nu.shape
-    if q == 0:
-        return np.zeros((n, 0))
-    sv = np.linalg.svd(nu, compute_uv=False)
-    if sv[-1] <= RANK_TOL * sv[0] or sv[0] == 0.0:
-        raise DegenerateCovectors(
-            f"covector family of {q} rows is rank deficient")
-    if tangent is not None:
-        t = _as_columns(tangent)
-        if t.shape[1] and np.abs(nu @ t).max() > \
-                ANNIHILATE_TOL * np.abs(nu).max() * np.abs(t).max():
-            raise ConormalMismatch("covectors do not annihilate the tangent frame")
-    # min-norm solution of nu @ N = I_q
-    return np.linalg.lstsq(nu, np.eye(q), rcond=None)[0]
+    t = None if tangent is None else _as_columns(tangent)[None]
+    return _dual_normals(nu[None], t)[0]
 
 
-def frame_factors(tangents, rows, degree, solver) -> np.ndarray:
-    """|det [t | solver(nu, t)]|^degree for each distinct frame of a batch.
+def frame_factors(tangents, rows, degree, solver=None) -> np.ndarray:
+    """|det [t | n]|^degree for each distinct frame of a batch.
 
     ``tangents`` (m, n, k) and conormal ``rows`` (m, q, n) hold one frame per
-    node, or one for every node when m is 1 on either side; the solver and the
-    determinant run once per distinct frame.  They are float64 for a real degree.
+    node, or one for every node when m is 1 on either side.  n is a caller's
+    one-frame ``solver(nu, t)``, run once per distinct frame, or else the
+    minimum-norm dual normals of the whole stack at once; the determinants
+    run as one stack.  The result is float64 for a real degree.
     """
-    out = np.empty(max(len(tangents), len(rows)), dtype=complex)
-    for i in range(len(out)):
-        # i % 1 == 0: a stack of one frame serves every node
-        t, nu = tangents[i % len(tangents)], rows[i % len(rows)]
-        out[i] = det_abs_pow(np.hstack([t, solver(nu, t)]), degree)
+    m = max(len(tangents), len(rows))
+    t = np.broadcast_to(tangents, (m,) + tangents.shape[1:])
+    nu = np.broadcast_to(rows, (m,) + rows.shape[1:])
+    if solver is None:
+        normals = _dual_normals(nu, t)
+    else:
+        normals = np.empty((m, t.shape[1], nu.shape[1]))
+        for i, frame in enumerate(zip(nu, t)):
+            normals[i] = solver(*frame)
+    out = _det_abs_pows(np.concatenate([t, normals], axis=2), degree)
     return out if complex(degree).imag else out.real.copy()
 
 

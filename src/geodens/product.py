@@ -7,7 +7,8 @@ the coefficient is assembled from frames alone:
     1. tangent frames s of E, a of C, b of D; conormal rows nu_C, nu_D
     2. the pairing's frame factor F(t, nu, p) = |det [t | n]|^p, n the dual
        normals of (nu, t), for (a, nu_C), (b, nu_D) and the stacked
-       family (s, [nu_C; nu_D])
+       family (s, [nu_C; nu_D]); a node with the previous node's inputs
+       reuses its three factors
     3. coefficient g1(u_C) g2(u_D) F(a, nu_C, -alpha) F(b, nu_D, -beta)
        F(s, [nu_C; nu_D], alpha + beta)
 
@@ -36,7 +37,7 @@ from .errors import (
     TransversalityFailure,
 )
 from .fields import FuncField
-from .geometry import ON_CORE_TOL, Submanifold, chart_invert, frames_many
+from .geometry import Submanifold, chart_invert, frames_many, on_core_tol
 from .quadrature import Grid, QuadratureOptions, intersect_boxes
 from .states import ConormalFamily, GeometricState, NormalSolver, PairingResult
 
@@ -57,7 +58,7 @@ def _check_dims(theta1: GeometricState, theta2: GeometricState,
 def _core_coords(core: Submanifold, x, picture: str) -> np.ndarray:
     """Chart coordinates (N, k) of the points x (N, n), which must lie on the core."""
     u, resid = chart_invert(core, x)
-    off = resid > ON_CORE_TOL
+    off = resid > on_core_tol(x)
     if off.any():
         i = int(np.argmax(off))
         raise NotOnBothCores(f"point {x[i]} is {resid[i]:.3g} away from {picture} "
@@ -75,8 +76,12 @@ def _stacked(rows_c: np.ndarray, rows_d: np.ndarray) -> np.ndarray:
 def product_at_point(theta1: GeometricState, theta2: GeometricState,
                      core_e: Submanifold, w,
                      dual_solver: NormalSolver | None = None) -> complex:
-    """Coefficient of the transverse product at E-chart coordinates w."""
-    solver = dual_solver or linalg.dual_normal_frame
+    """Coefficient of the transverse product at E-chart coordinates w.
+
+    ``core_e`` keeps the last call's frames a, b, s, rows nu_C, nu_D, degrees,
+    solver and frame factors; a call with the same read-only arrays or equal
+    ones reuses the factors, as every node after the first does on flat cores.
+    """
     w = np.asarray(w, dtype=float).reshape(1, core_e.dim)
     x, s, _ = frames_many(core_e, w)
     u_c = _core_coords(theta1.core, x, "first")
@@ -85,16 +90,25 @@ def product_at_point(theta1: GeometricState, theta2: GeometricState,
     frames_d = frames_many(theta2.core, u_d)
     nu_c = theta1.conormal.rows_many(u_c, frames_c)
     nu_d = theta2.conormal.rows_many(u_d, frames_d)
-    f_c = linalg.frame_factors(frames_c[1], nu_c, -theta1.degree, solver)
-    f_d = linalg.frame_factors(frames_d[1], nu_d, -theta2.degree, solver)
-    try:
-        f_e = linalg.frame_factors(s, _stacked(nu_c, nu_d),
-                                   theta1.degree + theta2.degree, solver)
-    except DegenerateCovectors as exc:
-        raise TransversalityFailure(
-            f"{theta1.core.name!r} and {theta2.core.name!r} are not "
-            f"transverse at {x[0]}: stacked conormals lose rank") from exc
-    return complex(theta1.coeff(u_c[0]) * theta2.coeff(u_d[0]) * f_c[0] * f_d[0] * f_e[0])
+    arrays = (frames_c[1], nu_c, frames_d[1], nu_d, s)
+    rest = (theta1.degree, theta2.degree, dual_solver)
+    last = core_e._cache.get("product")
+    if last is None or last[1] != rest or not all(
+            a is b or np.array_equal(a, b) for a, b in zip(arrays, last[0])):
+        f_c = linalg.frame_factors(frames_c[1], nu_c, -theta1.degree, dual_solver)[0]
+        f_d = linalg.frame_factors(frames_d[1], nu_d, -theta2.degree, dual_solver)[0]
+        try:
+            f_e = linalg.frame_factors(s, _stacked(nu_c, nu_d),
+                                       theta1.degree + theta2.degree, dual_solver)[0]
+        except DegenerateCovectors as exc:
+            raise TransversalityFailure(
+                f"{theta1.core.name!r} and {theta2.core.name!r} are not "
+                f"transverse at {x[0]}: stacked conormals lose rank") from exc
+        # a writeable input is copied, so that changing it later cannot match
+        kept = tuple(a if not a.flags.writeable else a.copy() for a in arrays)
+        last = core_e._cache["product"] = (kept, rest, (f_c, f_d, f_e))
+    f_c, f_d, f_e = last[2]
+    return complex(theta1.coeff(u_c[0]) * theta2.coeff(u_d[0]) * f_c * f_d * f_e)
 
 
 def product(theta1: GeometricState, theta2: GeometricState,

@@ -263,6 +263,27 @@ def test_stacked_chart_invert_matches_single_points(core, points):
         assert ri == pytest.approx(r1, rel=1e-12, abs=1e-300)
 
 
+@pytest.mark.parametrize("n,k", [(2, 0), (2, 1), (3, 1), (3, 2), (4, 2), (4, 4)])
+def test_affine_chart_invert_matches_least_squares(n, k):
+    # the cached pseudo-inverse against one lstsq per call, on and off the core
+    rng = np.random.default_rng([41, n, k])
+    base = rng.normal(size=n)
+    core = Submanifold.affine("A", base, rng.normal(size=(n, k)))
+    u0 = rng.normal(size=(6, k)) * 10.0 ** rng.integers(-3, 4, size=(6, 1))
+    x = core.points_at(u0) + np.vstack([np.zeros((3, n)), rng.normal(size=(3, n))])
+    for _ in range(2):  # the second call reads the cached pseudo-inverse
+        u, resid = chart_invert(core, x)
+        want = np.linalg.lstsq(core.form.tangent, (x - base).T, rcond=None)[0].T
+        assert u.shape == (6, k)
+        assert np.all(np.abs(u - want) <= 1e-12 * np.abs(want).max(initial=1.0))
+        want_resid = np.linalg.norm(core.points_at(want) - x, axis=1)
+        assert np.all(np.abs(resid - want_resid)
+                      <= 1e-12 * np.maximum(want_resid, np.abs(x).max(axis=1)))
+    assert np.all(resid[:3] <= 1e-12 * np.abs(x[:3]).max())
+    assert np.all(resid[3:] > 1e-3) or k == n  # a full-dimensional core has no off
+    assert not core._cache["pinv"].flags.writeable
+
+
 # transversality
 
 def test_transverse_axes():

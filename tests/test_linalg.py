@@ -140,9 +140,9 @@ def test_dual_normal_empty_family():
 
 # frame factors of a batch
 
-def _per_node(tangents, rows, p):
+def _per_node(tangents, rows, p, solver=dual_normal_frame):
     m = max(len(tangents), len(rows))
-    return np.array([det_abs_pow(np.hstack([t, dual_normal_frame(nu, t)]), p)
+    return np.array([det_abs_pow(np.hstack([t, solver(nu, t)]), p)
                      for t, nu in zip(np.broadcast_to(tangents, (m,) + tangents.shape[1:]),
                                       np.broadcast_to(rows, (m,) + rows.shape[1:]))])
 
@@ -185,6 +185,88 @@ def test_frame_factors_singular_frame():
     for p in (0.0, -0.5, 1j):
         with pytest.raises(SingularFrame):
             frame_factors(t, nu, p, dual_normal_frame)
+
+
+# the stacked default solver against the per-frame loop
+
+def _frames(rng, m, n, k):
+    """m tangent frames (m, n, k) and conormal rows (m, n - k, n) annihilating them."""
+    t = rng.normal(size=(m, n, k))
+    nu = np.array([(rng.normal(size=(n - k, n - k)) + 3.0 * np.eye(n - k))
+                   @ complete_to_ambient(ti).T for ti in t])
+    return t, nu.reshape(m, n - k, n)
+
+
+def _close(got, want):
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+@pytest.mark.parametrize("n,k", [(4, 0), (4, 1), (4, 2), (4, 3), (3, 3)])
+@pytest.mark.parametrize("p", [0.5, -0.7, 0.3 - 1.5j])
+def test_stacked_frame_factors_match_the_per_frame_loop(n, k, p):
+    rng = np.random.default_rng([31, n, k])
+    t, nu = _frames(rng, 7, n, k)
+    got = frame_factors(t, nu, p)
+    _close(got, _per_node(t, nu, p))
+    assert got.dtype == (complex if complex(p).imag else float)
+    # a stack of one on either side serves every node
+    t1, nu1 = t[:1], nu[:1]
+    kernel = np.array([ti @ (rng.normal(size=(k, k)) + 3.0 * np.eye(k)) for ti in t1[[0] * 5]])
+    _close(frame_factors(kernel, nu1, p), _per_node(kernel, nu1, p))
+    rows = np.array([(rng.normal(size=(n - k, n - k)) + 3.0 * np.eye(n - k)) @ nu1[0]
+                     for _ in range(5)])
+    _close(frame_factors(t1, rows, p), _per_node(t1, rows, p))
+    _close(frame_factors(t1, nu1, p), _per_node(t1, nu1, p))
+
+
+def test_stacked_frame_factors_singular_frames():
+    # frames 1 and 3 repeat a tangent column, so [t | n] is singular there
+    rng = np.random.default_rng(32)
+    t, nu = _frames(rng, 5, 4, 2)
+    for i in (1, 3):
+        t[i, :, 1] = t[i, :, 0]
+        nu[i] = np.linalg.svd(t[i].T)[2][1:3] * 2.0
+    for p in (0.5, 0.25 + 3.0j):
+        got = frame_factors(t, nu, p)
+        assert got[1] == 0.0 and got[3] == 0.0
+        _close(got, _per_node(t, nu, p))
+    for p in (0.0, -0.5, 1j):
+        with pytest.raises(SingularFrame):
+            frame_factors(t, nu, p)
+
+
+def test_frame_factors_run_a_callers_solver_once_per_frame():
+    rng = np.random.default_rng(33)
+    t, nu = _frames(rng, 6, 4, 2)
+    seen = []
+
+    def shifting(rows, tangent):
+        seen.append((rows.shape, tangent.shape))
+        return dual_normal_frame(rows, tangent) + tangent @ np.full((2, 2), 0.4)
+
+    got = frame_factors(t, nu, -0.3 + 0.2j, shifting)
+    assert seen == [((2, 4), (4, 2))] * 6
+    _close(got, _per_node(t, nu, -0.3 + 0.2j, shifting))
+    # the determinant does not see the tangential shift
+    _close(got, frame_factors(t, nu, -0.3 + 0.2j))
+    seen.clear()
+    frame_factors(t[:1], nu[:1], 0.5, shifting)
+    assert len(seen) == 1
+
+
+@pytest.mark.parametrize("solver", [None, dual_normal_frame])
+def test_frame_factors_name_the_failure_of_any_frame(solver):
+    rng = np.random.default_rng(34)
+    t, nu = _frames(rng, 4, 4, 1)
+    degenerate = nu.copy()
+    degenerate[2, 1] = 2.0 * degenerate[2, 0]
+    with pytest.raises(DegenerateCovectors):
+        frame_factors(t, degenerate, 0.5, solver)
+    leaking = nu.copy()
+    leaking[3, 0] += t[3, :, 0]
+    with pytest.raises(ConormalMismatch):
+        frame_factors(t, leaking, 0.5, solver)
 
 
 # orthonormal completion

@@ -8,19 +8,28 @@ composite-Simpson value computed independently and frozen.
 change-of-basis matrices M1 and M2, and the frame-factor coefficient must
 match it at rel 1e-12 on flat, curved and gauge-shifted cases.
 """
+import importlib
 import math
 
 import numpy as np
 import pytest
 
+from geodens import quadrature
 from geodens.errors import (
+    ConormalMismatch,
     DegreeMismatch,
     DimensionMismatch,
     NonCompactIntersection,
     NotOnBothCores,
     TransversalityFailure,
 )
-from geodens.geometry import Submanifold, chart_invert, frames_at, intersect
+from geodens.geometry import (
+    Submanifold,
+    chart_invert,
+    frames_at,
+    intersect,
+    transversality_check,
+)
 from geodens.linalg import change_of_basis, det_abs_pow, dual_normal_frame
 from geodens.product import inner_product, product, product_at_point
 from geodens.states import make_state, recombine_conormal
@@ -309,3 +318,112 @@ def test_product_rows_many_names_the_off_core_node():
     with pytest.raises(NotOnBothCores, match=r"first core 'P1'") as err:
         product(th1, th2, bump).conormal.rows_many(coords)
     assert str(off) in str(err.value)
+
+
+# the on-core test at any coordinate scale
+
+def scaled_crossing(lam, phi=math.pi / 6):
+    """Lines at angle phi through (0.7 lam, 0), tangents lam long, conormals 1/lam:
+    unit half-density states whose inner product is 1/sin(phi) at every lam."""
+    x0 = 0.7 * lam
+    c = Submanifold.affine("C", [0.0, 0.0], [lam, 0.0])
+    d = Submanifold.chart("D", [f"{x0!r} + {lam!r}*u1*cos(p)", f"{lam!r}*u1*sin(p)"],
+                          [[-2.0, 2.0]], params={"p": phi},
+                          implicit=[f"(x2*cos(p) - (x1 - {x0!r})*sin(p))/{lam!r}"])
+    th1 = make_state(c, 0.5, "1", conormal=[[0.0, 1.0 / lam]])
+    th2 = make_state(d, 0.5, "1", conormal=[[-math.sin(phi) / lam, math.cos(phi) / lam]])
+    return th1, th2, x0
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1.0, 1e6, 1e9, 1e10])
+def test_on_core_test_does_not_depend_on_scale(lam):
+    th1, th2, x0 = scaled_crossing(lam)
+    got = inner_product(th1, th2, Submanifold.point("E", [x0, 0.0]))
+    assert abs(got.value - 2.0) <= 1e-12 * 2.0
+    assert transversality_check(th1.core, th2.core, [[x0, 0.0]]).all_transverse
+
+
+def test_a_point_off_the_core_at_unit_scale_is_still_off():
+    th1, th2, x0 = scaled_crossing(1.0)
+    off = [x0, 1e-3]
+    with pytest.raises(NotOnBothCores):
+        inner_product(th1, th2, Submanifold.point("E", off))
+    with pytest.raises(NotOnBothCores):
+        transversality_check(th1.core, th2.core, [off])
+
+
+# reusing the frame factors from node to node is exact
+
+def saddle_and_plane(x1="u1"):
+    """The saddle x3 = x1 x2 against the plane y = 0, along the x-axis, where the
+    saddle's conormal (0, -x1, 1) and its second tangent (0, 1, x1) turn.  With
+    the chart's x1 = u1 every frame factor is still constant along the axis;
+    a chart of varying speed in u1 makes the saddle's factor vary too."""
+    saddle = Submanifold.chart("S", [x1, "u2", f"({x1})*u2"], [[-2.0, 2.0], [-2.0, 2.0]],
+                               implicit=["x3 - x1*x2"])
+    plane = Submanifold.affine("Y", [0.0] * 3, [[1, 0], [0, 0], [0, 1]])
+    th1 = make_state(saddle, 0.3 + 0.1j, "exp(-(u1 - 0.3)^2/4)*(2 + u2)")
+    th2 = make_state(plane, 0.7 - 0.1j, "cos(u1) + 2 + u2")
+    return th1, th2, Submanifold.affine("X", [0.0] * 3, [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("x1", ["u1", "u1 + u1^3/3"])
+def test_reuse_is_exact_where_the_frames_turn(x1):
+    th1, th2, e = saddle_and_plane(x1)
+    nodes = np.linspace(-1.5, 1.5, 9)[:, None]
+    want = [reference_product(th1, th2, e, w, dual_normal_frame) for w in nodes]
+    for order in (range(9), reversed(range(9))):
+        for i in order:
+            got = product_at_point(th1, th2, e, nodes[i])
+            assert abs(got - want[i]) <= 1e-12 * abs(want[i])
+
+
+def test_reuse_follows_pairs_that_alternate_on_one_core():
+    # equal frames and rows, different degrees: the factors must not be shared
+    th1, th2, e = crossed_planes()
+    pairs = ((recombine_conormal(th1, [[-2.0]]), th2),
+             (recombine_conormal(make_state(th1.core, 0.3, "exp(-u1^2)"), [[-2.0]]),
+              make_state(th2.core, 0.7, "2 + sin(u1)")))
+    want = {pair: [reference_product(*pair, e, [w], dual_normal_frame) for w in (-0.5, 0.4)]
+            for pair in pairs}
+    for _ in range(3):
+        for pair, values in want.items():
+            for w, v in zip((-0.5, 0.4), values):
+                got = product_at_point(*pair, e, [w])
+                assert abs(got - v) <= 1e-12 * abs(v)
+
+
+def test_a_failing_probe_fails_every_time():
+    th1, th2 = tilted_pair(math.pi / 4)
+    e = origin()
+    good = product_at_point(th1, th2, e, np.zeros(0))
+    axis = make_state(Submanifold.affine("X", [0.0, 0.0], [1.0, 0.0]), 0.5, "1")
+    parab = make_state(Submanifold.chart("P", ["u1", "u1^2"], [[-2.0, 2.0]],
+                                         implicit=["x2 - x1^2"]), 0.5, "1")
+    leaky = make_state(axis.core, 0.5, "1", conormal=[[1.0, 0.0]])
+    for _ in range(2):
+        with pytest.raises(TransversalityFailure):
+            product_at_point(axis, parab, e, np.zeros(0))
+        # a declared conormal that misses its tangent is named before the
+        # stacked family's rank loss
+        with pytest.raises(ConormalMismatch):
+            product_at_point(leaky, leaky, e, np.zeros(0))
+        assert product_at_point(th1, th2, e, np.zeros(0)) == good
+
+
+# one product call per node
+
+@pytest.mark.parametrize("factors", [crossed_planes, saddle_and_plane])
+def test_one_dim_inner_makes_one_product_call_per_node(factors, monkeypatch):
+    # counted the way the benchmark's tracer counts: through the module attribute
+    calls, nodes = [], []
+    module = importlib.import_module("geodens.product")  # the package exports product()
+    point, total = module.product_at_point, quadrature.weighted_sum
+    monkeypatch.setattr(module, "product_at_point",
+                        lambda *args, **kw: calls.append(1) or point(*args, **kw))
+    monkeypatch.setattr(quadrature, "weighted_sum",
+                        lambda f, grid, w: nodes.append(len(w)) or total(f, grid, w))
+    th1, th2, e = factors()
+    th1, th2 = (make_state(th.core, 0.5, "exp(-u1^2 - u2^2)") for th in (th1, th2))
+    inner_product(th1, th2, e, support=[[-1.5, 1.5]])
+    assert sum(nodes) > 0 and len(calls) == sum(nodes) + 1

@@ -352,8 +352,9 @@ def _gauss_newton(residual, jacobian, u0, box, tol):
     count.  Each row halves its own step, down to the floor DAMPING_FLOOR,
     until its residual drops; trials are clipped to ``box`` (None: unbounded).
     A row stops once its residual is <= tol, once no damping lowers it, or
-    once its accepted step is <= 1e-12 (1 + |u|).  Returns u, the residual
-    norms and the rows still moving after MAX_NEWTON_STEPS.
+    once its step is <= 1e-12 (1 + |u|), a step that short tried undamped
+    only.  Returns u, the residual norms and the rows still moving after
+    MAX_NEWTON_STEPS.
     """
     u = np.array(u0, dtype=float)
     lo, hi = (None, None) if box is None else box.T
@@ -365,6 +366,8 @@ def _gauss_newton(residual, jacobian, u0, box, tol):
             break
         step = np.zeros_like(u)
         step[moving] = -(np.linalg.pinv(jacobian(u[moving])) @ r[moving, :, None])[..., 0]
+        floor = 1e-12 * (1.0 + np.linalg.norm(u, axis=1))
+        short = np.linalg.norm(step, axis=1) <= floor
         lam = np.ones(len(u))
         pending, improved = moving.copy(), np.zeros(len(u), dtype=bool)
         while pending.any():
@@ -376,10 +379,8 @@ def _gauss_newton(residual, jacobian, u0, box, tol):
             improved |= better
             pending &= ~better
             lam[pending] *= 0.5
-            pending &= lam > DAMPING_FLOOR
-        tiny = np.linalg.norm(lam[:, None] * step, axis=1) \
-            <= 1e-12 * (1.0 + np.linalg.norm(u, axis=1))
-        moving &= improved & ~tiny & (norm > tol)
+            pending &= (lam > DAMPING_FLOOR) & ~short
+        moving &= improved & (np.linalg.norm(lam[:, None] * step, axis=1) > floor) & (norm > tol)
     return u, norm, moving
 
 

@@ -1,15 +1,16 @@
-"""Tensor-product Gauss-Legendre rules on boxes, with a doubled-order estimate.
+"""Tensor-product Gauss-Legendre rules on boxes, with a raised-order estimate.
 
-Two rules live here.  The single-box rule (order 32, doubled to 64 for the
-error estimate) integrates smooth geometric pairings.  The composite rule
-splits each axis into panels of a requested width and is what the mollifier
-oracle uses to resolve tubes whose cross section is a width-eps Gaussian; a
-fixed-order global rule cannot see those.  Both return a ``Grid`` of
-per-axis nodes, flattened only for an integrand that asks, so expression
-fields evaluate each sub-expression on the axes it reads.
+Two rules live here.  The single-box rule (order 32, raised by sqrt 2 a level
+for the error estimate) integrates smooth geometric pairings.  The composite
+rule splits each axis into panels of a requested width and is what the
+mollifier oracle uses to resolve tubes whose cross section is a width-eps
+Gaussian; a fixed-order global rule cannot see those.  Both return a
+``Grid`` of per-axis nodes, flattened only for an integrand that asks, so
+expression fields evaluate each sub-expression on the axes it reads.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -148,7 +149,7 @@ def weighted_sum(f_many, grid: Grid, weights: np.ndarray) -> complex:
 MAX_ORDER = 512
 # Largest grid a rule may build: its weights take 268 MB, and the axes next to
 # nothing.  A 3-D order-256 or 4-D order-64 level (16.8 M nodes) fits; the
-# 134 M-node 3-D order-512 level does not.
+# 47.4 M-node 3-D order-362 level does not.
 MAX_NODES = 1 << 25
 
 
@@ -161,20 +162,23 @@ def _check_budget(nodes: int, what: str) -> None:
 def integrate(f_many, box, options: QuadratureOptions | None = None):
     """Integrate over a box; returns (value, error_estimate).
 
-    The value comes from a doubled-order rule and the estimate is the
-    difference against the previous order.  Orders keep doubling from the
-    base until the estimate meets tolerance or MAX_ORDER is reached;
-    enforcement of the final estimate is the caller's decision, see
-    ``ensure_converged``.  A level whose grid would pass MAX_NODES raises
-    QuadratureNotConverged instead of being built.
+    Level j uses order round(base * 2^(j/2)) (32, 45, 64, 91, ...), one more
+    than the last where rounding would repeat it (base 1).  The value is the
+    last level's, the estimate its difference against the level before: an
+    overestimate where Gauss-Legendre converges geometrically (integrands
+    analytic on the box), while at an algebraic rate n^-p the error is about
+    1 / (2^(p/2) - 1) times the estimate.  Levels climb until the estimate
+    meets tolerance or MAX_ORDER is reached; enforcing it is the caller's
+    decision, see ``ensure_converged``.  A level whose grid would pass
+    MAX_NODES raises QuadratureNotConverged instead of being built.
     """
     opts = options or QuadratureOptions()
     b = as_box(box)
     order = opts.order
     grid, w = tensor_rule(b, order)
     value = weighted_sum(f_many, grid, w)
-    while True:
-        order *= 2
+    for level in itertools.count(1):
+        order = max(order + 1, round(opts.order * 2 ** (level / 2)))
         grid, w = tensor_rule(b, order)
         refined = weighted_sum(f_many, grid, w)
         estimate = abs(refined - value)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from geodens import geometry
 from geodens.errors import (
     ConormalMismatch,
     DegenerateCovectors,
@@ -221,6 +222,25 @@ def test_chart_invert_on_circle():
         u, resid = chart_invert(s, [math.cos(u0), math.sin(u0)])
         assert resid <= 1e-10
         assert u[0] == pytest.approx(u0, abs=1e-8)
+
+
+def test_chart_invert_stops_rows_that_have_converged(monkeypatch):
+    # points 1e-11 off the circle, as Newton intersection points are: once a
+    # row's undamped step is at round-off it stops, where halving that step
+    # down to DAMPING_FLOOR took about 27 residual evaluations more
+    residuals = []
+    solve = geometry._gauss_newton
+
+    def counting(residual, *args):
+        return solve(lambda u: residuals.append(1) or residual(u), *args)
+
+    monkeypatch.setattr(geometry, "_gauss_newton", counting)
+    t = np.linspace(0.1, 6.2, 20)
+    radius = 1.0 + 1e-11 * np.cos(7.0 * t)
+    u, resid = chart_invert(unit_circle(), np.stack([radius * np.cos(t), radius * np.sin(t)], axis=1))
+    assert np.allclose(resid, np.abs(radius - 1.0), rtol=0.0, atol=1e-15)
+    assert np.allclose(u[:, 0], t, rtol=0.0, atol=1e-13)
+    assert len(residuals) <= 6
 
 
 def test_chart_invert_reports_off_core_distance():

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from geodens import quadrature
+from geodens.density import AmbientDensity
 from geodens.errors import QuadratureNotConverged, UnboundedDomain
+from geodens.geometry import Submanifold
 from geodens.quadrature import (
     Grid,
     MAX_NODES,
@@ -24,6 +26,7 @@ from geodens.quadrature import (
     tensor_rule,
     weighted_sum,
 )
+from geodens.states import make_state, pair_with_test
 
 
 def test_as_box_shapes():
@@ -233,7 +236,7 @@ def test_integrate_gaussian_mass():
 
 
 def test_integrate_escalates_until_converged():
-    # sharp for the base order, fine after doubling
+    # sharp for the base order, fine a few levels up
     sig = 0.05
     f = lambda g: np.exp(-g.points()[:, 0] ** 2 / (2 * sig * sig)) / math.sqrt(2 * math.pi * sig * sig)
     opts = QuadratureOptions(order=32)
@@ -244,7 +247,8 @@ def test_integrate_escalates_until_converged():
 
 def test_node_budget_admits_order_256_in_3d_and_order_64_in_4d():
     assert 256 ** 3 <= MAX_NODES and 64 ** 4 <= MAX_NODES
-    assert 512 ** 3 > MAX_NODES and 128 ** 4 > MAX_NODES
+    # the next levels up, orders 362 and 91, are refused
+    assert 362 ** 3 > MAX_NODES and 91 ** 4 > MAX_NODES
 
 
 def test_composite_rule_refuses_a_grid_over_the_node_budget():
@@ -254,7 +258,11 @@ def test_composite_rule_refuses_a_grid_over_the_node_budget():
     assert info.value.exit_code == 5
 
 
-def test_integrate_stops_doubling_at_the_node_budget(monkeypatch):
+LADDER = [32, 45, 64, 91, 128, 181, 256, 362, 512]  # round(32 * 2^(j/2))
+
+
+def recorded_orders(monkeypatch):
+    """The orders of the tensor rules built from here on, in order."""
     orders = []
 
     def recording(box, order):
@@ -262,17 +270,77 @@ def test_integrate_stops_doubling_at_the_node_budget(monkeypatch):
         return tensor_rule(box, order)
 
     monkeypatch.setattr(quadrature, "tensor_rule", recording)
-    # a budget of 128^3 keeps the grids small; the real one stops before 512^3
+    return orders
+
+
+def test_integrate_stops_climbing_at_the_node_budget(monkeypatch):
+    orders = recorded_orders(monkeypatch)
+    # a budget of 128^3 keeps the grids small; the real one stops before 362^3
     monkeypatch.setattr(quadrature, "MAX_NODES", 128 ** 3)
     never = lambda g: np.cos(300.0 * g.points()[:, 0])  # 760 periods: no order resolves it
     with pytest.raises(QuadratureNotConverged,
-                       match="order-256 rule needs 16,777,216 nodes, over the node budget"):
+                       match="order-181 rule needs 5,929,741 nodes, over the node budget"):
         integrate(never, [[-8.0, 8.0]] * 3)
-    assert orders == [32, 64, 128, 256]
+    assert orders == [32, 45, 64, 91, 128, 181]
     # a base level over the budget is refused before anything is built
     with pytest.raises(QuadratureNotConverged, match="node budget"):
         integrate(never, [[-8.0, 8.0]] * 5)
-    assert orders == [32, 64, 128, 256, 32]
+    assert orders == [32, 45, 64, 91, 128, 181, 32]
+
+
+@pytest.mark.parametrize("f, box, exact, levels", [
+    # the affine-pairs test Gaussian, exp(-x^2 / 0.6^2)
+    (lambda x: np.exp(-x * x / 0.36), [-6.0, 6.0], 0.6 * math.sqrt(math.pi) * math.erf(10.0), 3),
+    (lambda x: 1.0 / (1.0 + 25.0 * x * x), [-1.0, 1.0], 0.4 * math.atan(5.0), 4),  # Runge
+], ids=["gaussian", "runge"])
+def test_integrate_estimate_bounds_the_error_on_analytic_integrands(monkeypatch, f, box,
+                                                                     exact, levels):
+    orders = recorded_orders(monkeypatch)
+    value, estimate = integrate(lambda g: f(g.points()[:, 0]), [box])
+    ensure_converged(value, estimate)
+    assert estimate >= abs(value - exact)
+    assert orders == LADDER[:levels]
+
+
+def test_integrate_refuses_an_endpoint_singularity(monkeypatch):
+    # (x+1)^-1/2 converges like n^-1, where the sqrt 2 ladder's estimate is
+    # 0.41 of the error; it never meets the tolerance by order 512
+    orders = recorded_orders(monkeypatch)
+    value, estimate = integrate(lambda g: (g.points()[:, 0] + 1.0) ** -0.5, [[-1.0, 1.0]])
+    assert orders == LADDER
+    with pytest.raises(QuadratureNotConverged) as info:
+        ensure_converged(value, estimate)
+    assert info.value.exit_code == 5
+
+
+def test_integrate_base_order_1_never_repeats_an_order(monkeypatch):
+    orders = recorded_orders(monkeypatch)
+    # round(2^(j/2)) is 1, 1, 2, 3, 4, 6, 8, ...: each level takes at least one more
+    integrate(lambda g: np.exp(-g.points()[:, 0] ** 2 / 0.36), [[-6.0, 6.0]],
+              QuadratureOptions(order=1))
+    assert orders[:9] == [1, 2, 3, 4, 5, 6, 8, 11, 16]
+    assert all(a < b for a, b in zip(orders, orders[1:]))
+
+
+def test_affine_3d_gaussian_pairing_stops_by_order_91(monkeypatch):
+    # as in affine-pairs: a unit state on a 3-plane in R^4 against a
+    # width-0.6 Gaussian test centred off the plane
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    lam = np.array([0.93, 1.04, 1.08])
+    tangent, base = q[:, :3] * lam, rng.uniform(-0.5, 0.5, 4)
+    s, dist, alpha = 0.6, 0.3, 0.25
+    centre = base + tangent @ np.array([0.2, -0.1, 0.25]) + dist * q[:, 3]
+    quad = "+".join(f"(x{i + 1}-({float(c)!r}))^2" for i, c in enumerate(centre))
+    state = make_state(Submanifold.affine("A3", base, tangent), alpha, "1",
+                       support=[[-6.0, 6.0]] * 3)
+    phi = AmbientDensity.make(1.0 - alpha, f"exp(-({quad})/{s * s!r})")
+    orders = recorded_orders(monkeypatch)
+    got = pair_with_test(state, phi)
+    det = float(np.prod(lam))
+    exact = math.pi ** 1.5 * s ** 3 / det * math.exp(-dist ** 2 / s ** 2) * det ** (1.0 - alpha)
+    assert abs(got.value - exact) <= 1e-12 * exact
+    assert orders == LADDER[:len(orders)] and orders[-1] <= 91
 
 
 def test_ensure_converged_raises():

@@ -562,7 +562,7 @@ def peak_rss_mb(proc):
 
 def test_cli_divergent_3d_pairing_exits_5_at_the_node_budget(tmp_path):
     # 760 periods along u1: no order converges.  Order 256 (16.8 M nodes,
-    # 134 MB of weights) runs; order 512 (134 M nodes) is refused
+    # 134 MB of weights) runs; order 362 (47.4 M nodes) is refused
     scene = {
         "ambient": 3,
         "cores": [{"name": "R3", "kind": "affine", "base": [0, 0, 0],
@@ -576,7 +576,7 @@ def test_cli_divergent_3d_pairing_exits_5_at_the_node_budget(tmp_path):
     path.write_text(json.dumps(scene))
     proc = run_capped("pair", path)
     assert proc.returncode == 5, proc.stderr
-    assert "order-512 rule needs 134,217,728 nodes, over the node budget" in proc.stderr
+    assert "order-362 rule needs 47,437,928 nodes, over the node budget" in proc.stderr
     assert peak_rss_mb(proc) < 500.0
 
 

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import oracle as oracle_mod
-from .errors import GeodensError
+from .errors import GeodensError, InputError, TransversalityError
 from .geometry import frames_many, intersect, transversality_check
 from .product import inner_product, product
 from .quadrature import Grid, QuadratureOptions, as_box, intersect_boxes
@@ -84,7 +84,7 @@ def main(argv=None) -> int:
         return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return InputError.exit_code
 
 
 def _run(args) -> int:
@@ -163,7 +163,7 @@ def _cmd_check(scene: Scene, requests, opts, args):
         print(f"  frame probes: {probes} ok")
     if not all_ok:
         print("check: non-transverse samples found", file=sys.stderr)
-        return header, rows, 6  # TransversalityError.exit_code
+        return header, rows, TransversalityError.exit_code
     return header, rows, 0
 
 

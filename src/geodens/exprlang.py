@@ -21,6 +21,11 @@ through the same vectorized ``evaluate`` as values; ``jacobian`` evaluates
 them at a point.  Derivatives are exact, no finite differences anywhere.
 A domain guard costs a pass over an array only when the operand that
 decides it can trigger it: ``x^2`` never scans ``x``, ``x^0.5`` does.
+
+Derived trees (derivatives, scaled coefficients, mollifier tubes) are built
+only through ``add``, ``sub`` and ``mul``, which fold ``ZERO`` and ``ONE``:
+``mul(ONE, e)`` is ``e``, ``mul(ZERO, e)`` is ``ZERO`` and ``sub(ZERO, e)``
+is ``Neg(e)``.
 """
 from __future__ import annotations
 
@@ -36,7 +41,7 @@ from .errors import DomainError, ExprSyntaxError, UnboundIdentifier, UnknownFunc
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call",
     "parse", "evaluate", "diff", "jacobian", "subst", "to_source",
-    "FUNCTIONS", "CONSTANTS",
+    "add", "sub", "mul", "ZERO", "ONE", "FUNCTIONS", "CONSTANTS",
 ]
 
 
@@ -259,45 +264,50 @@ def _pow(a, b):
     return a ** b
 
 
+# folding constructors: the one way to combine trees with +, - and *
+
+ZERO, ONE = Num(0.0), Num(1.0)
+
+
+def add(a: Expr, b: Expr) -> Expr:
+    """``a + b``, with a zero term folded away."""
+    if a == ZERO:
+        return b
+    return a if b == ZERO else BinOp("+", a, b)
+
+
+def sub(a: Expr, b: Expr) -> Expr:
+    """``a - b``, with a zero term folded away; ``sub(ZERO, b)`` is ``Neg(b)``."""
+    if b == ZERO:
+        return a
+    return Neg(b) if a == ZERO else BinOp("-", a, b)
+
+
+def mul(a: Expr, b: Expr) -> Expr:
+    """``a*b``: ZERO if either factor is zero, the other factor if one is one."""
+    if a == ZERO or b == ZERO:
+        return ZERO
+    if a == ONE:
+        return b
+    return a if b == ONE else BinOp("*", a, b)
+
+
 # differentiation
 
-_ZERO, _ONE = Num(0.0), Num(1.0)
-
-
-def _plus(a: Expr, b: Expr) -> Expr:
-    if a == _ZERO:
-        return b
-    return a if b == _ZERO else BinOp("+", a, b)
-
-
-def _minus(a: Expr, b: Expr) -> Expr:
-    if b == _ZERO:
-        return a
-    return Neg(b) if a == _ZERO else BinOp("-", a, b)
-
-
-def _times(a: Expr, b: Expr) -> Expr:
-    if a == _ZERO or b == _ZERO:
-        return _ZERO
-    if a == _ONE:
-        return b
-    return a if b == _ONE else BinOp("*", a, b)
-
-
 def _over(a: Expr, b: Expr) -> Expr:
-    if a == _ZERO:
-        return _ZERO
-    return a if b == _ONE else BinOp("/", a, b)
+    if a == ZERO:
+        return ZERO
+    return a if b == ONE else BinOp("/", a, b)
 
 
 def _power_factor(base: Expr, p: Expr) -> Expr:
     # d(base^p)/d(base) for an exponent that does not vary
     if not isinstance(p, Num):
-        return BinOp("*", p, BinOp("^", base, BinOp("-", p, _ONE)))
+        return mul(p, BinOp("^", base, sub(p, ONE)))
     if p.value in (0.0, 1.0):
         return p  # the factors of a^0 and a^1 are 0 and 1
     lowered = base if p.value == 2.0 else BinOp("^", base, Num(p.value - 1.0))
-    return BinOp("*", p, lowered)
+    return mul(p, lowered)
 
 
 # d f(a) / da, given a and the call node f(a) itself; log's factor 1/a is
@@ -322,26 +332,26 @@ def diff(expr: Expr, var: str) -> Expr:
     or ``u^0.5`` at 0.
     """
     if isinstance(expr, Num):
-        return _ZERO
+        return ZERO
     if isinstance(expr, Var):
-        return _ONE if expr.name == var else _ZERO
+        return ONE if expr.name == var else ZERO
     if isinstance(expr, Neg):
-        return _minus(_ZERO, diff(expr.arg, var))
+        return sub(ZERO, diff(expr.arg, var))
     if isinstance(expr, Call):
-        return _times(_CALL_FACTORS[expr.func](expr.arg, expr), diff(expr.arg, var))
+        return mul(_CALL_FACTORS[expr.func](expr.arg, expr), diff(expr.arg, var))
     a, b = expr.left, expr.right
     da, db = diff(a, var), diff(b, var)
     if expr.op == "+":
-        return _plus(da, db)
+        return add(da, db)
     if expr.op == "-":
-        return _minus(da, db)
+        return sub(da, db)
     if expr.op == "*":
-        return _plus(_times(da, b), _times(a, db))
+        return add(mul(da, b), mul(a, db))
     if expr.op == "/":
-        return _over(_minus(da, _times(expr, db)), b)
-    if db == _ZERO:
-        return _times(_power_factor(a, b), da)
-    return _times(expr, _plus(_times(db, Call("log", a)), _over(_times(b, da), a)))
+        return _over(sub(da, mul(expr, db)), b)
+    if db == ZERO:
+        return mul(_power_factor(a, b), da)
+    return mul(expr, add(mul(db, Call("log", a)), _over(mul(b, da), a)))
 
 
 def jacobian(exprs, point, bindings: Mapping[str, float] | None = None,

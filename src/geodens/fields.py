@@ -7,12 +7,12 @@ the ambient space.
 """
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Callable, Mapping, get_args
 
 import numpy as np
 
 from . import exprlang
-from .exprlang import BinOp, Expr, Num
+from .exprlang import ZERO, Expr, Num, add, mul, sub
 from .quadrature import Grid
 
 
@@ -57,33 +57,11 @@ class ExprField(ScalarField):
 
     def scaled(self, factor: complex) -> "ExprField":
         """Fold a complex constant into the expression trees."""
-        a, b = float(np.real(factor)), float(np.imag(factor))
-        re, im = self.re_expr, self.im_expr
-
-        def times(c: float, e: Expr | None) -> Expr | None:
-            if e is None or c == 0.0:
-                return None
-            return e if c == 1.0 else BinOp("*", Num(c), e)
-
-        def add(p: Expr | None, q: Expr | None) -> Expr | None:
-            if p is None:
-                return q
-            if q is None:
-                return p
-            return BinOp("+", p, q)
-
-        def sub(p: Expr | None, q: Expr | None) -> Expr | None:
-            if q is None:
-                return p
-            if p is None:
-                return exprlang.Neg(q)
-            return BinOp("-", p, q)
-
-        new_re = sub(times(a, re), times(b, im))
-        new_im = add(times(b, re), times(a, im))
-        if new_re is None:
-            new_re = Num(0.0)
-        return ExprField(new_re, new_im, self.prefix, self.params)
+        a, b = Num(float(np.real(factor))), Num(float(np.imag(factor)))
+        re, im = self.re_expr, self.im_expr or ZERO
+        new_im = add(mul(b, re), mul(a, im))
+        return ExprField(sub(mul(a, re), mul(b, im)), None if new_im == ZERO else new_im,
+                         self.prefix, self.params)
 
 
 class FuncField(ScalarField):
@@ -108,7 +86,7 @@ def as_field(obj, prefix: str = "u",
         return obj
     if isinstance(obj, str):
         return ExprField(exprlang.parse(obj), prefix=prefix, params=params)
-    if isinstance(obj, (Num, exprlang.Var, exprlang.Neg, BinOp, exprlang.Call)):
+    if isinstance(obj, get_args(Expr)):
         return ExprField(obj, prefix=prefix, params=params)
     if isinstance(obj, complex) and obj.imag != 0.0:
         return ExprField(Num(obj.real), Num(obj.imag), prefix=prefix, params=params)

@@ -24,10 +24,9 @@ from .errors import (
     MissingImplicitForm,
     NoIntersectionFound,
     NotOnBothCores,
-    RankDeficient,
     UserChartRequired,
 )
-from .exprlang import Expr, Num
+from .exprlang import Expr
 from .quadrature import Grid
 
 IMMERSION_TOL = 1e-8       # relative singular value cutoff for chart jacobians
@@ -196,7 +195,7 @@ class Submanifold:
         node has the same frame: ``diff`` folds each such tree's derivatives to zero."""
         trees = (([] if self.is_affine else self._trees("u"))
                  + ([] if self.implicit is None else self._trees("x")))
-        return all(exprlang.diff(t, f"{p}{j + 1}") == Num(0.0) for row in trees for t in row
+        return all(exprlang.diff(t, f"{p}{j + 1}") == exprlang.ZERO for row in trees for t in row
                    for p in "ux" for j in range(self.ambient.dim))
 
     # basic maps
@@ -300,7 +299,7 @@ def frames_many(core: Submanifold, coords) -> tuple:
     else the orthonormal complement of the tangent.  Each frame is checked
     for immersion (ImmersionFailure), for implicit rows that annihilate the
     tangent (ConormalMismatch, relative to max|rows| max|tangent|) and for
-    their rank (RankDeficient).
+    their rank (DegenerateCovectors).
     """
     if not isinstance(coords, Grid):
         coords = np.asarray(coords, dtype=float)
@@ -324,7 +323,8 @@ def frames_many(core: Submanifold, coords) -> tuple:
                 f"tangent at u = {_at(coords, bad)}")
         u = _rank_loss(rows, linalg.RANK_TOL, coords)
         if u is not None:
-            raise RankDeficient(f"implicit conormal of {core.name!r} loses rank at u = {u}")
+            raise DegenerateCovectors(
+                f"implicit jacobian of {core.name!r} loses rank at u = {u}")
     m = max(len(tangents), len(rows))
     frames = tuple(a if len(a) == m else np.broadcast_to(a, (m,) + a.shape[1:])
                    for a in (tangents, rows))

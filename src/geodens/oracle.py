@@ -16,6 +16,7 @@ composite panel rule sized by the tube width.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from .errors import (
     NonConvergent,
     UnboundedDomain,
 )
-from .exprlang import BinOp, Call, Neg, Num, Var
+from .exprlang import ZERO, BinOp, Call, Neg, Num, Var, add, mul, sub
 from .fields import ExprField
 from .geometry import Submanifold
 from .product import inner_product
@@ -50,34 +51,15 @@ DEFAULT_EPS = (0.2, 0.1, 0.05)
 
 
 def _linear_expr(coeffs, origin) -> exprlang.Expr:
-    terms = []
-    for i, c in enumerate(coeffs):
-        c = float(c)
-        if c == 0.0:
-            continue
-        base: exprlang.Expr = Var(f"x{i + 1}")
-        if float(origin[i]) != 0.0:
-            base = BinOp("-", base, Num(float(origin[i])))
-        terms.append(base if c == 1.0 else BinOp("*", Num(c), base))
-    if not terms:
-        return Num(0.0)
-    out = terms[0]
-    for t in terms[1:]:
-        out = BinOp("+", out, t)
-    return out
+    terms = (mul(Num(float(c)), sub(Var(f"x{i + 1}"), Num(float(o))))
+             for i, (c, o) in enumerate(zip(coeffs, origin)))
+    return functools.reduce(add, terms, ZERO)
 
 
 def _gaussian_expr(arg: exprlang.Expr, eps: float) -> exprlang.Expr:
     c0 = 1.0 / math.sqrt(2.0 * math.pi * eps * eps)
     inv = 1.0 / (2.0 * eps * eps)
-    return BinOp("*", Num(c0),
-                 Call("exp", Neg(BinOp("*", Num(inv), BinOp("^", arg, Num(2.0))))))
-
-
-def _times_expr(field: ExprField, factor: exprlang.Expr) -> ExprField:
-    re = BinOp("*", field.re_expr, factor)
-    im = None if field.im_expr is None else BinOp("*", field.im_expr, factor)
-    return ExprField(re, im, field.prefix, field.params)
+    return mul(Num(c0), Call("exp", Neg(mul(Num(inv), BinOp("^", arg, Num(2.0))))))
 
 
 def mollify(state: GeometricState, eps: float) -> AmbientDensity:
@@ -117,7 +99,10 @@ def mollify(state: GeometricState, eps: float) -> AmbientDensity:
         else exprlang.subst(state.coeff.im_expr, coord_exprs),
         "x", state.coeff.params).scaled(tangent_factor * conormal_factor)
     for j in range(nu_hat.shape[0]):
-        field = _times_expr(field, _gaussian_expr(_linear_expr(nu_hat[j], x0), eps))
+        tube = _gaussian_expr(_linear_expr(nu_hat[j], x0), eps)
+        field = ExprField(mul(field.re_expr, tube),
+                          None if field.im_expr is None else mul(field.im_expr, tube),
+                          "x", field.params)
 
     support = _tube_box(core, state.support, nu_hat, eps)
     # the tube is eps / reach wide along each axis; one it does not cross gets 1

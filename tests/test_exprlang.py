@@ -21,16 +21,21 @@ from geodens.errors import (
     UnknownFunction,
 )
 from geodens.exprlang import (
+    ONE,
+    ZERO,
     BinOp,
     Call,
     Neg,
     Num,
     Var,
     _pow,
+    add,
     diff,
     evaluate,
     jacobian,
+    mul,
     parse,
+    sub,
     subst,
     to_source,
 )
@@ -323,6 +328,23 @@ def test_subst():
 def test_subst_builds_real_trees():
     out = subst(parse("exp(u1)"), {"u1": parse("-x1^2")})
     assert out == Call("exp", Neg(BinOp("^", Var("x1"), Num(2.0))))
+
+
+# folding constructors
+
+def test_constructors_fold_zero_and_one():
+    e = parse("u1 + exp(u2)")
+    assert add(ZERO, e) is e and add(e, ZERO) is e
+    assert sub(e, ZERO) is e
+    assert sub(ZERO, e) == Neg(e)
+    assert mul(ZERO, e) == ZERO and mul(e, ZERO) == ZERO
+    assert mul(ONE, e) is e and mul(e, ONE) is e
+    # -0.0 is a zero; anything else builds the node, operands in order
+    assert add(Num(-0.0), e) is e
+    assert add(e, ONE) == BinOp("+", e, ONE)
+    assert sub(ONE, e) == BinOp("-", ONE, e)
+    assert mul(Num(2.0), e) == BinOp("*", Num(2.0), e)
+    assert mul(Num(-1.0), e) == BinOp("*", Num(-1.0), e)
 
 
 def test_diff_of_a_tree_free_of_the_variable_is_the_zero_tree():

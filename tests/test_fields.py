@@ -8,7 +8,7 @@ import pytest
 
 from _exprgen import random_expr
 from geodens.errors import DomainError
-from geodens.exprlang import BinOp, Call, Num, Var, parse, subst, to_source
+from geodens.exprlang import BinOp, Call, Neg, Num, Var, parse, subst, to_source
 from geodens.fields import ExprField, FuncField, as_field
 from geodens.quadrature import Grid
 
@@ -74,6 +74,29 @@ def test_scaled_complex_factor():
     # scaling a complex field mixes parts: (a+bi)(c+di)
     h = as_field(1.0 + 1.0j).scaled(1.0 + 1.0j)
     assert h((0.0,)) == pytest.approx(2.0j)
+
+
+_RE, _IM = parse("exp(-u1^2)"), parse("u1 + 2")
+_MINUS = Num(-1.0)
+
+
+@pytest.mark.parametrize("im, factor, want_re, want_im", [
+    (None, 1.0, _RE, None),
+    (None, 0.0, Num(0.0), None),
+    (None, -1.0, BinOp("*", _MINUS, _RE), None),
+    (None, 1j, Num(0.0), _RE),
+    (_IM, 1.0, _RE, _IM),
+    (_IM, 0.0, Num(0.0), None),
+    (_IM, -1.0, BinOp("*", _MINUS, _RE), BinOp("*", _MINUS, _IM)),
+    (_IM, 1j, Neg(_IM), _RE),
+])
+def test_scaled_folds_unit_and_zero_factors(im, factor, want_re, want_im):
+    f = ExprField(_RE, im)
+    g = f.scaled(factor)
+    assert (g.re_expr, g.im_expr) == (want_re, want_im)
+    if factor == 1.0:
+        assert g.re_expr is f.re_expr and g.im_expr is f.im_expr
+    assert g((0.5,)) == pytest.approx(factor * f((0.5,)), rel=1e-15)
 
 
 def test_scaled_trees_stay_printable():

@@ -113,6 +113,14 @@ def test_implicit_jacobian_must_have_full_rank():
         Submanifold.affine("X", [0.0, 0.0], [1.0, 0.0], implicit=["x2^2"])
 
 
+def test_implicit_rank_loss_off_the_construction_grid():
+    # the 3-point validation grid misses u = 0.5, where the jacobian (0, x1 - 0.5)
+    # vanishes; sampling there raises the construction-time type and wording
+    core = Submanifold.affine("L", [0, 0], [1, 0], implicit=["x2*(x1-0.5)"])
+    with pytest.raises(DegenerateCovectors, match="implicit jacobian of 'L' loses rank"):
+        frames_many(core, [[0.5]])
+
+
 def test_implicit_count():
     with pytest.raises(ValueError):
         Submanifold.affine("X", [0.0, 0.0], [1.0, 0.0],

@@ -21,6 +21,7 @@ from geodens.errors import (
     QuadratureNotConverged,
     UnboundedDomain,
 )
+from geodens.exprlang import parse, to_source
 from geodens.fields import ExprField
 from geodens.geometry import Submanifold
 from geodens.oracle import (
@@ -103,6 +104,20 @@ def test_tube_fields():
     tilted = mollify(make_state(Submanifold.affine("D", [0.0, 0.0], [0.8, 0.6]),
                                 0.5, "1", support=[[-8.0, 8.0]]), eps)
     assert np.allclose(tilted.resolution_hint, PANEL_WIDTHS * eps / np.array([0.6, 0.8]))
+
+
+def test_tube_trees_are_pinned():
+    # printed trees of a complex coefficient on a plane in R^3 with a declared
+    # conormal, frozen from the hand-folded builders these trees came from
+    plane = Submanifold.affine("P", [0.5, 0.0, -0.25],
+                               [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    coeff = ExprField(parse("exp(-u1^2)"), parse("u2"))
+    th = make_state(plane, 0.5, coeff, conormal=[[0.0, 0.0, 2.0]],
+                    support=[[-1.0, 1.0], [-1.0, 1.0]])
+    tube = mollify(th, 0.1).coeff
+    gauss = "(3.989422804014327*exp(-(49.99999999999999*(x3 - -0.25)^2)))"
+    assert to_source(tube.re_expr) == "0.7071067811865476*exp(-(x1 - 0.5)^2)*" + gauss
+    assert to_source(tube.im_expr) == "0.7071067811865476*x2*" + gauss
 
 
 def test_tube_coefficient_on_the_core():

@@ -126,7 +126,9 @@ class UnboundedDomain(ConvergenceError):
 
 
 class QuadratureNotConverged(ConvergenceError):
-    """Doubled-order quadrature estimate exceeded the requested tolerance."""
+    """Quadrature missed its tolerance.  Orders climb by a factor sqrt 2, and the
+    estimate (the change from the order before) was still over the tolerance
+    at MAX_ORDER, or the next rule would pass the node budget MAX_NODES."""
 
 
 class NotOnBothCores(GeometryError):
@@ -135,10 +137,6 @@ class NotOnBothCores(GeometryError):
 
 class TransversalityFailure(TransversalityError):
     """Cores fail to be transverse where the operation needs them to be."""
-
-
-class NonCompactIntersection(ConvergenceError):
-    """Partial pairing over an intersection with no bounded integration box."""
 
 
 # oracle

@@ -4,11 +4,13 @@ Grammar, loosest binding first::
 
     sum     := product (('+' | '-') product)*
     product := unary (('*' | '/') unary)*
-    unary   := '-' unary | power
+    unary   := '-' NUMBER | '-' unary | power
     power   := atom ('^' unary)?          right associative
     atom    := NUMBER | IDENT | IDENT '(' sum ')' | '(' sum ')'
 
-so '^' binds tighter than unary minus: ``-u1^2`` is ``-(u1^2)``.
+so '^' binds tighter than unary minus: ``-u1^2`` is ``-(u1^2)``, and ``-2^2``
+is ``-(2^2)``.  A minus on a bare number not raised to a power is part of
+the literal: ``-0.25`` is ``Num(-0.25)``, ``-(0.25)`` is ``Neg(Num(0.25))``.
 
 Functions: exp, sin, cos, sqrt, log.  ``pi`` is a reserved constant.
 Any other identifier is free and must be bound at evaluation time
@@ -168,6 +170,8 @@ class _Parser:
         kind, text, _ = self.peek()
         if kind == "op" and text == "-":
             self.advance()
+            if self.peek()[0] == "num" and self.tokens[self.pos + 1][1] != "^":
+                return Num(-float(self.advance()[1]))
             return Neg(self.unary())
         return self.power()
 
@@ -399,7 +403,7 @@ def _prec(e: Expr) -> int:
 
 def _fmt_num(v: float) -> str:
     if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
+        return f"{v:.0f}"  # keeps the sign of -0.0
     return repr(v)
 
 
@@ -412,7 +416,8 @@ def _emit(e: Expr) -> str:
         return f"{e.func}({_emit(e.arg)})"
     if isinstance(e, Neg):
         inner = _emit(e.arg)
-        if _prec(e.arg) < 3:
+        # -(0.25): a bare -0.25 would read back as the literal Num(-0.25)
+        if _prec(e.arg) < 3 or isinstance(e.arg, Num) and e.arg.value >= 0.0:
             inner = f"({inner})"
         return f"-{inner}"
     left = _emit(e.left)

@@ -25,19 +25,13 @@ import numpy as np
 
 from . import exprlang, linalg, quadrature
 from .density import AmbientDensity
-from .errors import (
-    DegreeMismatch,
-    InvalidEps,
-    NonAffineCore,
-    NonConvergent,
-    UnboundedDomain,
-)
+from .errors import InvalidEps, NonAffineCore, NonConvergent, UnboundedDomain
 from .exprlang import ZERO, BinOp, Call, Neg, Num, Var, add, mul, sub
 from .fields import ExprField
 from .geometry import Submanifold
 from .product import inner_product
 from .quadrature import QuadratureOptions, intersect_boxes
-from .states import GeometricState, pair_with_test
+from .states import GeometricState, _check_degree_sum, pair_with_test
 
 ORACLE_ORDER = 12
 TRUNCATION_WIDTHS = 8.0  # keep 8 eps of every Gaussian tail
@@ -126,17 +120,10 @@ def smooth_pair(phi1: AmbientDensity, phi2: AmbientDensity,
     The integration box defaults to the intersection of the support hints;
     panels follow the finest resolution hint so Gaussian tubes are resolved.
     """
-    if abs(phi1.degree + phi2.degree - 1.0) > 1e-12:
-        raise DegreeMismatch(
-            f"smooth pairing needs degrees summing to 1, got "
-            f"{phi1.degree} + {phi2.degree}")
+    _check_degree_sum(phi1.degree, phi2.degree, "smooth pairing")
+    box = intersect_boxes(phi1.support, phi2.support) if box is None else quadrature.as_box(box)
     if box is None:
-        if phi1.support is None and phi2.support is None:
-            raise UnboundedDomain("smooth pairing has no bounded box")
-        box = intersect_boxes(phi1.support, phi2.support)
-        if box is None:
-            return 0.0 + 0.0j
-    box = quadrature.as_box(box)
+        return 0.0 + 0.0j
     panel = np.minimum(_axis_panels(phi1, box), _axis_panels(phi2, box))
     grid, weights = quadrature.composite_rule(box, panel, order)
     return quadrature.weighted_sum(
@@ -152,11 +139,7 @@ def _axis_panels(phi: AmbientDensity, box: np.ndarray) -> np.ndarray:
 def integrate_coefficient(phi: AmbientDensity, box=None,
                           order: int = ORACLE_ORDER) -> complex:
     """Plain integral of a density coefficient, for mass checks."""
-    if box is None:
-        if phi.support is None:
-            raise UnboundedDomain("no bounded box to integrate over")
-        box = phi.support
-    box = quadrature.as_box(box)
+    box = quadrature.as_box(phi.support if box is None else box)
     grid, weights = quadrature.composite_rule(box, _axis_panels(phi, box), order)
     return quadrature.weighted_sum(phi.coeff.eval_many, grid, weights)
 

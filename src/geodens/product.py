@@ -30,16 +30,20 @@ import numpy as np
 from . import linalg, quadrature
 from .errors import (
     DegenerateCovectors,
-    DegreeMismatch,
     DimensionMismatch,
-    NonCompactIntersection,
     NotOnBothCores,
     TransversalityFailure,
 )
 from .fields import FuncField
 from .geometry import Submanifold, chart_invert, frames_many, on_core_tol
 from .quadrature import Grid, QuadratureOptions, intersect_boxes
-from .states import ConormalFamily, GeometricState, NormalSolver, PairingResult
+from .states import (
+    ConormalFamily,
+    GeometricState,
+    NormalSolver,
+    PairingResult,
+    _check_degree_sum,
+)
 
 
 def _check_dims(theta1: GeometricState, theta2: GeometricState,
@@ -136,22 +140,14 @@ def inner_product(theta1: GeometricState, theta2: GeometricState,
 
     Needs theta1.degree + theta2.degree = 1 so that the product is a plain
     measure on E with a trivial conormal factor.  |value|^2 is the transition
-    probability between half-density states.
+    probability between half-density states.  With neither ``support`` nor
+    a chart domain on E there is no box, and UnboundedDomain is raised.
     """
-    if abs(theta1.degree + theta2.degree - 1.0) > 1e-12:
-        raise DegreeMismatch(
-            f"partial inner product needs degrees summing to 1, got "
-            f"{theta1.degree} + {theta2.degree}")
+    _check_degree_sum(theta1.degree, theta2.degree, "partial inner product")
     _check_dims(theta1, theta2, core_e)
-    opts = options or QuadratureOptions()
-
     if core_e.dim == 0:
         value = product_at_point(theta1, theta2, core_e, np.zeros(0), dual_solver)
         return PairingResult(value, 0.0)
-
-    if core_e.domain is None and support is None:
-        raise NonCompactIntersection(
-            f"intersection core {core_e.name!r} has no bounded integration box")
     box = intersect_boxes(core_e.domain, support)
     if box is None:
         return PairingResult(0.0 + 0.0j, 0.0)
@@ -163,6 +159,4 @@ def inner_product(theta1: GeometricState, theta2: GeometricState,
         return np.array([product_at_point(theta1, theta2, core_e, w, dual_solver)
                          for w in grid.points()], dtype=complex)
 
-    value, estimate = quadrature.integrate(integrand, box, opts)
-    quadrature.ensure_converged(value, estimate, opts)
-    return PairingResult(value, estimate)
+    return PairingResult(*quadrature.integrate(integrand, box, options))

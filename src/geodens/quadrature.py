@@ -1,12 +1,15 @@
 """Tensor-product Gauss-Legendre rules on boxes, with a raised-order estimate.
 
 Two rules live here.  The single-box rule (order 32, raised by sqrt 2 a level
-for the error estimate) integrates smooth geometric pairings.  The composite
-rule splits each axis into panels of a requested width and is what the
-mollifier oracle uses to resolve tubes whose cross section is a width-eps
+for the error estimate) integrates smooth geometric pairings; ``integrate``
+enforces the tolerance itself, so a value it returns has met it.  The
+composite rule splits each axis into panels of a requested width and is what
+the mollifier oracle uses to resolve tubes whose cross section is a width-eps
 Gaussian; a fixed-order global rule cannot see those.  Both return a
 ``Grid`` of per-axis nodes, flattened only for an integrand that asks, so
-expression fields evaluate each sub-expression on the axes it reads.
+expression fields evaluate each sub-expression on the axes it reads.  The
+bounded-box rule lives here too: ``as_box`` and ``intersect_boxes`` raise
+UnboundedDomain where there is no box.
 """
 from __future__ import annotations
 
@@ -51,11 +54,10 @@ def as_box(box) -> np.ndarray:
 
 
 def intersect_boxes(a, b) -> np.ndarray | None:
-    """Intersection of two boxes, or None when empty.  None inputs pass through."""
-    if a is None:
-        return None if b is None else as_box(b)
-    if b is None:
-        return as_box(a)
+    """Intersection of two boxes, or None when it is empty.  A None input stands
+    for no bound and passes the other box through; two raise UnboundedDomain."""
+    if a is None or b is None:
+        return as_box(b if a is None else a)
     a, b = as_box(a), as_box(b)
     lo = np.maximum(a[:, 0], b[:, 0])
     hi = np.minimum(a[:, 1], b[:, 1])
@@ -160,17 +162,17 @@ def _check_budget(nodes: int, what: str) -> None:
 
 
 def integrate(f_many, box, options: QuadratureOptions | None = None):
-    """Integrate over a box; returns (value, error_estimate).
+    """Integrate over a box; returns (value, error_estimate) once they meet tolerance.
 
     Level j uses order round(base * 2^(j/2)) (32, 45, 64, 91, ...), one more
     than the last where rounding would repeat it (base 1).  The value is the
     last level's, the estimate its difference against the level before: an
     overestimate where Gauss-Legendre converges geometrically (integrands
     analytic on the box), while at an algebraic rate n^-p the error is about
-    1 / (2^(p/2) - 1) times the estimate.  Levels climb until the estimate
-    meets tolerance or MAX_ORDER is reached; enforcing it is the caller's
-    decision, see ``ensure_converged``.  A level whose grid would pass
-    MAX_NODES raises QuadratureNotConverged instead of being built.
+    1 / (2^(p/2) - 1) times the estimate.  Levels climb until the estimate is
+    at most rel_tol |value| + abs_tol; at MAX_ORDER, or on a NaN estimate or
+    tolerance, which never meet it, QuadratureNotConverged is raised.  So is
+    it where a level's grid would pass MAX_NODES, before that grid is built.
     """
     opts = options or QuadratureOptions()
     b = as_box(box)
@@ -183,15 +185,9 @@ def integrate(f_many, box, options: QuadratureOptions | None = None):
         refined = weighted_sum(f_many, grid, w)
         estimate = abs(refined - value)
         value = refined
-        if estimate <= opts.rel_tol * abs(value) + opts.abs_tol or order >= MAX_ORDER:
+        if estimate <= opts.rel_tol * abs(value) + opts.abs_tol:
             return value, estimate
-
-
-def ensure_converged(value: complex, estimate: float,
-                     options: QuadratureOptions | None = None) -> None:
-    opts = options or QuadratureOptions()
-    # written so that a NaN estimate or tolerance fails the check
-    if not estimate <= opts.rel_tol * abs(value) + opts.abs_tol:
-        raise QuadratureNotConverged(
-            f"quadrature estimate {estimate:.3g} exceeds tolerance for value "
-            f"{abs(value):.6g}")
+        if order >= MAX_ORDER:
+            raise QuadratureNotConverged(
+                f"quadrature estimate {estimate:.3g} exceeds tolerance for value "
+                f"{abs(value):.6g}")

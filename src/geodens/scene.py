@@ -21,7 +21,7 @@ from .density import AmbientDensity
 from .errors import DegreeMismatch, GeodensError, SceneError
 from .geometry import Submanifold
 from .quadrature import as_box
-from .states import GeometricState, make_state
+from .states import GeometricState, _check_degree_sum, make_state
 
 REQUEST_OPS = ("check", "pair", "product", "inner", "oracle", "sweep")
 
@@ -307,9 +307,3 @@ def _norm_request(entry: dict, index: int, cores, states, tests, params) -> dict
     if op == "oracle" and entry.get("eps") is not None:
         out["eps"] = [_number(e, f"{where} eps") for e in entry["eps"]]
     return out
-
-
-def _check_degree_sum(a: complex, b: complex, where: str):
-    if abs(a + b - 1.0) > 1e-12:
-        raise DegreeMismatch(
-            f"{where}: degrees must sum to 1, got {a} and {b}")

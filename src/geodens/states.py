@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import exprlang, linalg, quadrature
-from .errors import DegreeMismatch, UnboundedDomain
+from .errors import DegreeMismatch
 from .fields import ExprField, FuncField, ScalarField, as_field
 from .density import AmbientDensity, restrict
 from .geometry import Submanifold, frames_many
@@ -122,6 +122,12 @@ def recombine_conormal(state: GeometricState, b) -> GeometricState:
                           state.conormal.recombined(b), state.support)
 
 
+def _check_degree_sum(a: complex, b: complex, where: str) -> None:
+    """The rule of every pairing: degrees alpha and 1 - alpha, to within 1e-12."""
+    if abs(a + b - 1.0) > 1e-12:
+        raise DegreeMismatch(f"{where}: degrees must sum to 1, got {a} and {b}")
+
+
 @dataclass(frozen=True)
 class PairingResult:
     value: complex
@@ -134,30 +140,20 @@ def pair_with_test(state: GeometricState, phi: AmbientDensity,
     """Distributional pairing of a state with a complementary test density.
 
     Degrees must satisfy state.degree + phi.degree = 1.  The integration box
-    is the chart domain intersected with the state's support; both unbounded
-    raises UnboundedDomain.  ``normal_solver`` overrides the dual-frame
-    choice (nu_rows, tangent_columns) -> normal_columns; the invariance of
-    the pairing under that choice is a theorem, the hook exists to test it.
+    is the chart domain intersected with the state's support (``intersect_boxes``
+    raises UnboundedDomain when both are unbounded).  ``normal_solver``
+    overrides the dual-frame choice (nu_rows, tangent_columns) ->
+    normal_columns; the invariance of the pairing under that choice is a
+    theorem, the hook exists to test it.
     """
-    if abs(state.degree + phi.degree - 1.0) > 1e-12:
-        raise DegreeMismatch(
-            f"pairing needs degrees summing to 1, got {state.degree} + {phi.degree}")
-    opts = options or QuadratureOptions()
+    _check_degree_sum(state.degree, phi.degree, "pairing")
     integrand = _pairing_integrand(state, phi, normal_solver)
-    core = state.core
-    if core.dim == 0:
+    if state.core.dim == 0:
         return PairingResult(complex(integrand(quadrature.Grid([]))), 0.0)
-
-    if core.domain is None and state.support is None:
-        raise UnboundedDomain(
-            f"state on {core.name!r} has no bounded integration box")
-    box = intersect_boxes(core.domain, state.support)
+    box = intersect_boxes(state.core.domain, state.support)
     if box is None:
         return PairingResult(0.0 + 0.0j, 0.0)
-
-    value, estimate = quadrature.integrate(integrand, box, opts)
-    quadrature.ensure_converged(value, estimate, opts)
-    return PairingResult(value, estimate)
+    return PairingResult(*quadrature.integrate(integrand, box, options))
 
 
 def _pairing_integrand(state: GeometricState, phi: AmbientDensity,

@@ -11,7 +11,8 @@ from geodens.exprlang import BinOp, Call, Neg, Num, Var, evaluate, jacobian
 
 
 def _num(v: float):
-    # the parser has no negative literals; "-x" is Neg(Num(x))
+    # a negative constant as Neg(Num(|v|)), printed "-(|v|)"; the parser reads
+    # a bare "-v" as the literal Num(-v)
     if v == 0.0:
         return Num(0.0)
     return Neg(Num(-v)) if v < 0.0 else Num(v)

@@ -306,12 +306,42 @@ def test_jacobian_against_finite_differences():
         checked += 1
 
 
+def _negative_literals(e):
+    """The tree with every Neg(Num(v)) leaf, v > 0, folded into Num(-v)."""
+    if isinstance(e, Neg):
+        arg = _negative_literals(e.arg)
+        return Num(-arg.value) if isinstance(arg, Num) and arg.value > 0.0 else Neg(arg)
+    if isinstance(e, BinOp):
+        return BinOp(e.op, _negative_literals(e.left), _negative_literals(e.right))
+    if isinstance(e, Call):
+        return Call(e.func, _negative_literals(e.arg))
+    return e
+
+
 def test_printer_round_trip_on_random_trees():
+    # the generator writes negative constants as Neg(Num(v)); folded, the
+    # same trees carry negative Num leaves instead, printed as -v
     rng = np.random.default_rng(7)
     for _ in range(200):
         tree = random_expr(rng, 3, depth=5)
-        printed = to_source(tree)
-        assert parse(printed) == tree, printed
+        for kind in (tree, _negative_literals(tree)):
+            printed = to_source(kind)
+            assert parse(printed) == kind, printed
+
+
+@pytest.mark.parametrize("tree, printed", [
+    (Num(-0.25), "-0.25"),
+    (Neg(Num(0.25)), "-(0.25)"),
+    (Neg(Num(-0.25)), "--0.25"),
+    (BinOp("-", Var("x3"), Num(-0.25)), "x3 - -0.25"),
+    (BinOp("^", Num(-2.0), Num(2.0)), "(-2)^2"),
+    (BinOp("^", Num(2.0), Num(-2.0)), "2^-2"),
+    (Neg(BinOp("^", Num(2.0), Num(2.0))), "-2^2"),  # -2^2 is -(2^2)
+    (Num(-0.0), "-0"),
+])
+def test_negative_literals_round_trip(tree, printed):
+    assert to_source(tree) == printed
+    assert parse(printed) == tree
 
 
 # substitution

@@ -118,6 +118,9 @@ def test_tube_trees_are_pinned():
     gauss = "(3.989422804014327*exp(-(49.99999999999999*(x3 - -0.25)^2)))"
     assert to_source(tube.re_expr) == "0.7071067811865476*exp(-(x1 - 0.5)^2)*" + gauss
     assert to_source(tube.im_expr) == "0.7071067811865476*x2*" + gauss
+    # the negative Num in x3 - -0.25 reads back as itself
+    assert parse(to_source(tube.re_expr)) == tube.re_expr
+    assert parse(to_source(tube.im_expr)) == tube.im_expr
 
 
 def test_tube_coefficient_on_the_core():

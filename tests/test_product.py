@@ -19,9 +19,9 @@ from geodens.errors import (
     ConormalMismatch,
     DegreeMismatch,
     DimensionMismatch,
-    NonCompactIntersection,
     NotOnBothCores,
     TransversalityFailure,
+    UnboundedDomain,
 )
 from geodens.geometry import (
     Submanifold,
@@ -167,7 +167,7 @@ def test_inner_product_needs_degree_sum_one():
 
 def test_inner_product_needs_a_compact_intersection():
     th1, th2, e = crossed_planes()
-    with pytest.raises(NonCompactIntersection):
+    with pytest.raises(UnboundedDomain):
         inner_product(th1, th2, e)
 
 

@@ -20,7 +20,6 @@ from geodens.quadrature import (
     QuadratureOptions,
     as_box,
     composite_rule,
-    ensure_converged,
     integrate,
     intersect_boxes,
     tensor_rule,
@@ -50,6 +49,9 @@ def test_intersect_boxes():
     assert intersect_boxes(a, None) is a
     assert intersect_boxes(None, b) is b
     assert intersect_boxes(a, as_box([[5.0, 6.0], [0.0, 1.0]])) is None
+    # None is "no bound", so None is only ever returned for an empty box
+    with pytest.raises(UnboundedDomain):
+        intersect_boxes(None, None)
 
 
 def test_tensor_rule_polynomial_exactness():
@@ -241,7 +243,7 @@ def test_integrate_escalates_until_converged():
     f = lambda g: np.exp(-g.points()[:, 0] ** 2 / (2 * sig * sig)) / math.sqrt(2 * math.pi * sig * sig)
     opts = QuadratureOptions(order=32)
     value, estimate = integrate(f, [[-4.0, 4.0]], opts)
-    ensure_converged(value, estimate, opts)
+    assert estimate <= 1e-8 * abs(value) + 1e-12
     assert value == pytest.approx(1.0, rel=1e-8)
 
 
@@ -297,7 +299,7 @@ def test_integrate_estimate_bounds_the_error_on_analytic_integrands(monkeypatch,
                                                                      exact, levels):
     orders = recorded_orders(monkeypatch)
     value, estimate = integrate(lambda g: f(g.points()[:, 0]), [box])
-    ensure_converged(value, estimate)
+    assert estimate <= 1e-8 * abs(value) + 1e-12
     assert estimate >= abs(value - exact)
     assert orders == LADDER[:levels]
 
@@ -306,10 +308,9 @@ def test_integrate_refuses_an_endpoint_singularity(monkeypatch):
     # (x+1)^-1/2 converges like n^-1, where the sqrt 2 ladder's estimate is
     # 0.41 of the error; it never meets the tolerance by order 512
     orders = recorded_orders(monkeypatch)
-    value, estimate = integrate(lambda g: (g.points()[:, 0] + 1.0) ** -0.5, [[-1.0, 1.0]])
-    assert orders == LADDER
     with pytest.raises(QuadratureNotConverged) as info:
-        ensure_converged(value, estimate)
+        integrate(lambda g: (g.points()[:, 0] + 1.0) ** -0.5, [[-1.0, 1.0]])
+    assert orders == LADDER
     assert info.value.exit_code == 5
 
 
@@ -343,13 +344,21 @@ def test_affine_3d_gaussian_pairing_stops_by_order_91(monkeypatch):
     assert orders == LADDER[:len(orders)] and orders[-1] <= 91
 
 
-def test_ensure_converged_raises():
-    with pytest.raises(QuadratureNotConverged):
-        ensure_converged(1.0 + 0.0j, 0.5, QuadratureOptions())
+def test_integrate_raises_past_its_tolerance(monkeypatch):
+    orders = recorded_orders(monkeypatch)
+    never = lambda g: np.cos(300.0 * g.points()[:, 0])  # 760 periods: no order resolves it
+    with pytest.raises(QuadratureNotConverged,
+                       match=r"^quadrature estimate \S+ exceeds tolerance for value ") as info:
+        integrate(never, [[-8.0, 8.0]])
+    assert orders == LADDER
+    assert info.value.exit_code == 5
 
 
-@pytest.mark.parametrize("estimate, rel_tol", [
+@pytest.mark.parametrize("value, rel_tol", [
     (float("nan"), 1e-8), (0.0, float("nan")), (float("nan"), float("inf"))])
-def test_ensure_converged_fails_closed_on_nan(estimate, rel_tol):
-    with pytest.raises(QuadratureNotConverged):
-        ensure_converged(1.0 + 0.0j, estimate, QuadratureOptions(rel_tol=rel_tol))
+def test_integrate_fails_closed_on_nan(value, rel_tol):
+    # a constant integrand: NaN gives a NaN estimate, 0.0 an estimate of exactly 0
+    constant = lambda g: np.full(g.shape[0], value)
+    with pytest.raises(QuadratureNotConverged) as info:
+        integrate(constant, [[-1.0, 1.0]], QuadratureOptions(rel_tol=rel_tol))
+    assert info.value.exit_code == 5

@@ -703,8 +703,7 @@ EXIT_CODES = {
     "NoIntersectionFound": 3, "UserChartRequired": 3,
     "ChartInversionFailure": 3, "NotOnBothCores": 3, "NonAffineCore": 3,
     "DegreeMismatch": 4,
-    "QuadratureNotConverged": 5, "UnboundedDomain": 5,
-    "NonCompactIntersection": 5, "NonConvergent": 5,
+    "QuadratureNotConverged": 5, "UnboundedDomain": 5, "NonConvergent": 5,
     "TransversalityFailure": 6,
 }
 

@@ -9,6 +9,8 @@ on a quadrature grid's axes, with a per-node evaluation built from
 ``frames_at`` at the grid's flat points.
 """
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,10 @@ from geodens.fields import ExprField, FuncField
 from geodens.geometry import Submanifold, frames_at, frames_many
 from geodens.exprlang import parse
 from geodens.linalg import det_abs_pow, dual_normal_frame
+from geodens.oracle import smooth_pair
+from geodens.product import inner_product
 from geodens.quadrature import Grid
+from geodens.scene import load_scene
 from geodens.states import (
     ConormalFamily,
     _pairing_integrand,
@@ -113,6 +118,24 @@ def test_pairing_degree_mismatch():
     th = make_state(x_axis(), 0.5, "1", support=[[-1.0, 1.0]])
     with pytest.raises(DegreeMismatch):
         pair_with_test(th, gaussian_test(0.7))
+
+
+@pytest.mark.parametrize("where, mismatch", [
+    ("pairing", lambda: pair_with_test(
+        make_state(x_axis(), 0.5, "1", support=[[-1.0, 1.0]]), gaussian_test(0.7))),
+    ("partial inner product", lambda: inner_product(
+        make_state(x_axis(), 0.5, "1", support=[[-1.0, 1.0]]),
+        make_state(tilted(1.0), 0.7, "1", support=[[-1.0, 1.0]]),
+        Submanifold.point("E", [0.0, 0.0]))),
+    ("smooth pairing", lambda: smooth_pair(
+        AmbientDensity.make(0.5, "1", support=[[-1.0, 1.0]] * 2), gaussian_test(0.7))),
+    ("request #0", lambda: load_scene(
+        Path(__file__).resolve().parents[1] / "scenes" / "degree_mismatch.json")),
+])
+def test_degree_rule_has_one_wording(where, mismatch):
+    want = f"{where}: degrees must sum to 1, got (0.5+0j) and (0.7+0j)"
+    with pytest.raises(DegreeMismatch, match=f"^{re.escape(want)}$"):
+        mismatch()
 
 
 def test_pairing_needs_a_bounded_box():

@@ -22,7 +22,14 @@ from . import oracle as oracle_mod
 from .errors import GeodensError, InputError, TransversalityError
 from .geometry import frames_many, intersect, transversality_check
 from .product import inner_product, product
-from .quadrature import Grid, QuadratureOptions, as_box, intersect_boxes
+from .quadrature import (
+    DEFAULT_ORDER,
+    DEFAULT_REL_TOL,
+    Grid,
+    QuadratureOptions,
+    as_box,
+    intersect_boxes,
+)
 from .scene import Scene, load_scene
 from .states import pair_with_test
 
@@ -57,14 +64,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=doc)
         p.add_argument("scene", help="scene JSON file")
         p.add_argument("--out", help="write results as CSV to this file")
-        p.add_argument("--quad-order", type=int, default=32,
-                       help="base Gauss-Legendre order (default 32)")
-        p.add_argument("--quad-tol", type=float, default=1e-8,
-                       help="relative quadrature tolerance (default 1e-8)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized frame probes (default 0)")
+        p.add_argument("--quad-order", type=int, default=DEFAULT_ORDER,
+                       help="base Gauss-Legendre order (default %(default)s)")
+        p.add_argument("--quad-tol", type=float, default=DEFAULT_REL_TOL,
+                       help="relative quadrature tolerance (default %(default)g)")
         p.add_argument("--eps-list", type=float_list, default=None,
-                       help="comma separated mollifier widths (default 0.2,0.1,0.05)")
+                       help="comma separated mollifier widths (default "
+                            f"{','.join(map(str, oracle_mod.DEFAULT_EPS))})")
         p.add_argument("--dump-normalized", action="store_true",
                        help="print the normalized scene JSON and exit")
     return parser
@@ -122,7 +128,7 @@ def _run(args) -> int:
 # check
 
 def _cmd_check(scene: Scene, requests, opts, args):
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(0)
     header = ["core_c", "core_d", "expected_dim", "intersection_dim",
               "sample_rank", "transverse"]
     rows, all_ok = [], True

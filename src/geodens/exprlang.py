@@ -358,16 +358,11 @@ def diff(expr: Expr, var: str) -> Expr:
     return mul(expr, add(mul(db, Call("log", a)), _over(mul(b, da), a)))
 
 
-def jacobian(exprs, point, bindings: Mapping[str, float] | None = None,
-             prefix: str = "u") -> np.ndarray:
-    """Exact jacobian of component expressions in <prefix>1..<prefix>k at ``point``.
-
-    Returns shape (len(exprs), k).  Extra ``bindings`` (named parameters) are
-    held constant.
-    """
+def jacobian(exprs, point) -> np.ndarray:
+    """Exact jacobian (len(exprs), k) of component expressions in u1..uk at ``point``."""
     p = np.asarray(point, dtype=float)
-    names = [f"{prefix}{i + 1}" for i in range(p.shape[0])]
-    values = {**dict(zip(names, p)), **(bindings or {})}
+    names = [f"u{i + 1}" for i in range(p.shape[0])]
+    values = dict(zip(names, p))
     rows = [[float(evaluate(diff(e, v), values)) for v in names] for e in exprs]
     return np.array(rows, dtype=float).reshape(len(exprs), len(names))
 

@@ -476,10 +476,10 @@ class IntersectionResult:
     points: tuple[np.ndarray, ...]
     core: Submanifold | None
 
-    def point_cores(self, prefix: str = "pt") -> tuple[Submanifold, ...]:
+    def point_cores(self) -> tuple[Submanifold, ...]:
         if self.core is not None and self.core.dim == 0:
             return (self.core,)
-        return tuple(Submanifold.point(f"{prefix}{i}", p)
+        return tuple(Submanifold.point(f"pt{i}", p)
                      for i, p in enumerate(self.points))
 
 

@@ -42,6 +42,9 @@ TRUNCATION_WIDTHS = 8.0  # keep 8 eps of every Gaussian tail
 # 3 eps panels match eps panels to 4.5e-16) and loses digits at 4 (1.9e-12).
 PANEL_WIDTHS = 2.0
 DEFAULT_EPS = (0.2, 0.1, 0.05)
+FINAL_REL_TOL = 1e-2  # converge_check: largest relative error of the last oracle value
+FLOOR_REL = 1e-8      # and its noise floor, FLOOR_REL |geometric| + FLOOR_ABS
+FLOOR_ABS = 1e-14
 
 
 def _linear_expr(coeffs, origin) -> exprlang.Expr:
@@ -113,19 +116,18 @@ def _tube_box(core: Submanifold, chart_box, nu_hat: np.ndarray, eps: float) -> n
     return np.stack([images.min(axis=0) - margin, images.max(axis=0) + margin], axis=1)
 
 
-def smooth_pair(phi1: AmbientDensity, phi2: AmbientDensity,
-                box=None, order: int = ORACLE_ORDER) -> complex:
+def smooth_pair(phi1: AmbientDensity, phi2: AmbientDensity) -> complex:
     """Integral of the coefficient product of two complementary densities.
 
-    The integration box defaults to the intersection of the support hints;
-    panels follow the finest resolution hint so Gaussian tubes are resolved.
+    The integration box is the intersection of the support hints; panels
+    follow the finest resolution hint so Gaussian tubes are resolved.
     """
     _check_degree_sum(phi1.degree, phi2.degree, "smooth pairing")
-    box = intersect_boxes(phi1.support, phi2.support) if box is None else quadrature.as_box(box)
+    box = intersect_boxes(phi1.support, phi2.support)
     if box is None:
         return 0.0 + 0.0j
     panel = np.minimum(_axis_panels(phi1, box), _axis_panels(phi2, box))
-    grid, weights = quadrature.composite_rule(box, panel, order)
+    grid, weights = quadrature.composite_rule(box, panel, ORACLE_ORDER)
     return quadrature.weighted_sum(
         lambda g: phi1.coeff.eval_many(g) * phi2.coeff.eval_many(g),
         grid, weights)
@@ -136,11 +138,10 @@ def _axis_panels(phi: AmbientDensity, box: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(hint, dtype=float), box.shape[:1])
 
 
-def integrate_coefficient(phi: AmbientDensity, box=None,
-                          order: int = ORACLE_ORDER) -> complex:
-    """Plain integral of a density coefficient, for mass checks."""
-    box = quadrature.as_box(phi.support if box is None else box)
-    grid, weights = quadrature.composite_rule(box, _axis_panels(phi, box), order)
+def integrate_coefficient(phi: AmbientDensity) -> complex:
+    """Plain integral of a density coefficient over its support, for mass checks."""
+    box = quadrature.as_box(phi.support)
+    grid, weights = quadrature.composite_rule(box, _axis_panels(phi, box), ORACLE_ORDER)
     return quadrature.weighted_sum(phi.coeff.eval_many, grid, weights)
 
 
@@ -167,22 +168,21 @@ def _check_eps(eps_list) -> tuple[float, ...]:
     return eps
 
 
-def converge_check(geometric: complex, eps_list, oracle_values,
-                   final_rel_tol: float = 1e-2, floor_rel: float = 1e-8,
-                   floor_abs: float = 1e-14) -> ConvergenceReport:
+def converge_check(geometric: complex, eps_list, oracle_values) -> ConvergenceReport:
     """Assert oracle values approach the geometric value as eps decreases.
 
-    Errors at or below the noise floor count as converged (flat cases are
-    exact for every eps, leaving only quadrature noise); above the floor
-    each error must strictly decrease.  The last error must also be within
-    ``final_rel_tol`` relatively.  Raises NonConvergent otherwise.
+    Errors at or below the noise floor FLOOR_REL |geometric| + FLOOR_ABS count
+    as converged (flat cases are exact for every eps, leaving only quadrature
+    noise); above the floor each error must strictly decrease.  The last
+    error must also be within FINAL_REL_TOL relatively.  Raises
+    NonConvergent otherwise.
     """
     eps = _check_eps(eps_list)
     vals = tuple(complex(v) for v in oracle_values)
     if len(eps) != len(vals):
         raise ValueError("need one oracle value per eps value")
     scale = abs(geometric)
-    floor = floor_rel * scale + floor_abs
+    floor = FLOOR_REL * scale + FLOOR_ABS
     errors = tuple(abs(v - geometric) for v in vals)
     rel = tuple(e / scale if scale else math.inf for e in errors)
     for i in range(len(errors) - 1):
@@ -191,10 +191,10 @@ def converge_check(geometric: complex, eps_list, oracle_values,
                 f"oracle error grew from {errors[i]:.3g} (eps={eps[i]}) to "
                 f"{errors[i + 1]:.3g} (eps={eps[i + 1]})")
     final_rel = errors[-1] / scale if scale else (0.0 if errors[-1] <= floor else math.inf)
-    if errors[-1] > floor and final_rel > final_rel_tol:
+    if errors[-1] > floor and final_rel > FINAL_REL_TOL:
         raise NonConvergent(
             f"final oracle error {errors[-1]:.3g} is {final_rel:.3g} of the "
-            f"geometric value, tolerance {final_rel_tol:.3g}")
+            f"geometric value, tolerance {FINAL_REL_TOL:.3g}")
     orders = []
     for i in range(len(errors) - 1):
         if errors[i] > floor and errors[i + 1] > floor:
@@ -206,23 +206,22 @@ def converge_check(geometric: complex, eps_list, oracle_values,
 
 
 def compare_pairing(state: GeometricState, test: AmbientDensity,
-                    eps_list=DEFAULT_EPS, options: QuadratureOptions | None = None,
-                    final_rel_tol: float = 1e-2) -> ConvergenceReport:
+                    eps_list=DEFAULT_EPS,
+                    options: QuadratureOptions | None = None) -> ConvergenceReport:
     """Geometric pairing vs mollified pairings across an eps sweep."""
     _check_eps(eps_list)
     geometric = pair_with_test(state, test, options=options).value
     oracle_values = [smooth_pair(mollify(state, e), test) for e in eps_list]
-    return converge_check(geometric, eps_list, oracle_values, final_rel_tol)
+    return converge_check(geometric, eps_list, oracle_values)
 
 
 def compare_inner(state1: GeometricState, state2: GeometricState,
                   core_e: Submanifold, eps_list=DEFAULT_EPS, support=None,
-                  options: QuadratureOptions | None = None,
-                  final_rel_tol: float = 1e-2) -> ConvergenceReport:
+                  options: QuadratureOptions | None = None) -> ConvergenceReport:
     """Geometric partial inner product vs mollified tube pairings."""
     _check_eps(eps_list)
     geometric = inner_product(state1, state2, core_e, support=support,
                               options=options).value
     oracle_values = [smooth_pair(mollify(state1, e), mollify(state2, e))
                      for e in eps_list]
-    return converge_check(geometric, eps_list, oracle_values, final_rel_tol)
+    return converge_check(geometric, eps_list, oracle_values)

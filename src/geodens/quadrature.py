@@ -24,7 +24,7 @@ from .errors import QuadratureNotConverged, UnboundedDomain
 
 DEFAULT_ORDER = 32
 DEFAULT_REL_TOL = 1e-8
-DEFAULT_ABS_TOL = 1e-12
+ABS_TOL = 1e-12  # absolute floor of the tolerance, for values near zero
 
 MAX_PANELS_PER_AXIS = 400
 EVAL_CHUNK = 200_000
@@ -34,7 +34,6 @@ EVAL_CHUNK = 200_000
 class QuadratureOptions:
     order: int = DEFAULT_ORDER
     rel_tol: float = DEFAULT_REL_TOL
-    abs_tol: float = DEFAULT_ABS_TOL
 
 
 def as_box(box) -> np.ndarray:
@@ -170,7 +169,7 @@ def integrate(f_many, box, options: QuadratureOptions | None = None):
     overestimate where Gauss-Legendre converges geometrically (integrands
     analytic on the box), while at an algebraic rate n^-p the error is about
     1 / (2^(p/2) - 1) times the estimate.  Levels climb until the estimate is
-    at most rel_tol |value| + abs_tol; at MAX_ORDER, or on a NaN estimate or
+    at most rel_tol |value| + ABS_TOL; at MAX_ORDER, or on a NaN estimate or
     tolerance, which never meet it, QuadratureNotConverged is raised.  So is
     it where a level's grid would pass MAX_NODES, before that grid is built.
     """
@@ -185,7 +184,7 @@ def integrate(f_many, box, options: QuadratureOptions | None = None):
         refined = weighted_sum(f_many, grid, w)
         estimate = abs(refined - value)
         value = refined
-        if estimate <= opts.rel_tol * abs(value) + opts.abs_tol:
+        if estimate <= opts.rel_tol * abs(value) + ABS_TOL:
             return value, estimate
         if order >= MAX_ORDER:
             raise QuadratureNotConverged(

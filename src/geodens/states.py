@@ -79,10 +79,10 @@ class GeometricState:
 
 def make_state(core: Submanifold, degree, coeff, conormal=None,
                support=None) -> GeometricState:
-    """Build a geometric state; strings parse as chart-coordinate expressions."""
-    family = conormal if isinstance(conormal, ConormalFamily) else (
-        ConormalFamily.from_core(core) if conormal is None
-        else ConormalFamily.from_rows(conormal))
+    """Build a geometric state; strings parse as chart-coordinate expressions, and
+    ``conormal`` gives constant covector rows (n - k, n), or None for the core's."""
+    family = (ConormalFamily.from_core(core) if conormal is None
+              else ConormalFamily.from_rows(conormal))
     u0 = np.zeros(core.dim) if core.domain is None else core.domain.mean(axis=1)
     rows = family.rows_at(u0)
     if rows.shape != (core.ambient.dim - core.dim, core.ambient.dim):

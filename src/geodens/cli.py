@@ -19,17 +19,11 @@ import sys
 import numpy as np
 
 from . import oracle as oracle_mod
+from . import quadrature
 from .errors import GeodensError, InputError, TransversalityError
 from .geometry import frames_many, intersect, transversality_check
 from .product import inner_product, product
-from .quadrature import (
-    DEFAULT_ORDER,
-    DEFAULT_REL_TOL,
-    Grid,
-    QuadratureOptions,
-    as_box,
-    intersect_boxes,
-)
+from .quadrature import Grid, QuadratureOptions, as_box, intersect_boxes
 from .scene import Scene, load_scene
 from .states import pair_with_test
 
@@ -64,9 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=doc)
         p.add_argument("scene", help="scene JSON file")
         p.add_argument("--out", help="write results as CSV to this file")
-        p.add_argument("--quad-order", type=int, default=DEFAULT_ORDER,
+        p.add_argument("--quad-order", type=int, default=quadrature.DEFAULT_ORDER,
                        help="base Gauss-Legendre order (default %(default)s)")
-        p.add_argument("--quad-tol", type=float, default=DEFAULT_REL_TOL,
+        p.add_argument("--quad-tol", type=float, default=quadrature.DEFAULT_REL_TOL,
                        help="relative quadrature tolerance (default %(default)g)")
         p.add_argument("--eps-list", type=float_list, default=None,
                        help="comma separated mollifier widths (default "

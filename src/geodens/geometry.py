@@ -158,7 +158,7 @@ class Submanifold:
             raise ValueError(
                 f"implicit form of {self.name!r} does not vanish on the core "
                 f"(|F| = {worst[i]:.3g} at u = {coords[i]})")
-        u = _rank_loss(self._implicit_rows(x), linalg.RANK_TOL, coords)
+        u = _rank_loss(linalg.unit_rows(self._implicit_rows(x)), linalg.RANK_TOL, coords)
         if u is not None:
             raise DegenerateCovectors(
                 f"implicit jacobian of {self.name!r} loses rank at u = {u}")
@@ -321,7 +321,7 @@ def frames_many(core: Submanifold, coords) -> tuple:
             raise ConormalMismatch(
                 f"implicit conormal of {core.name!r} fails to annihilate the "
                 f"tangent at u = {_at(coords, bad)}")
-        u = _rank_loss(rows, linalg.RANK_TOL, coords)
+        u = _rank_loss(linalg.unit_rows(rows), linalg.RANK_TOL, coords)
         if u is not None:
             raise DegenerateCovectors(
                 f"implicit jacobian of {core.name!r} loses rank at u = {u}")
@@ -461,8 +461,7 @@ def transversality_check(c: Submanifold, d: Submanifold,
     joint = np.concatenate([np.broadcast_to(t, (len(x),) + t.shape[1:])
                             for t in (c._tangents(uc), d._tangents(ud))], axis=2)
     # unit columns: the verdict must not depend on how long a chart's tangents are
-    lengths = np.linalg.norm(joint, axis=1, keepdims=True)
-    sv = np.linalg.svd(joint / np.where(lengths > 0.0, lengths, 1.0), compute_uv=False)
+    sv = np.linalg.svd(linalg.unit_rows(np.swapaxes(joint, 1, 2)), compute_uv=False)
     ranks = np.sum(sv > linalg.RANK_TOL * sv[:, :1], axis=1).tolist()
     out = [TransversalitySample(p, rank, rank == n) for p, rank in zip(x, ranks)]
     return TransversalityReport(c.name, d.name, n, c.dim + d.dim - n, tuple(out))

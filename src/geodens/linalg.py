@@ -84,22 +84,29 @@ def change_of_basis(source, target) -> np.ndarray:
     return b
 
 
+def unit_rows(stack: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit length, zero rows kept: a rank test on them ignores row lengths."""
+    lengths = np.linalg.norm(stack, axis=-1, keepdims=True)
+    return stack / np.where(lengths > 0.0, lengths, 1.0)
+
+
 def _dual_normals(nu: np.ndarray, t: np.ndarray | None) -> np.ndarray:
     """Minimum-norm dual normals (m, n, q) of an (m, q, n) stack of covector rows,
-    checked against (m, n, k) tangents when given: one SVD for the rank test and
-    the pseudo-inverse, one annihilation test."""
+    checked against (m, n, k) tangents when given: one SVD of the unit rows for
+    the rank test and the pseudo-inverse, one annihilation test."""
     m, q, n = nu.shape
     if q == 0:
         return np.zeros((m, n, 0))
-    u, sv, vt = np.linalg.svd(nu, full_matrices=False)
+    u, sv, vt = np.linalg.svd(unit_rows(nu), full_matrices=False)
     if np.any(sv[:, -1] <= RANK_TOL * sv[:, 0]):
         raise DegenerateCovectors(f"covector family of {q} rows is rank deficient")
     if t is not None and t.shape[2] and np.any(
             np.abs(nu @ t).max(axis=(1, 2))
             > ANNIHILATE_TOL * np.abs(nu).max(axis=(1, 2)) * np.abs(t).max(axis=(1, 2))):
         raise ConormalMismatch("covectors do not annihilate the tangent frame")
-    # the pseudo-inverse V S^-1 U^T solves nu @ N = I_q with least norm
-    return np.swapaxes(vt, 1, 2) @ (np.swapaxes(u, 1, 2) / sv[:, :, None])
+    # nu = L unit_rows(nu), L = diag(row lengths): V S^-1 U^T L^-1 solves nu N = I with least norm
+    lengths = np.linalg.norm(nu, axis=2)[:, None, :]
+    return np.swapaxes(vt, 1, 2) @ (np.swapaxes(u, 1, 2) / sv[:, :, None] / lengths)
 
 
 def dual_normal_frame(covectors, tangent=None) -> np.ndarray:

@@ -130,8 +130,10 @@ def test_dual_normal_annihilation_contract():
 
 
 def test_dual_normal_degenerate_rows():
-    with pytest.raises(DegenerateCovectors):
-        dual_normal_frame(np.array([[1.0, 0.0], [2.0, 0.0]]))
+    # rank is judged on unit rows, and a zero row has none to scale to
+    for rows in ([[1.0, 0.0], [2.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]):
+        with pytest.raises(DegenerateCovectors):
+            dual_normal_frame(np.array(rows))
 
 
 def test_dual_normal_empty_family():

@@ -343,6 +343,16 @@ def test_on_core_test_does_not_depend_on_scale(lam):
     assert transversality_check(th1.core, th2.core, [[x0, 0.0]]).all_transverse
 
 
+@pytest.mark.parametrize("s", [1.0, 1e-6, 1e-10, 1e-12])
+def test_inner_product_does_not_depend_on_conormal_row_length(s):
+    # the axes meet only at 0 whatever length the x-axis conormal (0, s) has:
+    # its state is s^(1/2) times the unit one, so the inner product is s^(-1/2)
+    sx = make_state(line(0.0, "X"), 0.5, "1", conormal=[[0.0, s]])
+    sy = make_state(line(math.pi / 2, "Y"), 0.5, "1")
+    got = inner_product(sx, sy, origin()).value
+    assert abs(got - s ** -0.5) <= 1e-12 * s ** -0.5
+
+
 def test_a_point_off_the_core_at_unit_scale_is_still_off():
     th1, th2, x0 = scaled_crossing(1.0)
     off = [x0, 1e-3]

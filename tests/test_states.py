@@ -333,6 +333,33 @@ def test_tiny_tangent_is_not_annihilated_by_a_transverse_row():
         frames_many(implicit, [[0.5]])
 
 
+def _x_axis_r3(implicit=None):
+    return Submanifold.affine("X3", [0.0] * 3, [1.0, 0.0, 0.0], implicit=implicit)
+
+
+def _x_axis_r3_pairing(state):
+    return pair_with_test(state, AmbientDensity.make(0.5, "exp(-x1^2-x2^2-x3^2)")).value
+
+
+@pytest.mark.parametrize("s", [1e-6, 1e-10, 1e-12])
+def test_pairing_does_not_depend_on_conormal_row_length(s):
+    # rows (0, 1, 0) and (0, 0, s) meet only at 0; the dual normal s^-1 e3 makes
+    # the value s^(-1/2) times the unit rows' value
+    def pairing(s):
+        return _x_axis_r3_pairing(make_state(_x_axis_r3(), 0.5, "1", support=[[-8.0, 8.0]],
+                                             conormal=[[0.0, 1.0, 0.0], [0.0, 0.0, s]]))
+    assert abs(pairing(s) - pairing(1.0) * s ** -0.5) <= 1e-12 * s ** -0.5
+
+
+def test_implicit_rows_of_any_length_have_full_rank():
+    core = _x_axis_r3(implicit=["x2", "1e-10*x3"])
+    got = _x_axis_r3_pairing(make_state(core, 0.5, "1", support=[[-8.0, 8.0]]))
+    want = _x_axis_r3_pairing(make_state(_x_axis_r3(), 0.5, "1", support=[[-8.0, 8.0]],
+                                         conormal=[[0.0, 1.0, 0.0], [0.0, 0.0, 1e-10]]))
+    assert abs(got - want) <= 1e-12 * abs(want)
+    assert abs(got - SQRT_PI * 1e5) <= 1e-8 * SQRT_PI * 1e5
+
+
 # the delta picture
 
 def test_point_state_pairing_evaluates_the_test():

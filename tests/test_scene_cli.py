@@ -456,6 +456,16 @@ def test_cli_dump_normalized_fixed_point(tmp_path):
     assert second.stdout == first.stdout
 
 
+def test_cli_dump_normalized_to_a_file(tmp_path):
+    printed = run_cli("check", SCENES / "tilted_lines.json", "--dump-normalized")
+    out = tmp_path / "normalized.json"
+    written = run_cli("check", SCENES / "tilted_lines.json", "--dump-normalized",
+                      "--out", out)
+    assert written.returncode == 0, written.stderr
+    assert written.stdout == ""
+    assert out.read_text() == printed.stdout
+
+
 # CLI failure paths and exit codes
 
 

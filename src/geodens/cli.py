@@ -257,9 +257,7 @@ def _cmd_inner(scene: Scene, requests, opts, args):
 # oracle
 
 def _eps_list(req, args):
-    if args.eps_list:
-        return args.eps_list
-    return req.get("eps", list(oracle_mod.DEFAULT_EPS))
+    return args.eps_list or req.get("eps", list(oracle_mod.DEFAULT_EPS))
 
 
 def _cmd_oracle(scene: Scene, requests, opts, args):

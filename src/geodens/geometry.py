@@ -158,7 +158,7 @@ class Submanifold:
             raise ValueError(
                 f"implicit form of {self.name!r} does not vanish on the core "
                 f"(|F| = {worst[i]:.3g} at u = {coords[i]})")
-        u = _rank_loss(linalg.unit_rows(self._implicit_rows(x)), linalg.RANK_TOL, coords)
+        u = _rank_loss(linalg.unit_rows(self._implicit_rows(x))[0], linalg.RANK_TOL, coords)
         if u is not None:
             raise DegenerateCovectors(
                 f"implicit jacobian of {self.name!r} loses rank at u = {u}")
@@ -298,7 +298,7 @@ def frames_many(core: Submanifold, coords) -> tuple:
     core, and N otherwise.  The conormal is the implicit form's jacobian, or
     else the orthonormal complement of the tangent.  Each frame is checked
     for immersion (ImmersionFailure), for implicit rows that annihilate the
-    tangent (ConormalMismatch, relative to max|rows| max|tangent|) and for
+    tangent (ConormalMismatch, per unit row, relative to max|tangent|) and for
     their rank (DegenerateCovectors).
     """
     if not isinstance(coords, Grid):
@@ -314,14 +314,13 @@ def frames_many(core: Submanifold, coords) -> tuple:
         rows = np.swapaxes(linalg.complete_to_ambient(tangents), 1, 2)
     else:
         rows = core._implicit_rows(points)
-        leak, nu_max, t_max = (np.max(np.abs(a), axis=(1, 2), initial=0.0)
-                               for a in (rows @ tangents, rows, tangents))
-        bad = leak > linalg.ANNIHILATE_TOL * nu_max * t_max
+        unit, _ = linalg.unit_rows(rows)
+        bad = linalg.leaks(unit, tangents)
         if np.any(bad):
             raise ConormalMismatch(
                 f"implicit conormal of {core.name!r} fails to annihilate the "
                 f"tangent at u = {_at(coords, bad)}")
-        u = _rank_loss(linalg.unit_rows(rows), linalg.RANK_TOL, coords)
+        u = _rank_loss(unit, linalg.RANK_TOL, coords)
         if u is not None:
             raise DegenerateCovectors(
                 f"implicit jacobian of {core.name!r} loses rank at u = {u}")
@@ -461,7 +460,7 @@ def transversality_check(c: Submanifold, d: Submanifold,
     joint = np.concatenate([np.broadcast_to(t, (len(x),) + t.shape[1:])
                             for t in (c._tangents(uc), d._tangents(ud))], axis=2)
     # unit columns: the verdict must not depend on how long a chart's tangents are
-    sv = np.linalg.svd(linalg.unit_rows(np.swapaxes(joint, 1, 2)), compute_uv=False)
+    sv = np.linalg.svd(linalg.unit_rows(np.swapaxes(joint, 1, 2))[0], compute_uv=False)
     ranks = np.sum(sv > linalg.RANK_TOL * sv[:, :1], axis=1).tolist()
     out = [TransversalitySample(p, rank, rank == n) for p, rank in zip(x, ranks)]
     return TransversalityReport(c.name, d.name, n, c.dim + d.dim - n, tuple(out))

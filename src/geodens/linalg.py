@@ -22,7 +22,7 @@ from .errors import (
 SINGULAR_TOL = 1e-12    # relative to the Hadamard bound of the matrix
 RANK_TOL = 1e-9         # relative singular value cutoff for rank decisions
 SPAN_TOL = 1e-9         # relative residual for span membership
-ANNIHILATE_TOL = 1e-9   # relative to max|nu| max|t|: above this is not "annihilates"
+ANNIHILATE_TOL = 1e-9   # |nu_i(t_j)| / (|nu_i| max|t|) above this is not "annihilates"
 
 
 def _det_abs_pows(mats: np.ndarray, degree) -> np.ndarray:
@@ -84,10 +84,17 @@ def change_of_basis(source, target) -> np.ndarray:
     return b
 
 
-def unit_rows(stack: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit length, zero rows kept: a rank test on them ignores row lengths."""
+def unit_rows(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows scaled to unit length, zero rows kept, and the lengths they had."""
     lengths = np.linalg.norm(stack, axis=-1, keepdims=True)
-    return stack / np.where(lengths > 0.0, lengths, 1.0)
+    return stack / np.where(lengths > 0.0, lengths, 1.0), lengths[..., 0]
+
+
+def leaks(unit: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """For each frame of (m, q, n) unit rows and (m, n, k) tangents, whether some
+    row fails to annihilate the tangent: |nu_i(t_j)| > ANNIHILATE_TOL max|t|."""
+    return (np.max(np.abs(unit @ t), axis=(1, 2), initial=0.0)
+            > ANNIHILATE_TOL * np.max(np.abs(t), axis=(1, 2), initial=0.0))
 
 
 def _dual_normals(nu: np.ndarray, t: np.ndarray | None) -> np.ndarray:
@@ -97,25 +104,23 @@ def _dual_normals(nu: np.ndarray, t: np.ndarray | None) -> np.ndarray:
     m, q, n = nu.shape
     if q == 0:
         return np.zeros((m, n, 0))
-    u, sv, vt = np.linalg.svd(unit_rows(nu), full_matrices=False)
+    unit, lengths = unit_rows(nu)
+    u, sv, vt = np.linalg.svd(unit, full_matrices=False)
     if np.any(sv[:, -1] <= RANK_TOL * sv[:, 0]):
         raise DegenerateCovectors(f"covector family of {q} rows is rank deficient")
-    if t is not None and t.shape[2] and np.any(
-            np.abs(nu @ t).max(axis=(1, 2))
-            > ANNIHILATE_TOL * np.abs(nu).max(axis=(1, 2)) * np.abs(t).max(axis=(1, 2))):
+    if t is not None and np.any(leaks(unit, t)):
         raise ConormalMismatch("covectors do not annihilate the tangent frame")
-    # nu = L unit_rows(nu), L = diag(row lengths): V S^-1 U^T L^-1 solves nu N = I with least norm
-    lengths = np.linalg.norm(nu, axis=2)[:, None, :]
-    return np.swapaxes(vt, 1, 2) @ (np.swapaxes(u, 1, 2) / sv[:, :, None] / lengths)
+    # nu = L unit, L = diag(row lengths): V S^-1 U^T L^-1 solves nu N = I with least norm
+    return np.swapaxes(vt, 1, 2) @ (np.swapaxes(u, 1, 2) / sv[:, :, None] / lengths[:, None, :])
 
 
 def dual_normal_frame(covectors, tangent=None) -> np.ndarray:
     """Normal vectors n_j (columns) with nu_i(n_j) = delta_ij, minimum-norm choice.
 
     ``covectors`` are q rows in R^n.  When a tangent frame is supplied the
-    covectors must annihilate it, |nu_i(t_j)| <= ANNIHILATE_TOL max|nu| max|t|,
-    otherwise ConormalMismatch is raised.  ``frame_factors``'s default solver
-    on a stack of one.
+    covectors must annihilate it, |nu_i(t_j)| <= ANNIHILATE_TOL |nu_i| max|t|
+    for every row, otherwise ConormalMismatch is raised.  ``frame_factors``'s
+    default solver on a stack of one.
     """
     nu = np.atleast_2d(np.asarray(covectors, dtype=float))
     t = None if tangent is None else _as_columns(tangent)[None]

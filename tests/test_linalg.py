@@ -129,6 +129,15 @@ def test_dual_normal_annihilation_contract():
         dual_normal_frame(nu, t_bad)
 
 
+def test_dual_normal_judges_each_row_at_its_own_length():
+    t = np.array([[1.0], [0.0], [0.0]])
+    for a in (1.0, 1e-10):
+        with pytest.raises(ConormalMismatch):
+            dual_normal_frame(np.array([[0.0, 1.0, 0.0], [a, 0.0, a]]), t)
+    n = dual_normal_frame(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1e-10]]), t)
+    assert np.allclose(n, [[0.0, 0.0], [1.0, 0.0], [0.0, 1e10]], rtol=1e-14, atol=0.0)
+
+
 def test_dual_normal_degenerate_rows():
     # rank is judged on unit rows, and a zero row has none to scale to
     for rows in ([[1.0, 0.0], [2.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]):

@@ -311,7 +311,7 @@ def test_pairings_never_build_the_flat_points(monkeypatch):
     assert got == want
 
 
-# annihilation is judged relative to max|nu| max|t|
+# annihilation is judged on each unit row, relative to max|t|
 
 @pytest.mark.parametrize("r", [1e-6, 1.0, 1e4, 1e6])
 def test_circle_pairing_at_any_radius(r):
@@ -349,6 +349,26 @@ def test_pairing_does_not_depend_on_conormal_row_length(s):
         return _x_axis_r3_pairing(make_state(_x_axis_r3(), 0.5, "1", support=[[-8.0, 8.0]],
                                              conormal=[[0.0, 1.0, 0.0], [0.0, 0.0, s]]))
     assert abs(pairing(s) - pairing(1.0) * s ** -0.5) <= 1e-12 * s ** -0.5
+
+
+@pytest.mark.parametrize("a", [1.0, 1e-6, 1e-10])
+def test_a_short_row_must_annihilate_on_its_own(a):
+    # (a, 0, a) points 45 degrees off the conormal space whatever its length,
+    # so the longer row (0, 1, 0) must not set the scale it is judged at
+    th = make_state(_x_axis_r3(), 0.5, "1", support=[[-8.0, 8.0]],
+                    conormal=[[0.0, 1.0, 0.0], [a, 0.0, a]])
+    with pytest.raises(ConormalMismatch):
+        _x_axis_r3_pairing(th)
+
+
+def test_a_short_implicit_row_must_annihilate_on_its_own():
+    # 1e-10*(x1+x3) is below the on-core tolerance on the construction grid,
+    # but its gradient is 45 degrees off the conormal space
+    core = _x_axis_r3(implicit=["x2", "1e-10*(x1+x3)"])
+    with pytest.raises(ConormalMismatch):
+        frames_many(core, [[0.5]])
+    with pytest.raises(ConormalMismatch):
+        _x_axis_r3_pairing(make_state(core, 0.5, "1", support=[[-8.0, 8.0]]))
 
 
 def test_implicit_rows_of_any_length_have_full_rank():

@@ -265,10 +265,7 @@ class Submanifold:
 def _coerce_exprs(exprs) -> tuple[Expr, ...] | None:
     if exprs is None:
         return None
-    out = []
-    for e in exprs:
-        out.append(exprlang.parse(e) if isinstance(e, str) else e)
-    return tuple(out)
+    return tuple(exprlang.parse(e) if isinstance(e, str) else e for e in exprs)
 
 
 def _at(coords, bad: np.ndarray) -> np.ndarray:

@@ -65,7 +65,10 @@ def intersect_boxes(a, b) -> np.ndarray | None:
     return np.stack([lo, hi], axis=1)
 
 
-_leggauss = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+@lru_cache(maxsize=None)
+def _leggauss(order: int):
+    x, w = np.polynomial.legendre.leggauss(order)
+    return x, w
 
 
 def _axis_nodes(lo: float, hi: float, order: int):

@@ -21,8 +21,10 @@ Evaluation works on floats and, elementwise, on numpy arrays.  ``diff``
 builds the derivative of a tree as another tree, so derivatives evaluate
 through the same vectorized ``evaluate`` as values; ``jacobian`` evaluates
 them at a point.  Derivatives are exact, no finite differences anywhere.
-A domain guard costs a pass over an array only when the operand that
-decides it can trigger it: ``x^2`` never scans ``x``, ``x^0.5`` does.
+Each tree compiles once, at its first evaluation, into closures kept on its
+nodes; ``FUNCTIONS`` and ``CONSTANTS`` are read then.  The domain guards of
+a literal exponent or divisor are settled at compile time: ``x^2`` and
+``x/2`` never scan ``x``, ``x^0.5`` does.
 
 Derived trees (derivatives, scaled coefficients, mollifier tubes) are built
 only through ``add``, ``sub`` and ``mul``, which fold ``ZERO`` and ``ONE``:
@@ -32,8 +34,9 @@ is ``Neg(e)``.
 from __future__ import annotations
 
 import math
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Union
 
 import numpy as np
@@ -47,30 +50,35 @@ __all__ = [
 ]
 
 
+class _Node:
+    def __reduce__(self):  # a node is its fields, not the closure evaluate keeps on it
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True)
-class Num:
+class Num(_Node):
     value: float
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     arg: "Expr"
 
 
 @dataclass(frozen=True)
-class BinOp:
+class BinOp(_Node):
     op: str
     left: "Expr"
     right: "Expr"
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     func: str
     arg: "Expr"
 
@@ -216,39 +224,54 @@ def evaluate(expr: Expr, bindings: Mapping[str, object] | None = None):
     """Evaluate an expression tree.
 
     Bindings map identifier names to floats or numpy arrays (elementwise
-    evaluation).  ``pi`` resolves before bindings.
+    evaluation).  ``pi`` resolves before bindings.  The tree compiles at its
+    first evaluation, children first and by a loop: compiling needs no deeper
+    a stack than evaluating.  Later evaluations run its closures.
     """
-    return _ev(expr, bindings or {})
+    todo = [expr]
+    while "_fn" not in vars(expr):
+        e = todo.pop()
+        kids = [k for k in vars(e).values() if isinstance(k, _Node) and "_fn" not in vars(k)]
+        if kids:
+            todo += [e, *kids]
+        elif "_fn" not in vars(e):  # a subtree met twice compiles once
+            vars(e)["_fn"] = _compile(e)
+    return vars(expr)["_fn"](bindings or {})
 
 
-def _ev(e: Expr, b: Mapping[str, object]):
-    # module level, not a closure over itself: a self-referencing closure is
-    # a reference cycle that would keep the bindings alive until the cyclic
-    # collector runs
-    if isinstance(e, Num):
-        return e.value
+def _compile(e: Expr):
+    """The closure bindings -> value of node e, over its children's.  It runs the
+    numpy operations of ``_div`` and ``_pow`` in their order and holds no node and
+    no bindings: a reference cycle would keep the bindings until the collector ran."""
+    if isinstance(e, Num) or isinstance(e, Var) and e.name in CONSTANTS:
+        value = e.value if isinstance(e, Num) else CONSTANTS[e.name]
+        return lambda b: value
     if isinstance(e, Var):
-        if e.name in CONSTANTS:
-            return CONSTANTS[e.name]
-        try:
-            return b[e.name]
-        except KeyError:
-            raise UnboundIdentifier(f"unbound identifier {e.name!r}") from None
+        name = e.name
+
+        def lookup(b):
+            try:
+                return b[name]
+            except KeyError:
+                raise UnboundIdentifier(f"unbound identifier {name!r}") from None
+        return lookup
     if isinstance(e, Neg):
-        return -_ev(e.arg, b)
+        arg = vars(e.arg)["_fn"]
+        return lambda b: -arg(b)
     if isinstance(e, Call):
-        return FUNCTIONS[e.func](_ev(e.arg, b))
-    left = _ev(e.left, b)
-    right = _ev(e.right, b)
-    if e.op == "+":
-        return left + right
-    if e.op == "-":
-        return left - right
-    if e.op == "*":
-        return left * right
-    if e.op == "/":
-        return _div(left, right)
-    return _pow(left, right)
+        func, arg = FUNCTIONS[e.func], vars(e.arg)["_fn"]
+        return lambda b: func(arg(b))
+    left, right = vars(e.left)["_fn"], vars(e.right)["_fn"]
+    c = e.right.value if isinstance(e.right, Num) else None
+    if e.op == "/" and c not in (None, 0.0):
+        return lambda b: left(b) / c
+    if e.op == "^" and c is not None:
+        nonint, negative = bool(c != np.round(c)), c < 0.0  # NaN is not an integer
+        if nonint or negative:
+            return lambda b: _scanned_pow(left(b), c, nonint, negative)
+        return lambda b: left(b) ** c
+    op = _OPS[e.op]
+    return lambda b: op(left(b), right(b))
 
 
 def _div(a, b):
@@ -258,14 +281,21 @@ def _div(a, b):
 
 
 def _pow(a, b):
-    av = np.asarray(a, dtype=float)
     bv = np.asarray(b, dtype=float)
-    nonint = bv != np.round(bv)
+    return _scanned_pow(a, b, bv != np.round(bv), bv < 0.0)
+
+
+def _scanned_pow(a, b, nonint, negative):
+    # a ** b; the base is scanned for negatives where nonint, for zeros where negative
+    av = np.asarray(a, dtype=float)
     if np.any(nonint) and np.any((av < 0.0) & nonint):
         raise DomainError("negative base with non-integer exponent")
-    if np.any(bv < 0.0) and np.any((av == 0.0) & (bv < 0.0)):
+    if np.any(negative) and np.any((av == 0.0) & negative):
         raise DomainError("zero base with negative exponent")
     return a ** b
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "^": _pow}
 
 
 # folding constructors: the one way to combine trees with +, - and *

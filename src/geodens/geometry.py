@@ -136,7 +136,7 @@ class Submanifold:
             if np.any(self.form.domain[:, 0] > self.form.domain[:, 1]):
                 raise ValueError("chart domain has lo > hi")
             coords = _grid(self.form.domain, 5)
-            u = _rank_loss(self._tangents(coords), IMMERSION_TOL, coords)
+            u = _rank_loss(np.swapaxes(self._tangents(coords), 1, 2), IMMERSION_TOL, coords)
             if u is not None:
                 raise ImmersionFailure(
                     f"chart jacobian of {self.name!r} loses rank at u = {u}")
@@ -158,7 +158,7 @@ class Submanifold:
             raise ValueError(
                 f"implicit form of {self.name!r} does not vanish on the core "
                 f"(|F| = {worst[i]:.3g} at u = {coords[i]})")
-        u = _rank_loss(linalg.unit_rows(self._implicit_rows(x))[0], linalg.RANK_TOL, coords)
+        u = _rank_loss(self._implicit_rows(x), linalg.RANK_TOL, coords)
         if u is not None:
             raise DegenerateCovectors(
                 f"implicit jacobian of {self.name!r} loses rank at u = {u}")
@@ -277,10 +277,11 @@ def _at(coords, bad: np.ndarray) -> np.ndarray:
 
 
 def _rank_loss(stack: np.ndarray, tol: float, coords: np.ndarray):
-    """Coordinates of the first matrix whose singular values fall below tol * largest."""
+    """Coordinates of the first matrix whose singular values, on unit rows so that
+    a chart's scale does not decide, fall below tol * largest."""
     if 0 in stack.shape[1:]:
         return None
-    sv = np.linalg.svd(stack, compute_uv=False)
+    sv = np.linalg.svd(linalg.unit_rows(stack)[0], compute_uv=False)
     bad = sv[:, -1] <= tol * sv[:, 0]
     return _at(coords, bad) if np.any(bad) else None
 
@@ -304,7 +305,7 @@ def frames_many(core: Submanifold, coords) -> tuple:
     if "frames" in core._cache:
         return (points, *core._cache["frames"])
     tangents = core._tangents(coords)
-    u = _rank_loss(tangents, IMMERSION_TOL, coords)
+    u = _rank_loss(np.swapaxes(tangents, 1, 2), IMMERSION_TOL, coords)
     if u is not None:
         raise ImmersionFailure(f"tangent frame of {core.name!r} degenerates at u = {u}")
     if core.implicit is None:
@@ -317,7 +318,7 @@ def frames_many(core: Submanifold, coords) -> tuple:
             raise ConormalMismatch(
                 f"implicit conormal of {core.name!r} fails to annihilate the "
                 f"tangent at u = {_at(coords, bad)}")
-        u = _rank_loss(unit, linalg.RANK_TOL, coords)
+        u = _rank_loss(rows, linalg.RANK_TOL, coords)
         if u is not None:
             raise DegenerateCovectors(
                 f"implicit jacobian of {core.name!r} loses rank at u = {u}")

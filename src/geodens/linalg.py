@@ -151,12 +151,12 @@ def frame_factors(tangents, rows, degree, solver=None) -> np.ndarray:
 
 def complete_to_ambient(tangent) -> np.ndarray:
     """Orthonormal columns spanning the orthogonal complement of a tangent frame,
-    or of each frame in an (..., n, k) stack."""
+    or of each frame in an (..., n, k) stack; rank is judged on unit columns."""
     t = np.asarray(tangent, dtype=float)
     n, k = t.shape[-2:]
     if k == 0:
         return np.broadcast_to(np.eye(n), t.shape[:-2] + (n, n)).copy()
-    u, sv, _ = np.linalg.svd(t, full_matrices=True)
+    sv = np.linalg.svd(unit_rows(np.swapaxes(t, -1, -2))[0], compute_uv=False)
     if np.any(sv[..., -1] <= RANK_TOL * sv[..., 0]):
         raise RankDeficient("tangent frame is rank deficient")
-    return u[..., k:]
+    return np.linalg.svd(t, full_matrices=True)[0][..., k:]

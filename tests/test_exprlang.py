@@ -8,12 +8,14 @@ frozen; the printed column pins the printer against regressions.
 import gc
 import json
 import math
+import pickle
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from geodens import exprlang
 from geodens.errors import (
     DomainError,
     ExprSyntaxError,
@@ -21,6 +23,8 @@ from geodens.errors import (
     UnknownFunction,
 )
 from geodens.exprlang import (
+    CONSTANTS,
+    FUNCTIONS,
     ONE,
     ZERO,
     BinOp,
@@ -28,6 +32,7 @@ from geodens.exprlang import (
     Neg,
     Num,
     Var,
+    _div,
     _pow,
     add,
     diff,
@@ -223,6 +228,122 @@ def test_pow_guards_match_the_reference():
                 assert np.array_equal(got, want, equal_nan=True), (a, b)
     assert messages == {"negative base with non-integer exponent",
                         "zero base with negative exponent"}
+
+
+# compiled evaluation
+
+def reference_evaluate(e, b):
+    """The tree-walking interpreter that compiled closures replaced: every guard
+    of ``_div`` and ``_pow`` decided on every call."""
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        if e.name in CONSTANTS:
+            return CONSTANTS[e.name]
+        try:
+            return b[e.name]
+        except KeyError:
+            raise UnboundIdentifier(f"unbound identifier {e.name!r}") from None
+    if isinstance(e, Neg):
+        return -reference_evaluate(e.arg, b)
+    if isinstance(e, Call):
+        return FUNCTIONS[e.func](reference_evaluate(e.arg, b))
+    left = reference_evaluate(e.left, b)
+    right = reference_evaluate(e.right, b)
+    if e.op == "+":
+        return left + right
+    if e.op == "-":
+        return left - right
+    if e.op == "*":
+        return left * right
+    if e.op == "/":
+        return _div(left, right)
+    return _pow(left, right)
+
+
+def assert_same_outcome(tree, bindings, want=None):
+    """evaluate gives the reference's value bit for bit, or its DomainError message."""
+    if want is None:
+        want = _pow_outcome(reference_evaluate, tree, bindings)
+    got = _pow_outcome(evaluate, tree, bindings)
+    assert type(got) is type(want), (to_source(tree), bindings, want, got)
+    if isinstance(want, str):
+        assert got == want, (to_source(tree), bindings)
+    else:
+        assert np.shape(got) == np.shape(want), (to_source(tree), bindings)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (to_source(tree), bindings)
+
+
+def test_compiled_trees_match_the_interpreter_bitwise():
+    rng = np.random.default_rng(20)
+    for _ in range(200):
+        tree = random_expr(rng, 3, depth=5)
+        scalars = {f"u{i}": float(v) for i, v in enumerate(rng.uniform(-3, 3, 3), 1)}
+        # an open grid, as quadrature passes it: each variable on its own axis
+        grid = {"u1": rng.uniform(-3, 3, (4, 1, 1)), "u2": rng.uniform(-3, 3, (1, 5, 1)),
+                "u3": rng.uniform(-3, 3, (1, 1, 3))}
+        for kind in (tree, _negative_literals(tree)):
+            for bindings in (scalars, grid):
+                assert_same_outcome(kind, bindings)
+
+
+@pytest.mark.parametrize("p", SPECIAL)
+def test_literal_exponent_and_divisor_guards_match_the_interpreter(p):
+    # a guard settled at compile time gives _pow's value or its message
+    power, quotient = BinOp("^", Var("a"), Num(p)), BinOp("/", Var("a"), Num(p))
+    for a in BASE_ARRAYS + [-2.0, -0.5, 0.0, -0.0, math.nan, math.inf, 3.0]:
+        assert_same_outcome(power, {"a": a}, want=_pow_outcome(reference_pow, a, p))
+        with np.errstate(invalid="ignore"):  # inf / inf
+            assert_same_outcome(quotient, {"a": a})
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_literal_zero_divisor_raises(zero):
+    tree = BinOp("/", Var("a"), Num(zero))
+    for a in (1.0, np.array([1.0, 2.0]), 0.0):
+        with pytest.raises(DomainError, match="division by zero"):
+            evaluate(tree, {"a": a})
+    with pytest.raises(UnboundIdentifier):  # the numerator still runs first
+        evaluate(tree, {})
+
+
+def _nodes(e):
+    kids = {BinOp: ("left", "right"), Neg: ("arg",), Call: ("arg",)}.get(type(e), ())
+    return 1 + sum(_nodes(getattr(e, k)) for k in kids)
+
+
+def test_a_tree_compiles_once(monkeypatch):
+    calls = []
+    compile_ = exprlang._compile
+    monkeypatch.setattr(exprlang, "_compile", lambda e: calls.append(e) or compile_(e))
+    tree = parse("exp(-u1^2/0.45-u2^2/1.0) + pi*u1")
+    b = {"u1": np.linspace(-1.0, 1.0, 5), "u2": 0.25}
+    first = evaluate(tree, b)
+    assert len(calls) == _nodes(tree) == 17
+    assert np.array_equal(evaluate(tree, b), first)
+    assert len(calls) == 17
+    # a subtree met twice is one node: u1^2 + u1^2 compiles 4 nodes, not 7
+    calls.clear()
+    square = parse("u1^2")
+    evaluate(BinOp("+", square, square), b)
+    assert len(calls) == 4
+
+
+def test_an_unbound_name_raises_at_every_evaluation():
+    tree = parse("u1 + v")
+    for _ in range(2):
+        with pytest.raises(UnboundIdentifier, match="'v'"):
+            evaluate(tree, {"u1": 1.0})
+    assert evaluate(tree, {"u1": 1.0, "v": 2.0}) == 3.0
+
+
+def test_an_evaluated_tree_pickles():
+    tree = parse("exp(-u1^2/0.45) * sqrt(u2) + pi")
+    b = {"u1": 0.3, "u2": 2.0}
+    value = evaluate(tree, b)
+    back = pickle.loads(pickle.dumps(tree))
+    assert back == tree and hash(back) == hash(tree)
+    assert evaluate(back, b) == value
 
 
 def _evaluate_and_forget(source, value):

@@ -65,6 +65,25 @@ def test_affine_rejects_rank_deficient_tangent():
                            [[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]])
 
 
+@pytest.mark.parametrize("s", [1e-10, 1e-12])
+def test_tangent_rank_does_not_depend_on_tangent_length(s):
+    # the plane z = 0 at any chart scale: rank is judged on unit columns, and
+    # the conormal row is the plane's normal
+    cores = [Submanifold.affine("P", [0.0, 0.0, 0.0], [[1.0, 0.0], [0.0, s], [0.0, 0.0]]),
+             Submanifold.chart("P", ["u1", f"{s!r}*u2", "0"], [[-1.0, 1.0], [-1.0, 1.0]])]
+    for core in cores:
+        _, tangents, rows = frames_many(core, np.array([[0.5, -0.25], [0.0, 1.0]]))
+        assert np.array_equal(tangents[0], [[1.0, 0.0], [0.0, s], [0.0, 0.0]])
+        assert np.allclose(np.abs(rows), [[0.0, 0.0, 1.0]], rtol=0.0, atol=1e-15)
+
+
+def test_zero_tangent_column_is_rank_deficient():
+    with pytest.raises(RankDeficient):
+        Submanifold.affine("bad", [0.0, 0.0, 0.0], [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(ImmersionFailure):
+        Submanifold.chart("bad", ["u1", "0*u2", "0"], [[-1.0, 1.0], [-1.0, 1.0]])
+
+
 def test_point_core():
     p = Submanifold.point("P", [1.0, -2.0])
     assert p.dim == 0 and p.ambient.dim == 2

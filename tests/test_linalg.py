@@ -298,3 +298,12 @@ def test_complete_to_ambient_of_nothing():
 def test_complete_to_ambient_rank_deficient():
     with pytest.raises(RankDeficient):
         complete_to_ambient(np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("s", [1e-10, 1e-12])
+def test_complete_to_ambient_judges_unit_columns(s):
+    # a short column is not a missing one; a zero column is
+    c = complete_to_ambient(np.array([[1.0, 0.0], [0.0, s], [0.0, 0.0]]))
+    assert np.allclose(np.abs(c), [[0.0], [0.0], [1.0]], rtol=0.0, atol=1e-15)
+    with pytest.raises(RankDeficient):
+        complete_to_ambient(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))

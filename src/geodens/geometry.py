@@ -123,8 +123,7 @@ class Submanifold:
         if isinstance(self.form, AffineForm):
             if self.form.base.shape != (n,) or self.form.tangent.shape != (n, k):
                 raise ValueError("affine form shapes do not match ambient/dim")
-            if k:
-                linalg.complete_to_ambient(self.form.tangent)  # raises RankDeficient
+            linalg.complete_to_ambient(self.form.tangent)  # raises RankDeficient
         else:
             if len(self.form.exprs) != n:
                 raise ValueError(
@@ -136,7 +135,7 @@ class Submanifold:
             if np.any(self.form.domain[:, 0] > self.form.domain[:, 1]):
                 raise ValueError("chart domain has lo > hi")
             coords = _grid(self.form.domain, 5)
-            u = _rank_loss(np.swapaxes(self._tangents(coords), 1, 2), IMMERSION_TOL, coords)
+            u = _rank_loss(linalg.unit_columns(self._tangents(coords)), IMMERSION_TOL, coords)
             if u is not None:
                 raise ImmersionFailure(
                     f"chart jacobian of {self.name!r} loses rank at u = {u}")
@@ -158,7 +157,7 @@ class Submanifold:
             raise ValueError(
                 f"implicit form of {self.name!r} does not vanish on the core "
                 f"(|F| = {worst[i]:.3g} at u = {coords[i]})")
-        u = _rank_loss(self._implicit_rows(x), linalg.RANK_TOL, coords)
+        u = _rank_loss(linalg.unit_rows(self._implicit_rows(x))[0], linalg.RANK_TOL, coords)
         if u is not None:
             raise DegenerateCovectors(
                 f"implicit jacobian of {self.name!r} loses rank at u = {u}")
@@ -276,12 +275,11 @@ def _at(coords, bad: np.ndarray) -> np.ndarray:
     return coords[min(int(np.argmax(bad)), len(coords) - 1)]
 
 
-def _rank_loss(stack: np.ndarray, tol: float, coords: np.ndarray):
-    """Coordinates of the first matrix whose singular values, on unit rows so that
-    a chart's scale does not decide, fall below tol * largest."""
-    if 0 in stack.shape[1:]:
+def _rank_loss(unit: np.ndarray, tol: float, coords: np.ndarray):
+    """Coordinates of the first frame of unit rows with sv_min <= tol * sv_max."""
+    if 0 in unit.shape[1:]:
         return None
-    sv = np.linalg.svd(linalg.unit_rows(stack)[0], compute_uv=False)
+    sv = np.linalg.svd(unit, compute_uv=False)
     bad = sv[:, -1] <= tol * sv[:, 0]
     return _at(coords, bad) if np.any(bad) else None
 
@@ -296,7 +294,7 @@ def frames_many(core: Submanifold, coords) -> tuple:
     core, and N otherwise.  The conormal is the implicit form's jacobian, or
     else the orthonormal complement of the tangent.  Each frame is checked
     for immersion (ImmersionFailure), for implicit rows that annihilate the
-    tangent (ConormalMismatch, per unit row, relative to max|tangent|) and for
+    tangent (ConormalMismatch, each unit row against each unit tangent) and for
     their rank (DegenerateCovectors).
     """
     if not isinstance(coords, Grid):
@@ -305,7 +303,8 @@ def frames_many(core: Submanifold, coords) -> tuple:
     if "frames" in core._cache:
         return (points, *core._cache["frames"])
     tangents = core._tangents(coords)
-    u = _rank_loss(np.swapaxes(tangents, 1, 2), IMMERSION_TOL, coords)
+    unit_t = linalg.unit_columns(tangents)
+    u = _rank_loss(unit_t, IMMERSION_TOL, coords)
     if u is not None:
         raise ImmersionFailure(f"tangent frame of {core.name!r} degenerates at u = {u}")
     if core.implicit is None:
@@ -313,12 +312,12 @@ def frames_many(core: Submanifold, coords) -> tuple:
     else:
         rows = core._implicit_rows(points)
         unit, _ = linalg.unit_rows(rows)
-        bad = linalg.leaks(unit, tangents)
+        bad = linalg.leaks(unit, unit_t)
         if np.any(bad):
             raise ConormalMismatch(
                 f"implicit conormal of {core.name!r} fails to annihilate the "
                 f"tangent at u = {_at(coords, bad)}")
-        u = _rank_loss(rows, linalg.RANK_TOL, coords)
+        u = _rank_loss(unit, linalg.RANK_TOL, coords)
         if u is not None:
             raise DegenerateCovectors(
                 f"implicit jacobian of {core.name!r} loses rank at u = {u}")
@@ -457,8 +456,7 @@ def transversality_check(c: Submanifold, d: Submanifold,
             f"sample {x[i]} is off-core (distances {rc[i]:.3g}, {rd[i]:.3g})")
     joint = np.concatenate([np.broadcast_to(t, (len(x),) + t.shape[1:])
                             for t in (c._tangents(uc), d._tangents(ud))], axis=2)
-    # unit columns: the verdict must not depend on how long a chart's tangents are
-    sv = np.linalg.svd(linalg.unit_rows(np.swapaxes(joint, 1, 2))[0], compute_uv=False)
+    sv = np.linalg.svd(linalg.unit_columns(joint), compute_uv=False)
     ranks = np.sum(sv > linalg.RANK_TOL * sv[:, :1], axis=1).tolist()
     out = [TransversalitySample(p, rank, rank == n) for p, rank in zip(x, ranks)]
     return TransversalityReport(c.name, d.name, n, c.dim + d.dim - n, tuple(out))

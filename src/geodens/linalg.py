@@ -22,7 +22,7 @@ from .errors import (
 SINGULAR_TOL = 1e-12    # relative to the Hadamard bound of the matrix
 RANK_TOL = 1e-9         # relative singular value cutoff for rank decisions
 SPAN_TOL = 1e-9         # relative residual for span membership
-ANNIHILATE_TOL = 1e-9   # |nu_i(t_j)| / (|nu_i| max|t|) above this is not "annihilates"
+ANNIHILATE_TOL = 1e-9   # |nu_i(t_j)| / (|nu_i| |t_j|) above this is not "annihilates"
 
 
 def _det_abs_pows(mats: np.ndarray, degree) -> np.ndarray:
@@ -90,11 +90,14 @@ def unit_rows(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return stack / np.where(lengths > 0.0, lengths, 1.0), lengths[..., 0]
 
 
-def leaks(unit: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """For each frame of (m, q, n) unit rows and (m, n, k) tangents, whether some
-    row fails to annihilate the tangent: |nu_i(t_j)| > ANNIHILATE_TOL max|t|."""
-    return (np.max(np.abs(unit @ t), axis=(1, 2), initial=0.0)
-            > ANNIHILATE_TOL * np.max(np.abs(t), axis=(1, 2), initial=0.0))
+def unit_columns(t: np.ndarray) -> np.ndarray:
+    """Columns of (..., n, k) frames as unit (..., k, n) rows: no length decides on them."""
+    return unit_rows(np.swapaxes(t, -1, -2))[0]
+
+
+def leaks(unit: np.ndarray, unit_t: np.ndarray) -> np.ndarray:
+    """Per frame of unit rows (m, q, n) and unit tangents (m, k, n): some |nu_i(t_j)| > tol."""
+    return np.abs(unit @ np.swapaxes(unit_t, 1, 2)).max(axis=(1, 2), initial=0.0) > ANNIHILATE_TOL
 
 
 def _dual_normals(nu: np.ndarray, t: np.ndarray | None) -> np.ndarray:
@@ -108,7 +111,7 @@ def _dual_normals(nu: np.ndarray, t: np.ndarray | None) -> np.ndarray:
     u, sv, vt = np.linalg.svd(unit, full_matrices=False)
     if np.any(sv[:, -1] <= RANK_TOL * sv[:, 0]):
         raise DegenerateCovectors(f"covector family of {q} rows is rank deficient")
-    if t is not None and np.any(leaks(unit, t)):
+    if t is not None and np.any(leaks(unit, unit_columns(t))):
         raise ConormalMismatch("covectors do not annihilate the tangent frame")
     # nu = L unit, L = diag(row lengths): V S^-1 U^T L^-1 solves nu N = I with least norm
     return np.swapaxes(vt, 1, 2) @ (np.swapaxes(u, 1, 2) / sv[:, :, None] / lengths[:, None, :])
@@ -117,10 +120,9 @@ def _dual_normals(nu: np.ndarray, t: np.ndarray | None) -> np.ndarray:
 def dual_normal_frame(covectors, tangent=None) -> np.ndarray:
     """Normal vectors n_j (columns) with nu_i(n_j) = delta_ij, minimum-norm choice.
 
-    ``covectors`` are q rows in R^n.  When a tangent frame is supplied the
-    covectors must annihilate it, |nu_i(t_j)| <= ANNIHILATE_TOL |nu_i| max|t|
-    for every row, otherwise ConormalMismatch is raised.  ``frame_factors``'s
-    default solver on a stack of one.
+    ``covectors`` are q rows in R^n.  When a tangent frame is supplied the covectors
+    must annihilate it, |nu_i(t_j)| <= ANNIHILATE_TOL |nu_i| |t_j|, or ConormalMismatch
+    is raised.  ``frame_factors``'s default solver on a stack of one.
     """
     nu = np.atleast_2d(np.asarray(covectors, dtype=float))
     t = None if tangent is None else _as_columns(tangent)[None]
@@ -151,12 +153,12 @@ def frame_factors(tangents, rows, degree, solver=None) -> np.ndarray:
 
 def complete_to_ambient(tangent) -> np.ndarray:
     """Orthonormal columns spanning the orthogonal complement of a tangent frame,
-    or of each frame in an (..., n, k) stack; rank is judged on unit columns."""
+    or of each frame in an (..., n, k) stack, from one SVD of the unit columns."""
     t = np.asarray(tangent, dtype=float)
     n, k = t.shape[-2:]
     if k == 0:
         return np.broadcast_to(np.eye(n), t.shape[:-2] + (n, n)).copy()
-    sv = np.linalg.svd(unit_rows(np.swapaxes(t, -1, -2))[0], compute_uv=False)
+    u, sv, _ = np.linalg.svd(np.swapaxes(unit_columns(t), -1, -2), full_matrices=True)
     if np.any(sv[..., -1] <= RANK_TOL * sv[..., 0]):
         raise RankDeficient("tangent frame is rank deficient")
-    return np.linalg.svd(t, full_matrices=True)[0][..., k:]
+    return u[..., k:]

@@ -307,3 +307,14 @@ def test_complete_to_ambient_judges_unit_columns(s):
     assert np.allclose(np.abs(c), [[0.0], [0.0], [1.0]], rtol=0.0, atol=1e-15)
     with pytest.raises(RankDeficient):
         complete_to_ambient(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("s", [1e-10, 1e-12])
+def test_complete_to_ambient_on_a_tilted_plane_with_a_short_column(s):
+    # columns along (1, 2, 2)/3 and s (2, 1, -2)/3, or s times a direction that is
+    # not orthogonal to the first; the normal is (-2, 2, -1)/3 either way
+    a, b = np.array([1.0, 2.0, 2.0]) / 3.0, np.array([2.0, 1.0, -2.0]) / 3.0
+    normal = np.array([-2.0, 2.0, -1.0]) / 3.0
+    for short in (b, b + 0.3 * a):
+        c = complete_to_ambient(np.column_stack([a, s * short]))[:, 0]
+        assert np.allclose(c * np.sign(c @ normal), normal, rtol=0.0, atol=1e-15)

@@ -333,6 +333,22 @@ def test_tiny_tangent_is_not_annihilated_by_a_transverse_row():
         frames_many(implicit, [[0.5]])
 
 
+@pytest.mark.parametrize("s", [1e-10, 1e-12])
+def test_a_transverse_row_on_a_short_tangent_column_is_a_mismatch(s):
+    # the plane z = 0 spanned by (1, 0, 0) and (0, s, 0) has conormal (0, 0, 1);
+    # (0, 1, 0) meets the short column at s, small only against the long one
+    tangent = [[1.0, 0.0], [0.0, s], [0.0, 0.0]]
+    for core in (Submanifold.affine("P", [0.0] * 3, tangent, implicit=["x2"]),
+                 Submanifold.chart("P", ["u1", f"{s!r}*u2", "0"], [[-1.0, 1.0], [-1.0, 1.0]],
+                                   implicit=["x2"])):
+        with pytest.raises(ConormalMismatch):
+            frames_many(core, [[0.5, 0.5]])
+    th = make_state(Submanifold.affine("P", [0.0] * 3, tangent), 0.5, "1",
+                    conormal=[[0.0, 1.0, 0.0]], support=[[-1.0, 1.0], [-1.0, 1.0]])
+    with pytest.raises(ConormalMismatch):
+        pair_with_test(th, AmbientDensity.make(0.5, "exp(-x1^2-x2^2-x3^2)"))
+
+
 def _x_axis_r3(implicit=None):
     return Submanifold.affine("X3", [0.0] * 3, [1.0, 0.0, 0.0], implicit=implicit)
 

@@ -44,19 +44,24 @@ def float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+# subcommand -> its help; ``_cmd_<subcommand>`` runs the scene's requests of that op
+COMMANDS = {
+    "check": "validate cores, transversality, intersections",
+    "pair": "pair states with test densities",
+    "product": "sample transverse product coefficients",
+    "inner": "partial inner products over intersections",
+    "oracle": "compare against the mollification oracle",
+    "sweep": "re-run a scalar request over a parameter range",
+}
+
+
 @functools.cache  # built once per process; parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="geodens",
         description="distributional density calculus on embedded cores")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-            ("check", "validate cores, transversality, intersections"),
-            ("pair", "pair states with test densities"),
-            ("product", "sample transverse product coefficients"),
-            ("inner", "partial inner products over intersections"),
-            ("oracle", "compare against the mollification oracle"),
-            ("sweep", "re-run a scalar request over a parameter range")):
+    for name, doc in COMMANDS.items():
         p = sub.add_parser(name, help=doc)
         p.add_argument("scene", help="scene JSON file")
         p.add_argument("--out", help="write results as CSV to this file")
@@ -104,15 +109,7 @@ def _run(args) -> int:
     if not requests:
         print(f"scene has no {args.command!r} requests")
         return 0
-    runner = {
-        "check": _cmd_check,
-        "pair": _cmd_pair,
-        "product": _cmd_product,
-        "inner": _cmd_inner,
-        "oracle": _cmd_oracle,
-        "sweep": _cmd_sweep,
-    }[args.command]
-    header, rows, code = runner(scene, requests, opts, args)
+    header, rows, code = globals()[f"_cmd_{args.command}"](scene, requests, opts, args)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)

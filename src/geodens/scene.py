@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Mapping
 
@@ -90,12 +91,35 @@ def _integer(v, what: str) -> int:
     return int(v)
 
 
-def _norm_expr(src) -> str:
-    if isinstance(src, (int, float)):
-        src = repr(_number(src, "numeric expression"))
-    if not isinstance(src, str):
-        raise SceneError(f"expected an expression string, got {type(src).__name__}")
-    return exprlang.to_source(exprlang.parse(src))
+def _expr(v, what: str) -> exprlang.Expr:
+    """An expression field, parsed once: source text, or a finite number as its literal."""
+    if isinstance(v, (int, float)):
+        return exprlang.Num(_number(v, what))
+    if not isinstance(v, str):
+        raise SceneError(f"{what} must be an expression string, got {type(v).__name__}")
+    return exprlang.parse(v)
+
+
+def _exprs(v, what: str) -> list[exprlang.Expr] | None:
+    if v is not None and not isinstance(v, list):
+        raise SceneError(f"{what} must be a list of expressions, got {type(v).__name__}")
+    return None if v is None else [_expr(e, what) for e in v]
+
+
+def _sources(trees) -> list[str] | None:
+    return None if trees is None else [exprlang.to_source(e) for e in trees]
+
+
+def _given(**fields) -> dict:
+    """The optional normalized fields that the scene gave."""
+    return {k: v for k, v in fields.items() if v is not None}
+
+
+def _ref(table: Mapping, name, kind: str, where: str) -> str:
+    name = str(name)
+    if name not in table:
+        raise SceneError(f"{where} references unknown {kind} {name!r}")
+    return name
 
 
 def _degree_in(v) -> complex:
@@ -121,106 +145,84 @@ def _build(data: dict, overrides: dict[str, float]) -> Scene:
     ambient = _integer(_need(data, "ambient", "scene"), "scene ambient")
     params = {str(k): _number(v, f"param {k!r}")
               for k, v in {**(data.get("params") or {}), **overrides}.items()}
-
-    norm: dict = {"ambient": ambient,
-                  "params": {k: params[k] for k in sorted(params)}}
-
-    cores: dict[str, Submanifold] = {}
-    norm_cores = []
-    for entry in data.get("cores") or []:
-        name = str(_need(entry, "name", "core"))
-        if name in cores:
-            raise SceneError(f"duplicate core name {name!r}")
-        kind = str(_need(entry, "kind", f"core {name!r}"))
-        implicit = entry.get("implicit")
-        ncore: dict = {"name": name, "kind": kind}
-        if kind == "affine":
-            base = [_number(v, "core base")
-                    for v in _need(entry, "base", f"core {name!r}")]
-            tangent = [[_number(v, "core tangent") for v in row]
-                       for row in entry.get("tangent") or []]
-            core = Submanifold.affine(name, base, np.array(tangent, dtype=float).T
-                                      if tangent else np.zeros((len(base), 0)),
-                                      implicit=implicit, params=params)
-            ncore.update(base=base, tangent=tangent)
-        elif kind == "point":
-            location = [_number(v, "core location")
-                        for v in _need(entry, "location", f"core {name!r}")]
-            core = Submanifold.point(name, location)
-            ncore.update(location=location)
-        elif kind == "chart":
-            comp = [_norm_expr(e) for e in _need(entry, "map", f"core {name!r}")]
-            domain = _box_out(_need(entry, "domain", f"core {name!r}"))
-            core = Submanifold.chart(name, comp, domain, implicit=implicit,
-                                     params=params)
-            ncore.update(map=comp, domain=domain)
-        else:
-            raise SceneError(f"core {name!r} has unknown kind {kind!r}")
-        if implicit is not None:
-            ncore["implicit"] = [_norm_expr(e) for e in implicit]
-        if core.ambient.dim != ambient:
-            raise SceneError(f"core {name!r} lives in R^{core.ambient.dim}, "
-                             f"scene is R^{ambient}")
-        cores[name] = core
-        norm_cores.append(ncore)
-    norm["cores"] = sorted(norm_cores, key=lambda c: c["name"])
-
-    states: dict[str, GeometricState] = {}
-    norm_states = []
-    for entry in data.get("states") or []:
-        name = str(_need(entry, "name", "state"))
-        if name in states:
-            raise SceneError(f"duplicate state name {name!r}")
-        core_name = str(_need(entry, "core", f"state {name!r}"))
-        if core_name not in cores:
-            raise SceneError(f"state {name!r} references unknown core {core_name!r}")
-        degree = _degree_in(_need(entry, "degree", f"state {name!r}"))
-        coeff = _norm_expr(_need(entry, "coeff", f"state {name!r}"))
-        support = _box_out(entry.get("support"))
-        conormal = entry.get("conormal")
-        if conormal is not None:
-            conormal = [[_number(v, "conormal") for v in row] for row in conormal]
-        states[name] = make_state(cores[core_name], degree, coeff,
-                                  conormal=conormal, support=support)
-        nstate = {"name": name, "core": core_name, "degree": _degree_out(degree),
-                  "coeff": coeff}
-        if support is not None:
-            nstate["support"] = support
-        if conormal is not None:
-            nstate["conormal"] = conormal
-        norm_states.append(nstate)
-    norm["states"] = sorted(norm_states, key=lambda s: s["name"])
-
-    tests: dict[str, AmbientDensity] = {}
-    norm_tests = []
-    for entry in data.get("tests") or []:
-        name = str(_need(entry, "name", "test density"))
-        if name in tests:
-            raise SceneError(f"duplicate test density name {name!r}")
-        degree = _degree_in(_need(entry, "degree", f"test {name!r}"))
-        coeff = _norm_expr(_need(entry, "coeff", f"test {name!r}"))
-        support = _box_out(entry.get("support"))
-        resolution = entry.get("resolution")
-        if resolution is not None and not _number(resolution, "resolution") > 0.0:
-            raise SceneError(f"test {name!r} needs a positive resolution")
-        tests[name] = AmbientDensity.make(
-            degree, coeff, support=support,
-            resolution_hint=None if resolution is None else float(resolution),
-            params=params)
-        ntest = {"name": name, "degree": _degree_out(degree), "coeff": coeff}
-        if support is not None:
-            ntest["support"] = support
-        if resolution is not None:
-            ntest["resolution"] = float(resolution)
-        norm_tests.append(ntest)
-    norm["tests"] = sorted(norm_tests, key=lambda t: t["name"])
-
-    requests = []
-    for i, entry in enumerate(data.get("requests") or []):
-        requests.append(_norm_request(entry, i, cores, states, tests, params))
-    norm["requests"] = requests
-
+    norm = {"ambient": ambient, "params": {k: params[k] for k in sorted(params)}}
+    cores, norm["cores"] = _section(data, "cores", "core", partial(_core, ambient, params))
+    states, norm["states"] = _section(data, "states", "state", partial(_state, cores))
+    tests, norm["tests"] = _section(data, "tests", "test density", partial(_test, params))
+    norm["requests"] = requests = [_norm_request(entry, i, cores, states, tests, params)
+                                   for i, entry in enumerate(data.get("requests") or [])]
     return Scene(ambient, params, cores, states, tests, requests, norm)
+
+
+def _section(data: dict, key: str, kind: str, build) -> tuple[dict, list[dict]]:
+    """Each entry of ``data[key]`` by its unique name: ``build(name, entry)`` gives the
+    object and its normalized fields, and the normalized entries come sorted by name."""
+    built, norm = {}, []
+    for entry in data.get(key) or []:
+        name = str(_need(entry, "name", kind))
+        if name in built:
+            raise SceneError(f"duplicate {kind} name {name!r}")
+        built[name], fields = build(name, entry)
+        norm.append({"name": name, **fields})
+    return built, sorted(norm, key=lambda e: e["name"])
+
+
+def _core(ambient: int, params, name: str, entry: dict) -> tuple[Submanifold, dict]:
+    where = f"core {name!r}"
+    kind = str(_need(entry, "kind", where))
+    implicit = _exprs(entry.get("implicit"), f"{where} implicit")
+    if kind == "affine":
+        base = [_number(v, "core base") for v in _need(entry, "base", where)]
+        tangent = [[_number(v, "core tangent") for v in row]
+                   for row in entry.get("tangent") or []]
+        core = Submanifold.affine(name, base, np.array(tangent, dtype=float).T
+                                  if tangent else np.zeros((len(base), 0)),
+                                  implicit=implicit, params=params)
+        fields = {"base": base, "tangent": tangent}
+    elif kind == "point":
+        location = [_number(v, "core location")
+                    for v in _need(entry, "location", where)]
+        core, fields = Submanifold.point(name, location), {"location": location}
+    elif kind == "chart":
+        comp = _exprs(_need(entry, "map", where), f"{where} map")
+        domain = _box_out(_need(entry, "domain", where))
+        core = Submanifold.chart(name, comp, domain, implicit=implicit, params=params)
+        fields = {"map": _sources(comp), "domain": domain}
+    else:
+        raise SceneError(f"{where} has unknown kind {kind!r}")
+    if core.ambient.dim != ambient:
+        raise SceneError(f"{where} lives in R^{core.ambient.dim}, scene is R^{ambient}")
+    return core, {"kind": kind, **fields, **_given(implicit=_sources(implicit))}
+
+
+def _state(cores, name: str, entry: dict) -> tuple[GeometricState, dict]:
+    where = f"state {name!r}"
+    core = _ref(cores, _need(entry, "core", where), "core", where)
+    degree = _degree_in(_need(entry, "degree", where))
+    coeff = _expr(_need(entry, "coeff", where), f"{where} coeff")
+    support = _box_out(entry.get("support"))
+    conormal = entry.get("conormal")
+    if conormal is not None:
+        conormal = [[_number(v, "conormal") for v in row] for row in conormal]
+    state = make_state(cores[core], degree, coeff, conormal=conormal, support=support)
+    return state, {"core": core, "degree": _degree_out(degree),
+                   "coeff": exprlang.to_source(coeff),
+                   **_given(support=support, conormal=conormal)}
+
+
+def _test(params, name: str, entry: dict) -> tuple[AmbientDensity, dict]:
+    where = f"test {name!r}"
+    degree = _degree_in(_need(entry, "degree", where))
+    coeff = _expr(_need(entry, "coeff", where), f"{where} coeff")
+    support = _box_out(entry.get("support"))
+    resolution = entry.get("resolution")
+    if resolution is not None and not _number(resolution, "resolution") > 0.0:
+        raise SceneError(f"{where} needs a positive resolution")
+    resolution = None if resolution is None else float(resolution)
+    test = AmbientDensity.make(degree, coeff, support=support,
+                               resolution_hint=resolution, params=params)
+    return test, {"degree": _degree_out(degree), "coeff": exprlang.to_source(coeff),
+                  **_given(support=support, resolution=resolution)}
 
 
 def _norm_request(entry: dict, index: int, cores, states, tests, params) -> dict:
@@ -230,17 +232,8 @@ def _norm_request(entry: dict, index: int, cores, states, tests, params) -> dict
         raise SceneError(f"{where} has unknown op {op!r}")
     out: dict = {"op": op}
 
-    def core_ref(key):
-        name = str(_need(entry, key, where))
-        if name not in cores:
-            raise SceneError(f"{where} references unknown core {name!r}")
-        return name
-
-    def state_ref(key):
-        name = str(_need(entry, key, where))
-        if name not in states:
-            raise SceneError(f"{where} references unknown state {name!r}")
-        return name
+    def ref(key, table, kind):
+        return _ref(table, _need(entry, key, where), kind, where)
 
     def support_box():
         # a chart box on the intersection, whose dimension transversality fixes
@@ -253,29 +246,23 @@ def _norm_request(entry: dict, index: int, cores, states, tests, params) -> dict
         return _box_out(box)
 
     if op == "check":
-        out["cores"] = [str(n) for n in _need(entry, "cores", where)]
+        out["cores"] = [_ref(cores, n, "core", where) for n in _need(entry, "cores", where)]
         if len(out["cores"]) != 2:
             raise SceneError(f"{where} needs exactly two core names")
-        for name in out["cores"]:
-            if name not in cores:
-                raise SceneError(f"{where} references unknown core {name!r}")
         if entry.get("samples") is not None:
             out["samples"] = [[_number(v, "sample") for v in p] for p in entry["samples"]]
             n = cores[out["cores"][0]].ambient.dim
             if any(len(p) != n for p in out["samples"]):
                 raise SceneError(f"{where} has a sample that is not a point of R^{n}")
     elif op == "pair" or (op == "oracle" and "test" in entry):
-        out["state"] = state_ref("state")
-        name = str(_need(entry, "test", where))
-        if name not in tests:
-            raise SceneError(f"{where} references unknown test density {name!r}")
-        out["test"] = name
-        _check_degree_sum(states[out["state"]].degree, tests[name].degree, where)
+        out["state"] = ref("state", states, "state")
+        out["test"] = ref("test", tests, "test density")
+        _check_degree_sum(states[out["state"]].degree, tests[out["test"]].degree, where)
     elif op in ("product", "inner", "oracle"):
-        out["state1"] = state_ref("state1")
-        out["state2"] = state_ref("state2")
+        out["state1"] = ref("state1", states, "state")
+        out["state2"] = ref("state2", states, "state")
         if entry.get("intersection") is not None:
-            out["intersection"] = core_ref("intersection")
+            out["intersection"] = ref("intersection", cores, "core")
         if entry.get("support") is not None:
             out["support"] = support_box()
         if op != "product":
@@ -286,9 +273,7 @@ def _norm_request(entry: dict, index: int, cores, states, tests, params) -> dict
             if out["grid"] < 1:
                 raise SceneError(f"{where} needs grid >= 1")
     else:  # sweep
-        out["param"] = str(_need(entry, "param", where))
-        if out["param"] not in params:
-            raise SceneError(f"{where} sweeps unknown parameter {out['param']!r}")
+        out["param"] = ref("param", params, "parameter")
         if entry.get("values") is not None:
             out["values"] = [_number(v, f"{where} value") for v in entry["values"]]
         else:
@@ -299,10 +284,8 @@ def _norm_request(entry: dict, index: int, cores, states, tests, params) -> dict
                 raise SceneError(f"{where} needs count >= 2")
             out["values"] = [float(v) for v in np.linspace(start, stop, count)]
         inner_req = _need(entry, "request", where)
-        inner_op = inner_req.get("op")
-        if inner_op not in ("pair", "inner"):
-            raise SceneError(
-                f"{where} can only sweep scalar-result requests (pair, inner)")
+        if inner_req.get("op") not in ("pair", "inner"):
+            raise SceneError(f"{where} can only sweep scalar-result requests (pair, inner)")
         out["request"] = _norm_request(inner_req, index, cores, states, tests, params)
     if op == "oracle" and entry.get("eps") is not None:
         out["eps"] = [_number(e, f"{where} eps") for e in entry["eps"]]

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geodens import cli, errors
+from geodens import cli, errors, exprlang
 from geodens.errors import DegreeMismatch, SceneError
 from geodens.product import inner_product
 from geodens.scene import load_scene, scene_from_dict
@@ -60,6 +60,23 @@ def test_dump_is_a_fixed_point(name):
     first = load_scene(SCENES / name).dump()
     second = scene_from_dict(json.loads(first)).dump()
     assert second == first
+
+
+def expression_fields(data):
+    return ([e for c in data["cores"] for e in c.get("map", []) + c.get("implicit", [])]
+            + [e["coeff"] for e in data.get("states", []) + data.get("tests", [])])
+
+
+@pytest.mark.parametrize("path", sorted(SCENES.glob("*.json")), ids=lambda p: p.name)
+def test_each_expression_field_parses_once(path, monkeypatch):
+    parsed = []
+    parse = exprlang.parse
+    monkeypatch.setattr(exprlang, "parse", lambda src: parsed.append(src) or parse(src))
+    try:
+        load_scene(path)
+    except DegreeMismatch:  # raised by the requests, after every field is read
+        pass
+    assert sorted(parsed) == sorted(expression_fields(json.loads(path.read_text())))
 
 
 def test_normalized_form_details():

@@ -46,7 +46,7 @@ from .errors import DomainError, ExprSyntaxError, UnboundIdentifier, UnknownFunc
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call",
     "parse", "evaluate", "diff", "jacobian", "subst", "to_source",
-    "add", "sub", "mul", "ZERO", "ONE", "FUNCTIONS", "CONSTANTS",
+    "add", "sub", "mul", "ZERO", "ONE", "FUNCTIONS", "CONSTANTS", "MAX_DEPTH",
 ]
 
 
@@ -126,6 +126,8 @@ def _tokenize(source: str):
         if m is None:
             raise ExprSyntaxError(
                 f"unexpected character {source[i]!r}", _byte_offset(source, i))
+        if m.lastgroup == "num" and not math.isfinite(float(m.group())):
+            raise ExprSyntaxError(f"number {m.group()} is too large", _byte_offset(source, i))
         if m.lastgroup != "ws":
             tokens.append((m.lastgroup, m.group(), _byte_offset(source, i)))
         i = m.end()
@@ -133,11 +135,25 @@ def _tokenize(source: str):
     return tokens
 
 
+MAX_DEPTH = 100  # deepest nesting and tree parse accepts (a leaf is 1); 5 parser frames a level
+
+
 class _Parser:
     def __init__(self, source: str):
-        self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.nesting = 0  # unary levels on the stack: every recursion of the parser passes one
+        self.depths = {}  # id(node) -> depth, for the nodes built by this parse
+
+    def bounded(self, depth: int, off: int) -> int:
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression is more than {MAX_DEPTH} levels deep", off)
+        return depth
+
+    def node(self, e: Expr, off: int) -> Expr:
+        kids = [self.depths.get(id(k), 1) for k in vars(e).values() if isinstance(k, _Node)]
+        self.depths[id(e)] = self.bounded(1 + max(kids), off)
+        return e
 
     def peek(self):
         return self.tokens[self.pos]
@@ -163,32 +179,37 @@ class _Parser:
     def sum(self) -> Expr:
         e = self.product()
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            op = self.advance()[1]
-            e = BinOp(op, e, self.product())
+            _, op, off = self.advance()
+            e = self.node(BinOp(op, e, self.product()), off)
         return e
 
     def product(self) -> Expr:
         e = self.unary()
         while self.peek()[0] == "op" and self.peek()[1] in "*/":
-            op = self.advance()[1]
-            e = BinOp(op, e, self.unary())
+            _, op, off = self.advance()
+            e = self.node(BinOp(op, e, self.unary()), off)
         return e
 
     def unary(self) -> Expr:
-        kind, text, _ = self.peek()
+        kind, text, off = self.peek()
+        self.nesting = self.bounded(self.nesting + 1, off)
         if kind == "op" and text == "-":
             self.advance()
             if self.peek()[0] == "num" and self.tokens[self.pos + 1][1] != "^":
-                return Num(-float(self.advance()[1]))
-            return Neg(self.unary())
-        return self.power()
+                e = Num(-float(self.advance()[1]))
+            else:
+                e = self.node(Neg(self.unary()), off)
+        else:
+            e = self.power()
+        self.nesting -= 1
+        return e
 
     def power(self) -> Expr:
         e = self.atom()
-        kind, text, _ = self.peek()
+        kind, text, off = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            return BinOp("^", e, self.unary())
+            return self.node(BinOp("^", e, self.unary()), off)
         return e
 
     def atom(self) -> Expr:
@@ -203,7 +224,7 @@ class _Parser:
                 self.advance()
                 arg = self.sum()
                 self.expect_op(")")
-                return Call(text, arg)
+                return self.node(Call(text, arg), off)
             return Var(text)
         if kind == "op" and text == "(":
             e = self.sum()
@@ -214,7 +235,7 @@ class _Parser:
 
 
 def parse(source: str) -> Expr:
-    """Parse source text into an expression tree."""
+    """Parse source text into a tree: finite literals, at most MAX_DEPTH deep and nested."""
     return _Parser(source).parse()
 
 

@@ -21,7 +21,6 @@ from . import exprlang
 from .density import AmbientDensity
 from .errors import DegreeMismatch, GeodensError, SceneError
 from .geometry import Submanifold
-from .quadrature import as_box
 from .states import GeometricState, _check_degree_sum, make_state
 
 REQUEST_OPS = ("check", "pair", "product", "inner", "oracle", "sweep")
@@ -47,7 +46,7 @@ class Scene:
 def load_scene(path, param_overrides: Mapping[str, float] | None = None) -> Scene:
     try:
         data = json.loads(Path(path).read_text(), parse_constant=_non_finite)
-    except ValueError as exc:  # bad encoding, bad JSON, NaN or Infinity
+    except (ValueError, RecursionError) as exc:  # bad encoding or JSON, NaN, Infinity, depth
         raise SceneError(f"invalid JSON in {path}: {exc}") from None
     return scene_from_dict(data, param_overrides)
 
@@ -71,7 +70,7 @@ def scene_from_dict(data: dict,
 
 
 def _need(entry: dict, key: str, where: str):
-    if key not in entry:
+    if key not in entry or entry[key] is None:
         raise SceneError(f"{where} is missing required field {key!r}")
     return entry[key]
 
@@ -132,13 +131,19 @@ def _degree_out(c: complex) -> list[float]:
     return [float(c.real), float(c.imag)]
 
 
-def _box_out(b) -> list[list[float]] | None:
-    if b is None:
+def _box(v, what: str, rows: int | None = None) -> list[list[float]] | None:
+    """[lo, hi] rows of finite numbers, ``rows`` of them if given; a bare [lo, hi] is one."""
+    if v is None:
         return None
-    rows = np.asarray(b, dtype=object)
-    if rows.ndim == 1:
-        rows = rows[None, :]
-    return [[_number(lo, "box bound"), _number(hi, "box bound")] for lo, hi in rows]
+    b = np.asarray(v, dtype=object)
+    b = b.reshape(1, -1) if b.ndim < 2 else b
+    want = len(b) if rows is None else rows
+    if b.shape != (want, 2):
+        raise SceneError(f"{what} must have {want} [lo, hi] row(s), got {v!r}")
+    box = [[_number(lo, what), _number(hi, what)] for lo, hi in b]
+    if any(lo > hi for lo, hi in box):
+        raise SceneError(f"{what} has lo > hi")
+    return box
 
 
 def _build(data: dict, overrides: dict[str, float]) -> Scene:
@@ -148,7 +153,8 @@ def _build(data: dict, overrides: dict[str, float]) -> Scene:
     norm = {"ambient": ambient, "params": {k: params[k] for k in sorted(params)}}
     cores, norm["cores"] = _section(data, "cores", "core", partial(_core, ambient, params))
     states, norm["states"] = _section(data, "states", "state", partial(_state, cores))
-    tests, norm["tests"] = _section(data, "tests", "test density", partial(_test, params))
+    tests, norm["tests"] = _section(data, "tests", "test density",
+                                    partial(_test, ambient, params))
     norm["requests"] = requests = [_norm_request(entry, i, cores, states, tests, params)
                                    for i, entry in enumerate(data.get("requests") or [])]
     return Scene(ambient, params, cores, states, tests, requests, norm)
@@ -185,7 +191,7 @@ def _core(ambient: int, params, name: str, entry: dict) -> tuple[Submanifold, di
         core, fields = Submanifold.point(name, location), {"location": location}
     elif kind == "chart":
         comp = _exprs(_need(entry, "map", where), f"{where} map")
-        domain = _box_out(_need(entry, "domain", where))
+        domain = _box(_need(entry, "domain", where), f"{where} domain")
         core = Submanifold.chart(name, comp, domain, implicit=implicit, params=params)
         fields = {"map": _sources(comp), "domain": domain}
     else:
@@ -200,7 +206,7 @@ def _state(cores, name: str, entry: dict) -> tuple[GeometricState, dict]:
     core = _ref(cores, _need(entry, "core", where), "core", where)
     degree = _degree_in(_need(entry, "degree", where))
     coeff = _expr(_need(entry, "coeff", where), f"{where} coeff")
-    support = _box_out(entry.get("support"))
+    support = _box(entry.get("support"), f"{where} support", cores[core].dim)
     conormal = entry.get("conormal")
     if conormal is not None:
         conormal = [[_number(v, "conormal") for v in row] for row in conormal]
@@ -210,11 +216,11 @@ def _state(cores, name: str, entry: dict) -> tuple[GeometricState, dict]:
                    **_given(support=support, conormal=conormal)}
 
 
-def _test(params, name: str, entry: dict) -> tuple[AmbientDensity, dict]:
+def _test(ambient: int, params, name: str, entry: dict) -> tuple[AmbientDensity, dict]:
     where = f"test {name!r}"
     degree = _degree_in(_need(entry, "degree", where))
     coeff = _expr(_need(entry, "coeff", where), f"{where} coeff")
-    support = _box_out(entry.get("support"))
+    support = _box(entry.get("support"), f"{where} support", ambient)
     resolution = entry.get("resolution")
     if resolution is not None and not _number(resolution, "resolution") > 0.0:
         raise SceneError(f"{where} needs a positive resolution")
@@ -235,16 +241,6 @@ def _norm_request(entry: dict, index: int, cores, states, tests, params) -> dict
     def ref(key, table, kind):
         return _ref(table, _need(entry, key, where), kind, where)
 
-    def support_box():
-        # a chart box on the intersection, whose dimension transversality fixes
-        box = as_box(_box_out(entry["support"]))
-        c, d = states[out["state1"]].core, states[out["state2"]].core
-        dim = c.dim + d.dim - c.ambient.dim
-        if box.shape[0] != dim:
-            raise SceneError(f"{where} support box has {box.shape[0]} axes, "
-                             f"the intersection has dimension {dim}")
-        return _box_out(box)
-
     if op == "check":
         out["cores"] = [_ref(cores, n, "core", where) for n in _need(entry, "cores", where)]
         if len(out["cores"]) != 2:
@@ -264,7 +260,10 @@ def _norm_request(entry: dict, index: int, cores, states, tests, params) -> dict
         if entry.get("intersection") is not None:
             out["intersection"] = ref("intersection", cores, "core")
         if entry.get("support") is not None:
-            out["support"] = support_box()
+            # a chart box on the intersection, whose dimension transversality fixes
+            c, d = states[out["state1"]].core, states[out["state2"]].core
+            out["support"] = _box(entry["support"], f"{where} support on the intersection",
+                                  c.dim + d.dim - c.ambient.dim)
         if op != "product":
             _check_degree_sum(states[out["state1"]].degree,
                               states[out["state2"]].degree, where)

@@ -132,6 +132,57 @@ def test_syntax_error_is_a_syntaxerror():
         parse("(((")
 
 
+@pytest.mark.parametrize("src, offset", [
+    ("(" * 300 + "u1" + ")" * 300, 100),
+    (" + ".join(["u1"] * 1200), 3 + 5 * 99),  # the sum that would be 101 deep
+    ("-" * 400 + "u1", 100),
+    ("2^" * 300 + "2", 200),
+    ("exp(" * 300 + "u1" + ")" * 300, 400),
+], ids=["parentheses", "sum", "minus", "power", "calls"])
+def test_parse_refuses_nesting_and_trees_past_the_depth_bound(src, offset):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(src)
+    assert err.value.offset == offset
+
+
+def depth(e):
+    kids = [k for k in vars(e).values() if isinstance(k, exprlang._Node)]
+    return 1 + max(map(depth, kids), default=0)
+
+
+AT_DEPTH = {  # n -> the source of a tree n levels deep
+    "sum": lambda n: " + ".join(["u1"] * n),
+    "product": lambda n: "*".join(["u1"] * n),
+    "minus": lambda n: "-" * (n - 1) + "u1",
+    "calls": lambda n: "sin(" * (n - 1) + "u1" + ")" * (n - 1),
+    "quotients": lambda n: "1/(" * (n - 1) + "u1" + ")" * (n - 1),
+    "powers": lambda n: "u1^" * (n - 1) + "2",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(AT_DEPTH))
+def test_a_tree_at_the_depth_bound_runs_every_pass(shape):
+    tree = parse(AT_DEPTH[shape](exprlang.MAX_DEPTH))
+    assert depth(tree) == exprlang.MAX_DEPTH
+    assert parse(to_source(tree)) == tree
+    d = diff(tree, "u1")
+    assert to_source(d)
+    u = np.array([0.3, 0.7])
+    assert np.all(np.isfinite(evaluate(d, {"u1": u})))
+    moved = subst(tree, {"u1": Var("u2")})
+    assert np.array_equal(evaluate(moved, {"u2": u}), evaluate(tree, {"u1": u}))
+    with pytest.raises(ExprSyntaxError):
+        parse(AT_DEPTH[shape](exprlang.MAX_DEPTH + 1))
+
+
+@pytest.mark.parametrize("src, offset", [("1e400", 0), ("2*1e400", 2), ("-1e400*u1", 1)])
+def test_parse_refuses_a_literal_past_the_float_range(src, offset):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(src)
+    assert err.value.offset == offset
+    assert parse("1e308") == Num(1e308) and parse("1e-400") == Num(0.0)
+
+
 def test_unknown_function():
     with pytest.raises(UnknownFunction):
         evaluate(parse("tan(1)"))

@@ -547,6 +547,77 @@ def test_cli_non_finite_number_exit_2(tmp_path, text, old, new):
     assert "Warning" not in proc.stderr
 
 
+def long_sum_in_test_coeff(d):
+    d["tests"][0]["coeff"] += "*(" + " + ".join(["0.001"] * 1200) + ")"
+
+
+def nested_parentheses_in_test_coeff(d):
+    d["tests"][0]["coeff"] = "(" * 300 + "1" + ")" * 300
+
+
+def huge_literal_in_state_coeff(d):
+    d["states"][0]["coeff"] = "1e400*u1"
+
+
+def chart_domain_null(d):
+    d["cores"][1]["domain"] = None
+
+
+def density_support_rows_off_ambient(d):
+    d["tests"][0]["support"].append([-8, 8])
+
+
+def state_support_rows_off_core_dimension(d):
+    d["states"][0]["support"].append([-8, 8])
+
+
+def implicit_entry_not_an_expression(d):
+    d["cores"][1]["implicit"] = [[]]
+
+
+@pytest.mark.parametrize("mutate", [
+    long_sum_in_test_coeff, nested_parentheses_in_test_coeff, huge_literal_in_state_coeff,
+    chart_domain_null, density_support_rows_off_ambient, state_support_rows_off_core_dimension,
+    implicit_entry_not_an_expression,
+], ids=lambda f: f.__name__)
+def test_cli_bad_scene_field_exit_2(mutate, tmp_path, capsys):
+    data = json.loads((SCENES / "tilted_lines.json").read_text())
+    assert data["cores"][1]["kind"] == "chart"
+    mutate(data)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["pair", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "malformed scene:" not in err
+
+
+def test_cli_implicit_entry_error_names_the_field(tmp_path, capsys):
+    data = json.loads((SCENES / "tilted_lines.json").read_text())
+    implicit_entry_not_an_expression(data)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["pair", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: core 'D' implicit must be an expression string, got list\n")
+
+
+def test_cli_long_sum_exits_2_without_a_traceback(tmp_path):
+    data = json.loads((SCENES / "tilted_lines.json").read_text())
+    long_sum_in_test_coeff(data)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(data))
+    proc = run_cli("pair", path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_cli_deeply_nested_json_exit_2(tmp_path, capsys):
+    path = tmp_path / "scene.json"
+    path.write_text("[" * 100_000)
+    assert cli.main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: invalid JSON in {path}")
+
+
 def test_cli_disjoint_cores_exit_3(tmp_path):
     scene = {
         "ambient": 2,

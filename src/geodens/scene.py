@@ -1,11 +1,11 @@
 """Scene files: one JSON document describing cores, states, tests, requests.
 
-A scene pins down everything a CLI run needs.  Loading builds the geometry
-and validates every request (including degree compatibility, so a bad scene
-fails before any quadrature runs).  ``Scene.source`` holds the canonical
-form: expressions reprinted from their parse trees, degrees as [re, im]
-pairs, cores/states/tests sorted by name.  Dumping and reloading the
-normalized form is a fixed point.
+A scene pins down everything a CLI run needs.  Loading parses each expression
+field once, builds the geometry from the trees, checks each field where it
+enters and validates every request (degree sums too, so a bad scene fails
+before any quadrature runs).  ``Scene.source`` holds the canonical form:
+expressions printed from those trees, degrees as [re, im] pairs, entries
+sorted by name.  Dumping and reloading the normalized form is a fixed point.
 """
 from __future__ import annotations
 

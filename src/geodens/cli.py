@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import functools
 import math
 import sys
@@ -77,7 +78,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def pin_heap_thresholds() -> None:
+    """Keep weighted_sum's freed blocks in glibc's heap, not handed back and faulted in
+    again block after block; once per process, and only where mallopt exists."""
+    mallopt = getattr(None if sys.platform == "win32" else ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-1, 16 << 20)  # M_TRIM_THRESHOLD: twice the mmap one, as glibc's own rule
+        mallopt(-3, 8 << 20)  # M_MMAP_THRESHOLD: over a block's arrays (6.4 MB of R^4 points)
+
+
 def main(argv=None) -> int:
+    pin_heap_thresholds()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.quad_order < 1:

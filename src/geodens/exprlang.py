@@ -290,7 +290,7 @@ def _compile(e: Expr):
         nonint, negative = bool(c != np.round(c)), c < 0.0  # NaN is not an integer
         if nonint or negative:
             return lambda b: _scanned_pow(left(b), c, nonint, negative)
-        return lambda b: left(b) ** c
+        return lambda b: _power(left(b), c)
     op = _OPS[e.op]
     return lambda b: op(left(b), right(b))
 
@@ -313,7 +313,14 @@ def _scanned_pow(a, b, nonint, negative):
         raise DomainError("negative base with non-integer exponent")
     if np.any(negative) and np.any((av == 0.0) & negative):
         raise DomainError("zero base with negative exponent")
-    return a ** b
+    return _power(a, b)
+
+
+def _power(a, b):
+    try:
+        return a ** b
+    except OverflowError:  # Python floats raise where numpy arrays give inf
+        raise DomainError("power overflows the float range") from None
 
 
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "^": _pow}

@@ -7,9 +7,11 @@ composite rule splits each axis into panels of a requested width and is what
 the mollifier oracle uses to resolve tubes whose cross section is a width-eps
 Gaussian; a fixed-order global rule cannot see those.  Both return a
 ``Grid`` of per-axis nodes, flattened only for an integrand that asks, so
-expression fields evaluate each sub-expression on the axes it reads.  The
-bounded-box rule lives here too: ``as_box`` and ``intersect_boxes`` raise
-UnboundedDomain where there is no box.
+expression fields evaluate each sub-expression on the axes it reads, and a
+``Grid`` of per-axis weights, which ``weighted_sum`` contracts with each block
+one axis at a time: no rule builds a grid-sized array.  The bounded-box rule
+lives here too: ``as_box`` and ``intersect_boxes`` raise UnboundedDomain
+where there is no box.
 """
 from __future__ import annotations
 
@@ -78,14 +80,17 @@ def _axis_nodes(lo: float, hi: float, order: int):
 
 
 class Grid:
-    """Tensor product of per-axis nodes: ``shape`` (N, k) as for the flat points,
-    ``dims`` the per-axis counts, ``columns()`` the open grid ``np.ix_(*axes)``;
-    only ``points()`` builds the C-order (N, k) points, not ``np.asarray``."""
+    """Tensor product of per-axis nodes (or weights): ``shape`` (N, k) as for the flat
+    points, ``len`` N, ``dims`` the per-axis counts, ``columns()`` the open grid
+    ``np.ix_(*axes)``; only ``points()`` builds the C-order (N, k) points, not ``np.asarray``."""
 
     def __init__(self, axes):
         self.axes = tuple(axes)
         self.dims = tuple(len(x) for x in self.axes)
         self.shape = (math.prod(self.dims), len(self.axes))
+
+    def __len__(self) -> int:
+        return self.shape[0]
 
     def columns(self) -> tuple[np.ndarray, ...]:
         return np.ix_(*self.axes)
@@ -98,11 +103,12 @@ class Grid:
 
 
 def tensor_rule(box, order: int):
-    """Grid and weights (N,) for one Gauss-Legendre box rule."""
+    """Grid of nodes and Grid of per-axis weights for one Gauss-Legendre box rule."""
     b = as_box(box)
     k = b.shape[0]
     _check_budget(order ** k, f"a {k}-D order-{order} rule")
-    return _tensorize([_axis_nodes(lo, hi, order) for lo, hi in b])
+    axes = [_axis_nodes(lo, hi, order) for lo, hi in b]
+    return Grid(x for x, _ in axes), Grid(w for _, w in axes)
 
 
 def composite_rule(box, panel_width, order: int = 12):
@@ -125,32 +131,27 @@ def composite_rule(box, panel_width, order: int = 12):
         # a (panels, order) block: raveled, the panels follow one another
         x, w = _axis_nodes(edges[:-1], edges[1:], order)
         axes.append((x.ravel(), w.ravel()))
-    return _tensorize(axes)
+    return Grid(x for x, _ in axes), Grid(w for _, w in axes)
 
 
-def _tensorize(axes):
-    # the weights ((1 w0) w1)... are the only grid-sized array a rule builds
-    weights = reduce(np.multiply.outer, [w for _, w in axes], np.ones(())).ravel()
-    return Grid(x for x, _ in axes), weights
-
-
-def weighted_sum(f_many, grid: Grid, weights: np.ndarray) -> complex:
+def weighted_sum(f_many, grid: Grid, weights: Grid) -> complex:
     """sum_i w_i f(p_i), f run on blocks of whole first-axis rows (at most EVAL_CHUNK
-    nodes, one row at least); f takes a block's Grid, returns values in its dims or flat."""
+    nodes, one row at least); f takes a block's Grid, returns values in its dims or flat,
+    and a block's values meet the weights one axis at a time by ``@``, last axis first."""
     row = math.prod(grid.dims[1:])  # nodes per first-axis row
     step = max(1, EVAL_CHUNK // row)
     total = 0.0 + 0.0j
     for start in range(0, grid.shape[0] // row, step):
         block = Grid([x[start:start + step] for x in grid.axes[:1]] + list(grid.axes[1:]))
-        w = weights[start * row:start * row + block.shape[0]].reshape(block.dims)
-        total += complex(np.sum(np.reshape(f_many(block), block.dims) * w))
+        w = [x[start:start + step] for x in weights.axes[:1]] + list(weights.axes[1:])
+        total += complex(reduce(np.matmul, reversed(w), np.reshape(f_many(block), block.dims)))
     return total
 
 
 MAX_ORDER = 512
-# Largest grid a rule may build: its weights take 268 MB, and the axes next to
-# nothing.  A 3-D order-256 or 4-D order-64 level (16.8 M nodes) fits; the
-# 47.4 M-node 3-D order-362 level does not.
+# Largest grid a rule may build; with nodes and weights per axis it bounds the
+# integrand's evaluation time, not memory.  A 3-D order-256 or 4-D order-64
+# level (16.8 M nodes) fits; the 47.4 M-node 3-D order-362 level does not.
 MAX_NODES = 1 << 25
 
 

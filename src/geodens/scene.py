@@ -90,6 +90,19 @@ def _integer(v, what: str) -> int:
     return int(v)
 
 
+def _numbers(v, what: str, rows: bool = False) -> list:
+    """A list of finite numbers or, with ``rows``, a list of such lists of one length."""
+    if not isinstance(v, list):
+        kind = "lists of numbers" if rows else "numbers"
+        raise SceneError(f"{what} must be a list of {kind}, got {v!r}")
+    if not rows:
+        return [_number(x, what) for x in v]
+    out = [_numbers(r, f"{what} row") for r in v]
+    if len({len(r) for r in out}) > 1:
+        raise SceneError(f"{what} rows must have one length, got {v!r}")
+    return out
+
+
 def _expr(v, what: str) -> exprlang.Expr:
     """An expression field, parsed once: source text, or a finite number as its literal."""
     if isinstance(v, (int, float)):
@@ -178,16 +191,14 @@ def _core(ambient: int, params, name: str, entry: dict) -> tuple[Submanifold, di
     kind = str(_need(entry, "kind", where))
     implicit = _exprs(entry.get("implicit"), f"{where} implicit")
     if kind == "affine":
-        base = [_number(v, "core base") for v in _need(entry, "base", where)]
-        tangent = [[_number(v, "core tangent") for v in row]
-                   for row in entry.get("tangent") or []]
+        base = _numbers(_need(entry, "base", where), f"{where} base")
+        tangent = _numbers(entry.get("tangent") or [], f"{where} tangent", rows=True)
         core = Submanifold.affine(name, base, np.array(tangent, dtype=float).T
                                   if tangent else np.zeros((len(base), 0)),
                                   implicit=implicit, params=params)
         fields = {"base": base, "tangent": tangent}
     elif kind == "point":
-        location = [_number(v, "core location")
-                    for v in _need(entry, "location", where)]
+        location = _numbers(_need(entry, "location", where), f"{where} location")
         core, fields = Submanifold.point(name, location), {"location": location}
     elif kind == "chart":
         comp = _exprs(_need(entry, "map", where), f"{where} map")
@@ -209,7 +220,7 @@ def _state(cores, name: str, entry: dict) -> tuple[GeometricState, dict]:
     support = _box(entry.get("support"), f"{where} support", cores[core].dim)
     conormal = entry.get("conormal")
     if conormal is not None:
-        conormal = [[_number(v, "conormal") for v in row] for row in conormal]
+        conormal = _numbers(conormal, f"{where} conormal", rows=True)
     state = make_state(cores[core], degree, coeff, conormal=conormal, support=support)
     return state, {"core": core, "degree": _degree_out(degree),
                    "coeff": exprlang.to_source(coeff),
@@ -246,7 +257,7 @@ def _norm_request(entry: dict, index: int, cores, states, tests, params) -> dict
         if len(out["cores"]) != 2:
             raise SceneError(f"{where} needs exactly two core names")
         if entry.get("samples") is not None:
-            out["samples"] = [[_number(v, "sample") for v in p] for p in entry["samples"]]
+            out["samples"] = _numbers(entry["samples"], f"{where} samples", rows=True)
             n = cores[out["cores"][0]].ambient.dim
             if any(len(p) != n for p in out["samples"]):
                 raise SceneError(f"{where} has a sample that is not a point of R^{n}")

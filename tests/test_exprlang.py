@@ -202,6 +202,10 @@ def test_unbound_identifier():
     ("sqrt(-1)", None),
     ("(-2)^0.5", None),
     ("0^-1", None),
+    # a float power past the float range: a literal and a computed exponent
+    ("10^400", None),
+    ("pi^pi^pi^pi", None),
+    ("u1^400", {"u1": 10.0}),
 ])
 def test_domain_errors(src, bindings):
     with pytest.raises(DomainError):

@@ -5,6 +5,7 @@ Reference masses come from closed forms (polynomial moments, erf).
 import itertools
 import math
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -54,10 +55,15 @@ def test_intersect_boxes():
         intersect_boxes(None, None)
 
 
+def node_weights(weights):
+    """The node weights ((1 w0) w1)... in C order: the array the rules used to build."""
+    return reduce(np.multiply.outer, weights.axes, np.ones(())).ravel()
+
+
 def test_tensor_rule_polynomial_exactness():
     # order-q Gauss-Legendre is exact through degree 2q-1
     grid, wts = tensor_rule(as_box([[0.0, 1.0]]), 4)
-    pts = grid.points()
+    pts, wts = grid.points(), node_weights(wts)
     assert wts.sum() == pytest.approx(1.0, rel=1e-14)
     got = float(np.sum(wts * pts[:, 0] ** 7))
     assert got == pytest.approx(1.0 / 8.0, rel=1e-14)
@@ -65,7 +71,7 @@ def test_tensor_rule_polynomial_exactness():
 
 def test_tensor_rule_2d():
     grid, wts = tensor_rule(as_box([[0.0, 1.0], [0.0, 2.0]]), 6)
-    pts = grid.points()
+    pts, wts = grid.points(), node_weights(wts)
     got = float(np.sum(wts * pts[:, 0] ** 3 * pts[:, 1] ** 2))
     # int x^3 dx * int y^2 dy = 1/4 * 8/3
     assert got == pytest.approx(2.0 / 3.0, rel=1e-13)
@@ -73,9 +79,9 @@ def test_tensor_rule_2d():
 
 def test_tensor_rule_zero_dimensional():
     grid, wts = tensor_rule(np.zeros((0, 2)), 8)
-    assert grid.shape == (1, 0) and grid.dims == () and wts.shape == (1,)
+    assert grid.shape == (1, 0) and grid.dims == () and wts.dims == () and len(wts) == 1
     assert grid.points().shape == (1, 0) and len(grid.columns()) == 0
-    assert wts[0] == 1.0
+    assert node_weights(wts).tolist() == [1.0]
 
 
 def test_composite_rule_per_axis_widths():
@@ -83,7 +89,18 @@ def test_composite_rule_per_axis_widths():
     grid, wts = composite_rule(box, np.array([0.5, 1.0]), order=4)
     # 2 panels x 1 panel of a 4-point rule per axis
     assert grid.shape == (32, 2) and grid.dims == (8, 4)
-    assert wts.sum() == pytest.approx(1.0, rel=1e-13)
+    assert node_weights(wts).sum() == pytest.approx(1.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("rule, args, dims", [
+    (tensor_rule, ([[0.0, 1.0], [-2.0, 2.0], [1.0, 5.0]], 7), (7, 7, 7)),
+    (composite_rule, ([[0.0, 1.0], [-2.0, 2.0], [1.0, 5.0]], [0.5, 1.0, 2.0], 5), (10, 20, 10)),
+], ids=["tensor", "composite"])
+def test_rule_weights_have_one_entry_per_node(rule, args, dims):
+    # the benchmark's tracer reads len(weights) as the rule's node count
+    grid, wts = rule(*args)
+    assert grid.dims == wts.dims == dims
+    assert len(wts) == len(grid) == grid.shape[0] == node_weights(wts).size == math.prod(dims)
 
 
 # the grid construction the rules used to make, kept as the reference: a
@@ -127,9 +144,10 @@ BOX3 = as_box([[-1.0, 2.0], [0.5, 1.25], [-3.0, 0.0]])
 
 
 def assert_same_rule(got, want):
-    points = got[0].points()
-    assert got[0].shape == points.shape == want[0].shape and got[1].shape == want[1].shape
-    assert np.array_equal(points, want[0]) and np.array_equal(got[1], want[1])
+    points, weights = got[0].points(), node_weights(got[1])
+    assert got[0].shape == points.shape == want[0].shape and weights.shape == want[1].shape
+    assert len(got[1]) == len(want[1])
+    assert np.array_equal(points, want[0]) and np.array_equal(weights, want[1])
 
 
 @pytest.mark.parametrize("order", [4, 32, 64])
@@ -161,23 +179,28 @@ def test_composite_rule_matches_the_loop_on_random_axes():
         assert_same_rule(composite_rule([[lo, hi]], pw), want)
 
 
-def test_tensor_rule_allocates_only_its_result():
+def test_weighted_sum_peaks_at_the_axes_and_one_block():
     tensor_rule(BOX3, 128)  # warm the node cache
     tracemalloc.start()
     try:
         grid, weights = tensor_rule(BOX3, 128)
+        total = weighted_sum(lambda g: np.ones(g.dims), grid, weights)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # no (N, k) points array: the weights and the three axes
-    assert peak <= 1.1 * (weights.nbytes + sum(x.nbytes for x in grid.axes))
+    assert total == pytest.approx(math.prod(hi - lo for lo, hi in BOX3), rel=1e-13)
+    # no grid-sized array: the nodes and weights per axis and one block of values,
+    # 12 rows of 128 x 128 nodes (2.1 M nodes would take 16.8 MB)
+    block = 8 * 12 * 128 * 128
+    axes = sum(x.nbytes for x in grid.axes + weights.axes)
+    assert peak <= 1.1 * (axes + block)
 
 
 def test_composite_rule_resolves_a_narrow_gaussian():
     eps = 0.01
     box = as_box([[-0.5, 0.5]])
     grid, wts = composite_rule(box, eps, order=12)
-    pts = grid.points()
+    pts, wts = grid.points(), node_weights(wts)
     norm = 1.0 / math.sqrt(2.0 * math.pi * eps * eps)
     got = float(np.sum(wts * norm * np.exp(-pts[:, 0] ** 2 / (2 * eps * eps))))
     assert got == pytest.approx(1.0, rel=1e-12)
@@ -187,7 +210,7 @@ def test_weighted_sum_matches_direct_dot():
     grid, wts = tensor_rule(as_box([[0.0, 1.0]]), 8)
     f = lambda g: np.exp(g.points()[:, 0])
     got = weighted_sum(f, grid, wts)
-    assert got == pytest.approx(float(np.sum(wts * f(grid))), rel=1e-15)
+    assert got == pytest.approx(float(np.sum(node_weights(wts) * f(grid))), rel=1e-15)
 
 
 def test_grid_columns_broadcast_to_the_points():
@@ -213,7 +236,7 @@ def test_weighted_sum_blocks_match_a_flat_sum(monkeypatch, chunk, dims):
     monkeypatch.setattr(quadrature, "EVAL_CHUNK", chunk)
     rng = np.random.default_rng(sum(dims))
     grid = Grid([rng.uniform(-1.0, 1.0, n) for n in dims])
-    weights = rng.uniform(0.0, 1.0, grid.shape[0])
+    weights = Grid([rng.uniform(0.0, 1.0, n) for n in dims])
     f = lambda p: np.exp(-np.sum(p ** 2, axis=1)) * (1.0 + 1j * p[:, 0])
     blocks = []
 
@@ -221,13 +244,28 @@ def test_weighted_sum_blocks_match_a_flat_sum(monkeypatch, chunk, dims):
         blocks.append(block.dims)
         return f(block.points())
 
-    want = np.sum(f(grid.points()) * weights)
+    want = np.sum(f(grid.points()) * node_weights(weights))
     got = weighted_sum(flat, grid, weights)
     assert abs(got - want) <= 1e-15 * abs(want)
     row = math.prod(dims[1:])
     assert all(b[1:] == dims[1:] and b[0] * row <= max(chunk, row) for b in blocks)
     assert sum(b[0] for b in blocks) == dims[0]
     assert len(blocks) == -(-dims[0] // max(1, chunk // row))
+
+
+@pytest.mark.parametrize("values", ["real", "complex"])
+@pytest.mark.parametrize("rule", [
+    lambda: tensor_rule(BOX3, 64),                       # 262,144 nodes: two blocks
+    lambda: composite_rule(BOX3, [0.1, 0.5, 0.25], 6),   # 155,520 nodes: one block
+], ids=["tensor", "composite"])
+def test_weighted_sum_matches_the_flat_sum(rule, values):
+    grid, wts = rule()
+    f = lambda p: np.exp(-np.sum(p ** 2, axis=1)) * (
+        1.0 + 1j * p[:, 0] if values == "complex" else 1.0)
+    want = np.sum(f(grid.points()) * node_weights(wts))
+    got = weighted_sum(lambda g: f(g.points()), grid, wts)
+    assert abs(got - want) <= 1e-15 * abs(want)
+    assert values == "complex" or got.imag == 0.0
 
 
 def test_integrate_gaussian_mass():

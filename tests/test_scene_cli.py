@@ -5,6 +5,7 @@ subprocess, so the documented exit codes are checked end to end.  The
 exit-code tests call ``cli.main`` in-process, so a runner can be replaced.
 """
 import csv
+import ctypes
 import gc
 import json
 import math
@@ -12,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -584,10 +586,43 @@ def implicit_entry_not_an_expression(d):
     return "core 'D' implicit must be an expression string, got list"
 
 
+def power_overflow_in_state_coeff(d):
+    d["states"][0]["coeff"] = "10^400*u1"  # parses; fails when evaluated
+    return "power overflows the float range"
+
+
+def ragged_state_conormal(d):
+    d["states"][0]["conormal"] = [[0, 1], [1]]
+    return "state 'psi1' conormal rows must have one length, got [[0, 1], [1]]"
+
+
+def affine_base_not_a_list(d):
+    d["cores"][0]["base"] = 5
+    return "core 'C' base must be a list of numbers, got 5"
+
+
+def affine_tangent_not_rows(d):
+    d["cores"][0]["tangent"] = [1, 0]
+    return "core 'C' tangent row must be a list of numbers, got 1"
+
+
+def point_location_a_string(d):
+    assert d["cores"][3]["kind"] == "point"
+    d["cores"][3]["location"] = "0, 0"
+    return "core 'E' location must be a list of numbers, got '0, 0'"
+
+
+def check_samples_not_rows(d):
+    d["requests"][0]["samples"] = [0, 0]
+    return "request #0 samples row must be a list of numbers, got 0"
+
+
 @pytest.mark.parametrize("mutate", [
     long_sum_in_test_coeff, nested_parentheses_in_test_coeff, huge_literal_in_state_coeff,
     chart_domain_null, density_support_rows_off_ambient, state_support_rows_off_core_dimension,
-    implicit_entry_not_an_expression,
+    implicit_entry_not_an_expression, power_overflow_in_state_coeff, ragged_state_conormal,
+    affine_base_not_a_list, affine_tangent_not_rows, point_location_a_string,
+    check_samples_not_rows,
 ], ids=lambda f: f.__name__)
 def test_cli_bad_scene_field_exit_2(mutate, tmp_path, capsys):
     data = json.loads((SCENES / "tilted_lines.json").read_text())
@@ -609,6 +644,32 @@ def test_cli_long_sum_exits_2_without_a_traceback(tmp_path):
     proc = run_cli("pair", path)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("platform, has_mallopt, want", [
+    ("linux", True, [(-1, 16 << 20), (-3, 8 << 20)]),  # M_TRIM_, M_MMAP_THRESHOLD
+    ("linux", False, []),                                # a C library with no mallopt
+    ("win32", True, []),                                 # no CDLL(None) to ask
+])
+def test_cli_sets_the_heap_thresholds_once_per_process(monkeypatch, capsys,
+                                                       platform, has_mallopt, want):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(cli.sys, "platform", platform)
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(
+        **({"mallopt": mallopt} if has_mallopt else {})))
+    cli.pin_heap_thresholds.cache_clear()
+    try:
+        for _ in range(2):
+            assert cli.main(["check", str(SCENES / "axes_r2.json")]) == 0
+    finally:
+        cli.pin_heap_thresholds.cache_clear()
+    assert calls == want
+    assert not calls or mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
 
 
 def test_cli_deeply_nested_json_exit_2(tmp_path, capsys):
@@ -659,8 +720,8 @@ def peak_rss_mb(proc):
 
 
 def test_cli_divergent_3d_pairing_exits_5_at_the_node_budget(tmp_path):
-    # 760 periods along u1: no order converges.  Order 256 (16.8 M nodes,
-    # 134 MB of weights) runs; order 362 (47.4 M nodes) is refused
+    # 760 periods along u1: no order converges.  Order 256 (16.8 M nodes)
+    # runs; order 362 (47.4 M nodes) is refused
     scene = {
         "ambient": 3,
         "cores": [{"name": "R3", "kind": "affine", "base": [0, 0, 0],

@@ -1,9 +1,11 @@
 """Coefficient fields: complex scalar functions of chart or ambient coordinates.
 
 Expression-backed fields evaluate vectorized through the expression engine's
-array path; callable-backed fields fall back to a python loop.  Coordinates
-are named ``<prefix>1 .. <prefix>dim`` with prefix "u" on charts and "x" in
-the ambient space.
+array path; callable-backed fields fall back to a python loop.  ``factors``
+gives a field's values on a grid as factors for ``quadrature.weighted_sum``:
+a real expression field splits its top-level product, so a tube's Gaussians
+stay one axis long.  Coordinates are named ``<prefix>1 .. <prefix>dim`` with
+prefix "u" on charts and "x" in the ambient space.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from typing import Callable, Mapping, get_args
 import numpy as np
 
 from . import exprlang
-from .exprlang import ZERO, Expr, Num, add, mul, sub
+from .exprlang import ZERO, BinOp, Expr, Num, add, mul, sub
 from .quadrature import Grid
 
 
@@ -23,6 +25,10 @@ class ScalarField:
 
     def eval_many(self, points) -> np.ndarray:
         raise NotImplementedError
+
+    def factors(self, grid: Grid) -> tuple[np.ndarray, ...]:
+        """Values on a ``Grid`` as factors whose broadcast product is ``eval_many``."""
+        return (self.eval_many(grid),)
 
     def __call__(self, point) -> complex:
         return complex(self.eval_many(np.asarray(point, dtype=float).reshape(1, -1))[0])
@@ -48,12 +54,19 @@ class ExprField(ScalarField):
         else:
             points = np.asarray(points, dtype=float)
             cols, shape = points.T, points.shape[:1]
-        b = {f"{self.prefix}{i + 1}": c for i, c in enumerate(cols)}
-        b.update(self.params)
+        b = {f"{self.prefix}{i + 1}": c for i, c in enumerate(cols)} | self.params
         value = np.asarray(exprlang.evaluate(self.re_expr, b), dtype=float)
         if self.im_expr is not None:
             value = value + 1j * np.asarray(exprlang.evaluate(self.im_expr, b))
         return np.broadcast_to(value, shape)
+
+    def factors(self, grid: Grid) -> tuple[np.ndarray, ...]:
+        # a real field's top-level * chain, each multiplicand on the grid columns it reads
+        if self.im_expr is not None:
+            return super().factors(grid)
+        b = {f"{self.prefix}{i + 1}": c for i, c in enumerate(grid.columns())} | self.params
+        return tuple(np.asarray(exprlang.evaluate(f, b), dtype=float)
+                     for f in _multiplicands(self.re_expr))
 
     def scaled(self, factor: complex) -> "ExprField":
         """Fold a complex constant into the expression trees."""
@@ -62,6 +75,11 @@ class ExprField(ScalarField):
         new_im = add(mul(b, re), mul(a, im))
         return ExprField(sub(mul(a, re), mul(b, im)), None if new_im == ZERO else new_im,
                          self.prefix, self.params)
+
+
+def _multiplicands(e: Expr) -> list[Expr]:
+    split = isinstance(e, BinOp) and e.op == "*"
+    return _multiplicands(e.left) + _multiplicands(e.right) if split else [e]
 
 
 class FuncField(ScalarField):

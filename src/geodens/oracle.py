@@ -12,10 +12,12 @@ of tubes converge (in exact arithmetic, often equal on the nose for flat
 data) to the geometric pairings as eps -> 0.
 
 Nothing here calls the geometric integration path: tube pairings run on a
-composite panel rule sized by the tube width.
+composite panel rule sized by the tube width, and reach it as the factors of
+each coefficient, contracted one axis at a time and never multiplied out.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -129,7 +131,7 @@ def smooth_pair(phi1: AmbientDensity, phi2: AmbientDensity) -> complex:
     panel = np.minimum(_axis_panels(phi1, box), _axis_panels(phi2, box))
     grid, weights = quadrature.composite_rule(box, panel, ORACLE_ORDER)
     return quadrature.weighted_sum(
-        lambda g: phi1.coeff.eval_many(g) * phi2.coeff.eval_many(g),
+        lambda g: phi1.coeff.factors(g) + phi2.coeff.factors(g),
         grid, weights)
 
 
@@ -142,7 +144,7 @@ def integrate_coefficient(phi: AmbientDensity) -> complex:
     """Plain integral of a density coefficient over its support, for mass checks."""
     box = quadrature.as_box(phi.support)
     grid, weights = quadrature.composite_rule(box, _axis_panels(phi, box), ORACLE_ORDER)
-    return quadrature.weighted_sum(phi.coeff.eval_many, grid, weights)
+    return quadrature.weighted_sum(phi.coeff.factors, grid, weights)
 
 
 @dataclass(frozen=True)
@@ -174,13 +176,19 @@ def converge_check(geometric: complex, eps_list, oracle_values) -> ConvergenceRe
     Errors at or below the noise floor FLOOR_REL |geometric| + FLOOR_ABS count
     as converged (flat cases are exact for every eps, leaving only quadrature
     noise); above the floor each error must strictly decrease.  The last
-    error must also be within FINAL_REL_TOL relatively.  Raises
+    error must also be within FINAL_REL_TOL relatively, and every value must
+    be finite: a NaN or an inf fails whichever one comes out.  Raises
     NonConvergent otherwise.
     """
     eps = _check_eps(eps_list)
     vals = tuple(complex(v) for v in oracle_values)
     if len(eps) != len(vals):
         raise ValueError("need one oracle value per eps value")
+    if not cmath.isfinite(geometric):
+        raise NonConvergent("the geometric value is not finite")
+    bad = [f"eps={e}" for e, v in zip(eps, vals) if not cmath.isfinite(v)]
+    if bad:
+        raise NonConvergent(f"oracle value not finite at {', '.join(bad)}")
     scale = abs(geometric)
     floor = FLOOR_REL * scale + FLOOR_ABS
     errors = tuple(abs(v - geometric) for v in vals)

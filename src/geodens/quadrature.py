@@ -9,9 +9,10 @@ Gaussian; a fixed-order global rule cannot see those.  Both return a
 ``Grid`` of per-axis nodes, flattened only for an integrand that asks, so
 expression fields evaluate each sub-expression on the axes it reads, and a
 ``Grid`` of per-axis weights, which ``weighted_sum`` contracts with each block
-one axis at a time: no rule builds a grid-sized array.  The bounded-box rule
-lives here too: ``as_box`` and ``intersect_boxes`` raise UnboundedDomain
-where there is no box.
+one axis at a time, factor by factor where the integrand returns a tuple of
+factors: no rule builds a grid-sized array, and factors are never multiplied
+out on a block.  The bounded-box rule lives here too: ``as_box`` and
+``intersect_boxes`` raise UnboundedDomain where there is no box.
 """
 from __future__ import annotations
 
@@ -136,16 +137,31 @@ def composite_rule(box, panel_width, order: int = 12):
 
 def weighted_sum(f_many, grid: Grid, weights: Grid) -> complex:
     """sum_i w_i f(p_i), f run on blocks of whole first-axis rows (at most EVAL_CHUNK
-    nodes, one row at least); f takes a block's Grid, returns values in its dims or flat,
-    and a block's values meet the weights one axis at a time by ``@``, last axis first."""
+    nodes, one row at least); f takes a block's Grid and returns its values in its dims
+    or flat, or a tuple of factors that broadcast to its dims.  A block meets the weights
+    one axis at a time, last first: the factors of full length along the axis multiply
+    and meet its weights by ``@``, the others keep their index-0 slice, and if none is of
+    full length the axis gives ``w.sum()``; one array runs exactly
+    ``reduce(np.matmul, reversed(w), values)``."""
     row = math.prod(grid.dims[1:])  # nodes per first-axis row
     step = max(1, EVAL_CHUNK // row)
     total = 0.0 + 0.0j
     for start in range(0, grid.shape[0] // row, step):
         block = Grid([x[start:start + step] for x in grid.axes[:1]] + list(grid.axes[1:]))
         w = [x[start:start + step] for x in weights.axes[:1]] + list(weights.axes[1:])
-        total += complex(reduce(np.matmul, reversed(w), np.reshape(f_many(block), block.dims)))
+        total += _contract(f_many(block), block.dims, w)
     return total
+
+
+def _contract(values, dims, w) -> complex:
+    factors = ([np.reshape(f, (1,) * (len(dims) - np.ndim(f)) + np.shape(f)) for f in values]
+               if isinstance(values, tuple) else [np.reshape(values, dims)])
+    for axis in reversed(range(len(dims))):
+        varying = [f for f in factors if f.shape[axis] == dims[axis]]
+        factors = [f[..., 0] for f in factors if f.shape[axis] != dims[axis]]
+        factors.append(reduce(np.multiply, varying) @ w[axis] if varying
+                       else np.reshape(w[axis].sum(), (1,) * axis))
+    return complex(reduce(np.multiply, factors))
 
 
 MAX_ORDER = 512

@@ -2,7 +2,10 @@
 
 On a quadrature Grid an expression field evaluates each sub-expression on the
 broadcast axes it reads; the cross-checks hold it bitwise to the flat path.
+Its ``factors`` multiply back to those values.
 """
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -176,3 +179,41 @@ def test_funcfield_on_a_grid_returns_its_dims():
     got = f.eval_many(grid)
     assert got.shape == (2, 3)
     assert np.array_equal(got, [[1 + 3j, 1 + 4j, 1 + 5j], [2 + 3j, 2 + 4j, 2 + 5j]])
+
+
+# factors: a field's values on a grid, for weighted_sum to contract one by one
+
+
+def test_factors_split_a_real_product_by_the_axes_each_reads():
+    grid = Grid([np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 4), np.linspace(1.0, 2.0, 5)])
+    field = as_field("2*x1*exp(-x3^2)*(x2 + x1)", prefix="x")
+    factors = field.factors(grid)
+    assert [np.shape(f) for f in factors] == [(), (3, 1, 1), (1, 1, 5), (3, 4, 1)]
+    got = np.broadcast_to(reduce(np.multiply, factors), grid.dims)
+    assert np.array_equal(got, field.eval_many(grid))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_factors_multiply_to_the_grid_values(k):
+    rng = np.random.default_rng(20261020 + k)
+    for _ in range(60):
+        grid = _random_grid(rng, k)
+        parts = [subst(random_expr(rng, 3, 3), {f"u{j}": Var("a") for j in range(k + 1, 4)})
+                 for _ in range(int(rng.integers(1, 5)))]
+        # left- and right-nested chains, and a product under a sum that stays whole
+        re = reduce(lambda a, b: BinOp("*", a, b) if rng.random() < 0.5 else BinOp("*", b, a),
+                    parts)
+        if rng.random() < 0.2:
+            re = BinOp("+", re, Num(1.0))
+        field = ExprField(re, params={"a": float(rng.uniform(-1.0, 1.0))})
+        factors = field.factors(grid)
+        assert len(factors) >= (1 if isinstance(re, BinOp) and re.op == "+" else len(parts))
+        got = np.broadcast_to(reduce(np.multiply, factors), grid.dims)
+        np.testing.assert_allclose(got, field.eval_many(grid), rtol=1e-14, atol=0.0)
+
+
+def test_factors_of_a_complex_or_callable_field_are_its_values():
+    grid = Grid([np.array([1.0, 2.0]), np.array([3.0, 4.0, 5.0])])
+    for field in (ExprField(parse("u1*u2"), parse("u1")), FuncField(lambda x: x[0] * x[1])):
+        (values,) = field.factors(grid)
+        assert np.array_equal(values, field.eval_many(grid))

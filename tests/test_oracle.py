@@ -7,6 +7,7 @@ tubes pair to the geometric answer for every eps, so their errors sit at
 the quadrature noise floor.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,7 +209,8 @@ def gaussian_test(n, centre):
 
 def eps_panel_pair(phi1, phi2, widths):
     """The reference: smooth_pair's integral on panels of the given widths,
-    eps on each axis a tube crosses and 1 elsewhere."""
+    eps on each axis a tube crosses and 1 elsewhere, with the coefficient
+    product materialised on the grid where smooth_pair contracts its factors."""
     box = intersect_boxes(phi1.support, phi2.support)
     grid, weights = composite_rule(box, widths, ORACLE_ORDER)
     return weighted_sum(lambda g: phi1.coeff.eval_many(g) * phi2.coeff.eval_many(g),
@@ -258,6 +260,20 @@ def test_sweep_plane_grid_is_two_tube_widths_per_panel(monkeypatch):
     smooth_pair(mollify(p1, 0.05), mollify(p2, 0.05))
     # 6 x1 panels, and 8 panels of 2 eps across each 16 eps wide tube box
     assert shapes == [(72, 96, 96)]
+
+
+def test_sweep_plane_pairing_builds_no_grid_sized_array():
+    p1, p2 = sweep_planes()
+    phi1, phi2 = mollify(p1, 0.05), mollify(p2, 0.05)
+    smooth_pair(phi1, phi2)  # compile the trees and cache the Gauss nodes
+    tracemalloc.start()
+    try:
+        smooth_pair(phi1, phi2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 21 x 96 x 96 block of values takes 1.5 MB; each tube factor is one axis long
+    assert peak < 0.5e6
 
 
 def test_tilted_codim_2_tube_is_refused_at_the_node_budget():
@@ -326,6 +342,19 @@ def test_converge_check_input_validation():
         converge_check(1.0, (-0.1, -0.2), (1.0, 1.0))
     with pytest.raises(ValueError):
         converge_check(1.0, (0.2, 0.1), (1.0,))
+
+
+@pytest.mark.parametrize("geometric, values, where", [
+    (1.0, (math.nan,) * 3, "eps=0.2, eps=0.1, eps=0.05"),
+    (1.0, (math.nan, math.inf, 1.0), "eps=0.2, eps=0.1"),
+    (1.0, (1.01, 1.0025, complex(1.0, -math.inf)), "eps=0.05"),
+    (math.nan, (1.01, 1.0025, 1.0), None),
+    (math.inf, (math.inf,) * 3, None),
+])
+def test_converge_check_fails_closed_on_non_finite_values(geometric, values, where):
+    match = f"not finite at {where}$" if where else "geometric value is not finite"
+    with pytest.raises(NonConvergent, match=match):
+        converge_check(geometric, (0.2, 0.1, 0.05), values)
 
 
 # end-to-end comparisons

@@ -400,3 +400,77 @@ def test_integrate_fails_closed_on_nan(value, rel_tol):
     with pytest.raises(QuadratureNotConverged) as info:
         integrate(constant, [[-1.0, 1.0]], QuadratureOptions(rel_tol=rel_tol))
     assert info.value.exit_code == 5
+
+
+# integrands that return a tuple of factors
+
+
+def random_factors(rng, dims):
+    """Factors that broadcast to dims: a Python scalar, and arrays that vary along
+    a random subset of the axes, some with their leading size-1 axes left off,
+    real or complex; their values keep clear of 0 so sums do not cancel."""
+    factors = [float(rng.uniform(0.5, 1.5))]
+    for _ in range(int(rng.integers(1, 5))):
+        shape = tuple(n if rng.random() < 0.5 else 1 for n in dims)
+        f = rng.uniform(0.5, 1.5, shape)
+        if rng.random() < 0.4:
+            f = f + 1j * rng.uniform(0.0, 0.5, shape)
+        lead = 0
+        while lead < len(shape) and shape[lead] == 1 and rng.random() < 0.5:
+            lead += 1
+        factors.append(f.reshape(shape[lead:]))
+    return factors
+
+
+def on_block(factors, dims, block):
+    """The factors restricted to a block: its first axis holds their row indices."""
+    rows = block.axes[0].astype(int) if dims else None
+    return tuple(f[rows] if dims and np.ndim(f) == len(dims) and np.shape(f)[0] > 1 else f
+                 for f in factors)
+
+
+@pytest.mark.parametrize("chunk", [7, 200_000])
+@pytest.mark.parametrize("dims", [(), (5,), (1,), (3, 4), (1, 6), (4, 1, 3), (1, 1, 1),
+                                  (2, 3, 1, 4), (3, 2, 2, 5)])
+def test_weighted_sum_contracts_factor_tuples(monkeypatch, chunk, dims):
+    monkeypatch.setattr(quadrature, "EVAL_CHUNK", chunk)
+    rng = np.random.default_rng(len(dims) * 100 + math.prod(dims) + chunk % 7)
+    grid = Grid([np.arange(float(n)) for n in dims])  # a block's rows read as indices
+    weights = Grid([rng.uniform(0.1, 1.0, n) for n in dims])
+    for _ in range(20):
+        factors = random_factors(rng, dims)
+        got = weighted_sum(lambda b: on_block(factors, dims, b), grid, weights)
+        want = weighted_sum(
+            lambda b: np.broadcast_to(reduce(np.multiply, on_block(factors, dims, b)),
+                                      b.dims), grid, weights)
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def matmul_chain_sum(f_many, grid, weights):
+    """The reference for one array: each block's values in its dims, contracted
+    with the weights by one matmul chain, last axis first."""
+    row = math.prod(grid.dims[1:])
+    step = max(1, quadrature.EVAL_CHUNK // row)
+    total = 0.0 + 0.0j
+    for start in range(0, grid.shape[0] // row, step):
+        block = Grid([x[start:start + step] for x in grid.axes[:1]] + list(grid.axes[1:]))
+        w = [x[start:start + step] for x in weights.axes[:1]] + list(weights.axes[1:])
+        total += complex(reduce(np.matmul, reversed(w), np.reshape(f_many(block), block.dims)))
+    return total
+
+
+@pytest.mark.parametrize("chunk", [5, 200_000])
+@pytest.mark.parametrize("integrand", [
+    lambda b: np.exp(-np.sum(b.points() ** 2, axis=1)),                       # flat
+    lambda b: np.exp(-np.sum(b.points() ** 2, axis=1)) * (1.0 + 1j * b.points()[:, 0]),
+    lambda b: np.broadcast_to(np.cos(b.columns()[-1]), b.dims),             # a broadcast view
+    lambda b: np.ones(b.dims) * 0.3,                                        # in its dims
+], ids=["flat", "complex", "view", "dims"])
+@pytest.mark.parametrize("dims", [(7,), (1,), (6, 5), (3, 1, 4), (2, 3, 2, 3)])
+def test_weighted_sum_of_one_array_is_bitwise_the_matmul_chain(monkeypatch, chunk,
+                                                               integrand, dims):
+    monkeypatch.setattr(quadrature, "EVAL_CHUNK", chunk)
+    rng = np.random.default_rng(math.prod(dims) + chunk)
+    grid = Grid([rng.uniform(-1.0, 1.0, n) for n in dims])
+    weights = Grid([rng.uniform(0.0, 1.0, n) for n in dims])
+    assert weighted_sum(integrand, grid, weights) == matmul_chain_sum(integrand, grid, weights)

@@ -852,6 +852,24 @@ def test_cli_typed_failure_exit_codes(mutate, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_oracle_exits_5_on_non_finite_tube_values(tmp_path, capsys):
+    # exp(1000 x2) overflows on the widest tubes, where exp(1000 x2) exp(-1000 x2)
+    # is inf * 0 (NaN); the narrowest tube's box stays in range
+    data = minimal_scene()
+    data["states"][0].update(coeff="exp(-u1^2)", support=[[-8, 8]])
+    data["tests"][0].update(coeff="exp(1000*x2)*exp(-1000*x2)*exp(-x1^2)",
+                            support=[[-8, 8], [-8, 8]])
+    data["requests"] = [{"op": "oracle", "state": "s", "test": "t",
+                         "eps": [0.2, 0.1, 0.05]}]
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["oracle", str(path)]) == 5
+    out, err = capsys.readouterr()
+    assert "converged" not in out
+    assert err == "error: oracle value not finite at eps=0.2, eps=0.1\n"
+
+
 # exit codes of the original error types, as documented in the README
 
 EXIT_CODES = {

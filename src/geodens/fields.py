@@ -3,19 +3,23 @@
 Expression-backed fields evaluate vectorized through the expression engine's
 array path; callable-backed fields fall back to a python loop.  ``factors``
 gives a field's values on a grid as factors for ``quadrature.weighted_sum``:
-a real expression field splits its top-level product, so a tube's Gaussians
-stay one axis long.  Coordinates are named ``<prefix>1 .. <prefix>dim`` with
-prefix "u" on charts and "x" in the ambient space.
+a real expression field splits its top-level product, and an ``exp`` of a sum
+by the coordinates its terms read (see EXP_SPLIT_LIMIT), so tube and test
+Gaussians stay one axis long.  Coordinates are named ``<prefix>1 .. <prefix>dim``
+with prefix "u" on charts and "x" in the ambient space.
 """
 from __future__ import annotations
 
+from functools import cached_property, reduce
 from typing import Callable, Mapping, get_args
 
 import numpy as np
 
 from . import exprlang
-from .exprlang import ZERO, BinOp, Expr, Num, add, mul, sub
+from .exprlang import ZERO, BinOp, Call, Expr, Neg, Num, Var, add, mul, sub
 from .quadrature import Grid
+
+EXP_SPLIT_LIMIT = 708.0  # bound on an exp's groups' summed max |exponent|: products stay normal
 
 
 class ScalarField:
@@ -61,12 +65,27 @@ class ExprField(ScalarField):
         return np.broadcast_to(value, shape)
 
     def factors(self, grid: Grid) -> tuple[np.ndarray, ...]:
-        # a real field's top-level * chain, each multiplicand on the grid columns it reads
+        # a real field's top-level * chain on the columns each reads; an exp of a sum by groups
         if self.im_expr is not None:
             return super().factors(grid)
         b = {f"{self.prefix}{i + 1}": c for i, c in enumerate(grid.columns())} | self.params
-        return tuple(np.asarray(exprlang.evaluate(f, b), dtype=float)
-                     for f in _multiplicands(self.re_expr))
+        out = []
+        for f, groups in self._factor_trees:
+            exps = [np.asarray(exprlang.evaluate(g, b), dtype=float) for g in groups]
+            split = exps and sum(abs(e).max() for e in exps) <= EXP_SPLIT_LIMIT
+            out += map(np.exp, exps) if split else [np.asarray(exprlang.evaluate(f, b), float)]
+        return tuple(out)
+
+    @cached_property
+    def _factor_trees(self) -> list[tuple[Expr, list[Expr]]]:
+        # multiplicands, an exp's terms summed per set of coordinates read; built to compile once
+        fixed, out = self.params.keys() | exprlang.CONSTANTS.keys(), []
+        for f in _multiplicands(self.re_expr):
+            groups: dict[frozenset, list[Expr]] = {}
+            for t in _terms(f.arg) if isinstance(f, Call) and f.func == "exp" else []:
+                groups.setdefault(_reads(t) - fixed, []).append(t)
+            out.append((f, [reduce(add, g) for g in groups.values()] if len(groups) > 1 else []))
+        return out
 
     def scaled(self, factor: complex) -> "ExprField":
         """Fold a complex constant into the expression trees."""
@@ -80,6 +99,24 @@ class ExprField(ScalarField):
 def _multiplicands(e: Expr) -> list[Expr]:
     split = isinstance(e, BinOp) and e.op == "*"
     return _multiplicands(e.left) + _multiplicands(e.right) if split else [e]
+
+
+def _terms(e: Expr) -> list[Expr]:
+    # e as a sum of terms: unary minus, - and * or / by a literal distribute over +
+    if not isinstance(e, BinOp):
+        return [sub(ZERO, t) for t in _terms(e.arg)] if isinstance(e, Neg) else [e]
+    if e.op in "+-":
+        return _terms(e.left) + _terms(e.right if e.op == "+" else Neg(e.right))
+    if e.op == "*" and isinstance(e.left, Num):
+        e = BinOp("*", e.right, e.left)  # c*x is x*c, bitwise
+    if e.op in "*/" and isinstance(e.right, Num):
+        return [BinOp(e.op, t, e.right) for t in _terms(e.left)]
+    return [e]
+
+
+def _reads(e: Expr) -> frozenset:
+    kids = (k for k in vars(e).values() if isinstance(k, get_args(Expr)))
+    return frozenset([e.name]) if isinstance(e, Var) else frozenset().union(*map(_reads, kids))
 
 
 class FuncField(ScalarField):

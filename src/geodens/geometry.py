@@ -157,10 +157,8 @@ class Submanifold:
             raise ValueError(
                 f"implicit form of {self.name!r} does not vanish on the core "
                 f"(|F| = {worst[i]:.3g} at u = {coords[i]})")
-        u = _rank_loss(linalg.unit_rows(self._implicit_rows(x))[0], linalg.RANK_TOL, coords)
-        if u is not None:
-            raise DegenerateCovectors(
-                f"implicit jacobian of {self.name!r} loses rank at u = {u}")
+        _check_rows(self, self._implicit_rows(x), linalg.unit_columns(self._tangents(coords)),
+                    coords)
 
     def _bindings(self, prefix: str, values) -> dict:
         return {**{f"{prefix}{i + 1}": v for i, v in enumerate(values)}, **self.params}
@@ -284,6 +282,20 @@ def _rank_loss(unit: np.ndarray, tol: float, coords: np.ndarray):
     return _at(coords, bad) if np.any(bad) else None
 
 
+def _check_rows(core: Submanifold, rows: np.ndarray, unit_t: np.ndarray, coords) -> None:
+    """ConormalMismatch where unit rows meet unit tangents, DegenerateCovectors on rank loss."""
+    unit, _ = linalg.unit_rows(rows)
+    bad = linalg.leaks(unit, unit_t)
+    if np.any(bad):
+        raise ConormalMismatch(
+            f"implicit conormal of {core.name!r} fails to annihilate the "
+            f"tangent at u = {_at(coords, bad)}")
+    u = _rank_loss(unit, linalg.RANK_TOL, coords)
+    if u is not None:
+        raise DegenerateCovectors(
+            f"implicit jacobian of {core.name!r} loses rank at u = {u}")
+
+
 # frames
 
 def frames_many(core: Submanifold, coords) -> tuple:
@@ -311,16 +323,7 @@ def frames_many(core: Submanifold, coords) -> tuple:
         rows = np.swapaxes(linalg.complete_to_ambient(tangents), 1, 2)
     else:
         rows = core._implicit_rows(points)
-        unit, _ = linalg.unit_rows(rows)
-        bad = linalg.leaks(unit, unit_t)
-        if np.any(bad):
-            raise ConormalMismatch(
-                f"implicit conormal of {core.name!r} fails to annihilate the "
-                f"tangent at u = {_at(coords, bad)}")
-        u = _rank_loss(unit, linalg.RANK_TOL, coords)
-        if u is not None:
-            raise DegenerateCovectors(
-                f"implicit jacobian of {core.name!r} loses rank at u = {u}")
+        _check_rows(core, rows, unit_t, coords)
     m = max(len(tangents), len(rows))
     frames = tuple(a if len(a) == m else np.broadcast_to(a, (m,) + a.shape[1:])
                    for a in (tangents, rows))

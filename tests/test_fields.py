@@ -4,6 +4,7 @@ On a quadrature Grid an expression field evaluates each sub-expression on the
 broadcast axes it reads; the cross-checks hold it bitwise to the flat path.
 Its ``factors`` multiply back to those values.
 """
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -12,8 +13,8 @@ import pytest
 from _exprgen import random_expr
 from geodens.errors import DomainError
 from geodens.exprlang import BinOp, Call, Neg, Num, Var, parse, subst, to_source
-from geodens.fields import ExprField, FuncField, as_field
-from geodens.quadrature import Grid
+from geodens.fields import EXP_SPLIT_LIMIT, ExprField, FuncField, as_field
+from geodens.quadrature import Grid, tensor_rule, weighted_sum
 
 
 def test_string_coercion_uses_the_prefix():
@@ -193,12 +194,30 @@ def test_factors_split_a_real_product_by_the_axes_each_reads():
     assert np.array_equal(got, field.eval_many(grid))
 
 
+def _random_exponent(rng, k, depth):
+    # bounded sin terms under unary minus, +, - and * or / by a literal
+    if depth == 0 or rng.random() < 0.25:
+        return Call("sin", subst(random_expr(rng, 3, 2),
+                                 {f"u{j}": Var("a") for j in range(k + 1, 4)}))
+    kid, r = (lambda: _random_exponent(rng, k, depth - 1)), rng.random()
+    c = Num(round(float(rng.uniform(0.5, 2.0)), 3))
+    if r < 0.15:
+        return Neg(kid())
+    if r < 0.6:
+        return BinOp(str(rng.choice(["+", "-"])), kid(), kid())
+    if r < 0.75:
+        return BinOp("*", c, kid())
+    return BinOp(str(rng.choice(["*", "/"])), kid(), c)
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_factors_multiply_to_the_grid_values(k):
     rng = np.random.default_rng(20261020 + k)
+    split = 0
     for _ in range(60):
         grid = _random_grid(rng, k)
         parts = [subst(random_expr(rng, 3, 3), {f"u{j}": Var("a") for j in range(k + 1, 4)})
+                 if rng.random() < 0.5 else Call("exp", _random_exponent(rng, k, 4))
                  for _ in range(int(rng.integers(1, 5)))]
         # left- and right-nested chains, and a product under a sum that stays whole
         re = reduce(lambda a, b: BinOp("*", a, b) if rng.random() < 0.5 else BinOp("*", b, a),
@@ -208,8 +227,43 @@ def test_factors_multiply_to_the_grid_values(k):
         field = ExprField(re, params={"a": float(rng.uniform(-1.0, 1.0))})
         factors = field.factors(grid)
         assert len(factors) >= (1 if isinstance(re, BinOp) and re.op == "+" else len(parts))
+        split += sum(len(ExprField(p, params=field.params).factors(grid)) > 1
+                     for p in parts if isinstance(p, Call))
         got = np.broadcast_to(reduce(np.multiply, factors), grid.dims)
         np.testing.assert_allclose(got, field.eval_many(grid), rtol=1e-14, atol=0.0)
+    assert split > 10 if k else split == 0, split
+
+
+def test_an_exp_of_a_sum_splits_by_the_coordinates_its_terms_read():
+    grid = Grid([np.linspace(-1.0, 1.0, 3), np.linspace(0.0, 1.0, 4), np.linspace(1.0, 2.0, 5)])
+    test = as_field("2*exp(-((x1-0.1)^2+(x2+0.2)^2+(x3-0.3)^2)/1.1)", prefix="x")
+    assert [np.shape(f) for f in test.factors(grid)] == [(), (3, 1, 1), (1, 4, 1), (1, 1, 5)]
+    # x1^2 and pi*x1 share one exp, as do a and 1, which read no coordinate
+    field = as_field("exp(-x1^2 - 2*(x1*x2 - pi*x1 + a) + x2/3 - 1)", prefix="x",
+                     params={"a": 0.5})
+    factors = field.factors(grid)
+    assert [np.shape(f) for f in factors] == [(3, 1, 1), (3, 4, 1), (), (1, 4, 1)]
+    for f in (test, field):
+        got = np.broadcast_to(reduce(np.multiply, f.factors(grid)), grid.dims)
+        np.testing.assert_allclose(got, f.eval_many(grid), rtol=1e-14, atol=0.0)
+
+
+def test_an_exp_whose_split_could_leave_the_floats_stays_whole():
+    # the groups 1000 x1 - x1^2 and -1000 x2 reach exp(999) and exp(-1000), whose
+    # product is inf * 0 where the whole exp is near 1
+    grid, weights = tensor_rule([[0.5, 1.0], [0.5, 1.0]], 8)
+    field = as_field("exp(1000*x1-1000*x2-x1^2)", prefix="x")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (values,) = field.factors(grid)
+        assert np.array_equal(values, field.eval_many(grid))
+        assert weighted_sum(field.factors, grid, weights) == weighted_sum(
+            field.eval_many, grid, weights)
+        # three groups, each within the floats, whose largest magnitudes sum past the limit
+        edges = Grid([np.linspace(0.5, 1.0, 3)] * 2)
+        for c, n in ((EXP_SPLIT_LIMIT / 3, 3), (EXP_SPLIT_LIMIT / 3 + 1, 1)):
+            f = as_field(f"exp({c}*x1 - {c}*x2 + {c}*x1*x2)", prefix="x")
+            assert len(f.factors(edges)) == n
 
 
 def test_factors_of_a_complex_or_callable_field_are_its_values():

@@ -218,9 +218,13 @@ def test_frames_with_implicit_use_its_jacobian():
 
 
 def test_frames_at_rejects_a_conormal_that_misses_the_tangent():
-    # x2 + x1^3 - x1 vanishes at the validation samples u = -1, 0, 1 only
+    # x2 + x1^3 - x1 vanishes at the validation samples u = -1, 0, 1 only, but
+    # its rows miss the tangent there, so construction refuses it
+    with pytest.raises(ConormalMismatch):
+        Submanifold.affine("W", [0.0, 0.0], [1.0, 0.0], implicit=["x2 + x1^3 - x1"])
+    # the rows of x2 + (x1^3 - x1)^2 are (0, 1) at the samples and tilt between them
     core = Submanifold.affine("W", [0.0, 0.0], [1.0, 0.0],
-                              implicit=["x2 + x1^3 - x1"])
+                              implicit=["x2 + (x1^3 - x1)^2"])
     with pytest.raises(ConormalMismatch):
         frames_at(core, [0.5])
 

@@ -262,18 +262,26 @@ def test_sweep_plane_grid_is_two_tube_widths_per_panel(monkeypatch):
     assert shapes == [(72, 96, 96)]
 
 
-def test_sweep_plane_pairing_builds_no_grid_sized_array():
-    p1, p2 = sweep_planes()
-    phi1, phi2 = mollify(p1, 0.05), mollify(p2, 0.05)
+def _pairing_peak(phi1, phi2) -> int:
     smooth_pair(phi1, phi2)  # compile the trees and cache the Gauss nodes
     tracemalloc.start()
     try:
         smooth_pair(phi1, phi2)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_sweep_plane_pairing_builds_no_grid_sized_array():
+    p1, p2 = sweep_planes()
     # one 21 x 96 x 96 block of values takes 1.5 MB; each tube factor is one axis long
-    assert peak < 0.5e6
+    assert _pairing_peak(mollify(p1, 0.05), mollify(p2, 0.05)) < 0.5e6
+
+
+def test_sweep_plane_test_pairing_builds_no_grid_sized_array():
+    # the test exp(-|x - m|^2/1.1) splits into one Gaussian per axis, as the tube does
+    g = gaussian_test(3, [0.1, -0.15, 0.2])
+    assert _pairing_peak(mollify(sweep_planes()[0], 0.05), g) < 0.5e6
 
 
 def test_tilted_codim_2_tube_is_refused_at_the_node_budget():

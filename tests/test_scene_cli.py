@@ -823,12 +823,20 @@ def conormal_not_annihilating(d):
 
 
 def implicit_conormal_not_annihilating(d):
-    # x2 + x1^3 - x1 vanishes where the implicit form is validated
-    # (u = -1, 0, 1) but its gradient is not normal to the x axis
+    # the gradient of x2 + (x1^3 - x1)^2 is normal to the x axis where the
+    # implicit form is validated (u = -1, 0, 1), and only there
+    d["cores"].append({"name": "W", "kind": "affine", "base": [0, 0],
+                       "tangent": [[1, 0]], "implicit": ["x2 + (x1^3 - x1)^2"]})
+    d["requests"] = [{"op": "check", "cores": ["X", "Y"]}]
+    return "check", 3
+
+
+def implicit_conormal_not_annihilating_at_load(d):
+    # x2 + x1^3 - x1 vanishes at the samples, but its gradient misses the x axis there
     d["cores"].append({"name": "W", "kind": "affine", "base": [0, 0],
                        "tangent": [[1, 0]], "implicit": ["x2 + x1^3 - x1"]})
     d["requests"] = [{"op": "check", "cores": ["X", "Y"]}]
-    return "check", 3
+    return "check", 2
 
 
 def mollify_without_support(d):
@@ -841,7 +849,7 @@ def mollify_without_support(d):
 @pytest.mark.parametrize("mutate", [
     scene_eps_increasing, off_core_check_sample, wrong_dimension_intersection,
     conormal_not_annihilating, implicit_conormal_not_annihilating,
-    mollify_without_support,
+    implicit_conormal_not_annihilating_at_load, mollify_without_support,
 ], ids=lambda f: f.__name__)
 def test_cli_typed_failure_exit_codes(mutate, tmp_path, capsys):
     data = two_axes_scene()

@@ -8,13 +8,20 @@ so it moves on the row's scale, not on its own).  Each scene's
 ``--dump-normalized`` run must also give its recorded exit code, normalized
 text and error message exactly.
 
-The goldens live in ``scene_values.json`` next to this file.  Re-record them
-only for a change that means to move values, with
+The goldens live in ``scene_values.json`` next to this file.  Record the
+goldens of a new scene or command, which the file lacks, with
 
     PYTHONPATH=src python tests/test_scene_values.py --record
+
+and re-record named ones, only for a change that means to move them, with
+
+    PYTHONPATH=src python tests/test_scene_values.py --record axes_r2.json/oracle ...
+
+Every other stored golden is kept as it is.
 """
 import contextlib
 import csv
+import functools
 import io
 import json
 import sys
@@ -115,9 +122,42 @@ def test_rows_match_reads_numbers_on_the_row_scale():
     assert not _rows_match(None, want) and _rows_match(None, None)
 
 
+def record(path: Path, keys=()) -> list[str]:
+    """Record into ``path`` the goldens it lacks and those named in ``keys``, keep every
+    other stored golden, and drop keys of no scene and command; returns the keys run."""
+    runs = {f"{s}/{c}": functools.partial(run, c, SCENES / s) for s, c in CASES}
+    runs |= {f"{s}/--dump-normalized": functools.partial(dump, SCENES / s) for s in DUMPS}
+    unknown = sorted(set(keys) - runs.keys())
+    if unknown:
+        raise KeyError(f"no golden is named {', '.join(unknown)}")
+    old = json.loads(path.read_text()) if path.exists() else {}
+    todo = [k for k in runs if k not in old or k in keys]
+    path.write_text(json.dumps({k: runs[k]() if k in todo else old[k] for k in runs},
+                               indent=1) + "\n")
+    return todo
+
+
+def test_record_writes_only_missing_and_named_goldens(goldens, tmp_path):
+    # a golden file that lacks one key, holds a stale value and a key of no scene
+    path, missing, tampered = (tmp_path / "scene_values.json", "axes_r2.json/check",
+                               "axes_r2.json/--dump-normalized")
+    stored = {k: v for k, v in goldens.items() if k != missing}
+    stored |= {tampered: {"exit": 9, "stdout": "", "stderr": ""},
+               "gone.json/check": {"exit": 0, "rows": None}}
+    path.write_text(json.dumps(stored, indent=1) + "\n")
+    assert record(path) == [missing]
+    again = json.loads(path.read_text())
+    assert list(again) == list(goldens) and again == {**goldens, tampered: stored[tampered]}
+    assert record(path, [tampered]) == [tampered]
+    assert path.read_text() == GOLDEN.read_text()
+    with pytest.raises(KeyError, match="gone.json/pair"):
+        record(path, ["gone.json/pair"])
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
+    if sys.argv[1:2] != ["--record"]:
         sys.exit(__doc__)
-    GOLDEN.write_text(json.dumps(
-        {**{f"{s}/{c}": run(c, SCENES / s) for s, c in CASES},
-         **{f"{s}/--dump-normalized": dump(SCENES / s) for s in DUMPS}}, indent=1) + "\n")
+    try:
+        print("\n".join(record(GOLDEN, sys.argv[2:])) or "every golden is recorded")
+    except KeyError as exc:
+        sys.exit(exc.args[0])

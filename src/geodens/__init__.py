@@ -32,7 +32,6 @@ from .oracle import (
     compare_inner,
     compare_pairing,
     converge_check,
-    integrate_coefficient,
     mollify,
     smooth_pair,
 )

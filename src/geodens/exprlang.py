@@ -45,7 +45,7 @@ from .errors import DomainError, ExprSyntaxError, UnboundIdentifier, UnknownFunc
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call",
-    "parse", "evaluate", "diff", "jacobian", "subst", "to_source",
+    "parse", "evaluate", "diff", "jacobian", "subst", "reads", "to_source",
     "add", "sub", "mul", "ZERO", "ONE", "FUNCTIONS", "CONSTANTS", "MAX_DEPTH",
 ]
 
@@ -436,6 +436,13 @@ def subst(expr: Expr, mapping: Mapping[str, Expr]) -> Expr:
     if isinstance(expr, Call):
         return Call(expr.func, subst(expr.arg, mapping))
     return BinOp(expr.op, subst(expr.left, mapping), subst(expr.right, mapping))
+
+
+def reads(expr: Expr) -> frozenset[str]:
+    """The identifiers a tree reads, ``pi`` included."""
+    if isinstance(expr, Var):
+        return frozenset([expr.name])
+    return frozenset().union(*(reads(k) for k in vars(expr).values() if isinstance(k, _Node)))
 
 
 # printing

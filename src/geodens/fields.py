@@ -16,7 +16,7 @@ from typing import Callable, Mapping, get_args
 import numpy as np
 
 from . import exprlang
-from .exprlang import ZERO, BinOp, Call, Expr, Neg, Num, Var, add, mul, sub
+from .exprlang import ZERO, BinOp, Call, Expr, Neg, Num, add, mul, sub
 from .quadrature import Grid
 
 EXP_SPLIT_LIMIT = 708.0  # bound on an exp's groups' summed max |exponent|: products stay normal
@@ -83,7 +83,7 @@ class ExprField(ScalarField):
         for f in _multiplicands(self.re_expr):
             groups: dict[frozenset, list[Expr]] = {}
             for t in _terms(f.arg) if isinstance(f, Call) and f.func == "exp" else []:
-                groups.setdefault(_reads(t) - fixed, []).append(t)
+                groups.setdefault(exprlang.reads(t) - fixed, []).append(t)
             out.append((f, [reduce(add, g) for g in groups.values()] if len(groups) > 1 else []))
         return out
 
@@ -112,11 +112,6 @@ def _terms(e: Expr) -> list[Expr]:
     if e.op in "*/" and isinstance(e.right, Num):
         return [BinOp(e.op, t, e.right) for t in _terms(e.left)]
     return [e]
-
-
-def _reads(e: Expr) -> frozenset:
-    kids = (k for k in vars(e).values() if isinstance(k, get_args(Expr)))
-    return frozenset([e.name]) if isinstance(e, Var) else frozenset().union(*map(_reads, kids))
 
 
 class FuncField(ScalarField):

@@ -83,7 +83,7 @@ class Submanifold:
     form: AffineForm | ChartForm
     implicit: tuple[Expr, ...] | None = None
     params: Mapping[str, float] = field(default_factory=dict)
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     # construction
 
@@ -189,11 +189,11 @@ class Submanifold:
     @cached_property
     def frames_constant(self) -> bool:
         """Whether no chart or implicit derivative tree reads a coordinate, so that every
-        node has the same frame: ``diff`` folds each such tree's derivatives to zero."""
+        node has the same frame: each reads scene parameters and constants at most."""
         trees = (([] if self.is_affine else self._trees("u"))
                  + ([] if self.implicit is None else self._trees("x")))
-        return all(exprlang.diff(t, f"{p}{j + 1}") == exprlang.ZERO for row in trees for t in row
-                   for p in "ux" for j in range(self.ambient.dim))
+        fixed = self.params.keys() | exprlang.CONSTANTS.keys()
+        return all(exprlang.reads(t) <= fixed for row in trees for t in row)
 
     # basic maps
 
@@ -383,18 +383,16 @@ def _gauss_newton(residual, jacobian, u0, box, tol):
     return u, norm, moving
 
 
-def chart_invert(core: Submanifold, x):
-    """Chart coordinates of ambient points.
+def chart_invert(core: Submanifold, xs) -> tuple[np.ndarray, np.ndarray]:
+    """Chart coordinates u (N, k) of ambient points xs (N, n), and residuals (N,).
 
-    One point (n,) gives (u (k,), residual); a stack (N, n) gives
-    (u (N, k), residuals (N,)).  Affine cores invert as (x - base) P^T, P the
-    tangent's pseudo-inverse, cached on the core.  Charts run the damped
-    Gauss-Newton from each point's nearest grid seed; the caller decides
-    whether a residual is on the core (``on_core_tol``), and a row that does
-    not stabilize raises ChartInversionFailure.
+    Affine cores invert as (x - base) P^T, P the tangent's pseudo-inverse,
+    cached on the core.  Charts run the damped Gauss-Newton from each point's
+    nearest grid seed; the caller decides whether a residual is on the core
+    (``on_core_tol``), and a row that does not stabilize raises
+    ChartInversionFailure.
     """
-    x = np.asarray(x, dtype=float)
-    xs = np.atleast_2d(x)
+    xs = np.asarray(xs, dtype=float)
     if isinstance(core.form, AffineForm):
         if "pinv" not in core._cache:
             core._cache["pinv"] = np.linalg.pinv(core.form.tangent).T
@@ -413,7 +411,7 @@ def chart_invert(core: Submanifold, x):
         if moving.any():
             raise ChartInversionFailure(f"inversion on {core.name!r} did not "
                                         f"stabilize near x = {xs[np.argmax(moving)]}")
-    return (u[0], float(resid[0])) if x.ndim == 1 else (u, resid)
+    return u, resid
 
 
 # transversality
@@ -432,10 +430,6 @@ class TransversalityReport:
     ambient_dim: int
     expected_dim: int
     samples: tuple[TransversalitySample, ...]
-
-    @property
-    def all_transverse(self) -> bool:
-        return all(s.transverse for s in self.samples)
 
 
 def transversality_check(c: Submanifold, d: Submanifold,

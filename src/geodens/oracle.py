@@ -140,13 +140,6 @@ def _axis_panels(phi: AmbientDensity, box: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(hint, dtype=float), box.shape[:1])
 
 
-def integrate_coefficient(phi: AmbientDensity) -> complex:
-    """Plain integral of a density coefficient over its support, for mass checks."""
-    box = quadrature.as_box(phi.support)
-    grid, weights = quadrature.composite_rule(box, _axis_panels(phi, box), ORACLE_ORDER)
-    return quadrature.weighted_sum(phi.coeff.factors, grid, weights)
-
-
 @dataclass(frozen=True)
 class ConvergenceReport:
     geometric: complex

@@ -43,12 +43,12 @@ class Scene:
         return scene_from_dict(self.source, param_overrides)
 
 
-def load_scene(path, param_overrides: Mapping[str, float] | None = None) -> Scene:
+def load_scene(path) -> Scene:
     try:
         data = json.loads(Path(path).read_text(), parse_constant=_non_finite)
     except (ValueError, RecursionError) as exc:  # bad encoding or JSON, NaN, Infinity, depth
         raise SceneError(f"invalid JSON in {path}: {exc}") from None
-    return scene_from_dict(data, param_overrides)
+    return scene_from_dict(data)
 
 
 def _non_finite(name: str):
@@ -88,6 +88,12 @@ def _integer(v, what: str) -> int:
     if not _number(v, what).is_integer():
         raise SceneError(f"{what} must be an integer, got {v!r}")
     return int(v)
+
+
+def _json(v, kind: type, what: str):
+    if not isinstance(v, kind):  # a JSON object reads as a dict, an array as a list
+        raise SceneError(f"{what} must be {'an object' if kind is dict else 'a list'}, got {v!r}")
+    return v
 
 
 def _numbers(v, what: str, rows: bool = False) -> list:
@@ -161,15 +167,16 @@ def _box(v, what: str, rows: int | None = None) -> list[list[float]] | None:
 
 def _build(data: dict, overrides: dict[str, float]) -> Scene:
     ambient = _integer(_need(data, "ambient", "scene"), "scene ambient")
-    params = {str(k): _number(v, f"param {k!r}")
-              for k, v in {**(data.get("params") or {}), **overrides}.items()}
+    given = _json(data.get("params") or {}, dict, "scene params")
+    params = {str(k): _number(v, f"param {k!r}") for k, v in {**given, **overrides}.items()}
     norm = {"ambient": ambient, "params": {k: params[k] for k in sorted(params)}}
     cores, norm["cores"] = _section(data, "cores", "core", partial(_core, ambient, params))
     states, norm["states"] = _section(data, "states", "state", partial(_state, cores))
     tests, norm["tests"] = _section(data, "tests", "test density",
                                     partial(_test, ambient, params))
+    entries = _json(data.get("requests") or [], list, "scene requests")
     norm["requests"] = requests = [_norm_request(entry, i, cores, states, tests, params)
-                                   for i, entry in enumerate(data.get("requests") or [])]
+                                   for i, entry in enumerate(entries)]
     return Scene(ambient, params, cores, states, tests, requests, norm)
 
 
@@ -177,8 +184,8 @@ def _section(data: dict, key: str, kind: str, build) -> tuple[dict, list[dict]]:
     """Each entry of ``data[key]`` by its unique name: ``build(name, entry)`` gives the
     object and its normalized fields, and the normalized entries come sorted by name."""
     built, norm = {}, []
-    for entry in data.get(key) or []:
-        name = str(_need(entry, "name", kind))
+    for entry in _json(data.get(key) or [], list, f"scene {key}"):
+        name = str(_need(_json(entry, dict, f"an entry of scene {key}"), "name", kind))
         if name in built:
             raise SceneError(f"duplicate {kind} name {name!r}")
         built[name], fields = build(name, entry)
@@ -244,7 +251,7 @@ def _test(ambient: int, params, name: str, entry: dict) -> tuple[AmbientDensity,
 
 def _norm_request(entry: dict, index: int, cores, states, tests, params) -> dict:
     where = f"request #{index}"
-    op = str(_need(entry, "op", where))
+    op = str(_need(_json(entry, dict, where), "op", where))
     if op not in REQUEST_OPS:
         raise SceneError(f"{where} has unknown op {op!r}")
     out: dict = {"op": op}
@@ -253,7 +260,8 @@ def _norm_request(entry: dict, index: int, cores, states, tests, params) -> dict
         return _ref(table, _need(entry, key, where), kind, where)
 
     if op == "check":
-        out["cores"] = [_ref(cores, n, "core", where) for n in _need(entry, "cores", where)]
+        out["cores"] = [_ref(cores, n, "core", where)
+                        for n in _json(_need(entry, "cores", where), list, f"{where} cores")]
         if len(out["cores"]) != 2:
             raise SceneError(f"{where} needs exactly two core names")
         if entry.get("samples") is not None:
@@ -285,7 +293,7 @@ def _norm_request(entry: dict, index: int, cores, states, tests, params) -> dict
     else:  # sweep
         out["param"] = ref("param", params, "parameter")
         if entry.get("values") is not None:
-            out["values"] = [_number(v, f"{where} value") for v in entry["values"]]
+            out["values"] = _numbers(entry["values"], f"{where} value")
         else:
             start = _number(_need(entry, "start", where), f"{where} start")
             stop = _number(_need(entry, "stop", where), f"{where} stop")
@@ -293,10 +301,10 @@ def _norm_request(entry: dict, index: int, cores, states, tests, params) -> dict
             if count < 2:
                 raise SceneError(f"{where} needs count >= 2")
             out["values"] = [float(v) for v in np.linspace(start, stop, count)]
-        inner_req = _need(entry, "request", where)
+        inner_req = _json(_need(entry, "request", where), dict, f"{where} request")
         if inner_req.get("op") not in ("pair", "inner"):
             raise SceneError(f"{where} can only sweep scalar-result requests (pair, inner)")
         out["request"] = _norm_request(inner_req, index, cores, states, tests, params)
     if op == "oracle" and entry.get("eps") is not None:
-        out["eps"] = [_number(e, f"{where} eps") for e in entry["eps"]]
+        out["eps"] = _numbers(entry["eps"], f"{where} eps")
     return out

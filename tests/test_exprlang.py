@@ -40,6 +40,7 @@ from geodens.exprlang import (
     jacobian,
     mul,
     parse,
+    reads,
     sub,
     subst,
     to_source,
@@ -553,8 +554,14 @@ def test_constructors_fold_zero_and_one():
     assert mul(Num(-1.0), e) == BinOp("*", Num(-1.0), e)
 
 
+def test_reads_names_every_identifier_of_a_tree():
+    assert reads(parse("a*u1 + exp(-(x2 - u1)^2)/pi")) == {"a", "u1", "x2", "pi"}
+    assert reads(parse("-sqrt(2)")) == frozenset()
+
+
 def test_diff_of_a_tree_free_of_the_variable_is_the_zero_tree():
-    # Submanifold.frames_constant reads a frame's constancy off this folding
+    # so a tree that reads none of a set of identifiers is constant in them, as
+    # Submanifold.frames_constant and ExprField.factors judge by ``reads``
     rng = np.random.default_rng(5)
     for _ in range(200):
         tree = random_expr(rng, 3, 4)

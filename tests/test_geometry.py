@@ -1,4 +1,5 @@
 """Cores: construction, frames, chart inversion, transversality, intersection."""
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from geodens import geometry
 from geodens.errors import (
     ConormalMismatch,
     DegenerateCovectors,
+    GeometryError,
     ImmersionFailure,
     MissingImplicitForm,
     NoIntersectionFound,
@@ -16,6 +18,7 @@ from geodens.errors import (
     UserChartRequired,
 )
 from geodens.geometry import (
+    AffineForm,
     Ambient,
     Submanifold,
     chart_invert,
@@ -240,19 +243,18 @@ def test_frames_at_point_core():
 
 def test_chart_invert_affine_is_exact():
     line = Submanifold.affine("L", [1.0, 0.0], [1.0, 1.0])
-    u, resid = chart_invert(line, [3.0, 2.0])
-    assert u[0] == pytest.approx(2.0, abs=1e-14)
-    assert resid <= 1e-14
-    u, resid = chart_invert(line, [3.0, 0.0])  # off the line
-    assert resid == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    u, resid = chart_invert(line, [[3.0, 2.0], [3.0, 0.0]])  # on and off the line
+    assert u[0, 0] == pytest.approx(2.0, abs=1e-14)
+    assert resid[0] <= 1e-14
+    assert resid[1] == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
 def test_chart_invert_on_circle():
-    s = unit_circle()
-    for u0 in (0.3, 2.0, 5.5):
-        u, resid = chart_invert(s, [math.cos(u0), math.sin(u0)])
-        assert resid <= 1e-10
-        assert u[0] == pytest.approx(u0, abs=1e-8)
+    u0 = np.array([0.3, 2.0, 5.5])
+    u, resid = chart_invert(unit_circle(), np.stack([np.cos(u0), np.sin(u0)], axis=1))
+    assert u.shape == (3, 1) and resid.shape == (3,)
+    assert np.all(resid <= 1e-10)
+    assert u[:, 0] == pytest.approx(u0, abs=1e-8)
 
 
 def test_chart_invert_stops_rows_that_have_converged(monkeypatch):
@@ -275,23 +277,22 @@ def test_chart_invert_stops_rows_that_have_converged(monkeypatch):
 
 
 def test_chart_invert_reports_off_core_distance():
-    s = unit_circle()
-    _, resid = chart_invert(s, [2.0, 0.0])
-    assert resid == pytest.approx(1.0, abs=1e-6)
+    _, resid = chart_invert(unit_circle(), [[2.0, 0.0]])
+    assert resid[0] == pytest.approx(1.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("centre, radius", [((0.0, 0.0), 1.0), ((0.37, -0.21), 1.3),
                                             ((-0.45, 0.12), 0.85)])
 def test_chart_invert_across_the_periodic_seam(centre, radius):
     # u = 0 and u = 2 pi map to the same point: the nearest seed must be
-    # chosen from exact distances there, one point at a time or stacked
+    # chosen from exact distances there, one row at a time or stacked
     cx, cy = centre
     s = Submanifold.chart("S", [f"{cx!r}+{radius!r}*cos(u1)", f"{cy!r}+{radius!r}*sin(u1)"],
                           [[0.0, 2.0 * math.pi]])
     t = np.linspace(-0.3, 0.3, 41)
     x = np.stack([cx + radius * np.cos(t), cy + radius * np.sin(t)], axis=1)
     for p in x:
-        assert chart_invert(s, p)[1] <= 1e-10
+        assert chart_invert(s, p[None])[1][0] <= 1e-10
     u, resid = chart_invert(s, x)
     assert u.shape == (41, 1)
     assert np.all(resid <= 1e-10)
@@ -306,12 +307,13 @@ def test_chart_invert_across_the_periodic_seam(centre, radius):
     (Submanifold.point("Q", [2.0, 1.0]), [[2.0, 1.0], [0.0, 0.0]]),
 ])
 def test_stacked_chart_invert_matches_single_points(core, points):
+    # each row inverts as it would in a stack of one
     u, resid = chart_invert(core, points)
     assert u.shape == (len(points), core.dim) and resid.shape == (len(points),)
     for p, ui, ri in zip(points, u, resid):
-        u1, r1 = chart_invert(core, p)
-        assert ui == pytest.approx(u1, rel=1e-12, abs=1e-300)
-        assert ri == pytest.approx(r1, rel=1e-12, abs=1e-300)
+        u1, r1 = chart_invert(core, [p])
+        assert ui == pytest.approx(u1[0], rel=1e-12, abs=1e-300)
+        assert ri == pytest.approx(r1[0], rel=1e-12, abs=1e-300)
 
 
 @pytest.mark.parametrize("n,k", [(2, 0), (2, 1), (3, 1), (3, 2), (4, 2), (4, 4)])
@@ -335,19 +337,36 @@ def test_affine_chart_invert_matches_least_squares(n, k):
     assert not core._cache["pinv"].flags.writeable
 
 
+def test_chart_invert_off_the_circle_fails_where_newton_never_settles():
+    # the iterates for (0, 2), off the circle, never settle; only the category is pinned
+    with pytest.raises(GeometryError):
+        chart_invert(unit_circle(), [[0.0, 2.0]])
+
+
+def test_a_replaced_core_builds_its_own_caches():
+    # the caches belong to one core: a replaced form must not read the old one's
+    core = x_axis()
+    frames_many(core, [[0.5]])
+    chart_invert(core, [[0.0, 1.0]])
+    y = dataclasses.replace(core, form=AffineForm(np.zeros(2), np.array([[0.0], [1.0]])))
+    assert frames_many(y, [[0.5]])[1][0, :, 0].tolist() == [0.0, 1.0]
+    u, resid = chart_invert(y, [[0.0, 1.0]])
+    assert u.tolist() == [[1.0]] and resid.tolist() == [0.0]
+
+
 # transversality
 
 def test_transverse_axes():
     rep = transversality_check(x_axis(), y_axis(), [[0.0, 0.0]])
     assert rep.expected_dim == 0
     assert rep.samples[0].rank == 2
-    assert rep.all_transverse
+    assert rep.samples[0].transverse
 
 
 def test_self_intersection_is_not_transverse():
     rep = transversality_check(x_axis(), x_axis("X2"), [[0.3, 0.0]])
     assert rep.samples[0].rank == 1
-    assert not rep.all_transverse
+    assert not rep.samples[0].transverse
 
 
 def test_transversality_rejects_off_core_samples():

@@ -32,7 +32,6 @@ from geodens.oracle import (
     compare_inner,
     compare_pairing,
     converge_check,
-    integrate_coefficient,
     mollify,
     smooth_pair,
 )
@@ -54,6 +53,12 @@ def y_axis():
 
 def unit_state(core, support=((-8.0, 8.0),)):
     return make_state(core, 0.5, "1", support=np.asarray(support))
+
+
+def mass(phi):
+    """The integral of phi's coefficient: its pairing with the unit density of the
+    complementary degree, on phi's box and panels."""
+    return smooth_pair(phi, AmbientDensity.make(1.0 - phi.degree, "1"))
 
 
 # mollify preconditions
@@ -138,14 +143,14 @@ def test_tube_coefficient_on_the_core():
 
 def test_tube_mass_of_a_unit_line():
     tube = mollify(unit_state(x_axis()), 0.1)
-    got = integrate_coefficient(tube)
+    got = mass(tube)
     assert got == pytest.approx(16.0, rel=1e-9)
 
 
 def test_point_tube_has_unit_mass():
     th = make_state(Submanifold.point("P", [0.5, -0.5]), 0.0, "1")
     tube = mollify(th, 0.1)
-    got = integrate_coefficient(tube)
+    got = mass(tube)
     assert got == pytest.approx(1.0, rel=1e-9)
 
 
@@ -308,9 +313,15 @@ def test_smooth_pair_needs_a_box():
         smooth_pair(phi1, phi2)
 
 
+def test_smooth_pair_on_disjoint_supports_is_zero():
+    phi1 = AmbientDensity.make(0.5, "exp(-x1^2)", support=[[-2.0, -1.0]])
+    phi2 = AmbientDensity.make(0.5, "exp(-x1^2)", support=[[1.0, 2.0]])
+    assert smooth_pair(phi1, phi2) == 0.0
+
+
 def test_integrate_coefficient_erf_mass():
     phi = AmbientDensity.make(1.0, "exp(-x1^2)", support=[[-8.0, 8.0]])
-    assert integrate_coefficient(phi) == pytest.approx(math.sqrt(math.pi), rel=1e-10)
+    assert mass(phi) == pytest.approx(math.sqrt(math.pi), rel=1e-10)
 
 
 # convergence bookkeeping
@@ -339,6 +350,12 @@ def test_converge_check_rejects_the_wrong_limit():
     # oracle values settle on 1.0, the claimed value is 10% off
     with pytest.raises(NonConvergent):
         converge_check(1.1, (0.2, 0.1, 0.05), (1.04, 1.01, 1.0025))
+
+
+def test_converge_check_rejects_a_last_error_above_the_final_tolerance():
+    # the errors fall, so only the final 1 % tolerance can fail, at 5 %
+    with pytest.raises(NonConvergent, match="final oracle error 0.05 is 0.05 of the geometric"):
+        converge_check(1.0, (0.2, 0.1, 0.05), (1.5, 1.2, 1.05))
 
 
 def test_converge_check_input_validation():

@@ -236,7 +236,7 @@ def test_inner_product_via_intersect():
 def reference_product(theta1, theta2, core_e, w, solver):
     """g1 g2 |det M1|^alpha |det M2|^beta with [s | n_E] = [a | n_C] M1 = [b | n_D] M2."""
     x, s, _ = frames_at(core_e, w)
-    u_c, u_d = chart_invert(theta1.core, x)[0], chart_invert(theta2.core, x)[0]
+    u_c, u_d = (chart_invert(th.core, x[None])[0][0] for th in (theta1, theta2))
     a, b = frames_at(theta1.core, u_c)[1], frames_at(theta2.core, u_d)[1]
     nu_c, nu_d = theta1.conormal.rows_at(u_c), theta2.conormal.rows_at(u_d)
     w_star = np.hstack([s, solver(np.vstack([nu_c, nu_d]), s)])
@@ -340,7 +340,7 @@ def test_on_core_test_does_not_depend_on_scale(lam):
     th1, th2, x0 = scaled_crossing(lam)
     got = inner_product(th1, th2, Submanifold.point("E", [x0, 0.0]))
     assert abs(got.value - 2.0) <= 1e-12 * 2.0
-    assert transversality_check(th1.core, th2.core, [[x0, 0.0]]).all_transverse
+    assert transversality_check(th1.core, th2.core, [[x0, 0.0]]).samples[0].transverse
 
 
 @pytest.mark.parametrize("s", [1.0, 1e-6, 1e-10, 1e-12])

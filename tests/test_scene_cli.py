@@ -94,13 +94,6 @@ def test_normalized_form_details():
     assert len(sweep["values"]) == 10
 
 
-def test_param_override_changes_geometry():
-    steep = load_scene(SCENES / "tilted_lines.json", {"phi": np.pi / 2})
-    got = inner_product(steep.states["psi1"], steep.states["psi2"],
-                        steep.cores["E"])
-    assert abs(got.value - 1.0) <= 1e-12
-
-
 def test_rebuild_applies_overrides():
     scene = load_scene(SCENES / "tilted_lines.json")
     third = scene.rebuild({"phi": np.pi / 3})
@@ -369,6 +362,26 @@ def test_cli_check_does_not_depend_on_tangent_length(s, tmp_path):
     assert "rank 2/2, transverse" in proc.stdout
 
 
+def test_cli_check_uses_the_samples_when_the_intersection_needs_a_chart(tmp_path, capsys):
+    # a cylinder meets the plane x3 = 0 in a curve, which intersect leaves to the user
+    scene = {
+        "ambient": 3,
+        "cores": [
+            {"name": "Z", "kind": "chart", "map": ["cos(u1)", "sin(u1)", "u2"],
+             "domain": [[0, 6.283185307179586], [-1, 1]]},
+            {"name": "P", "kind": "affine", "base": [0, 0, 0],
+             "tangent": [[1, 0, 0], [0, 1, 0]]},
+        ],
+        "requests": [{"op": "check", "cores": ["Z", "P"], "samples": [[0, 1, 0]]}],
+    }
+    path = tmp_path / "cylinder.json"
+    path.write_text(json.dumps(scene))
+    assert cli.main(["check", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["check Z,P: intersection not computed, using the request's samples",
+                       "  at (0, 1, 0): rank 3/3, transverse"]
+
+
 def test_cli_inner_csv(tmp_path):
     out = tmp_path / "inner.csv"
     proc = run_cli("inner", SCENES / "tilted_lines.json", "--out", out)
@@ -456,6 +469,29 @@ def test_cli_sweep_csv(tmp_path):
     # steeper crossing angle, smaller pairing
     assert values == sorted(values, reverse=True)
     assert values[-1] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_cli_sweep_over_a_pairing(tmp_path, capsys):
+    # the x-axis half-density against exp(-a x1^2 - x2^2) pairs to sqrt(pi / a)
+    scene = {
+        "ambient": 2,
+        "params": {"a": 1.0},
+        "cores": [{"name": "X", "kind": "affine", "base": [0, 0], "tangent": [[1, 0]]}],
+        "states": [{"name": "s", "core": "X", "degree": 0.5, "coeff": "1",
+                    "support": [[-8, 8]]}],
+        "tests": [{"name": "g", "degree": 0.5, "coeff": "exp(-a*x1^2 - x2^2)",
+                   "support": [[-8, 8], [-8, 8]]}],
+        "requests": [{"op": "sweep", "param": "a", "values": [1, 4],
+                      "request": {"op": "pair", "state": "s", "test": "g"}}],
+    }
+    path, out = tmp_path / "sweep_pair.json", tmp_path / "sweep.csv"
+    path.write_text(json.dumps(scene))
+    assert cli.main(["sweep", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("sweep a=1: value ")
+    _, rows = read_csv(out)
+    assert [r[:2] for r in rows] == [["a", "1"], ["a", "4"]]
+    assert [float(r[2]) for r in rows] == pytest.approx(
+        [math.sqrt(math.pi), math.sqrt(math.pi) / 2.0], rel=1e-10)
 
 
 def test_cli_no_requests_of_kind():
@@ -617,12 +653,39 @@ def check_samples_not_rows(d):
     return "request #0 samples row must be a list of numbers, got 0"
 
 
+def core_entry_a_number(d):
+    d["cores"].append(3)
+    return "an entry of scene cores must be an object, got 3"
+
+
+def check_cores_a_number(d):
+    d["requests"][0]["cores"] = 3
+    return "request #0 cores must be a list, got 3"
+
+
+def request_a_number(d):
+    d["requests"].append(7)
+    return "request #5 must be an object, got 7"
+
+
+def params_a_list(d):
+    d["params"] = [1]
+    return "scene params must be an object, got [1]"
+
+
+def sweep_request_a_number(d):
+    assert d["requests"][4]["op"] == "sweep"
+    d["requests"][4]["request"] = 5
+    return "request #4 request must be an object, got 5"
+
+
 @pytest.mark.parametrize("mutate", [
     long_sum_in_test_coeff, nested_parentheses_in_test_coeff, huge_literal_in_state_coeff,
     chart_domain_null, density_support_rows_off_ambient, state_support_rows_off_core_dimension,
     implicit_entry_not_an_expression, power_overflow_in_state_coeff, ragged_state_conormal,
     affine_base_not_a_list, affine_tangent_not_rows, point_location_a_string,
-    check_samples_not_rows,
+    check_samples_not_rows, core_entry_a_number, check_cores_a_number, request_a_number,
+    params_a_list, sweep_request_a_number,
 ], ids=lambda f: f.__name__)
 def test_cli_bad_scene_field_exit_2(mutate, tmp_path, capsys):
     data = json.loads((SCENES / "tilted_lines.json").read_text())

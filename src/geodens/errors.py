@@ -149,8 +149,13 @@ class NonConvergent(ConvergenceError):
     """Oracle errors fail the convergence policy."""
 
 
+class NonExpressionCoefficient(InputError):
+    """Mollification needs an expression-backed coefficient, not a python callable."""
+
+
 class InvalidEps(InputError):
-    """Mollifier widths not positive, or an eps sweep not strictly decreasing."""
+    """Mollifier widths not positive, an eps sweep not strictly decreasing, or not
+    one oracle value per eps."""
 
 
 # scenes

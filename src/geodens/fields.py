@@ -5,8 +5,11 @@ array path; callable-backed fields fall back to a python loop.  ``factors``
 gives a field's values on a grid as factors for ``quadrature.weighted_sum``:
 a real expression field splits its top-level product, and an ``exp`` of a sum
 by the coordinates its terms read (see EXP_SPLIT_LIMIT), so tube and test
-Gaussians stay one axis long.  Coordinates are named ``<prefix>1 .. <prefix>dim``
-with prefix "u" on charts and "x" in the ambient space.
+Gaussians stay one axis long; ``factor_axes`` names the axes each factor reads
+before anything is evaluated.  Fields that differ only in parameter values
+(``with_params``) share their factor groups, which split and compile once.
+Coordinates are named ``<prefix>1 .. <prefix>dim`` with prefix "u" on charts
+and "x" in the ambient space.
 """
 from __future__ import annotations
 
@@ -33,6 +36,12 @@ class ScalarField:
     def factors(self, grid: Grid) -> tuple[np.ndarray, ...]:
         """Values on a ``Grid`` as factors whose broadcast product is ``eval_many``."""
         return (self.eval_many(grid),)
+
+    def factor_axes(self, k: int) -> list[frozenset[int]]:
+        """The axes of a k-axis grid that each factor of ``factors`` reads, in order:
+        an ``exp`` of several groups counts one per group, as it splits within
+        EXP_SPLIT_LIMIT; kept whole past it, its one factor reads all of them."""
+        return [frozenset(range(k))]
 
     def __call__(self, point) -> complex:
         return complex(self.eval_many(np.asarray(point, dtype=float).reshape(1, -1))[0])
@@ -70,21 +79,38 @@ class ExprField(ScalarField):
             return super().factors(grid)
         b = {f"{self.prefix}{i + 1}": c for i, c in enumerate(grid.columns())} | self.params
         out = []
-        for f, groups in self._factor_trees:
+        for f, groups, _ in self._factor_trees:
             exps = [np.asarray(exprlang.evaluate(g, b), dtype=float) for g in groups]
             split = exps and sum(abs(e).max() for e in exps) <= EXP_SPLIT_LIMIT
             out += map(np.exp, exps) if split else [np.asarray(exprlang.evaluate(f, b), float)]
         return tuple(out)
 
+    def factor_axes(self, k: int) -> list[frozenset[int]]:
+        if self.im_expr is not None:
+            return super().factor_axes(k)
+        axis = {f"{self.prefix}{i + 1}": i for i in range(k)}
+        return [frozenset(axis[v] for v in names if v in axis)
+                for _, _, spans in self._factor_trees for names in spans]
+
+    def with_params(self, values: Mapping[str, float]) -> "ExprField":
+        """The field with new values for some of its parameters.  It shares the trees
+        and factor groups, so they are split and compiled once for all the values."""
+        out = ExprField(self.re_expr, self.im_expr, self.prefix, self.params | dict(values))
+        vars(out)["_factor_trees"] = self._factor_trees
+        return out
+
     @cached_property
-    def _factor_trees(self) -> list[tuple[Expr, list[Expr]]]:
-        # multiplicands, an exp's terms summed per set of coordinates read; built to compile once
+    def _factor_trees(self) -> list[tuple[Expr, list[Expr], list[frozenset[str]]]]:
+        # multiplicands, an exp's terms summed per set of coordinates read, and the
+        # coordinates each of their factors reads; built to compile once
         fixed, out = self.params.keys() | exprlang.CONSTANTS.keys(), []
         for f in _multiplicands(self.re_expr):
             groups: dict[frozenset, list[Expr]] = {}
             for t in _terms(f.arg) if isinstance(f, Call) and f.func == "exp" else []:
                 groups.setdefault(exprlang.reads(t) - fixed, []).append(t)
-            out.append((f, [reduce(add, g) for g in groups.values()] if len(groups) > 1 else []))
+            split = len(groups) > 1
+            out.append((f, [reduce(add, g) for g in groups.values()] if split else [],
+                        list(groups) if split else [exprlang.reads(f) - fixed]))
         return out
 
     def scaled(self, factor: complex) -> "ExprField":

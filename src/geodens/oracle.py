@@ -13,7 +13,10 @@ data) to the geometric pairings as eps -> 0.
 
 Nothing here calls the geometric integration path: tube pairings run on a
 composite panel rule sized by the tube width, and reach it as the factors of
-each coefficient, contracted one axis at a time and never multiplied out.
+each coefficient, contracted one axis at a time and never multiplied out; a
+pairing whose factors fit ``EVAL_CHUNK`` evaluates each of them once.  An eps
+sweep builds one tube per state, whose Gaussians read 1/sqrt(2 pi eps^2) and
+1/(2 eps^2) as parameters, and binds them once per eps.
 """
 from __future__ import annotations
 
@@ -27,12 +30,13 @@ import numpy as np
 
 from . import exprlang, linalg, quadrature
 from .density import AmbientDensity
-from .errors import InvalidEps, NonAffineCore, NonConvergent, UnboundedDomain
+from .errors import (InvalidEps, NonAffineCore, NonConvergent, NonExpressionCoefficient,
+                     UnboundedDomain)
 from .exprlang import ZERO, BinOp, Call, Neg, Num, Var, add, mul, sub
 from .fields import ExprField
 from .geometry import Submanifold
 from .product import inner_product
-from .quadrature import QuadratureOptions, intersect_boxes
+from .quadrature import Factors, QuadratureOptions, intersect_boxes
 from .states import GeometricState, _check_degree_sum, pair_with_test
 
 ORACLE_ORDER = 12
@@ -55,10 +59,21 @@ def _linear_expr(coeffs, origin) -> exprlang.Expr:
     return functools.reduce(add, terms, ZERO)
 
 
-def _gaussian_expr(arg: exprlang.Expr, eps: float) -> exprlang.Expr:
-    c0 = 1.0 / math.sqrt(2.0 * math.pi * eps * eps)
-    inv = 1.0 / (2.0 * eps * eps)
-    return mul(Num(c0), Call("exp", Neg(mul(Num(inv), BinOp("^", arg, Num(2.0))))))
+def _gaussian_expr(arg: exprlang.Expr, peak: str, rate: str) -> exprlang.Expr:
+    # peak * exp(-(rate * arg^2)), with peak = 1/sqrt(2 pi eps^2) and rate = 1/(2 eps^2)
+    return mul(Var(peak), Call("exp", Neg(mul(Var(rate), BinOp("^", arg, Num(2.0))))))
+
+
+def _unread(field: ExprField, *names: str) -> list[str]:
+    # parameter names the field neither reads nor binds, so no tube constant captures one
+    taken = field.params.keys() | exprlang.reads(field.re_expr)
+    taken |= exprlang.reads(field.im_expr or ZERO)
+    out = []
+    for name in names:
+        while name in taken:
+            name += "_"
+        out.append(name)
+    return out
 
 
 def mollify(state: GeometricState, eps: float) -> AmbientDensity:
@@ -69,14 +84,23 @@ def mollify(state: GeometricState, eps: float) -> AmbientDensity:
     by 8 eps in every normal direction).  The tube has the state's degree and
     a resolution hint of PANEL_WIDTHS tube widths, at most 1, on each axis.
     """
+    (tube,) = _tubes(state, [eps])
+    return tube
+
+
+def _tubes(state: GeometricState, eps_list) -> list[AmbientDensity]:
+    """``mollify(state, eps)`` for each eps, from one tube per state: the coordinate
+    substitution, frame factors, conormal check and Gaussians are built once, with the
+    two eps constants as parameters, so the factor groups split and compile once."""
     core = state.core
     if not core.is_affine:
         raise NonAffineCore(
             f"mollification needs an affine core, {core.name!r} is a chart")
     if not isinstance(state.coeff, ExprField):
-        raise ValueError("mollification needs an expression-backed coefficient")
-    if not 0.0 < eps < math.inf:
-        raise InvalidEps(f"tube width must be positive and finite, got {eps}")
+        raise NonExpressionCoefficient("mollification needs an expression-backed coefficient")
+    for eps in eps_list:
+        if not 0.0 < eps < math.inf:
+            raise InvalidEps(f"tube width must be positive and finite, got {eps}")
     if core.dim and state.support is None:
         raise UnboundedDomain("mollification needs a bounded state support")
 
@@ -91,38 +115,45 @@ def mollify(state: GeometricState, eps: float) -> AmbientDensity:
     b_nu = linalg.change_of_basis(state.conormal.rows_at(np.zeros(k)).T, nu_hat.T).T
     conormal_factor = linalg.det_abs_pow(b_nu, 1.0 - state.degree)
 
+    coeff = state.coeff
+    peak, rate = _unread(coeff, "tube_peak", "tube_rate")
     coord_exprs = {f"u{i + 1}": _linear_expr(proj[i], x0) for i in range(k)}
     field = ExprField(
-        exprlang.subst(state.coeff.re_expr, coord_exprs),
-        None if state.coeff.im_expr is None
-        else exprlang.subst(state.coeff.im_expr, coord_exprs),
-        "x", state.coeff.params).scaled(tangent_factor * conormal_factor)
+        exprlang.subst(coeff.re_expr, coord_exprs),
+        None if coeff.im_expr is None else exprlang.subst(coeff.im_expr, coord_exprs),
+        "x", coeff.params | dict.fromkeys((peak, rate), math.nan),
+    ).scaled(tangent_factor * conormal_factor)
     for j in range(nu_hat.shape[0]):
-        tube = _gaussian_expr(_linear_expr(nu_hat[j], x0), eps)
+        tube = _gaussian_expr(_linear_expr(nu_hat[j], x0), peak, rate)
         field = ExprField(mul(field.re_expr, tube),
                           None if field.im_expr is None else mul(field.im_expr, tube),
                           "x", field.params)
 
-    support = _tube_box(core, state.support, nu_hat, eps)
-    # the tube is eps / reach wide along each axis; one it does not cross gets 1
-    reach = np.linalg.norm(nu_hat, axis=0)
-    hint = np.where(reach > 1e-9, PANEL_WIDTHS * eps / np.maximum(reach, 1e-9), 1.0)
-    return AmbientDensity(state.degree, field, support, np.minimum(hint, 1.0))
-
-
-def _tube_box(core: Submanifold, chart_box, nu_hat: np.ndarray, eps: float) -> np.ndarray:
-    x0, t = core.form.base, core.form.tangent
-    corners = np.array(list(itertools.product(*chart_box))) if core.dim else np.zeros((1, 0))
+    # the box is the support's image widened by 8 tube widths across the core; the
+    # tube is eps / reach wide along each axis, and one it does not cross gets 1
+    corners = np.array(list(itertools.product(*state.support))) if k else np.zeros((1, 0))
     images = x0 + corners @ t.T
-    margin = TRUNCATION_WIDTHS * eps * np.sum(np.abs(nu_hat), axis=0)
-    return np.stack([images.min(axis=0) - margin, images.max(axis=0) + margin], axis=1)
+    lo, hi = images.min(axis=0), images.max(axis=0)
+    across, reach = np.sum(np.abs(nu_hat), axis=0), np.linalg.norm(nu_hat, axis=0)
+    out = []
+    for eps in eps_list:
+        constants = {peak: 1.0 / math.sqrt(2.0 * math.pi * eps * eps),
+                     rate: 1.0 / (2.0 * eps * eps)}
+        margin = TRUNCATION_WIDTHS * eps * across
+        box = np.stack([lo - margin, hi + margin], axis=1)
+        hint = np.where(reach > 1e-9, PANEL_WIDTHS * eps / np.maximum(reach, 1e-9), 1.0)
+        out.append(AmbientDensity(state.degree, field.with_params(constants), box,
+                                  np.minimum(hint, 1.0)))
+    return out
 
 
 def smooth_pair(phi1: AmbientDensity, phi2: AmbientDensity) -> complex:
     """Integral of the coefficient product of two complementary densities.
 
     The integration box is the intersection of the support hints; panels
-    follow the finest resolution hint so Gaussian tubes are resolved.
+    follow the finest resolution hint so Gaussian tubes are resolved.  The
+    coefficients' factors, with the axes each reads, go to ``weighted_sum``
+    as one ``Factors`` integrand.
     """
     _check_degree_sum(phi1.degree, phi2.degree, "smooth pairing")
     box = intersect_boxes(phi1.support, phi2.support)
@@ -130,8 +161,10 @@ def smooth_pair(phi1: AmbientDensity, phi2: AmbientDensity) -> complex:
         return 0.0 + 0.0j
     panel = np.minimum(_axis_panels(phi1, box), _axis_panels(phi2, box))
     grid, weights = quadrature.composite_rule(box, panel, ORACLE_ORDER)
+    k = len(grid.dims)
     return quadrature.weighted_sum(
-        lambda g: phi1.coeff.factors(g) + phi2.coeff.factors(g),
+        Factors(lambda g: phi1.coeff.factors(g) + phi2.coeff.factors(g),
+                phi1.coeff.factor_axes(k) + phi2.coeff.factor_axes(k)),
         grid, weights)
 
 
@@ -176,7 +209,8 @@ def converge_check(geometric: complex, eps_list, oracle_values) -> ConvergenceRe
     eps = _check_eps(eps_list)
     vals = tuple(complex(v) for v in oracle_values)
     if len(eps) != len(vals):
-        raise ValueError("need one oracle value per eps value")
+        raise InvalidEps(f"need one oracle value per eps value, got {len(eps)} eps "
+                         f"and {len(vals)} values")
     if not cmath.isfinite(geometric):
         raise NonConvergent("the geometric value is not finite")
     bad = [f"eps={e}" for e, v in zip(eps, vals) if not cmath.isfinite(v)]
@@ -212,7 +246,7 @@ def compare_pairing(state: GeometricState, test: AmbientDensity,
     """Geometric pairing vs mollified pairings across an eps sweep."""
     _check_eps(eps_list)
     geometric = pair_with_test(state, test, options=options).value
-    oracle_values = [smooth_pair(mollify(state, e), test) for e in eps_list]
+    oracle_values = [smooth_pair(tube, test) for tube in _tubes(state, eps_list)]
     return converge_check(geometric, eps_list, oracle_values)
 
 
@@ -223,6 +257,6 @@ def compare_inner(state1: GeometricState, state2: GeometricState,
     _check_eps(eps_list)
     geometric = inner_product(state1, state2, core_e, support=support,
                               options=options).value
-    oracle_values = [smooth_pair(mollify(state1, e), mollify(state2, e))
-                     for e in eps_list]
+    oracle_values = [smooth_pair(tube1, tube2) for tube1, tube2
+                     in zip(_tubes(state1, eps_list), _tubes(state2, eps_list))]
     return converge_check(geometric, eps_list, oracle_values)

@@ -197,25 +197,33 @@ def _core(ambient: int, params, name: str, entry: dict) -> tuple[Submanifold, di
     where = f"core {name!r}"
     kind = str(_need(entry, "kind", where))
     implicit = _exprs(entry.get("implicit"), f"{where} implicit")
+
+    def components(key: str, v: list) -> list:  # one per ambient coordinate, before building
+        if len(v) != ambient:
+            raise SceneError(f"{where} {key} needs {ambient} components for R^{ambient}, "
+                             f"got {len(v)}")
+        return v
+
     if kind == "affine":
-        base = _numbers(_need(entry, "base", where), f"{where} base")
+        base = components("base", _numbers(_need(entry, "base", where), f"{where} base"))
         tangent = _numbers(entry.get("tangent") or [], f"{where} tangent", rows=True)
+        if tangent:
+            components("tangent row", tangent[0])
         core = Submanifold.affine(name, base, np.array(tangent, dtype=float).T
                                   if tangent else np.zeros((len(base), 0)),
                                   implicit=implicit, params=params)
         fields = {"base": base, "tangent": tangent}
     elif kind == "point":
-        location = _numbers(_need(entry, "location", where), f"{where} location")
+        location = components("location", _numbers(_need(entry, "location", where),
+                                                   f"{where} location"))
         core, fields = Submanifold.point(name, location), {"location": location}
     elif kind == "chart":
-        comp = _exprs(_need(entry, "map", where), f"{where} map")
+        comp = components("map", _exprs(_need(entry, "map", where), f"{where} map"))
         domain = _box(_need(entry, "domain", where), f"{where} domain")
         core = Submanifold.chart(name, comp, domain, implicit=implicit, params=params)
         fields = {"map": _sources(comp), "domain": domain}
     else:
         raise SceneError(f"{where} has unknown kind {kind!r}")
-    if core.ambient.dim != ambient:
-        raise SceneError(f"{where} lives in R^{core.ambient.dim}, scene is R^{ambient}")
     return core, {"kind": kind, **fields, **_given(implicit=_sources(implicit))}
 
 

@@ -271,3 +271,32 @@ def test_factors_of_a_complex_or_callable_field_are_its_values():
     for field in (ExprField(parse("u1*u2"), parse("u1")), FuncField(lambda x: x[0] * x[1])):
         (values,) = field.factors(grid)
         assert np.array_equal(values, field.eval_many(grid))
+
+
+def test_factor_axes_name_what_each_factor_reads():
+    # the product's multiplicands, and an exp's groups where it splits; an exp of one
+    # group, a complex field and a callable field read what their trees read
+    field = as_field("2*x1*exp(-x3^2)*(x2 + x1)*exp(-(x1-a)^2 - x3/2 + a)", prefix="x",
+                     params={"a": 0.3})
+    assert field.factor_axes(3) == [set(), {0}, {2}, {0, 1}, {0}, {2}, set()]
+    grid = Grid([np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 4), np.linspace(1.0, 2.0, 5)])
+    factors = field.factors(grid)
+    assert len(factors) == 7
+    for f, axes in zip(factors, field.factor_axes(3)):
+        shape = (1,) * (3 - np.ndim(f)) + np.shape(f)
+        assert {i for i, n in enumerate(shape) if n > 1} == axes
+    assert ExprField(parse("x1"), parse("x2"), "x").factor_axes(3) == [{0, 1, 2}]
+    assert FuncField(lambda x: x[0]).factor_axes(2) == [{0, 1}]
+
+
+def test_with_params_shares_the_factor_groups():
+    field = as_field("c*exp(-r*(x1-1)^2 - x2^2)*exp(-r*x2)", prefix="x",
+                     params={"c": 1.0, "r": 2.0, "s": 5.0})
+    grid = Grid([np.linspace(-1.0, 1.0, 3), np.linspace(0.0, 1.0, 4)])
+    field.factors(grid)
+    bound = field.with_params({"c": 0.5, "r": 3.0})
+    assert bound.params == {"c": 0.5, "r": 3.0, "s": 5.0} and field.params["r"] == 2.0
+    assert bound._factor_trees is field._factor_trees
+    fresh = as_field("c*exp(-r*(x1-1)^2 - x2^2)*exp(-r*x2)", prefix="x", params=bound.params)
+    for got, want in zip(bound.factors(grid), fresh.factors(grid), strict=True):
+        assert np.array_equal(got, want)

@@ -6,24 +6,27 @@ exactly 1/(1 + 2 eps^2); the geometric value is 1.  Flat unit-coefficient
 tubes pair to the geometric answer for every eps, so their errors sit at
 the quadrature noise floor.
 """
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from geodens import quadrature
+from geodens import exprlang, quadrature
 from geodens.density import AmbientDensity
 from geodens.errors import (
     DegreeMismatch,
+    InputError,
     InvalidEps,
     NonAffineCore,
     NonConvergent,
+    NonExpressionCoefficient,
     QuadratureNotConverged,
     UnboundedDomain,
 )
-from geodens.exprlang import parse, to_source
-from geodens.fields import ExprField
+from geodens.exprlang import Num, parse, subst, to_source
+from geodens.fields import ExprField, as_field
 from geodens.geometry import Submanifold
 from geodens.oracle import (
     DEFAULT_EPS,
@@ -73,8 +76,9 @@ def test_mollify_rejects_chart_cores():
 
 def test_mollify_rejects_callable_coefficients():
     th = make_state(x_axis(), 0.5, lambda u: 1.0, support=[[-1.0, 1.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(NonExpressionCoefficient, match="expression-backed") as info:
         mollify(th, 0.1)
+    assert isinstance(info.value, InputError) and info.value.exit_code == 2
 
 
 def test_mollify_rejects_bad_width_and_missing_support():
@@ -114,14 +118,16 @@ def test_tube_fields():
 
 def test_tube_trees_are_pinned():
     # printed trees of a complex coefficient on a plane in R^3 with a declared
-    # conormal, frozen from the hand-folded builders these trees came from
+    # conormal; the Gaussian reads its two eps constants as parameters, whose
+    # values at eps 0.1 are the literals the hand-folded builders printed
     plane = Submanifold.affine("P", [0.5, 0.0, -0.25],
                                [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     coeff = ExprField(parse("exp(-u1^2)"), parse("u2"))
     th = make_state(plane, 0.5, coeff, conormal=[[0.0, 0.0, 2.0]],
                     support=[[-1.0, 1.0], [-1.0, 1.0]])
     tube = mollify(th, 0.1).coeff
-    gauss = "(3.989422804014327*exp(-(49.99999999999999*(x3 - -0.25)^2)))"
+    assert tube.params == {"tube_peak": 3.989422804014327, "tube_rate": 49.99999999999999}
+    gauss = "(tube_peak*exp(-(tube_rate*(x3 - -0.25)^2)))"
     assert to_source(tube.re_expr) == "0.7071067811865476*exp(-(x1 - 0.5)^2)*" + gauss
     assert to_source(tube.im_expr) == "0.7071067811865476*x2*" + gauss
     # the negative Num in x3 - -0.25 reads back as itself
@@ -267,6 +273,100 @@ def test_sweep_plane_grid_is_two_tube_widths_per_panel(monkeypatch):
     assert shapes == [(72, 96, 96)]
 
 
+@pytest.mark.parametrize("test, dims", [(False, (72, 96, 96)), (True, (72, 72, 96))])
+def test_each_factor_is_evaluated_once_per_pairing(monkeypatch, test, dims):
+    # the sweep planes' grid and the oracle-sweep tube-test grid are larger than
+    # EVAL_CHUNK, but every factor is one axis long, so the grid is one block
+    p1, p2 = sweep_planes()
+    if test:
+        p1 = make_state(p1.core, 0.5, "exp(-u1^2/0.3-u2^2/0.3)",
+                        support=[[-2.7, 2.8], [-2.6, 2.9]])
+    phi1 = mollify(p1, 0.05)
+    phi2 = gaussian_test(3, [0.1, -0.15, 0.2]) if test else mollify(p2, 0.05)
+    grids, calls = [], []
+    rule, factors = quadrature.composite_rule, ExprField.factors
+    monkeypatch.setattr(quadrature, "composite_rule",
+                        lambda *a: grids.append(rule(*a)[0].dims) or rule(*a))
+    monkeypatch.setattr(ExprField, "factors",
+                        lambda self, g: calls.append(self) or factors(self, g))
+    for _ in range(2):
+        smooth_pair(phi1, phi2)
+    assert grids == [dims] * 2 and math.prod(dims) > quadrature.EVAL_CHUNK
+    assert calls == [phi1.coeff, phi2.coeff] * 2
+
+
+def sweep_counts(eps_list):
+    """Factor groups built and tree nodes compiled by one compare_inner on fresh states."""
+    sx = make_state(x_axis(), 0.5, "exp(-u1^2)", support=[[-8.0, 8.0]])
+    sy = make_state(y_axis(), 0.5, "exp(-u1^2/2)", support=[[-8.0, 8.0]])
+    built, compiled = [], []
+    trees, compile_node = ExprField._factor_trees, exprlang._compile
+
+    def counting(self):
+        built.append(self)
+        return trees.func(self)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(ExprField, "_factor_trees")
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ExprField, "_factor_trees", prop)
+        m.setattr(exprlang, "_compile", lambda e: compiled.append(e) or compile_node(e))
+        compare_inner(sx, sy, Submanifold.point("E", [0.0, 0.0]), eps_list=eps_list)
+    return len(built), len(compiled)
+
+
+def test_a_sweep_builds_and_compiles_each_tube_once():
+    sweep_counts((0.1, 0.05))  # compiles the shared ZERO and ONE nodes
+    two, three = sweep_counts((0.1, 0.05)), sweep_counts((0.2, 0.1, 0.05))
+    assert three[0] == 2  # one set of factor groups per state
+    assert three == two  # a third eps builds and compiles nothing
+
+
+def literal(field: ExprField) -> ExprField:
+    """The field with its tube constants written in as literals, as trees had them
+    when every eps built its own tube."""
+    values = {k: Num(v) for k, v in field.params.items() if k.startswith("tube_")}
+    return ExprField(subst(field.re_expr, values),
+                     None if field.im_expr is None else subst(field.im_expr, values),
+                     "x", {k: v for k, v in field.params.items() if k not in values})
+
+
+def test_parameterised_tubes_are_bitwise_the_literal_tubes():
+    eps = 0.1
+    p1, p2 = sweep_planes()
+    tilted = make_state(line("A", 0.4), 0.5, "exp(-u1^2)", support=[[-6.0, 6.0]])
+    plane = Submanifold.affine("P", [0.5, 0.0, -0.25], [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    complex_state = make_state(plane, 0.5, ExprField(parse("exp(-u1^2)"), parse("u2")),
+                               support=[[-1.0, 1.0], [-1.0, 1.0]])
+    for state in (p1, tilted, complex_state):
+        tube = mollify(state, eps)
+        assert tube.coeff.params == {"tube_peak": 1.0 / math.sqrt(2.0 * math.pi * eps * eps),
+                                     "tube_rate": 1.0 / (2.0 * eps * eps)}
+        fixed = AmbientDensity(tube.degree, literal(tube.coeff), tube.support,
+                               tube.resolution_hint)
+        grid, _ = composite_rule(tube.support, tube.resolution_hint, 4)
+        assert np.array_equal(tube.coeff.eval_many(grid), fixed.coeff.eval_many(grid))
+        for got, want in zip(tube.coeff.factors(grid), fixed.coeff.factors(grid), strict=True):
+            assert np.array_equal(got, want)
+        n = tube.support.shape[0]
+        other = mollify(p2, eps) if state is p1 else gaussian_test(n, [0.1] * n)
+        assert smooth_pair(tube, other) == smooth_pair(fixed, other)
+
+
+def test_tube_constants_do_not_capture_the_coefficients_names():
+    # a coefficient that reads or binds tube_peak keeps its own value of it
+    th = make_state(x_axis(), 0.5, as_field("tube_peak*exp(-u1^2) + tube_rate_", params={
+        "tube_peak": 2.0, "tube_rate_": 0.5}), support=[[-8.0, 8.0]])
+    tube = mollify(th, 0.1).coeff
+    assert tube.params["tube_peak"] == 2.0 and tube.params["tube_rate_"] == 0.5
+    assert tube.params["tube_peak_"] == 1.0 / math.sqrt(2.0 * math.pi * 0.01)
+    renamed = make_state(x_axis(), 0.5, as_field("a*exp(-u1^2) + b", params={
+        "a": 2.0, "b": 0.5}), support=[[-8.0, 8.0]])
+    y = make_state(y_axis(), 0.5, "exp(-u1^2)", support=[[-8.0, 8.0]])
+    e = Submanifold.point("E", [0.0, 0.0])
+    assert compare_inner(th, y, e).oracle == compare_inner(renamed, y, e).oracle
+
+
 def _pairing_peak(phi1, phi2) -> int:
     smooth_pair(phi1, phi2)  # compile the trees and cache the Gauss nodes
     tracemalloc.start()
@@ -365,8 +465,9 @@ def test_converge_check_input_validation():
         converge_check(1.0, (0.1, 0.2), (1.0, 1.0))
     with pytest.raises(InvalidEps):
         converge_check(1.0, (-0.1, -0.2), (1.0, 1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidEps, match="one oracle value per eps value, got 2 eps and 1"):
         converge_check(1.0, (0.2, 0.1), (1.0,))
+    assert InvalidEps.exit_code == InputError.exit_code == 2
 
 
 @pytest.mark.parametrize("geometric, values, where", [

@@ -15,6 +15,7 @@ from geodens.density import AmbientDensity
 from geodens.errors import QuadratureNotConverged, UnboundedDomain
 from geodens.geometry import Submanifold
 from geodens.quadrature import (
+    Factors,
     Grid,
     MAX_NODES,
     MAX_PANELS_PER_AXIS,
@@ -444,6 +445,37 @@ def test_weighted_sum_contracts_factor_tuples(monkeypatch, chunk, dims):
             lambda b: np.broadcast_to(reduce(np.multiply, on_block(factors, dims, b)),
                                       b.dims), grid, weights)
         assert abs(got - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("chunk", [7, 40, 200_000])
+@pytest.mark.parametrize("dims", [(), (5,), (1,), (3, 4), (1, 6), (4, 1, 3), (1, 1, 1),
+                                  (2, 3, 1, 4), (3, 2, 2, 5), (6, 5, 4)])
+def test_factors_integrands_block_by_their_largest_first_axis_factor(monkeypatch, chunk,
+                                                                     dims):
+    monkeypatch.setattr(quadrature, "EVAL_CHUNK", chunk)
+    rng = np.random.default_rng(len(dims) * 100 + math.prod(dims) + chunk % 11)
+    grid = Grid([np.arange(float(n)) for n in dims])  # a block's rows read as indices
+    weights = Grid([rng.uniform(0.1, 1.0, n) for n in dims])
+    for _ in range(20):
+        factors = random_factors(rng, dims)
+        shapes = [(1,) * (len(dims) - np.ndim(f)) + np.shape(f) for f in factors]
+        axes = [frozenset(i for i, n in enumerate(shape) if n > 1) for shape in shapes]
+        blocks = []
+
+        def fn(b):
+            blocks.append(b.dims)
+            return on_block(factors, dims, b)
+
+        got = weighted_sum(Factors(fn, axes), grid, weights)
+        want = weighted_sum(lambda b: on_block(factors, dims, b), grid, weights)
+        assert abs(got - want) <= 1e-14 * abs(want)
+        assert [b[1:] for b in blocks] == [dims[1:]] * len(blocks)
+        assert sum(math.prod(b[:1]) for b in blocks) == math.prod(dims[:1])
+        first = [math.prod(shape[1:]) for shape, a in zip(shapes, axes) if 0 in a]
+        if max(first, default=0) * math.prod(dims[:1]) <= chunk:
+            assert len(blocks) == 1  # every factor that reads axis 0 fits in one block
+        else:  # row blocks keep the largest such factor within the chunk, or one row
+            assert all(b[0] * max(first) <= max(chunk, max(first)) for b in blocks)
 
 
 def matmul_chain_sum(f_many, grid, weights):

@@ -679,13 +679,35 @@ def sweep_request_a_number(d):
     return "request #4 request must be an object, got 5"
 
 
+def chart_map_one_component(d):
+    # checked against the scene's R^2 before the chart or its implicit form is built
+    d["cores"][1]["map"] = ["u1*cos(phi)"]
+    return "core 'D' map needs 2 components for R^2, got 1"
+
+
+def affine_base_three_numbers(d):
+    d["cores"][0]["base"] = [0, 0, 0]
+    return "core 'C' base needs 2 components for R^2, got 3"
+
+
+def affine_tangent_row_three_numbers(d):
+    d["cores"][0]["tangent"] = [[1, 0, 0]]
+    return "core 'C' tangent row needs 2 components for R^2, got 3"
+
+
+def point_location_one_number(d):
+    d["cores"][3]["location"] = [0]
+    return "core 'E' location needs 2 components for R^2, got 1"
+
+
 @pytest.mark.parametrize("mutate", [
     long_sum_in_test_coeff, nested_parentheses_in_test_coeff, huge_literal_in_state_coeff,
     chart_domain_null, density_support_rows_off_ambient, state_support_rows_off_core_dimension,
     implicit_entry_not_an_expression, power_overflow_in_state_coeff, ragged_state_conormal,
     affine_base_not_a_list, affine_tangent_not_rows, point_location_a_string,
     check_samples_not_rows, core_entry_a_number, check_cores_a_number, request_a_number,
-    params_a_list, sweep_request_a_number,
+    params_a_list, sweep_request_a_number, chart_map_one_component, affine_base_three_numbers,
+    affine_tangent_row_three_numbers, point_location_one_number,
 ], ids=lambda f: f.__name__)
 def test_cli_bad_scene_field_exit_2(mutate, tmp_path, capsys):
     data = json.loads((SCENES / "tilted_lines.json").read_text())
@@ -697,6 +719,21 @@ def test_cli_bad_scene_field_exit_2(mutate, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "malformed scene:" not in err
     assert message in err
+
+
+def test_oracle_tube_constants_leave_scene_parameters_of_their_name(tmp_path, capsys):
+    # psi1's coefficient reads scene parameters named as the oracle tube's two eps
+    # constants; its values are those of the same scene with the parameters renamed
+    outs = []
+    for peak, rate in (("tube_peak", "tube_rate"), ("a", "b")):
+        data = json.loads((SCENES / "tilted_lines.json").read_text())
+        data["params"] |= {peak: 0.5, rate: 0.5}
+        data["states"][0]["coeff"] = f"{peak}*exp(-{rate}*u1^2)"
+        path = tmp_path / f"{peak}.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["oracle", str(path)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and "converged" in outs[0]
 
 
 def test_cli_long_sum_exits_2_without_a_traceback(tmp_path):

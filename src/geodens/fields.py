@@ -6,10 +6,10 @@ gives a field's values on a grid as factors for ``quadrature.weighted_sum``:
 a real expression field splits its top-level product, and an ``exp`` of a sum
 by the coordinates its terms read (see EXP_SPLIT_LIMIT), so tube and test
 Gaussians stay one axis long; ``factor_axes`` names the axes each factor reads
-before anything is evaluated.  Fields that differ only in parameter values
-(``with_params``) share their factor groups, which split and compile once.
-Coordinates are named ``<prefix>1 .. <prefix>dim`` with prefix "u" on charts
-and "x" in the ambient space.
+on a grid, by the trees and the same range guard.  Fields that differ only in
+parameter values (``with_params``) share their factor groups, which split and
+compile once.  Coordinates are named ``<prefix>1 .. <prefix>dim`` with prefix
+"u" on charts and "x" in the ambient space.
 """
 from __future__ import annotations
 
@@ -37,11 +37,9 @@ class ScalarField:
         """Values on a ``Grid`` as factors whose broadcast product is ``eval_many``."""
         return (self.eval_many(grid),)
 
-    def factor_axes(self, k: int) -> list[frozenset[int]]:
-        """The axes of a k-axis grid that each factor of ``factors`` reads, in order:
-        an ``exp`` of several groups counts one per group, as it splits within
-        EXP_SPLIT_LIMIT; kept whole past it, its one factor reads all of them."""
-        return [frozenset(range(k))]
+    def factor_axes(self, grid: Grid) -> list[frozenset[int]]:
+        """The axes of ``grid`` that each factor of ``factors`` reads, at most, in order."""
+        return [frozenset(range(len(grid.dims)))]
 
     def __call__(self, point) -> complex:
         return complex(self.eval_many(np.asarray(point, dtype=float).reshape(1, -1))[0])
@@ -77,32 +75,45 @@ class ExprField(ScalarField):
         # a real field's top-level * chain on the columns each reads; an exp of a sum by groups
         if self.im_expr is not None:
             return super().factors(grid)
-        b = {f"{self.prefix}{i + 1}": c for i, c in enumerate(grid.columns())} | self.params
         out = []
-        for f, groups, _ in self._factor_trees:
-            exps = [np.asarray(exprlang.evaluate(g, b), dtype=float) for g in groups]
-            split = exps and sum(abs(e).max() for e in exps) <= EXP_SPLIT_LIMIT
-            out += map(np.exp, exps) if split else [np.asarray(exprlang.evaluate(f, b), float)]
+        for f, _, exps, b in self._split(grid):
+            out += map(np.exp, exps) if exps else [np.asarray(exprlang.evaluate(f, b), float)]
         return tuple(out)
 
-    def factor_axes(self, k: int) -> list[frozenset[int]]:
+    def factor_axes(self, grid: Grid) -> list[frozenset[int]]:
+        # an exp's groups where the range guard lets it split on the grid, else their union;
+        # on a part of the grid the guard may split what it keeps whole here, never the reverse
         if self.im_expr is not None:
-            return super().factor_axes(k)
-        axis = {f"{self.prefix}{i + 1}": i for i in range(k)}
+            return super().factor_axes(grid)
+        axis = {f"{self.prefix}{i + 1}": i for i in range(len(grid.dims))}
         return [frozenset(axis[v] for v in names if v in axis)
-                for _, _, spans in self._factor_trees for names in spans]
+                for _, spans, exps, _ in self._split(grid)
+                for names in (spans if exps else [frozenset().union(*spans)])]
+
+    def _split(self, grid: Grid):
+        # per multiplicand: its tree, the coordinates its exp's groups read, their exponents
+        # on the grid where their largest magnitudes sum within EXP_SPLIT_LIMIT (else
+        # None), and the bindings
+        b = {f"{self.prefix}{i + 1}": c for i, c in enumerate(grid.columns())} | self.params
+        for f, groups, spans in self._factor_trees:
+            exps = [np.asarray(exprlang.evaluate(g, b), dtype=float) for g in groups]
+            split = exps and sum(abs(e).max() for e in exps) <= EXP_SPLIT_LIMIT
+            yield f, spans, exps if split else None, b
 
     def with_params(self, values: Mapping[str, float]) -> "ExprField":
-        """The field with new values for some of its parameters.  It shares the trees
-        and factor groups, so they are split and compiled once for all the values."""
+        """The field with new values for some of its parameters.  Where it binds no new
+        name, it shares the factor groups, so they split and compile once for all the
+        values; a new name may change what the groups read, so it builds its own."""
         out = ExprField(self.re_expr, self.im_expr, self.prefix, self.params | dict(values))
-        vars(out)["_factor_trees"] = self._factor_trees
+        if values.keys() <= self.params.keys():
+            vars(out)["_factor_trees"] = self._factor_trees
         return out
 
     @cached_property
     def _factor_trees(self) -> list[tuple[Expr, list[Expr], list[frozenset[str]]]]:
         # multiplicands, an exp's terms summed per set of coordinates read, and the
-        # coordinates each of their factors reads; built to compile once
+        # coordinates each group reads (the tree's, where it has no groups); built to
+        # compile once
         fixed, out = self.params.keys() | exprlang.CONSTANTS.keys(), []
         for f in _multiplicands(self.re_expr):
             groups: dict[frozenset, list[Expr]] = {}

@@ -14,9 +14,9 @@ data) to the geometric pairings as eps -> 0.
 Nothing here calls the geometric integration path: tube pairings run on a
 composite panel rule sized by the tube width, and reach it as the factors of
 each coefficient, contracted one axis at a time and never multiplied out; a
-pairing whose factors fit ``EVAL_CHUNK`` evaluates each of them once.  An eps
-sweep builds one tube per state, whose Gaussians read 1/sqrt(2 pi eps^2) and
-1/(2 eps^2) as parameters, and binds them once per eps.
+pairing whose products along the first axis fit ``EVAL_CHUNK`` evaluates each
+factor once.  An eps sweep builds one tube per state, whose Gaussians read
+1/sqrt(2 pi eps^2) and 1/(2 eps^2) as parameters, and binds them once per eps.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from .exprlang import ZERO, BinOp, Call, Neg, Num, Var, add, mul, sub
 from .fields import ExprField
 from .geometry import Submanifold
 from .product import inner_product
-from .quadrature import Factors, QuadratureOptions, intersect_boxes
+from .quadrature import QuadratureOptions, intersect_boxes
 from .states import GeometricState, _check_degree_sum, pair_with_test
 
 ORACLE_ORDER = 12
@@ -152,8 +152,7 @@ def smooth_pair(phi1: AmbientDensity, phi2: AmbientDensity) -> complex:
 
     The integration box is the intersection of the support hints; panels
     follow the finest resolution hint so Gaussian tubes are resolved.  The
-    coefficients' factors, with the axes each reads, go to ``weighted_sum``
-    as one ``Factors`` integrand.
+    coefficients' factors go to ``weighted_sum`` with the axes each reads.
     """
     _check_degree_sum(phi1.degree, phi2.degree, "smooth pairing")
     box = intersect_boxes(phi1.support, phi2.support)
@@ -161,11 +160,9 @@ def smooth_pair(phi1: AmbientDensity, phi2: AmbientDensity) -> complex:
         return 0.0 + 0.0j
     panel = np.minimum(_axis_panels(phi1, box), _axis_panels(phi2, box))
     grid, weights = quadrature.composite_rule(box, panel, ORACLE_ORDER)
-    k = len(grid.dims)
     return quadrature.weighted_sum(
-        Factors(lambda g: phi1.coeff.factors(g) + phi2.coeff.factors(g),
-                phi1.coeff.factor_axes(k) + phi2.coeff.factor_axes(k)),
-        grid, weights)
+        lambda g: phi1.coeff.factors(g) + phi2.coeff.factors(g), grid, weights,
+        phi1.coeff.factor_axes(grid) + phi2.coeff.factor_axes(grid))
 
 
 def _axis_panels(phi: AmbientDensity, box: np.ndarray) -> np.ndarray:

@@ -11,11 +11,11 @@ expression fields evaluate each sub-expression on the axes it reads, and a
 ``Grid`` of per-axis weights, which ``weighted_sum`` contracts with each block
 one axis at a time, factor by factor where the integrand returns a tuple of
 factors: no rule builds a grid-sized array, and factors are never multiplied
-out on a block.  An array integrand runs on blocks of rows; a ``Factors``
-integrand names the axes each factor reads, so the grid is one block when its
-largest factor fits and each factor is evaluated once.  The bounded-box rule
-lives here too: ``as_box`` and ``intersect_boxes`` raise UnboundedDomain where
-there is no box.
+out on a block.  An integrand runs on blocks of rows sized by the products
+the contraction forms; one that names the axes each factor reads runs as one
+block where its largest product fits, and each factor is evaluated once.  The
+bounded-box rule lives here too: ``as_box`` and ``intersect_boxes`` raise
+UnboundedDomain where there is no box.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -139,31 +138,21 @@ def composite_rule(box, panel_width, order: int = 12):
     return Grid(x for x, _ in axes), Grid(w for _, w in axes)
 
 
-class Factors(NamedTuple):
-    """An integrand as factors: ``fn`` takes a block's Grid and returns a tuple of
-    factors that broadcast to its dims, and ``axes`` holds the grid axes each reads."""
-
-    fn: Callable
-    axes: list
-
-    def __call__(self, grid: Grid):
-        return self.fn(grid)
-
-
-def weighted_sum(f_many, grid: Grid, weights: Grid) -> complex:
+def weighted_sum(f_many, grid: Grid, weights: Grid, axes=None) -> complex:
     """sum_i w_i f(p_i), f run on blocks of whole first-axis rows; f takes a block's Grid
     and returns its values in its dims or flat, or a tuple of factors that broadcast to
-    its dims.  A block holds as many rows as keep each array that reads the first axis
-    within EVAL_CHUNK nodes (one row at least): an array integrand reads every axis, a
-    ``Factors`` integrand names what each factor reads, so where its largest one over
-    the whole grid fits, the grid is one block and each factor is evaluated once.
+    its dims.  ``axes`` holds the grid axes each factor reads, at most; None stands for
+    one array that reads every axis.  A block holds as many rows as keep each product
+    the contraction forms along the first axis within EVAL_CHUNK nodes (one row at
+    least), so where the largest fits over the whole grid, the grid is one block and
+    each factor is evaluated once.
     A block meets the weights one axis at a time, last first: the factors of full length
     along the axis multiply and meet its weights by ``@``, the others keep their index-0
     slice, and if none is of full length the axis gives ``w.sum()``; one array runs
     exactly ``reduce(np.matmul, reversed(w), values)``."""
     rows = math.prod(grid.dims[:1])
-    axes = f_many.axes if isinstance(f_many, Factors) else [range(len(grid.dims))]
-    per_row = [math.prod(grid.dims[i] for i in a if i) for a in axes if 0 in a]
+    spans = _products([range(len(grid.dims))] if axes is None else axes, grid.dims)
+    per_row = [math.prod(grid.dims[i] for i in s if i) for s in spans if 0 in s]
     step = max(1, EVAL_CHUNK // max(per_row)) if per_row else rows
     total = 0.0 + 0.0j
     for start in range(0, rows, step):
@@ -171,6 +160,19 @@ def weighted_sum(f_many, grid: Grid, weights: Grid) -> complex:
         w = [x[start:start + step] for x in weights.axes[:1]] + list(weights.axes[1:])
         total += _contract(f_many(block), block.dims, w)
     return total
+
+
+def _products(axes, dims) -> list[frozenset[int]]:
+    # the axes each product _contract forms spans, given what each factor reads: at
+    # each axis, last first, the factors of full length along it (all, at length 1)
+    # multiply into one that spans their union, and spans it less that axis after @
+    spans, out = [frozenset(a) for a in axes], []
+    for axis in reversed(range(len(dims))):
+        varying = [s for s in spans if axis in s or dims[axis] == 1]
+        if varying:
+            out.append(frozenset().union(*varying))
+            spans = [s for s in spans if s not in varying] + [out[-1] - {axis}]
+    return out
 
 
 def _contract(values, dims, w) -> complex:

@@ -278,15 +278,28 @@ def test_factor_axes_name_what_each_factor_reads():
     # group, a complex field and a callable field read what their trees read
     field = as_field("2*x1*exp(-x3^2)*(x2 + x1)*exp(-(x1-a)^2 - x3/2 + a)", prefix="x",
                      params={"a": 0.3})
-    assert field.factor_axes(3) == [set(), {0}, {2}, {0, 1}, {0}, {2}, set()]
     grid = Grid([np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 4), np.linspace(1.0, 2.0, 5)])
+    assert field.factor_axes(grid) == [set(), {0}, {2}, {0, 1}, {0}, {2}, set()]
     factors = field.factors(grid)
     assert len(factors) == 7
-    for f, axes in zip(factors, field.factor_axes(3)):
+    for f, axes in zip(factors, field.factor_axes(grid), strict=True):
         shape = (1,) * (3 - np.ndim(f)) + np.shape(f)
         assert {i for i, n in enumerate(shape) if n > 1} == axes
-    assert ExprField(parse("x1"), parse("x2"), "x").factor_axes(3) == [{0, 1, 2}]
-    assert FuncField(lambda x: x[0]).factor_axes(2) == [{0, 1}]
+    assert ExprField(parse("x1"), parse("x2"), "x").factor_axes(grid) == [{0, 1, 2}]
+    assert FuncField(lambda x: x[0]).factor_axes(Grid(grid.axes[:2])) == [{0, 1}]
+
+
+def test_factor_axes_follow_the_range_guard():
+    # the groups of exp(-(x1^2 + x3^2)/0.01) reach 100 on [0, 1] and 2500 on [0, 5]:
+    # the guard splits the first and keeps the second whole, which reads both axes
+    field = as_field("x2*exp(-(x1^2 + x3^2)/0.01)", prefix="x")
+    for hi, want in ((1.0, [{1}, {0}, {2}]), (5.0, [{1}, {0, 2}])):
+        grid = Grid([np.linspace(0.0, hi, 3), np.linspace(0.0, 1.0, 4),
+                     np.linspace(0.0, hi, 5)])
+        assert field.factor_axes(grid) == want
+        for f, axes in zip(field.factors(grid), want, strict=True):
+            shape = (1,) * (3 - np.ndim(f)) + np.shape(f)
+            assert {i for i, n in enumerate(shape) if n > 1} == axes
 
 
 def test_with_params_shares_the_factor_groups():
@@ -300,3 +313,17 @@ def test_with_params_shares_the_factor_groups():
     fresh = as_field("c*exp(-r*(x1-1)^2 - x2^2)*exp(-r*x2)", prefix="x", params=bound.params)
     for got, want in zip(bound.factors(grid), fresh.factors(grid), strict=True):
         assert np.array_equal(got, want)
+
+
+def test_with_params_of_a_new_name_builds_its_own_groups():
+    # binding x2 as a parameter fixes the terms that read it, so they no longer
+    # split off as factors along axis 1
+    field = as_field("c*exp(-r*(x1-1)^2 - x2^2)*exp(-r*x2)", prefix="x",
+                     params={"c": 1.0, "r": 2.0})
+    grid = Grid([np.linspace(-1.0, 1.0, 3), np.linspace(0.0, 1.0, 4)])
+    assert field.factor_axes(grid) == [set(), {0}, {1}, {1}]
+    bound = field.with_params({"x2": 0.5})
+    assert bound._factor_trees is not field._factor_trees
+    assert bound.factor_axes(grid) == [set(), {0}, set(), set()]
+    product = np.broadcast_to(reduce(np.multiply, bound.factors(grid)), (3, 4))
+    assert np.allclose(product, bound.eval_many(grid), rtol=1e-14, atol=0.0)

@@ -389,6 +389,25 @@ def test_sweep_plane_test_pairing_builds_no_grid_sized_array():
     assert _pairing_peak(mollify(sweep_planes()[0], 0.05), g) < 0.5e6
 
 
+def test_tilted_line_plane_pairing_blocks_the_product_of_its_factors():
+    # the tube of a line along (1, 0, 1) has a Gaussian reading x1 and x3, and that
+    # of the plane x2 = x3 one reading x2 and x3: at x3 they multiply into a product
+    # over the whole 84 x 96 x 84 grid (5.4 MB a float array), so it keeps row blocks
+    s = 2 ** -0.5
+    th = make_state(Submanifold.affine("L", [0.0, 0.0, 0.0], [s, 0.0, s]), 0.5,
+                    "exp(-u1^2)", support=[[-0.5, 0.5]])
+    ps = make_state(plane("P", [1, 0, 0], [0, s, s]), 0.5, "exp(-u1^2-u2^2)",
+                    support=[[-2.0, 2.0], [-2.0, 2.0]])
+    assert _pairing_peak(mollify(th, 0.1), mollify(ps, 0.1)) < 4e6
+
+
+def test_unsplit_test_pairing_keeps_row_blocks():
+    # the groups of exp(-(x1^2+x2^2+x3^2)/0.01) reach 6400 on [-8, 8]^3, so the range
+    # guard keeps it whole, one array over the 72 x 192 x 96 grid (10.6 MB)
+    g = AmbientDensity.make(0.5, "exp(-(x1^2+x2^2+x3^2)/0.01)", support=[[-8.0, 8.0]] * 3)
+    assert _pairing_peak(mollify(sweep_planes()[0], 0.05), g) < 4e6
+
+
 def test_tilted_codim_2_tube_is_refused_at_the_node_budget():
     # a line along (1, 1, 1) in R^3: at eps 0.05 the grid would hold 113 M
     # nodes, and composite_rule refuses it before allocating

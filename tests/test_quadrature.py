@@ -15,7 +15,6 @@ from geodens.density import AmbientDensity
 from geodens.errors import QuadratureNotConverged, UnboundedDomain
 from geodens.geometry import Submanifold
 from geodens.quadrature import (
-    Factors,
     Grid,
     MAX_NODES,
     MAX_PANELS_PER_AXIS,
@@ -447,10 +446,24 @@ def test_weighted_sum_contracts_factor_tuples(monkeypatch, chunk, dims):
         assert abs(got - want) <= 1e-14 * abs(want)
 
 
+def contraction_shapes(shapes, dims):
+    """The shapes of the products a contraction of factors of these (padded) shapes
+    forms, one axis at a time, last first: the factors of full length along the axis
+    broadcast together, and their product goes on without that axis."""
+    out = []
+    for axis in reversed(range(len(dims))):
+        full = [s for s in shapes if s[axis] == dims[axis]]
+        shapes = [s[:axis] for s in shapes if s[axis] != dims[axis]]
+        if full:
+            out.append(np.broadcast_shapes(*full))
+            shapes.append(out[-1][:axis])
+    return out
+
+
 @pytest.mark.parametrize("chunk", [7, 40, 200_000])
 @pytest.mark.parametrize("dims", [(), (5,), (1,), (3, 4), (1, 6), (4, 1, 3), (1, 1, 1),
                                   (2, 3, 1, 4), (3, 2, 2, 5), (6, 5, 4)])
-def test_factors_integrands_block_by_their_largest_first_axis_factor(monkeypatch, chunk,
+def test_factor_integrands_block_by_their_largest_first_axis_product(monkeypatch, chunk,
                                                                      dims):
     monkeypatch.setattr(quadrature, "EVAL_CHUNK", chunk)
     rng = np.random.default_rng(len(dims) * 100 + math.prod(dims) + chunk % 11)
@@ -466,16 +479,30 @@ def test_factors_integrands_block_by_their_largest_first_axis_factor(monkeypatch
             blocks.append(b.dims)
             return on_block(factors, dims, b)
 
-        got = weighted_sum(Factors(fn, axes), grid, weights)
+        got = weighted_sum(fn, grid, weights, axes)
         want = weighted_sum(lambda b: on_block(factors, dims, b), grid, weights)
         assert abs(got - want) <= 1e-14 * abs(want)
         assert [b[1:] for b in blocks] == [dims[1:]] * len(blocks)
         assert sum(math.prod(b[:1]) for b in blocks) == math.prod(dims[:1])
-        first = [math.prod(shape[1:]) for shape, a in zip(shapes, axes) if 0 in a]
+        first = [math.prod(p[1:]) for p in contraction_shapes(shapes, dims)
+                 if p[0] == dims[0]]
         if max(first, default=0) * math.prod(dims[:1]) <= chunk:
-            assert len(blocks) == 1  # every factor that reads axis 0 fits in one block
-        else:  # row blocks keep the largest such factor within the chunk, or one row
+            assert len(blocks) == 1  # every product along axis 0 fits in one block
+        else:  # row blocks keep the largest such product within the chunk, or one row
             assert all(b[0] * max(first) <= max(chunk, max(first)) for b in blocks)
+
+
+def test_blocks_count_the_union_of_factors_multiplied_together(monkeypatch):
+    # factors reading axes {0, 2} and {1, 2} multiply into a product over the whole
+    # grid at axis 2, so 20-node chunks hold one row, though each factor fits in five
+    monkeypatch.setattr(quadrature, "EVAL_CHUNK", 20)
+    grid = Grid([np.arange(6.0), np.arange(5.0), np.arange(4.0)])
+    weights = Grid([np.ones(6), np.ones(5), np.ones(4)])
+    rows = []
+    fn = lambda b: rows.append(len(b.axes[0])) or (np.ones((len(b.axes[0]), 1, 4)),
+                                                   np.ones((5, 4)))
+    assert weighted_sum(fn, grid, weights, [{0, 2}, {1, 2}]) == 120.0
+    assert rows == [1] * 6
 
 
 def matmul_chain_sum(f_many, grid, weights):

@@ -45,6 +45,10 @@ class TransversalityError(GeodensError):
     exit_code = 6
 
 
+class AmbientMismatch(InputError):
+    """Cores or frames passed to one operation live in different ambient spaces."""
+
+
 # linear algebra kernels
 
 class SingularFrame(GeometryError):

@@ -1,7 +1,7 @@
 """Coefficient fields: complex scalar functions of chart or ambient coordinates.
 
 Expression-backed fields evaluate vectorized through the expression engine's
-array path; callable-backed fields fall back to a python loop.  ``factors``
+array path, and at one point on float64 scalars; callable ones loop.  ``factors``
 gives a field's values on a grid as factors for ``quadrature.weighted_sum``:
 a real expression field splits its top-level product, and an ``exp`` of a sum
 by the coordinates its terms read (see EXP_SPLIT_LIMIT), so tube and test
@@ -70,6 +70,17 @@ class ExprField(ScalarField):
         if self.im_expr is not None:
             value = value + 1j * np.asarray(exprlang.evaluate(self.im_expr, b))
         return np.broadcast_to(value, shape)
+
+    def __call__(self, point) -> complex:
+        """The value at one point, bound as float64 scalars: a power that overflows gives
+        inf, as in ``eval_many``, not a Python float's DomainError.  Values agree with
+        ``eval_many`` to a few ulp: numpy's scalar exp, sin and cos may round otherwise."""
+        coords = enumerate(np.asarray(point, dtype=float).ravel(), 1)
+        b = {f"{self.prefix}{i}": c for i, c in coords} | self.params
+        value = exprlang.evaluate(self.re_expr, b)
+        if self.im_expr is not None:
+            value = value + 1j * exprlang.evaluate(self.im_expr, b)
+        return complex(value)
 
     def factors(self, grid: Grid) -> tuple[np.ndarray, ...]:
         # a real field's top-level * chain on the columns each reads; an exp of a sum by groups

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import exprlang, linalg
 from .errors import (
+    AmbientMismatch,
     ChartInversionFailure,
     ConormalMismatch,
     DegenerateCovectors,
@@ -64,7 +65,7 @@ class ChartForm:
 
 def on_core_tol(x: np.ndarray) -> np.ndarray:
     """Largest residuals (N,) that put points x (N, n) on a core, at any scale."""
-    return ON_CORE_TOL * np.maximum(1.0, np.max(np.abs(x), axis=1, initial=0.0))
+    return ON_CORE_TOL * np.abs(x).max(axis=1, initial=1.0)
 
 
 def _grid(box: np.ndarray, per_axis: int) -> np.ndarray:
@@ -397,8 +398,9 @@ def chart_invert(core: Submanifold, xs) -> tuple[np.ndarray, np.ndarray]:
         if "pinv" not in core._cache:
             core._cache["pinv"] = np.linalg.pinv(core.form.tangent).T
             core._cache["pinv"].flags.writeable = False
-        u = (xs - core.form.base) @ core._cache["pinv"]
-        resid = np.linalg.norm(core.points_at(u) - xs, axis=1)
+        d = xs - core.form.base
+        u = d @ core._cache["pinv"]
+        resid = np.sqrt(np.square(u @ core.form.tangent.T - d).sum(axis=1))  # a bare norm
     else:
         coords, images = core.seed_table()
         # blocks of rows keep the (rows, seeds, n) difference array near 8 MB
@@ -441,7 +443,7 @@ def transversality_check(c: Submanifold, d: Submanifold,
     """
     n = c.ambient.dim
     if d.ambient.dim != n:
-        raise ValueError("cores live in different ambient spaces")
+        raise AmbientMismatch("cores live in different ambient spaces")
     x = np.asarray(samples, dtype=float).reshape(len(samples), n)
     uc, rc = chart_invert(c, x)
     ud, rd = chart_invert(d, x)
@@ -488,7 +490,7 @@ def intersect(c: Submanifold, d: Submanifold) -> IntersectionResult:
     """
     n = c.ambient.dim
     if d.ambient.dim != n:
-        raise ValueError("cores live in different ambient spaces")
+        raise AmbientMismatch("cores live in different ambient spaces")
     m = c.dim + d.dim - n
     if c.is_affine and d.is_affine:
         return _intersect_affine(c, d)

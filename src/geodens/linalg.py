@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
+    AmbientMismatch,
     ConormalMismatch,
     DegenerateCovectors,
     RankDeficient,
@@ -70,7 +71,7 @@ def change_of_basis(source, target) -> np.ndarray:
     s = _as_columns(source)
     t = _as_columns(target)
     if s.shape[0] != t.shape[0]:
-        raise ValueError("frames live in different ambient dimensions")
+        raise AmbientMismatch("frames live in different ambient dimensions")
     if s.shape[1] != t.shape[1]:
         raise SpanMismatch(
             f"frame sizes differ ({s.shape[1]} vs {t.shape[1]})")

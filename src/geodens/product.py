@@ -29,6 +29,7 @@ import numpy as np
 
 from . import linalg, quadrature
 from .errors import (
+    AmbientMismatch,
     DegenerateCovectors,
     DimensionMismatch,
     NotOnBothCores,
@@ -51,7 +52,7 @@ def _check_dims(theta1: GeometricState, theta2: GeometricState,
     c, d = theta1.core, theta2.core
     n = c.ambient.dim
     if d.ambient.dim != n or core_e.ambient.dim != n:
-        raise ValueError("cores live in different ambient spaces")
+        raise AmbientMismatch("cores live in different ambient spaces")
     expected = c.dim + d.dim - n
     if core_e.dim != expected:
         raise DimensionMismatch(
@@ -59,15 +60,18 @@ def _check_dims(theta1: GeometricState, theta2: GeometricState,
             f"requires {expected}")
 
 
-def _core_coords(core: Submanifold, x, picture: str) -> np.ndarray:
-    """Chart coordinates (N, k) of the points x (N, n), which must lie on the core."""
-    u, resid = chart_invert(core, x)
-    off = resid > on_core_tol(x)
-    if off.any():
-        i = int(np.argmax(off))
-        raise NotOnBothCores(f"point {x[i]} is {resid[i]:.3g} away from {picture} "
-                             f"core {core.name!r}")
-    return u
+def _core_coords(theta1: GeometricState, theta2: GeometricState, x) -> list[np.ndarray]:
+    """Chart coordinates (N, k) on both states' cores of points x (N, n) on both."""
+    tol, out = on_core_tol(x), []
+    for core, picture in ((theta1.core, "first"), (theta2.core, "second")):
+        u, resid = chart_invert(core, x)
+        off = resid > tol
+        if off.any():
+            i = int(np.argmax(off))
+            raise NotOnBothCores(f"point {x[i]} is {resid[i]:.3g} away from {picture} "
+                                 f"core {core.name!r}")
+        out.append(u)
+    return out
 
 
 def _stacked(rows_c: np.ndarray, rows_d: np.ndarray) -> np.ndarray:
@@ -88,8 +92,7 @@ def product_at_point(theta1: GeometricState, theta2: GeometricState,
     """
     w = np.asarray(w, dtype=float).reshape(1, core_e.dim)
     x, s, _ = frames_many(core_e, w)
-    u_c = _core_coords(theta1.core, x, "first")
-    u_d = _core_coords(theta2.core, x, "second")
+    u_c, u_d = _core_coords(theta1, theta2, x)
     frames_c = frames_many(theta1.core, u_c)
     frames_d = frames_many(theta2.core, u_d)
     nu_c = theta1.conormal.rows_many(u_c, frames_c)
@@ -122,9 +125,8 @@ def product(theta1: GeometricState, theta2: GeometricState,
 
     def stacked_rows(coords, frames):
         x = core_e.points_at(coords.points()) if isinstance(coords, Grid) else frames[0]
-        return _stacked(*(
-            theta.conormal.rows_many(_core_coords(theta.core, x, picture))
-            for theta, picture in ((theta1, "first"), (theta2, "second"))))
+        return _stacked(*(theta.conormal.rows_many(u) for theta, u in
+                          zip((theta1, theta2), _core_coords(theta1, theta2, x))))
 
     coeff = FuncField(lambda w: product_at_point(theta1, theta2, core_e, w))
     family = ConormalFamily(stacked_rows, core_e)

@@ -4,14 +4,17 @@ On a quadrature Grid an expression field evaluates each sub-expression on the
 broadcast axes it reads; the cross-checks hold it bitwise to the flat path.
 Its ``factors`` multiply back to those values.
 """
+import json
+import math
 import warnings
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from _exprgen import random_expr
-from geodens.errors import DomainError
+from geodens.errors import DomainError, GeodensError
 from geodens.exprlang import BinOp, Call, Neg, Num, Var, parse, subst, to_source
 from geodens.fields import EXP_SPLIT_LIMIT, ExprField, FuncField, as_field
 from geodens.quadrature import Grid, tensor_rule, weighted_sum
@@ -172,6 +175,66 @@ def test_grid_evaluation_stays_on_the_axes_it_reads():
     grid = Grid([np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 4), np.zeros(5)])
     got = as_field("exp(-x1^2) + x2", prefix="x").eval_many(grid)
     assert got.shape == (3, 4, 5) and got.strides[-1] == 0 and got.dtype == float
+
+
+# the one-point call against eval_many on a stack of one
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_exprs.json").read_text())
+
+
+def _points(rng):
+    # the golden point, random points, and the exact values that trip the domain guards
+    golden = [GOLDEN["point"][f"u{i}"] for i in (1, 2, 3)]
+    return np.vstack([golden, rng.uniform(-2.0, 2.0, (40, 3)),
+                      rng.choice([0.0, 1.0, -1.0], (8, 3))])
+
+
+def _one_point_against_eval_many(field, points, rel) -> int:
+    # the same GeodensError type where either raises, else values within rel;
+    # returns how many points raised
+    raised = 0
+    for p in points:
+        outcomes = []
+        for call in (lambda: field(p), lambda: field.eval_many(p[None])[0]):
+            try:
+                outcomes.append((complex(call()), None))
+            except GeodensError as exc:
+                outcomes.append((None, type(exc)))
+        (got, got_error), (want, want_error) = outcomes
+        where = (to_source(field.re_expr), field.im_expr and to_source(field.im_expr), p)
+        assert got_error is want_error, where
+        assert want_error or abs(got - want) <= rel * abs(want), where
+        raised += want_error is not None
+    return raised
+
+
+def test_one_point_call_matches_eval_many():
+    # numpy's scalar and array exp, sin and cos may round apart by an ulp or two,
+    # so values agree to rel 1e-15, not bitwise
+    rng = np.random.default_rng(20261020)
+    fields = [as_field(entry["source"]) for entry in GOLDEN["entries"]]
+    fields += [f.scaled(2.0 + 3.0j) for f in fields]
+    fields.append(as_field("u1 + 2*u2", params={"u2": 3.0}))  # a parameter shadows u2
+    assert sum(_one_point_against_eval_many(f, _points(rng), 1e-15) for f in fields) > 0
+
+
+def test_one_point_call_fails_as_eval_many_on_random_trees():
+    # deep random trees carry those ulp differences through cancellation, so
+    # their values are held to rel 1e-12; the error types must still match
+    rng = np.random.default_rng(20261021)
+    raised = 0
+    for _ in range(100):
+        im = _random_field_expr(rng, 3) if rng.random() < 0.5 else None
+        field = ExprField(_random_field_expr(rng, 3), im, params={"a": 0.5})
+        raised += _one_point_against_eval_many(field, _points(rng)[::4], 1e-12)
+    assert raised > 0
+
+
+def test_one_point_overflow_is_inf_as_on_arrays():
+    # float64 scalars, not Python floats: u1^400 at 10 is inf, not DomainError
+    field = as_field("u1^400")
+    with np.errstate(over="ignore"):
+        assert field((10.0,)) == field.eval_many(np.array([[10.0]]))[0] == math.inf
 
 
 def test_funcfield_on_a_grid_returns_its_dims():

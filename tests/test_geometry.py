@@ -7,6 +7,7 @@ import pytest
 
 from geodens import geometry
 from geodens.errors import (
+    AmbientMismatch,
     ConormalMismatch,
     DegenerateCovectors,
     GeometryError,
@@ -374,6 +375,12 @@ def test_transversality_rejects_off_core_samples():
         transversality_check(x_axis(), y_axis(), [[1.0, 1.0]])
 
 
+def test_transversality_ambient_mismatch():
+    with pytest.raises(AmbientMismatch) as err:
+        transversality_check(x_axis(), Submanifold.point("Q", [0.0, 0.0, 0.0]), [[0.0, 0.0]])
+    assert err.value.exit_code == 2
+
+
 def test_transversality_samples_in_one_stack():
     s, line = unit_circle(), Submanifold.affine("L", [0.0, 1.0], [1.0, 0.0])
     rep = transversality_check(s, x_axis(), [[1.0, 0.0], [-1.0, 0.0]])
@@ -484,5 +491,6 @@ def test_intersect_positive_dimensional_curved_needs_a_chart():
 
 
 def test_intersect_ambient_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(AmbientMismatch) as err:
         intersect(x_axis(), Submanifold.point("Q", [0.0, 0.0, 0.0]))
+    assert err.value.exit_code == 2

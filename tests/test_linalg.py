@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from geodens.errors import (
+    AmbientMismatch,
     ConormalMismatch,
     DegenerateCovectors,
     RankDeficient,
@@ -96,8 +97,9 @@ def test_change_of_basis_count_mismatch():
 
 
 def test_change_of_basis_ambient_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(AmbientMismatch) as err:
         change_of_basis(np.eye(3), np.eye(2))
+    assert err.value.exit_code == 2
 
 
 def test_change_of_basis_empty():

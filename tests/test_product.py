@@ -16,6 +16,7 @@ import pytest
 
 from geodens import quadrature
 from geodens.errors import (
+    AmbientMismatch,
     ConormalMismatch,
     DegreeMismatch,
     DimensionMismatch,
@@ -27,10 +28,11 @@ from geodens.geometry import (
     Submanifold,
     chart_invert,
     frames_at,
+    frames_many,
     intersect,
     transversality_check,
 )
-from geodens.linalg import change_of_basis, det_abs_pow, dual_normal_frame
+from geodens.linalg import change_of_basis, det_abs_pow, dual_normal_frame, frame_factors
 from geodens.product import inner_product, product, product_at_point
 from geodens.states import make_state, recombine_conormal
 
@@ -77,8 +79,9 @@ def test_request_checks_dimensions():
 def test_request_checks_ambient():
     th1, th2 = tilted_pair(math.pi / 3)
     for op in (product, inner_product):
-        with pytest.raises(ValueError):
+        with pytest.raises(AmbientMismatch) as err:
             op(th1, th2, Submanifold.point("E", [0.0, 0.0, 0.0]))
+        assert err.value.exit_code == 2
 
 
 # the tilted-lines closed form
@@ -419,6 +422,44 @@ def test_a_failing_probe_fails_every_time():
         with pytest.raises(ConormalMismatch):
             product_at_point(leaky, leaky, e, np.zeros(0))
         assert product_at_point(th1, th2, e, np.zeros(0)) == good
+
+
+# against the assembly of coefficients on stacks of one
+
+def assembled_product(theta1, theta2, core_e, w):
+    """g1 g2 f_C f_D f_E from chart_invert, the coefficients' eval_many on a stack
+    of one and the three frame factors, in the order product_at_point multiplies."""
+    x, s, _ = frames_many(core_e, np.reshape(w, (1, core_e.dim)))
+    values, rows = [], []
+    for th in (theta1, theta2):
+        u = chart_invert(th.core, x)[0]
+        frames = frames_many(th.core, u)
+        rows.append(th.conormal.rows_many(u, frames))
+        values += [th.coeff.eval_many(u)[0], frame_factors(frames[1], rows[-1], -th.degree)[0]]
+    f_e = frame_factors(s, np.concatenate(rows, axis=1), theta1.degree + theta2.degree)[0]
+    return values[0] * values[2] * values[1] * values[3] * f_e
+
+
+def _rescaled(th1, th2):
+    # conormal rows of lengths 2.5 and 0.3, so that no frame factor is 1
+    return recombine_conormal(th1, [[-2.5]]), recombine_conormal(th2, [[0.3]])
+
+
+@pytest.mark.parametrize("factors, box", [(crossed_planes, [[-3.0, 3.0]]),
+                                          (saddle_and_plane, [[-1.5, 1.5]])])
+def test_product_matches_the_assembly_at_every_node(factors, box):
+    th1, th2, e = factors()
+    for pair in ((th1, th2), _rescaled(th1, th2)):
+        for w in quadrature.tensor_rule(box, 32)[0].points():
+            got, want = product_at_point(*pair, e, w), assembled_product(*pair, e, w)
+            assert abs(got - want) <= 1e-14 * abs(want), w
+
+
+def test_tilted_lines_product_matches_the_assembly():
+    th1, th2 = tilted_pair(math.pi / 5, alpha=0.3, beta=0.45)
+    for pair in ((th1, th2), _rescaled(th1, th2)):
+        got = product_at_point(*pair, origin(), np.zeros(0))
+        assert abs(got - assembled_product(*pair, origin(), np.zeros(0))) <= 1e-14 * abs(got)
 
 
 # one product call per node

@@ -129,10 +129,14 @@ class UnboundedDomain(ConvergenceError):
     """Integration domain is not a bounded box."""
 
 
+class InvalidBox(InputError, ValueError):
+    """Integration box not of shape (k, 2) or with lo > hi, or a panel width not positive."""
+
+
 class QuadratureNotConverged(ConvergenceError):
-    """Quadrature missed its tolerance.  Orders climb by a factor sqrt 2, and the
-    estimate (the change from the order before) was still over the tolerance
-    at MAX_ORDER, or the next rule would pass the node budget MAX_NODES."""
+    """Quadrature missed its tolerance.  Orders climb by a factor sqrt 2, and
+    neither the change from the order before nor its rate-scaled form met the
+    tolerance by MAX_ORDER, or the next rule would pass the node budget MAX_NODES."""
 
 
 class NotOnBothCores(GeometryError):

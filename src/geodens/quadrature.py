@@ -15,7 +15,7 @@ out on a block.  An integrand runs on blocks of rows sized by the products
 the contraction forms; one that names the axes each factor reads runs as one
 block where its largest product fits, and each factor is evaluated once.  The
 bounded-box rule lives here too: ``as_box`` and ``intersect_boxes`` raise
-UnboundedDomain where there is no box.
+UnboundedDomain where there is no box, and InvalidBox on a malformed one.
 """
 from __future__ import annotations
 
@@ -26,11 +26,13 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import QuadratureNotConverged, UnboundedDomain
+from .errors import InvalidBox, QuadratureNotConverged, UnboundedDomain
 
 DEFAULT_ORDER = 32
 DEFAULT_REL_TOL = 1e-8
 ABS_TOL = 1e-12  # absolute floor of the tolerance, for values near zero
+# integrate's rate stop: the falls it reads as a rate, the fall before, its estimate's power
+RATE_DROP, JUMP_DROP, PRIOR_DROP, RATE_POWER = 1e3, 3e4, 10.0, 0.3
 
 MAX_PANELS_PER_AXIS = 400
 EVAL_CHUNK = 200_000
@@ -50,11 +52,11 @@ def as_box(box) -> np.ndarray:
     if b.ndim == 1 and b.shape[0] == 2:
         b = b[None, :]
     if b.ndim != 2 or b.shape[1] != 2:
-        raise ValueError(f"expected a (k, 2) bounds array, got shape {b.shape}")
+        raise InvalidBox(f"expected a (k, 2) bounds array, got shape {b.shape}")
     if not np.all(np.isfinite(b)):
         raise UnboundedDomain("integration box has non-finite bounds")
     if np.any(b[:, 0] > b[:, 1]):
-        raise ValueError("box has lo > hi")
+        raise InvalidBox("box has lo > hi")
     return b
 
 
@@ -125,7 +127,7 @@ def composite_rule(box, panel_width, order: int = 12):
     k = b.shape[0]
     widths = np.broadcast_to(np.asarray(panel_width, dtype=float), (k,))
     if np.any(widths <= 0.0):
-        raise ValueError("panel width must be positive")
+        raise InvalidBox("panel width must be positive")
     panels = [min(MAX_PANELS_PER_AXIS, max(1, int(np.ceil((hi - lo) / pw))))
               for (lo, hi), pw in zip(b, widths)]
     _check_budget(math.prod(panels) * order ** k, f"a {k}-D composite rule")
@@ -204,11 +206,15 @@ def integrate(f_many, box, options: QuadratureOptions | None = None):
 
     Level j uses order round(base * 2^(j/2)) (32, 45, 64, 91, ...), one more
     than the last where rounding would repeat it (base 1).  The value is the
-    last level's, the estimate its difference against the level before: an
-    overestimate where Gauss-Legendre converges geometrically (integrands
-    analytic on the box), while at an algebraic rate n^-p the error is about
-    1 / (2^(p/2) - 1) times the estimate.  Levels climb until the estimate is
-    at most rel_tol |value| + ABS_TOL; at MAX_ORDER, or on a NaN estimate or
+    last level's.  With d_j = |v_j - v_(j-1)|, level j stops when d_j is at
+    most rel_tol |v_j| + ABS_TOL, with d_j, the error of v_(j-1), as its
+    estimate: an overestimate where Gauss-Legendre converges geometrically
+    (integrands analytic on the box), while at an algebraic rate n^-p the
+    error is about 1 / (2^(p/2) - 1) times it.  Level j >= 2 also stops on the
+    rate where d_(j-1) / d_j lies in [RATE_DROP, JUMP_DROP], d_(j-2) / d_(j-1)
+    >= PRIOR_DROP if there is a d_(j-2), and d_j (d_j / d_(j-1))^RATE_POWER,
+    its estimate, is at most rel_tol |v_j| (README, "How values are
+    computed", says why).  At MAX_ORDER, or on a NaN estimate or
     tolerance, which never meet it, QuadratureNotConverged is raised.  So is
     it where a level's grid would pass MAX_NODES, before that grid is built.
     """
@@ -217,6 +223,7 @@ def integrate(f_many, box, options: QuadratureOptions | None = None):
     order = opts.order
     grid, w = tensor_rule(b, order)
     value = weighted_sum(f_many, grid, w)
+    last = before = math.nan
     for level in itertools.count(1):
         order = max(order + 1, round(opts.order * 2 ** (level / 2)))
         grid, w = tensor_rule(b, order)
@@ -225,6 +232,13 @@ def integrate(f_many, box, options: QuadratureOptions | None = None):
         value = refined
         if estimate <= opts.rel_tol * abs(value) + ABS_TOL:
             return value, estimate
+        # not ... >: at level 2, before is NaN and there is no fall before to check
+        if 0.0 < estimate and RATE_DROP <= last / estimate <= JUMP_DROP \
+                and not last > before / PRIOR_DROP:
+            rated = estimate * (estimate / last) ** RATE_POWER
+            if rated <= opts.rel_tol * abs(value):
+                return value, rated
+        last, before = estimate, last
         if order >= MAX_ORDER:
             raise QuadratureNotConverged(
                 f"quadrature estimate {estimate:.3g} exceeds tolerance for value "

@@ -12,7 +12,7 @@ import pytest
 
 from geodens import quadrature
 from geodens.density import AmbientDensity
-from geodens.errors import QuadratureNotConverged, UnboundedDomain
+from geodens.errors import InputError, InvalidBox, QuadratureNotConverged, UnboundedDomain
 from geodens.geometry import Submanifold
 from geodens.quadrature import (
     Grid,
@@ -40,6 +40,19 @@ def test_as_box_rejects_unbounded():
         as_box([[-np.inf, 0.0]])
     with pytest.raises(UnboundedDomain):
         as_box([[0.0, np.nan]])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: as_box([[0.0, 1.0, 2.0]]), r"^expected a \(k, 2\) bounds array, got shape \(1, 3\)$"),
+    (lambda: as_box([[1.0, 0.0]]), r"^box has lo > hi$"),
+    (lambda: composite_rule([[0.0, 1.0], [0.0, 1.0]], [0.5, 0.0]), r"^panel width must be positive$"),
+], ids=["shape", "lo-over-hi", "panel-width"])
+def test_a_malformed_box_fails_typed(make, message):
+    # an input error (exit 2) that is still the ValueError it was
+    with pytest.raises(InvalidBox, match=message) as info:
+        make()
+    assert isinstance(info.value, InputError) and isinstance(info.value, ValueError)
+    assert info.value.exit_code == 2
 
 
 def test_intersect_boxes():
@@ -361,7 +374,7 @@ def test_integrate_base_order_1_never_repeats_an_order(monkeypatch):
     assert all(a < b for a, b in zip(orders, orders[1:]))
 
 
-def test_affine_3d_gaussian_pairing_stops_by_order_91(monkeypatch):
+def test_affine_3d_gaussian_pairing_stops_by_order_64(monkeypatch):
     # as in affine-pairs: a unit state on a 3-plane in R^4 against a
     # width-0.6 Gaussian test centred off the plane
     rng = np.random.default_rng(3)
@@ -379,7 +392,7 @@ def test_affine_3d_gaussian_pairing_stops_by_order_91(monkeypatch):
     det = float(np.prod(lam))
     exact = math.pi ** 1.5 * s ** 3 / det * math.exp(-dist ** 2 / s ** 2) * det ** (1.0 - alpha)
     assert abs(got.value - exact) <= 1e-12 * exact
-    assert orders == LADDER[:len(orders)] and orders[-1] <= 91
+    assert orders == LADDER[:len(orders)] and orders[-1] <= 64
 
 
 def test_integrate_raises_past_its_tolerance(monkeypatch):

@@ -121,6 +121,10 @@ class DimensionMismatch(GeometryError):
 
 # densities, states, products
 
+class ConormalShapeMismatch(InputError, ValueError):
+    """Declared conormal rows are not (n - k) rows of n numbers for their core."""
+
+
 class DegreeMismatch(DegreeError):
     """Density degrees do not satisfy the operation's compatibility rule."""
 

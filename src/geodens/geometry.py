@@ -179,8 +179,7 @@ class Submanifold:
         tree does, else the size of the batch they broadcast to, in C order."""
         trees, b = self._trees(prefix), self._bindings(prefix, values)
         vals = [[np.asarray(exprlang.evaluate(t, b), dtype=float) for t in row] for row in trees]
-        lead = (np.broadcast_shapes(*map(np.shape, values))
-                if any(v.ndim for row in vals for v in row) else (1,))
+        lead = np.broadcast(*values).shape if any(v.ndim for row in vals for v in row) else (1,)
         out = np.empty(lead + (len(trees), len(values)))
         for i, row in enumerate(vals):
             for j, v in enumerate(row):
@@ -216,8 +215,10 @@ class Submanifold:
         if isinstance(self.form, AffineForm):
             # (n, k) @ (k, N) runs far faster than the tall-skinny (N, k) @ (k, n)
             return self.form.base + (self.form.tangent @ coords.T).T
-        return np.stack([np.broadcast_to(x, coords.shape[:1]) for x in self._map(coords.T)],
-                        axis=1)
+        out = np.empty((len(coords), self.ambient.dim))
+        for j, x in enumerate(self._map(coords.T)):
+            out[:, j] = x  # a scalar fills its column
+        return out
 
     def _map(self, cols) -> tuple:
         """The n ambient coordinates at k broadcastable coordinate arrays."""
@@ -240,9 +241,10 @@ class Submanifold:
 
     def _implicit_values(self, points) -> np.ndarray:
         """Implicit form values (N, n - k) at (N, n) points."""
-        b = self._bindings("x", points.T)
-        return np.array([np.broadcast_to(exprlang.evaluate(e, b), (len(points),))
-                         for e in self.implicit]).reshape(len(self.implicit), len(points)).T
+        b, out = self._bindings("x", points.T), np.empty((len(points), len(self.implicit)))
+        for j, e in enumerate(self.implicit):
+            out[:, j] = exprlang.evaluate(e, b)  # a scalar fills its column
+        return out
 
     def _implicit_rows(self, points) -> np.ndarray:
         """Implicit jacobian rows (m, n - k, n) at (N, n) points or ``points_at(grid)``."""
@@ -313,8 +315,13 @@ def frames_many(core: Submanifold, coords) -> tuple:
     if not isinstance(coords, Grid):
         coords = np.asarray(coords, dtype=float)
     points = core.points_at(coords)
+    return (points, *_frames(core, coords, points))
+
+
+def _frames(core: Submanifold, coords, points=None) -> tuple:
+    """``frames_many`` but its points, which are formed here only for implicit rows."""
     if "frames" in core._cache:
-        return (points, *core._cache["frames"])
+        return core._cache["frames"]
     tangents = core._tangents(coords)
     unit_t = linalg.unit_columns(tangents)
     u = _rank_loss(unit_t, IMMERSION_TOL, coords)
@@ -323,7 +330,7 @@ def frames_many(core: Submanifold, coords) -> tuple:
     if core.implicit is None:
         rows = np.swapaxes(linalg.complete_to_ambient(tangents), 1, 2)
     else:
-        rows = core._implicit_rows(points)
+        rows = core._implicit_rows(core.points_at(coords) if points is None else points)
         _check_rows(core, rows, unit_t, coords)
     m = max(len(tangents), len(rows))
     frames = tuple(a if len(a) == m else np.broadcast_to(a, (m,) + a.shape[1:])
@@ -332,7 +339,7 @@ def frames_many(core: Submanifold, coords) -> tuple:
         for a in frames:
             a.flags.writeable = False  # every later batch shares them
         core._cache["frames"] = frames
-    return (points, *frames)
+    return frames
 
 
 def frames_at(core: Submanifold, u) -> tuple[np.ndarray, ...]:
@@ -344,43 +351,50 @@ def frames_at(core: Submanifold, u) -> tuple[np.ndarray, ...]:
 
 # chart inversion
 
+def _row_norms(a: np.ndarray) -> np.ndarray:  # np.linalg.norm(a, axis=1) bitwise, unchecked
+    return np.sqrt(np.add.reduce(a * a, axis=1))
+
+
 def _gauss_newton(residual, jacobian, u0, box, tol):
     """Damped Gauss-Newton on an (N, k) stack of iterates, one problem per row.
 
     ``residual`` maps (N, k) coordinates to (N, q) residuals, ``jacobian``
     maps the rows still iterating to (m, q, k) jacobians, m being 1 or their
-    count.  Each row halves its own step, down to the floor DAMPING_FLOOR,
-    until its residual drops; trials are clipped to ``box`` (None: unbounded).
-    A row stops once its residual is <= tol, once no damping lowers it, or
-    once its step is <= 1e-12 (1 + |u|), a step that short tried undamped
-    only.  Returns u, the residual norms and the rows still moving after
-    MAX_NEWTON_STEPS.
+    count.  The step -pinv(J) r comes from one SVD, with pinv's cutoff at
+    1e-15 s_max.  Each row halves its own step, down to DAMPING_FLOOR, until
+    its residual drops; trials are clipped to ``box`` (None: unbounded).  A
+    row stops once its residual is <= tol, once no damping lowers it, or once
+    its step is <= 1e-12 (1 + |u|), a step that short tried undamped only.
+    Returns u, the residual norms and the rows still moving at the end.
     """
     u = np.array(u0, dtype=float)
     lo, hi = (None, None) if box is None else box.T
     r = residual(u)
-    norm = np.linalg.norm(r, axis=1)
+    norm = _row_norms(r)
     moving = norm > tol
     for _ in range(MAX_NEWTON_STEPS):
         if not moving.any():
             break
+        rows = slice(None) if moving.all() else moving  # a slice copies no rows
+        w, sv, vt = np.linalg.svd(jacobian(u[rows]), full_matrices=False)
+        inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > 1e-15 * sv[:, :1])
         step = np.zeros_like(u)
-        step[moving] = -(np.linalg.pinv(jacobian(u[moving])) @ r[moving, :, None])[..., 0]
-        floor = 1e-12 * (1.0 + np.linalg.norm(u, axis=1))
-        short = np.linalg.norm(step, axis=1) <= floor
+        step[rows] = -(((r[rows, None] @ w) * inv[:, None]) @ vt)[:, 0]
+        floor = 1e-12 * (1.0 + _row_norms(u))
+        short = _row_norms(step) <= floor
         lam = np.ones(len(u))
         pending, improved = moving.copy(), np.zeros(len(u), dtype=bool)
         while pending.any():
             trial = np.where(pending[:, None], np.clip(u + lam[:, None] * step, lo, hi), u)
             r_trial = residual(trial)
-            n_trial = np.linalg.norm(r_trial, axis=1)
+            n_trial = _row_norms(r_trial)
             better = pending & (n_trial < norm)
             u[better], r[better], norm[better] = trial[better], r_trial[better], n_trial[better]
             improved |= better
             pending &= ~better
             lam[pending] *= 0.5
             pending &= (lam > DAMPING_FLOOR) & ~short
-        moving &= improved & (np.linalg.norm(lam[:, None] * step, axis=1) > floor) & (norm > tol)
+        moving &= improved & (_row_norms(lam[:, None] * step) > floor) & (norm > tol)
     return u, norm, moving
 
 

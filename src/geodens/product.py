@@ -36,7 +36,7 @@ from .errors import (
     TransversalityFailure,
 )
 from .fields import FuncField
-from .geometry import Submanifold, chart_invert, frames_many, on_core_tol
+from .geometry import Submanifold, _frames, chart_invert, frames_many, on_core_tol
 from .quadrature import Grid, QuadratureOptions, intersect_boxes
 from .states import (
     ConormalFamily,
@@ -93,8 +93,8 @@ def product_at_point(theta1: GeometricState, theta2: GeometricState,
     w = np.asarray(w, dtype=float).reshape(1, core_e.dim)
     x, s, _ = frames_many(core_e, w)
     u_c, u_d = _core_coords(theta1, theta2, x)
-    frames_c = frames_many(theta1.core, u_c)
-    frames_d = frames_many(theta2.core, u_d)
+    frames_c = (None, *_frames(theta1.core, u_c))
+    frames_d = (None, *_frames(theta2.core, u_d))
     nu_c = theta1.conormal.rows_many(u_c, frames_c)
     nu_d = theta2.conormal.rows_many(u_d, frames_d)
     arrays = (frames_c[1], nu_c, frames_d[1], nu_d, s)
@@ -124,7 +124,7 @@ def product(theta1: GeometricState, theta2: GeometricState,
     _check_dims(theta1, theta2, core_e)
 
     def stacked_rows(coords, frames):
-        x = core_e.points_at(coords.points()) if isinstance(coords, Grid) else frames[0]
+        x = core_e.points_at(coords.points() if isinstance(coords, Grid) else coords)
         return _stacked(*(theta.conormal.rows_many(u) for theta, u in
                           zip((theta1, theta2), _core_coords(theta1, theta2, x))))
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import exprlang
 from .density import AmbientDensity
-from .errors import DegreeMismatch, GeodensError, SceneError
+from .errors import ConormalShapeMismatch, DegreeMismatch, GeodensError, SceneError
 from .geometry import Submanifold
 from .states import GeometricState, _check_degree_sum, make_state
 
@@ -236,7 +236,10 @@ def _state(cores, name: str, entry: dict) -> tuple[GeometricState, dict]:
     conormal = entry.get("conormal")
     if conormal is not None:
         conormal = _numbers(conormal, f"{where} conormal", rows=True)
-    state = make_state(cores[core], degree, coeff, conormal=conormal, support=support)
+    try:
+        state = make_state(cores[core], degree, coeff, conormal=conormal, support=support)
+    except ConormalShapeMismatch as exc:
+        raise SceneError(f"{where} {exc}") from exc
     return state, {"core": core, "degree": _degree_out(degree),
                    "coeff": exprlang.to_source(coeff),
                    **_given(support=support, conormal=conormal)}

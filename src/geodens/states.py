@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import exprlang, linalg, quadrature
-from .errors import DegreeMismatch
+from .errors import ConormalShapeMismatch, DegreeMismatch
 from .fields import ExprField, FuncField, ScalarField, as_field
 from .density import AmbientDensity, restrict
 from .geometry import Submanifold, frames_many
@@ -31,11 +31,11 @@ NormalSolver = Callable[[np.ndarray, np.ndarray], np.ndarray]
 class ConormalFamily:
     """A frame family of q conormal covectors along a core, as one batched callable.
 
-    ``rows_many(coords, frames)`` takes chart coordinates (N, k) or a Grid,
-    and that batch's ``frames_many`` output, and returns the family's
-    covector rows (m, q, n): m is 1 when the rows are the same at every node
-    and N otherwise.  Families that read the frames sample them on ``core``
-    when the caller has none.  ``rows_at(u)`` is the one-point case.
+    ``rows_many(coords, frames)`` takes chart coordinates (N, k) or a Grid, and
+    that batch's ``frames_many`` output, whose points may be None, and returns
+    the family's covector rows (m, q, n): m is 1 when the rows are the same at
+    every node and N otherwise.  Families that read the frames sample them on
+    ``core`` when the caller has none.  ``rows_at(u)`` is the one-point case.
     """
 
     def __init__(self, fn: Callable[[np.ndarray, tuple | None], np.ndarray],
@@ -81,13 +81,12 @@ def make_state(core: Submanifold, degree, coeff, conormal=None,
                support=None) -> GeometricState:
     """Build a geometric state; strings parse as chart-coordinate expressions, and
     ``conormal`` gives constant covector rows (n - k, n), or None for the core's."""
-    family = (ConormalFamily.from_core(core) if conormal is None
-              else ConormalFamily.from_rows(conormal))
-    u0 = np.zeros(core.dim) if core.domain is None else core.domain.mean(axis=1)
-    rows = family.rows_at(u0)
-    if rows.shape != (core.ambient.dim - core.dim, core.ambient.dim):
-        raise ValueError(
-            f"conormal family shape {rows.shape} does not match codimension")
+    n, q = core.ambient.dim, core.ambient.dim - core.dim
+    rows = None if conormal is None else np.atleast_2d(np.asarray(conormal, dtype=float))
+    if rows is not None and rows.shape != (q, n):
+        raise ConormalShapeMismatch(f"conormal needs {q} row(s) of {n} numbers for core "
+                                    f"{core.name!r}, got shape {rows.shape}")
+    family = ConormalFamily.from_core(core) if rows is None else ConormalFamily.from_rows(rows)
     return GeometricState(core, complex(degree), as_field(coeff, "u", core.params),
                           family, None if support is None else as_box(support))
 

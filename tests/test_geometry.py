@@ -1,6 +1,7 @@
 """Cores: construction, frames, chart inversion, transversality, intersection."""
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +31,10 @@ from geodens.geometry import (
 )
 from geodens.product import inner_product
 from geodens.quadrature import Grid
+from geodens.scene import load_scene
 from geodens.states import make_state
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
 def x_axis(name="X"):
@@ -336,6 +340,72 @@ def test_affine_chart_invert_matches_least_squares(n, k):
     assert np.all(resid[:3] <= 1e-12 * np.abs(x[:3]).max())
     assert np.all(resid[3:] > 1e-3) or k == n  # a full-dimensional core has no off
     assert not core._cache["pinv"].flags.writeable
+
+
+def first_newton_step(jac, r0):
+    """The step of _gauss_newton's first iteration from u = 0, read from its first trial:
+    the trial's residual is zero, so the trial is taken and every row stops."""
+    trials = []
+
+    def residual(u):
+        trials.append(u.copy())
+        return r0.copy() if len(trials) == 1 else np.zeros_like(r0)
+
+    geometry._gauss_newton(residual, lambda u: jac, np.zeros((len(r0), jac.shape[2])),
+                           None, 0.0)
+    assert len(trials) == 2
+    return trials[1]
+
+
+def assert_pinv_step(step, jac, r0):
+    want = -(np.linalg.pinv(jac) @ r0[:, :, None])[..., 0]
+    assert np.all(np.linalg.norm(step - want, axis=1) <= 1e-13 * np.linalg.norm(want, axis=1))
+
+
+@pytest.mark.parametrize("q, k", [(1, 1), (2, 1), (3, 2), (4, 4), (6, 3)])
+def test_newton_step_is_the_pseudo_inverse_step(q, k):
+    # the step from one SVD against -pinv(J) r, one jacobian per row and one for all rows
+    rng = np.random.default_rng([7, q, k])
+    r0 = rng.normal(size=(9, q)) * 10.0 ** rng.integers(-4, 5, size=(9, 1))
+    for jac in (rng.normal(size=(9, q, k)), rng.normal(size=(1, q, k)) * 1e3):
+        assert_pinv_step(first_newton_step(jac, r0), jac, r0)
+
+
+@pytest.mark.parametrize("q, k", [(2, 2), (3, 2), (5, 3)])
+def test_newton_step_takes_no_part_along_a_zero_singular_value(q, k):
+    # a rank k - 1 jacobian: its null direction gets no step, as pinv's cutoff gives
+    rng = np.random.default_rng([8, q, k])
+    left = np.linalg.qr(rng.normal(size=(9, q, q)))[0][..., :k]
+    right = np.linalg.qr(rng.normal(size=(9, k, k)))[0]
+    sv = np.concatenate([rng.uniform(0.5, 2.0, size=(9, k - 1)), np.zeros((9, 1))], axis=1)
+    jac = left @ (sv[:, :, None] * np.swapaxes(right, 1, 2))
+    r0 = rng.normal(size=(9, q))
+    step = first_newton_step(jac, r0)
+    assert_pinv_step(step, jac, r0)
+    null = right[:, :, -1]
+    assert np.all(np.abs(np.sum(null * step, axis=1)) <= 1e-13 * np.linalg.norm(step, axis=1))
+
+
+def stacked_points(core, coords):
+    """The chart map at (N, k) coordinates as it was formed before: np.stack over views."""
+    return np.stack([np.broadcast_to(x, coords.shape[:1]) for x in core._map(coords.T)], axis=1)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENES.glob("*.json")
+                                         if '"chart"' in p.read_text()))
+def test_chart_points_are_the_stacked_map(name):
+    # every chart of every scene, and one with a constant component, on coordinate
+    # arrays and on the flat points of a Grid
+    charts = [c for c in load_scene(SCENES / name).cores.values() if not c.is_affine]
+    charts.append(Submanifold.chart("F", ["u1", "0.5", "u1^2"], [[-1.0, 2.0]]))
+    rng = np.random.default_rng(3)
+    for core in charts:
+        box = core.domain
+        grid = Grid([np.linspace(lo, hi, 7) for lo, hi in box]).points()
+        for coords in (rng.uniform(box[:, 0], box[:, 1], (11, core.dim)), grid, grid[:1]):
+            got = core.points_at(coords)
+            assert got.shape == (len(coords), core.ambient.dim)
+            assert got.tobytes() == stacked_points(core, coords).tobytes()
 
 
 def test_chart_invert_off_the_circle_fails_where_newton_never_settles():

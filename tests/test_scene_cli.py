@@ -679,6 +679,12 @@ def sweep_request_a_number(d):
     return "request #4 request must be an object, got 5"
 
 
+def state_conormal_three_numbers(d):
+    # rows of one length, but not of the core's R^2
+    d["states"][0]["conormal"] = [[0, 1, 2]]
+    return "state 'psi1' conormal needs 1 row(s) of 2 numbers for core 'C', got shape (1, 3)"
+
+
 def chart_map_one_component(d):
     # checked against the scene's R^2 before the chart or its implicit form is built
     d["cores"][1]["map"] = ["u1*cos(phi)"]
@@ -707,7 +713,7 @@ def point_location_one_number(d):
     affine_base_not_a_list, affine_tangent_not_rows, point_location_a_string,
     check_samples_not_rows, core_entry_a_number, check_cores_a_number, request_a_number,
     params_a_list, sweep_request_a_number, chart_map_one_component, affine_base_three_numbers,
-    affine_tangent_row_three_numbers, point_location_one_number,
+    affine_tangent_row_three_numbers, point_location_one_number, state_conormal_three_numbers,
 ], ids=lambda f: f.__name__)
 def test_cli_bad_scene_field_exit_2(mutate, tmp_path, capsys):
     data = json.loads((SCENES / "tilted_lines.json").read_text())

@@ -16,7 +16,13 @@ import numpy as np
 import pytest
 
 from geodens.density import AmbientDensity
-from geodens.errors import ConormalMismatch, DegreeMismatch, UnboundedDomain
+from geodens import states
+from geodens.errors import (
+    ConormalMismatch,
+    ConormalShapeMismatch,
+    DegreeMismatch,
+    UnboundedDomain,
+)
 from geodens.fields import ExprField, FuncField
 from geodens.geometry import Submanifold, frames_at, frames_many
 from geodens.exprlang import parse
@@ -70,6 +76,29 @@ def test_make_state_explicit_rows():
 def test_make_state_rejects_wrong_codimension():
     with pytest.raises(ValueError):
         make_state(x_axis(), 0.5, "1", conormal=[[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("rows, shape", [([[0.0, 1.0], [1.0, 0.0]], (2, 2)),
+                                         ([[0.0, 1.0, 2.0]], (1, 3)), ([0.0], (1, 1))])
+def test_make_state_types_a_conormal_of_the_wrong_shape(rows, shape):
+    with pytest.raises(ConormalShapeMismatch) as info:
+        make_state(x_axis(), 0.5, "1", conormal=rows)
+    assert isinstance(info.value, ValueError) and info.value.exit_code == 2
+    assert str(info.value) == ("conormal needs 1 row(s) of 2 numbers for core 'X', "
+                               f"got shape {shape}")
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parent.parent / "scenes")
+                                        .glob("*.json")), ids=lambda p: p.name)
+def test_loading_a_scene_samples_no_frame(path, monkeypatch):
+    # a core's own conormal family has the codimension's shape by construction
+    calls = []
+    monkeypatch.setattr(states, "frames_many", lambda *a: calls.append(a) or frames_many(*a))
+    try:
+        load_scene(path)
+    except DegreeMismatch:
+        assert path.name == "degree_mismatch.json"  # refused after its states are built
+    assert calls == []
 
 
 def test_zero_section_state():

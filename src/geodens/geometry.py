@@ -365,7 +365,7 @@ def _gauss_newton(residual, jacobian, u0, box, tol):
     its residual drops; trials are clipped to ``box`` (None: unbounded).  A
     row stops once its residual is <= tol, once no damping lowers it, or once
     its step is <= 1e-12 (1 + |u|), a step that short tried undamped only.
-    Returns u, the residual norms and the rows still moving at the end.
+    Returns u, the residual norms and the rows still moving after MAX_NEWTON_STEPS.
     """
     u = np.array(u0, dtype=float)
     lo, hi = (None, None) if box is None else box.T

@@ -42,15 +42,15 @@ def restrict(phi: AmbientDensity, core: Submanifold, coords, conormal=None,
     """f(psi(u)) |det [t(u) | solver(nu(u), t(u))]|^degree at chart coordinates
     (N, k), values (N,), or on a quadrature Grid, values in its ``dims``.
 
-    The rows nu are ``conormal.rows_many(coords, frames)``, or the core's own
-    conormal rows when ``conormal`` is None; ``solver`` None means their
-    minimum-norm dual normals, and an explicit normal frame n is the constant
-    solver ``lambda nu, t: n``.  The frame factor runs once per distinct frame,
-    and a real degree with a real coefficient gives float64 values.
+    The rows nu are the core's own conormal rows, or ``conormal.rows_many`` of
+    them; ``solver`` None means their minimum-norm dual normals, and an explicit
+    normal frame n is the constant solver ``lambda nu, t: n``.  The frame factor
+    runs once per distinct frame, and a real degree with a real coefficient
+    gives float64 values.
     """
     points, tangents, rows = frames_many(core, coords)
     if conormal is not None:
-        rows = conormal.rows_many(coords, (points, tangents, rows))
+        rows = conormal.rows_many(coords, rows)
     factors = linalg.frame_factors(tangents, rows, phi.degree, solver)
     dims = coords.dims if isinstance(coords, Grid) else (len(coords),)
     value = phi.coeff.eval_many(points) * factors.reshape(dims if len(factors) > 1 else ())

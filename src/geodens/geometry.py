@@ -91,8 +91,7 @@ class Submanifold:
     @classmethod
     def affine(cls, name: str, base, tangent, implicit=None,
                params: Mapping[str, float] | None = None) -> "Submanifold":
-        base = np.asarray(base, dtype=float)
-        tangent = np.asarray(tangent, dtype=float)
+        base, tangent = _own(base), _own(tangent)
         if tangent.ndim == 1:
             tangent = tangent[:, None]
         if tangent.size == 0:
@@ -110,7 +109,7 @@ class Submanifold:
     def chart(cls, name: str, exprs: Sequence, domain, implicit=None,
               params: Mapping[str, float] | None = None) -> "Submanifold":
         comp = _coerce_exprs(exprs)
-        dom = np.asarray(domain, dtype=float)
+        dom = _own(domain)
         if dom.ndim == 1:
             dom = dom[None, :]
         return cls(name, Ambient(len(comp)), dom.shape[0],
@@ -262,6 +261,13 @@ class Submanifold:
         return self._cache["seeds"]
 
 
+def _own(a) -> np.ndarray:
+    """A read-only float copy, which no later edit of the caller's array reaches."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 def _coerce_exprs(exprs) -> tuple[Expr, ...] | None:
     if exprs is None:
         return None
@@ -358,14 +364,14 @@ def _row_norms(a: np.ndarray) -> np.ndarray:  # np.linalg.norm(a, axis=1) bitwis
 def _gauss_newton(residual, jacobian, u0, box, tol):
     """Damped Gauss-Newton on an (N, k) stack of iterates, one problem per row.
 
-    ``residual`` maps (N, k) coordinates to (N, q) residuals, ``jacobian``
-    maps the rows still iterating to (m, q, k) jacobians, m being 1 or their
-    count.  The step -pinv(J) r comes from one SVD, with pinv's cutoff at
-    1e-15 s_max.  Each row halves its own step, down to DAMPING_FLOOR, until
-    its residual drops; trials are clipped to ``box`` (None: unbounded).  A
-    row stops once its residual is <= tol, once no damping lowers it, or once
-    its step is <= 1e-12 (1 + |u|), a step that short tried undamped only.
-    Returns u, the residual norms and the rows still moving after MAX_NEWTON_STEPS.
+    ``residual`` maps (N, k) coordinates to (N, q) residuals in a fresh array, which
+    the solver writes into; ``jacobian`` maps the rows still iterating to (m, q, k)
+    jacobians, m being 1 or their count.  The step -pinv(J) r comes from one SVD,
+    with pinv's cutoff at 1e-15 s_max.  Each row halves its own step, down to
+    DAMPING_FLOOR, until its residual drops; trials are clipped to ``box`` (None:
+    unbounded).  A row stops once its residual is <= tol, once no damping lowers
+    it, or once its step is <= 1e-12 (1 + |u|), a step that short tried undamped
+    only.  Returns u, the residual norms and the rows still moving after MAX_NEWTON_STEPS.
     """
     u = np.array(u0, dtype=float)
     lo, hi = (None, None) if box is None else box.T
@@ -430,6 +436,21 @@ def chart_invert(core: Submanifold, xs) -> tuple[np.ndarray, np.ndarray]:
     return u, resid
 
 
+def core_coords(cores: Sequence[Submanifold], x: np.ndarray) -> list[np.ndarray]:
+    """Chart coordinates (N, k) on each core of points x (N, n) on all of them: one
+    ``chart_invert`` per core, in order, against one ``on_core_tol``.  A point off
+    a core raises NotOnBothCores, naming it, its distance and the core."""
+    tol, out = on_core_tol(x), []
+    for core in cores:
+        u, resid = chart_invert(core, x)
+        off = resid > tol
+        if off.any():
+            i = int(np.argmax(off))
+            raise NotOnBothCores(f"point {x[i]} is {resid[i]:.3g} away from core {core.name!r}")
+        out.append(u)
+    return out
+
+
 # transversality
 
 @dataclass(frozen=True, eq=False)
@@ -452,21 +473,14 @@ def transversality_check(c: Submanifold, d: Submanifold,
                          samples: Sequence) -> TransversalityReport:
     """Per-point verdicts on whether T_xC + T_xD spans R^n.
 
-    Samples are ambient points that must already lie on both cores
-    (distance <= ``on_core_tol``), otherwise NotOnBothCores is raised.
+    Samples are ambient points that must already lie on both cores, as
+    ``core_coords`` decides.
     """
     n = c.ambient.dim
     if d.ambient.dim != n:
         raise AmbientMismatch("cores live in different ambient spaces")
     x = np.asarray(samples, dtype=float).reshape(len(samples), n)
-    uc, rc = chart_invert(c, x)
-    ud, rd = chart_invert(d, x)
-    tol = on_core_tol(x)
-    off = (rc > tol) | (rd > tol)
-    if off.any():
-        i = int(np.argmax(off))
-        raise NotOnBothCores(
-            f"sample {x[i]} is off-core (distances {rc[i]:.3g}, {rd[i]:.3g})")
+    uc, ud = core_coords((c, d), x)
     joint = np.concatenate([np.broadcast_to(t, (len(x),) + t.shape[1:])
                             for t in (c._tangents(uc), d._tangents(ud))], axis=2)
     sv = np.linalg.svd(linalg.unit_columns(joint), compute_uv=False)

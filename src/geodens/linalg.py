@@ -31,8 +31,8 @@ def _det_abs_pows(mats: np.ndarray, degree) -> np.ndarray:
     a = complex(degree)
     sign, logabs = np.linalg.slogdet(mats)
     with np.errstate(divide="ignore"):
-        # log of prod_i ||row_i||, the natural scale of det for these entries
-        log_hadamard = np.sum(np.log(np.linalg.norm(mats, axis=2)), axis=1)
+        # log of prod_j ||column_j||: scaling a column scales it as it scales |det|
+        log_hadamard = np.sum(np.log(np.linalg.norm(mats, axis=1)), axis=1)
     singular = (sign == 0.0) | (logabs <= np.log(SINGULAR_TOL) + log_hadamard)
     if singular.any() and a.real <= 0.0:
         raise SingularFrame(f"singular frame matrix (log|det| = "
@@ -44,7 +44,7 @@ def det_abs_pow(matrix, degree) -> complex:
     """|det M|^degree for a square matrix M and complex degree.
 
     Computed as exp(degree * ln|det M|).  A matrix is treated as singular when
-    |det| <= SINGULAR_TOL * (Hadamard bound); then the result is 0 for
+    |det| <= SINGULAR_TOL * prod_j |column_j| (Hadamard); then the result is 0 for
     Re(degree) > 0 and SingularFrame is raised otherwise (including degree 0:
     0^0 on a degenerate frame is not a meaningful density value).  The rule of
     ``frame_factors`` on a stack of one; the empty frame has det 1.

@@ -32,11 +32,10 @@ from .errors import (
     AmbientMismatch,
     DegenerateCovectors,
     DimensionMismatch,
-    NotOnBothCores,
     TransversalityFailure,
 )
 from .fields import FuncField
-from .geometry import Submanifold, _frames, chart_invert, frames_many, on_core_tol
+from .geometry import Submanifold, _frames, core_coords, frames_many
 from .quadrature import Grid, QuadratureOptions, intersect_boxes
 from .states import (
     ConormalFamily,
@@ -60,17 +59,13 @@ def _check_dims(theta1: GeometricState, theta2: GeometricState,
             f"requires {expected}")
 
 
-def _core_coords(theta1: GeometricState, theta2: GeometricState, x) -> list[np.ndarray]:
-    """Chart coordinates (N, k) on both states' cores of points x (N, n) on both."""
-    tol, out = on_core_tol(x), []
-    for core, picture in ((theta1.core, "first"), (theta2.core, "second")):
-        u, resid = chart_invert(core, x)
-        off = resid > tol
-        if off.any():
-            i = int(np.argmax(off))
-            raise NotOnBothCores(f"point {x[i]} is {resid[i]:.3g} away from {picture} "
-                                 f"core {core.name!r}")
-        out.append(u)
+def _factors(theta1: GeometricState, theta2: GeometricState, x) -> list[tuple]:
+    """Chart coordinates (N, k), tangents (m, n, k) and conormal rows (m, q, n) of
+    both states at points x (N, n) on both cores."""
+    out = []
+    for theta, u in zip((theta1, theta2), core_coords((theta1.core, theta2.core), x)):
+        tangents, own_rows = _frames(theta.core, u)
+        out.append((u, tangents, theta.conormal.rows_many(u, own_rows)))
     return out
 
 
@@ -92,18 +87,14 @@ def product_at_point(theta1: GeometricState, theta2: GeometricState,
     """
     w = np.asarray(w, dtype=float).reshape(1, core_e.dim)
     x, s, _ = frames_many(core_e, w)
-    u_c, u_d = _core_coords(theta1, theta2, x)
-    frames_c = (None, *_frames(theta1.core, u_c))
-    frames_d = (None, *_frames(theta2.core, u_d))
-    nu_c = theta1.conormal.rows_many(u_c, frames_c)
-    nu_d = theta2.conormal.rows_many(u_d, frames_d)
-    arrays = (frames_c[1], nu_c, frames_d[1], nu_d, s)
+    (u_c, t_c, nu_c), (u_d, t_d, nu_d) = _factors(theta1, theta2, x)
+    arrays = (t_c, nu_c, t_d, nu_d, s)
     rest = (theta1.degree, theta2.degree, dual_solver)
     last = core_e._cache.get("product")
     if last is None or last[1] != rest or not all(
             a is b or np.array_equal(a, b) for a, b in zip(arrays, last[0])):
-        f_c = linalg.frame_factors(frames_c[1], nu_c, -theta1.degree, dual_solver)[0]
-        f_d = linalg.frame_factors(frames_d[1], nu_d, -theta2.degree, dual_solver)[0]
+        f_c = linalg.frame_factors(t_c, nu_c, -theta1.degree, dual_solver)[0]
+        f_d = linalg.frame_factors(t_d, nu_d, -theta2.degree, dual_solver)[0]
         try:
             f_e = linalg.frame_factors(s, _stacked(nu_c, nu_d),
                                        theta1.degree + theta2.degree, dual_solver)[0]
@@ -123,13 +114,12 @@ def product(theta1: GeometricState, theta2: GeometricState,
     """The product state on E, its coefficient evaluated on demand."""
     _check_dims(theta1, theta2, core_e)
 
-    def stacked_rows(coords, frames):
+    def stacked_rows(coords, own_rows):
         x = core_e.points_at(coords.points() if isinstance(coords, Grid) else coords)
-        return _stacked(*(theta.conormal.rows_many(u) for theta, u in
-                          zip((theta1, theta2), _core_coords(theta1, theta2, x))))
+        return _stacked(*(rows for _, _, rows in _factors(theta1, theta2, x)))
 
     coeff = FuncField(lambda w: product_at_point(theta1, theta2, core_e, w))
-    family = ConormalFamily(stacked_rows, core_e)
+    family = ConormalFamily(stacked_rows)
     return GeometricState(core_e, theta1.degree + theta2.degree, coeff,
                           family, None if support is None else quadrature.as_box(support))
 

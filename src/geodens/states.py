@@ -22,7 +22,7 @@ from . import exprlang, linalg, quadrature
 from .errors import ConormalShapeMismatch, DegreeMismatch
 from .fields import ExprField, FuncField, ScalarField, as_field
 from .density import AmbientDensity, restrict
-from .geometry import Submanifold, frames_many
+from .geometry import Submanifold, _own, frames_many
 from .quadrature import QuadratureOptions, as_box, intersect_boxes
 
 NormalSolver = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -31,39 +31,35 @@ NormalSolver = Callable[[np.ndarray, np.ndarray], np.ndarray]
 class ConormalFamily:
     """A frame family of q conormal covectors along a core, as one batched callable.
 
-    ``rows_many(coords, frames)`` takes chart coordinates (N, k) or a Grid, and
-    that batch's ``frames_many`` output, whose points may be None, and returns
-    the family's covector rows (m, q, n): m is 1 when the rows are the same at
-    every node and N otherwise.  Families that read the frames sample them on
-    ``core`` when the caller has none.  ``rows_at(u)`` is the one-point case.
+    ``rows_many(coords, own_rows)`` takes chart coordinates (N, k) or a Grid, and
+    the core's own conormal rows there, and returns the family's covector rows
+    (m, q, n): m is 1 when the rows are the same at every node and N otherwise.
+    The core's own family samples its rows when the caller has none.
+    ``rows_at(u)`` is the one-point case.
     """
 
-    def __init__(self, fn: Callable[[np.ndarray, tuple | None], np.ndarray],
-                 core: Submanifold | None = None):
+    def __init__(self, fn: Callable[[np.ndarray, np.ndarray | None], np.ndarray]):
         self._fn = fn
-        self.core = core
 
     @classmethod
     def from_core(cls, core: Submanifold) -> "ConormalFamily":
-        return cls(lambda coords, frames: frames[2], core)
+        return cls(lambda coords, own_rows:
+                   frames_many(core, coords)[2] if own_rows is None else own_rows)
 
     @classmethod
     def from_rows(cls, rows) -> "ConormalFamily":
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))[None]
-        return cls(lambda coords, frames: rows)
+        rows = np.atleast_2d(_own(rows))[None]
+        return cls(lambda coords, own_rows: rows)
 
-    def rows_many(self, coords, frames=None) -> np.ndarray:
-        if frames is None and self.core is not None:
-            frames = frames_many(self.core, coords)
-        return self._fn(coords, frames)
+    def rows_many(self, coords, own_rows=None) -> np.ndarray:
+        return self._fn(coords, own_rows)
 
     def rows_at(self, u) -> np.ndarray:
         return self.rows_many(np.asarray(u, dtype=float).reshape(1, -1))[0]
 
     def recombined(self, b) -> "ConormalFamily":
-        b = np.asarray(b, dtype=float)
-        return ConormalFamily(lambda coords, frames: b @ self._fn(coords, frames),
-                              self.core)
+        b = _own(b)
+        return ConormalFamily(lambda coords, own_rows: b @ self._fn(coords, own_rows))
 
 
 @dataclass(frozen=True, eq=False)

@@ -425,6 +425,23 @@ def test_a_replaced_core_builds_its_own_caches():
     assert u.tolist() == [[1.0]] and resid.tolist() == [0.0]
 
 
+def test_a_core_keeps_its_own_arrays():
+    # editing the caller's arrays after construction reaches neither the core's
+    # form nor what it cached from it: the pseudo-inverse, the frames
+    base, tangent, domain = np.zeros(2), np.array([1.0, 0.0]), np.array([[0.0, 1.0]])
+    line = Submanifold.affine("X", base, tangent)
+    chart = Submanifold.chart("A", ["u1", "u1^2"], domain)
+    chart_invert(line, [[2.0, 0.0]])
+    base[:], tangent[:], domain[:] = [0.0, 5.0], [0.0, 1.0], [[3.0, -3.0]]
+    assert line.points_at([[2.0]]).tolist() == [[2.0, 0.0]]
+    u, resid = chart_invert(line, line.points_at([[2.0]]))
+    assert u.tolist() == [[2.0]] and resid.tolist() == [0.0]
+    assert frames_many(line, [[0.5]])[1][0, :, 0].tolist() == [1.0, 0.0]
+    assert chart.domain.tolist() == [[0.0, 1.0]]
+    for a in (line.form.base, line.form.tangent, chart.domain):
+        assert not a.flags.writeable
+
+
 # transversality
 
 def test_transverse_axes():
@@ -458,8 +475,12 @@ def test_transversality_samples_in_one_stack():
     assert np.allclose(rep.samples[1].point, [-1.0, 0.0])
     assert transversality_check(s, line, [[0.0, 1.0]]).samples[0].rank == 1
     assert transversality_check(s, line, []).samples == ()
-    # the first off-core sample is named, as when samples were checked one by one
-    with pytest.raises(NotOnBothCores, match=r"sample \[0\.6 0\.8\] is off-core"):
+    # the first sample off a core is named, with its distance and the core,
+    # as when samples were checked one by one
+    with pytest.raises(NotOnBothCores, match=r"point \[0\.6 0\.8\] is 0\.8 away from core 'X'"):
+        transversality_check(x_axis(), s, [[1.0, 0.0], [0.6, 0.8], [0.0, 1.5]])
+    # the cores are checked in order, so a sample off the first comes first
+    with pytest.raises(NotOnBothCores, match=r"point \[0\.  1\.5\] is 0\.5 away from core 'S'"):
         transversality_check(s, x_axis(), [[1.0, 0.0], [0.6, 0.8], [0.0, 1.5]])
 
 

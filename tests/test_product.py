@@ -10,11 +10,12 @@ match it at rel 1e-12 on flat, curved and gauge-shifted cases.
 """
 import importlib
 import math
+import re
 
 import numpy as np
 import pytest
 
-from geodens import quadrature
+from geodens import geometry, quadrature, states
 from geodens.errors import (
     AmbientMismatch,
     ConormalMismatch,
@@ -313,12 +314,30 @@ def test_product_rows_many_matches_rows_at(factors):
     assert len(rows) == (1 if both_affine else len(coords))
 
 
+def test_product_family_samples_no_frame_on_e(monkeypatch):
+    # the stacked rows come from the factors' own rows: E's frames would be thrown away
+    th1, th2, e = sphere_and_plane()
+    family = product(th1, th2, e).conormal
+    x = e.points_at([[0.4]])
+    want = np.concatenate([th.conormal.rows_at(chart_invert(th.core, x)[0][0])
+                           for th in (th1, th2)])
+    cores = []
+    for module in (geometry, states, importlib.import_module("geodens.product")):
+        for name in ("frames_many", "_frames"):
+            if hasattr(module, name):
+                real = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda core, *a, real=real:
+                                    cores.append(core) or real(core, *a))
+    assert np.array_equal(family.rows_at([0.4]), want)
+    assert cores and e not in cores
+
+
 def test_product_rows_many_names_the_off_core_node():
     th1, th2, _ = crossed_planes()
     bump = Submanifold.chart("B", ["u1", "0", "exp(-100*(u1-1.5)^2)"], [[-2.0, 2.0]])
     coords = np.array([[-1.0], [0.0], [0.5], [1.5], [-0.5]])
     off = bump.points_at(coords)[3]
-    with pytest.raises(NotOnBothCores, match=r"first core 'P1'") as err:
+    with pytest.raises(NotOnBothCores, match=r"away from core 'P1'") as err:
         product(th1, th2, bump).conormal.rows_many(coords)
     assert str(off) in str(err.value)
 
@@ -346,6 +365,29 @@ def test_on_core_test_does_not_depend_on_scale(lam):
     assert transversality_check(th1.core, th2.core, [[x0, 0.0]]).samples[0].transverse
 
 
+@pytest.mark.parametrize("m", range(-64, 65, 8))
+def test_inner_product_does_not_depend_on_tangent_length(m):
+    # scaling a tangent column scales |det [t | n]| and its singular-frame bound
+    # alike: unit lines at 30 degrees pair to 2, lines with tangents 2^m long to 2^(1-m)
+    c, d = (Submanifold.affine(name, [0.0, 0.0], 2.0 ** m * np.array(t))
+            for name, t in (("C", [1.0, 0.0]), ("D", [math.sqrt(3.0) / 2, 0.5])))
+    got = inner_product(make_state(c, 0.5, "1"), make_state(d, 0.5, "1"), origin()).value
+    assert abs(got * 2.0 ** m - 2.0) <= 4e-15 * 2.0
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1.0, 1e6, 1e9, 1e10])
+def test_a_point_off_the_core_is_named_at_every_scale(lam):
+    th1, th2, x0 = scaled_crossing(lam)
+    d = 1e-3 * max(lam, 1.0)  # far past on_core_tol, 1e-8 max(1, |x|)
+    # off both lines, so C, checked first, is named; then on C and off D only
+    for off, core in (([x0, d], "C"), ([x0 + d, 0.0], "D")):
+        want = rf"^point {re.escape(str(np.array(off)))} is \S+ away from core '{core}'$"
+        with pytest.raises(NotOnBothCores, match=want):
+            inner_product(th1, th2, Submanifold.point("E", off))
+        with pytest.raises(NotOnBothCores, match=want):
+            transversality_check(th1.core, th2.core, [off])
+
+
 @pytest.mark.parametrize("s", [1.0, 1e-6, 1e-10, 1e-12])
 def test_inner_product_does_not_depend_on_conormal_row_length(s):
     # the axes meet only at 0 whatever length the x-axis conormal (0, s) has:
@@ -354,15 +396,6 @@ def test_inner_product_does_not_depend_on_conormal_row_length(s):
     sy = make_state(line(math.pi / 2, "Y"), 0.5, "1")
     got = inner_product(sx, sy, origin()).value
     assert abs(got - s ** -0.5) <= 1e-12 * s ** -0.5
-
-
-def test_a_point_off_the_core_at_unit_scale_is_still_off():
-    th1, th2, x0 = scaled_crossing(1.0)
-    off = [x0, 1e-3]
-    with pytest.raises(NotOnBothCores):
-        inner_product(th1, th2, Submanifold.point("E", off))
-    with pytest.raises(NotOnBothCores):
-        transversality_check(th1.core, th2.core, [off])
 
 
 # reusing the frame factors from node to node is exact
@@ -434,7 +467,7 @@ def assembled_product(theta1, theta2, core_e, w):
     for th in (theta1, theta2):
         u = chart_invert(th.core, x)[0]
         frames = frames_many(th.core, u)
-        rows.append(th.conormal.rows_many(u, frames))
+        rows.append(th.conormal.rows_many(u, frames[2]))
         values += [th.coeff.eval_many(u)[0], frame_factors(frames[1], rows[-1], -th.degree)[0]]
     f_e = frame_factors(s, np.concatenate(rows, axis=1), theta1.degree + theta2.degree)[0]
     return values[0] * values[2] * values[1] * values[3] * f_e

@@ -531,6 +531,23 @@ def test_cli_check_nontransverse_exit_6():
     assert "non-transverse" in proc.stderr
 
 
+def test_cli_check_off_core_sample_exit_3(tmp_path):
+    # the sample (1, 1) is on neither axis: the first core is named
+    scene = {
+        "ambient": 2,
+        "cores": [
+            {"name": "C", "kind": "affine", "base": [0, 0], "tangent": [[1, 0]]},
+            {"name": "D", "kind": "affine", "base": [0, 0], "tangent": [[0, 1]]},
+        ],
+        "requests": [{"op": "check", "cores": ["C", "D"], "samples": [[1, 1]]}],
+    }
+    path = tmp_path / "off_core.json"
+    path.write_text(json.dumps(scene))
+    proc = run_cli("check", path)
+    assert proc.returncode == 3
+    assert proc.stderr == "error: point [1. 1.] is 1 away from core 'C'\n"
+
+
 def test_cli_inner_nontransverse_exit_6():
     proc = run_cli("inner", SCENES / "parabola_nontransverse.json")
     assert proc.returncode == 6

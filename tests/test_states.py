@@ -116,6 +116,17 @@ def test_conormal_family_from_rows_and_recombination():
     assert fam2.rows_many(np.zeros((4, 1))).shape == (1, 1, 2)
 
 
+def test_a_state_keeps_its_own_conormal_rows():
+    # editing the caller's rows, or the recombining matrix, later changes no state
+    rows, b = np.array([[0.0, 1.0]]), np.array([[3.0]])
+    th = make_state(Submanifold.affine("X", [0.0, 0.0], [1.0, 0.0]), 0.5, "1",
+                    conormal=rows)
+    scaled = recombine_conormal(th, b)
+    rows[:], b[:] = [[0.0, 7.0]], [[5.0]]
+    assert th.conormal.rows_at([0.0]).tolist() == [[0.0, 1.0]]
+    assert scaled.conormal.rows_at([0.0]).tolist() == [[0.0, 3.0]]
+
+
 # pairing basics
 
 def test_pairing_unit_line_against_gaussian():

@@ -51,16 +51,30 @@ class Ambient:
             raise ValueError(f"ambient dimension must be in 1..10, got {self.dim}")
 
 
+def _own(a) -> np.ndarray:
+    """A read-only float copy, which no later edit of the caller's array reaches."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class AffineForm:
     base: np.ndarray     # (n,)
     tangent: np.ndarray  # (n, k) columns
+
+    def __post_init__(self):
+        object.__setattr__(self, "base", _own(self.base))
+        object.__setattr__(self, "tangent", _own(self.tangent))
 
 
 @dataclass(frozen=True, eq=False)
 class ChartForm:
     exprs: tuple[Expr, ...]  # n component expressions in u1..uk
     domain: np.ndarray       # (k, 2) bounded box
+
+    def __post_init__(self):
+        object.__setattr__(self, "domain", _own(self.domain))
 
 
 def on_core_tol(x: np.ndarray) -> np.ndarray:
@@ -91,7 +105,8 @@ class Submanifold:
     @classmethod
     def affine(cls, name: str, base, tangent, implicit=None,
                params: Mapping[str, float] | None = None) -> "Submanifold":
-        base, tangent = _own(base), _own(tangent)
+        base = np.asarray(base, dtype=float)
+        tangent = np.asarray(tangent, dtype=float)
         if tangent.ndim == 1:
             tangent = tangent[:, None]
         if tangent.size == 0:
@@ -109,7 +124,7 @@ class Submanifold:
     def chart(cls, name: str, exprs: Sequence, domain, implicit=None,
               params: Mapping[str, float] | None = None) -> "Submanifold":
         comp = _coerce_exprs(exprs)
-        dom = _own(domain)
+        dom = np.asarray(domain, dtype=float)
         if dom.ndim == 1:
             dom = dom[None, :]
         return cls(name, Ambient(len(comp)), dom.shape[0],
@@ -259,13 +274,6 @@ class Submanifold:
             coords = _grid(box, SEEDS_PER_AXIS)
             self._cache["seeds"] = (coords, self.points_at(coords))
         return self._cache["seeds"]
-
-
-def _own(a) -> np.ndarray:
-    """A read-only float copy, which no later edit of the caller's array reaches."""
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 def _coerce_exprs(exprs) -> tuple[Expr, ...] | None:
@@ -438,17 +446,16 @@ def chart_invert(core: Submanifold, xs) -> tuple[np.ndarray, np.ndarray]:
 
 def core_coords(cores: Sequence[Submanifold], x: np.ndarray) -> list[np.ndarray]:
     """Chart coordinates (N, k) on each core of points x (N, n) on all of them: one
-    ``chart_invert`` per core, in order, against one ``on_core_tol``.  A point off
-    a core raises NotOnBothCores, naming it, its distance and the core."""
-    tol, out = on_core_tol(x), []
-    for core in cores:
-        u, resid = chart_invert(core, x)
-        off = resid > tol
-        if off.any():
-            i = int(np.argmax(off))
-            raise NotOnBothCores(f"point {x[i]} is {resid[i]:.3g} away from core {core.name!r}")
-        out.append(u)
-    return out
+    ``chart_invert`` per core against one ``on_core_tol``.  The first point off any
+    core raises NotOnBothCores, naming it, its distance and the first core it is off."""
+    inverted = [chart_invert(core, x) for core in cores]
+    off = np.array([resid for _, resid in inverted]) > on_core_tol(x)
+    if off.any():
+        i = int(np.argmax(off.any(axis=0)))
+        j = int(np.argmax(off[:, i]))
+        raise NotOnBothCores(f"point {x[i]} is {inverted[j][1][i]:.3g} away from "
+                             f"core {cores[j].name!r}")
+    return [u for u, _ in inverted]
 
 
 # transversality
@@ -473,8 +480,7 @@ def transversality_check(c: Submanifold, d: Submanifold,
                          samples: Sequence) -> TransversalityReport:
     """Per-point verdicts on whether T_xC + T_xD spans R^n.
 
-    Samples are ambient points that must already lie on both cores, as
-    ``core_coords`` decides.
+    Samples are ambient points on both cores, as ``core_coords`` decides.
     """
     n = c.ambient.dim
     if d.ambient.dim != n:

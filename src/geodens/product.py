@@ -59,16 +59,6 @@ def _check_dims(theta1: GeometricState, theta2: GeometricState,
             f"requires {expected}")
 
 
-def _factors(theta1: GeometricState, theta2: GeometricState, x) -> list[tuple]:
-    """Chart coordinates (N, k), tangents (m, n, k) and conormal rows (m, q, n) of
-    both states at points x (N, n) on both cores."""
-    out = []
-    for theta, u in zip((theta1, theta2), core_coords((theta1.core, theta2.core), x)):
-        tangents, own_rows = _frames(theta.core, u)
-        out.append((u, tangents, theta.conormal.rows_many(u, own_rows)))
-    return out
-
-
 def _stacked(rows_c: np.ndarray, rows_d: np.ndarray) -> np.ndarray:
     # (m, q_C + q_D, n), m being 1 only when both factors' rows are constant
     m = max(len(rows_c), len(rows_d))
@@ -87,7 +77,10 @@ def product_at_point(theta1: GeometricState, theta2: GeometricState,
     """
     w = np.asarray(w, dtype=float).reshape(1, core_e.dim)
     x, s, _ = frames_many(core_e, w)
-    (u_c, t_c, nu_c), (u_d, t_d, nu_d) = _factors(theta1, theta2, x)
+    u_c, u_d = core_coords((theta1.core, theta2.core), x)
+    t_c, own_c = _frames(theta1.core, u_c)
+    t_d, own_d = _frames(theta2.core, u_d)
+    nu_c, nu_d = theta1.conormal.rows_many(u_c, own_c), theta2.conormal.rows_many(u_d, own_d)
     arrays = (t_c, nu_c, t_d, nu_d, s)
     rest = (theta1.degree, theta2.degree, dual_solver)
     last = core_e._cache.get("product")
@@ -116,7 +109,8 @@ def product(theta1: GeometricState, theta2: GeometricState,
 
     def stacked_rows(coords, own_rows):
         x = core_e.points_at(coords.points() if isinstance(coords, Grid) else coords)
-        return _stacked(*(rows for _, _, rows in _factors(theta1, theta2, x)))
+        return _stacked(*(theta.conormal.rows_many(u) for theta, u in
+                          zip((theta1, theta2), core_coords((theta1.core, theta2.core), x))))
 
     coeff = FuncField(lambda w: product_at_point(theta1, theta2, core_e, w))
     family = ConormalFamily(stacked_rows)

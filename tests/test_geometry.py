@@ -22,6 +22,7 @@ from geodens.errors import (
 from geodens.geometry import (
     AffineForm,
     Ambient,
+    ChartForm,
     Submanifold,
     chart_invert,
     frames_at,
@@ -442,6 +443,23 @@ def test_a_core_keeps_its_own_arrays():
         assert not a.flags.writeable
 
 
+def test_a_core_built_from_its_form_keeps_its_own_arrays():
+    # the form copies, so a core built from it directly or by replace is covered too
+    t = np.array([[1.0], [0.0]])
+    line = Submanifold("X", Ambient(2), 1, AffineForm(np.zeros(2), t))
+    moved = dataclasses.replace(line, form=AffineForm(np.zeros(2), t))
+    chart_invert(line, [[2.0, 0.0]])
+    t[:] = [[0.0], [1.0]]
+    for core in (line, moved):
+        u, resid = chart_invert(core, core.points_at([[2.0]]))
+        assert u.tolist() == [[2.0]] and resid.tolist() == [0.0]
+        assert core.form.tangent.tolist() == [[1.0], [0.0]]
+    dom = np.array([[0.0, 1.0]])
+    form = ChartForm((), dom)
+    dom[:] = [[3.0, -3.0]]
+    assert form.domain.tolist() == [[0.0, 1.0]] and not form.domain.flags.writeable
+
+
 # transversality
 
 def test_transverse_axes():
@@ -475,13 +493,13 @@ def test_transversality_samples_in_one_stack():
     assert np.allclose(rep.samples[1].point, [-1.0, 0.0])
     assert transversality_check(s, line, [[0.0, 1.0]]).samples[0].rank == 1
     assert transversality_check(s, line, []).samples == ()
-    # the first sample off a core is named, with its distance and the core,
-    # as when samples were checked one by one
-    with pytest.raises(NotOnBothCores, match=r"point \[0\.6 0\.8\] is 0\.8 away from core 'X'"):
-        transversality_check(x_axis(), s, [[1.0, 0.0], [0.6, 0.8], [0.0, 1.5]])
-    # the cores are checked in order, so a sample off the first comes first
-    with pytest.raises(NotOnBothCores, match=r"point \[0\.  1\.5\] is 0\.5 away from core 'S'"):
-        transversality_check(s, x_axis(), [[1.0, 0.0], [0.6, 0.8], [0.0, 1.5]])
+    # the first off-core sample is named, as when samples were checked one by one,
+    # with its distance and the first core it is off
+    for cores in ((s, x_axis()), (x_axis(), s)):
+        with pytest.raises(NotOnBothCores, match=r"^point \[0\.6 0\.8\] is 0\.8 away from core 'X'$"):
+            transversality_check(*cores, [[1.0, 0.0], [0.6, 0.8], [0.0, 1.5]])
+    with pytest.raises(NotOnBothCores, match=r"^point \[0\.  1\.5\] is 0\.5 away from core 'S'$"):
+        transversality_check(s, x_axis(), [[1.0, 0.0], [0.0, 1.5]])
 
 
 # intersection

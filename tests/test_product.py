@@ -314,13 +314,8 @@ def test_product_rows_many_matches_rows_at(factors):
     assert len(rows) == (1 if both_affine else len(coords))
 
 
-def test_product_family_samples_no_frame_on_e(monkeypatch):
-    # the stacked rows come from the factors' own rows: E's frames would be thrown away
-    th1, th2, e = sphere_and_plane()
-    family = product(th1, th2, e).conormal
-    x = e.points_at([[0.4]])
-    want = np.concatenate([th.conormal.rows_at(chart_invert(th.core, x)[0][0])
-                           for th in (th1, th2)])
+def framed_cores(monkeypatch) -> list:
+    """The cores that later frames_many and _frames calls sample, in call order."""
     cores = []
     for module in (geometry, states, importlib.import_module("geodens.product")):
         for name in ("frames_many", "_frames"):
@@ -328,8 +323,30 @@ def test_product_family_samples_no_frame_on_e(monkeypatch):
                 real = getattr(module, name)
                 monkeypatch.setattr(module, name, lambda core, *a, real=real:
                                     cores.append(core) or real(core, *a))
+    return cores
+
+
+def test_product_family_samples_no_frame_on_e(monkeypatch):
+    # the stacked rows come from the factors' own rows: E's frames would be thrown away
+    th1, th2, e = sphere_and_plane()
+    family = product(th1, th2, e).conormal
+    x = e.points_at([[0.4]])
+    want = np.concatenate([th.conormal.rows_at(chart_invert(th.core, x)[0][0])
+                           for th in (th1, th2)])
+    cores = framed_cores(monkeypatch)
     assert np.array_equal(family.rows_at([0.4]), want)
     assert cores and e not in cores
+
+
+def test_product_family_of_declared_rows_samples_no_frame(monkeypatch):
+    # declared rows are constant, so the stacked family reads them and frames no core
+    th1, th2, x0 = scaled_crossing(1e6)
+    family = product(th1, th2, Submanifold.point("E", [x0, 0.0])).conormal
+    cores = framed_cores(monkeypatch)
+    assert np.array_equal(family.rows_many(np.zeros((3, 0))),
+                          np.concatenate([th1.conormal.rows_at([0.0]),
+                                          th2.conormal.rows_at([0.0])])[None])
+    assert cores == []
 
 
 def test_product_rows_many_names_the_off_core_node():

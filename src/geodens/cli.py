@@ -257,7 +257,10 @@ def _cmd_inner(scene: Scene, requests, opts, args):
     rows = []
     for req in requests:
         value, estimate, ncores = _run_inner(scene, req, opts)
-        prob = abs(value) ** 2
+        try:
+            prob = abs(value) ** 2
+        except OverflowError:  # Python floats raise where the square passes the float range
+            prob = math.inf
         extra = f" ({ncores} intersection points)" if ncores > 1 else ""
         print(f"inner {req['state1']},{req['state2']}: value {fmt_value(value)} "
               f"probability {fmt(prob)} estimate {fmt(estimate)}{extra}")

@@ -3,7 +3,9 @@
 Every error raised on a contract violation derives from GeodensError so
 callers can distinguish our failures from genuine bugs.  Each error belongs
 to one of five categories, and the category's ``exit_code`` is the CLI's
-exit status for it.  Any other exception is a bug.
+exit status for it.  Any other exception is a bug, also while a scene loads;
+an input check that a ValueError used to report raises an InputError that is
+still a ValueError.
 """
 
 
@@ -94,6 +96,11 @@ class DomainError(InputError):
 
 
 # geometry
+
+class InvalidCore(InputError, ValueError):
+    """Dimensions, form shapes or chart domain out of range, or an implicit form of
+    the wrong length or that does not vanish on the core."""
+
 
 class ImmersionFailure(GeometryError):
     """Chart jacobian loses rank somewhere on the sampled domain."""

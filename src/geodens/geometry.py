@@ -22,6 +22,7 @@ from .errors import (
     ConormalMismatch,
     DegenerateCovectors,
     ImmersionFailure,
+    InvalidCore,
     MissingImplicitForm,
     NoIntersectionFound,
     NotOnBothCores,
@@ -48,7 +49,7 @@ class Ambient:
 
     def __post_init__(self):
         if not 1 <= self.dim <= 10:
-            raise ValueError(f"ambient dimension must be in 1..10, got {self.dim}")
+            raise InvalidCore(f"ambient dimension must be in 1..10, got {self.dim}")
 
 
 def _own(a) -> np.ndarray:
@@ -90,7 +91,9 @@ def _grid(box: np.ndarray, per_axis: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Submanifold:
-    """A named embedded core of R^n."""
+    """A named embedded core of R^n.  Building one checks its shapes and, for a chart
+    or an implicit form, that the form vanishes (InvalidCore) and the ``_frames`` of
+    one grid: 5 per axis of a chart's domain, else 3 per axis of [-1, 1]^k."""
 
     name: str
     ambient: Ambient
@@ -134,46 +137,35 @@ class Submanifold:
     def __post_init__(self):
         n, k = self.ambient.dim, self.dim
         if not 0 <= k <= n:
-            raise ValueError(f"core dimension {k} out of range for R^{n}")
+            raise InvalidCore(f"core dimension {k} out of range for R^{n}")
         if isinstance(self.form, AffineForm):
             if self.form.base.shape != (n,) or self.form.tangent.shape != (n, k):
-                raise ValueError("affine form shapes do not match ambient/dim")
+                raise InvalidCore("affine form shapes do not match ambient/dim")
             linalg.complete_to_ambient(self.form.tangent)  # raises RankDeficient
         else:
             if len(self.form.exprs) != n:
-                raise ValueError(
+                raise InvalidCore(
                     f"chart must have {n} component expressions, got {len(self.form.exprs)}")
-            if self.form.domain.shape != (k, 2):
-                raise ValueError("chart domain must be a (k, 2) box")
-            if not np.all(np.isfinite(self.form.domain)):
-                raise ValueError("chart domain must be bounded")
-            if np.any(self.form.domain[:, 0] > self.form.domain[:, 1]):
-                raise ValueError("chart domain has lo > hi")
-            coords = _grid(self.form.domain, 5)
-            u = _rank_loss(linalg.unit_columns(self._tangents(coords)), IMMERSION_TOL, coords)
-            if u is not None:
-                raise ImmersionFailure(
-                    f"chart jacobian of {self.name!r} loses rank at u = {u}")
-        if self.implicit is not None:
-            self._validate_implicit()
-
-    def _validate_implicit(self):
-        n, k = self.ambient.dim, self.dim
-        if len(self.implicit) != n - k:
-            raise ValueError(
+            dom = self.form.domain
+            if dom.shape != (k, 2) or not np.isfinite(dom).all() or (dom[:, 0] > dom[:, 1]).any():
+                raise InvalidCore(f"chart domain must be a bounded ({k}, 2) box with lo <= hi")
+        if self.implicit is not None and len(self.implicit) != n - k:
+            raise InvalidCore(
                 f"implicit form needs {n - k} components, got {len(self.implicit)}")
-        box = self.domain if self.domain is not None else np.array([[-1.0, 1.0]] * k)
-        coords = _grid(box, 3)
-        x = self.points_at(coords)
-        worst = np.max(np.abs(self._implicit_values(x)), axis=1, initial=0.0)
-        off = worst > on_core_tol(x)
-        if np.any(off):
-            i = int(np.argmax(off))
-            raise ValueError(
-                f"implicit form of {self.name!r} does not vanish on the core "
-                f"(|F| = {worst[i]:.3g} at u = {coords[i]})")
-        _check_rows(self, self._implicit_rows(x), linalg.unit_columns(self._tangents(coords)),
-                    coords)
+        if self.is_affine and self.implicit is None:
+            return  # complete_to_ambient has judged its one frame
+        coords = (_grid(self.domain, 5) if self.domain is not None
+                  else _grid(np.array([[-1.0, 1.0]] * k), 3))
+        x = None if self.implicit is None else self.points_at(coords)
+        if x is not None:
+            worst = np.max(np.abs(self._implicit_values(x)), axis=1, initial=0.0)
+            off = worst > on_core_tol(x)
+            if np.any(off):
+                i = int(np.argmax(off))
+                raise InvalidCore(
+                    f"implicit form of {self.name!r} does not vanish on the core "
+                    f"(|F| = {worst[i]:.3g} at u = {coords[i]})")
+        _frames(self, coords, x)
 
     def _bindings(self, prefix: str, values) -> dict:
         return {**{f"{prefix}{i + 1}": v for i, v in enumerate(values)}, **self.params}
@@ -282,35 +274,25 @@ def _coerce_exprs(exprs) -> tuple[Expr, ...] | None:
     return tuple(exprlang.parse(e) if isinstance(e, str) else e for e in exprs)
 
 
-def _at(coords, bad: np.ndarray) -> np.ndarray:
-    # coordinates of the first failing frame; a single frame stands for all
+def _fail_at(bad: np.ndarray, coords, error: type, what: str) -> None:
+    """Raise ``error`` naming the coordinates of the first bad frame, if any; a single
+    frame stands for all."""
+    if not np.any(bad):
+        return
     if isinstance(coords, Grid):
         index = np.unravel_index(np.argmax(bad), coords.dims)
-        return np.array([x[j] for x, j in zip(coords.axes, index)])
-    return coords[min(int(np.argmax(bad)), len(coords) - 1)]
+        u = np.array([x[j] for x, j in zip(coords.axes, index)])
+    else:
+        u = coords[min(int(np.argmax(bad)), len(coords) - 1)]
+    raise error(f"{what} at u = {u}")
 
 
-def _rank_loss(unit: np.ndarray, tol: float, coords: np.ndarray):
-    """Coordinates of the first frame of unit rows with sv_min <= tol * sv_max."""
+def _rank_loss(unit: np.ndarray, tol: float) -> np.ndarray:
+    """Which frames of unit rows have sv_min <= tol * sv_max."""
     if 0 in unit.shape[1:]:
-        return None
+        return np.zeros(len(unit), dtype=bool)
     sv = np.linalg.svd(unit, compute_uv=False)
-    bad = sv[:, -1] <= tol * sv[:, 0]
-    return _at(coords, bad) if np.any(bad) else None
-
-
-def _check_rows(core: Submanifold, rows: np.ndarray, unit_t: np.ndarray, coords) -> None:
-    """ConormalMismatch where unit rows meet unit tangents, DegenerateCovectors on rank loss."""
-    unit, _ = linalg.unit_rows(rows)
-    bad = linalg.leaks(unit, unit_t)
-    if np.any(bad):
-        raise ConormalMismatch(
-            f"implicit conormal of {core.name!r} fails to annihilate the "
-            f"tangent at u = {_at(coords, bad)}")
-    u = _rank_loss(unit, linalg.RANK_TOL, coords)
-    if u is not None:
-        raise DegenerateCovectors(
-            f"implicit jacobian of {core.name!r} loses rank at u = {u}")
+    return sv[:, -1] <= tol * sv[:, 0]
 
 
 # frames
@@ -338,14 +320,17 @@ def _frames(core: Submanifold, coords, points=None) -> tuple:
         return core._cache["frames"]
     tangents = core._tangents(coords)
     unit_t = linalg.unit_columns(tangents)
-    u = _rank_loss(unit_t, IMMERSION_TOL, coords)
-    if u is not None:
-        raise ImmersionFailure(f"tangent frame of {core.name!r} degenerates at u = {u}")
+    _fail_at(_rank_loss(unit_t, IMMERSION_TOL), coords, ImmersionFailure,
+             f"tangent frame of {core.name!r} degenerates")
     if core.implicit is None:
         rows = np.swapaxes(linalg.complete_to_ambient(tangents), 1, 2)
     else:
         rows = core._implicit_rows(core.points_at(coords) if points is None else points)
-        _check_rows(core, rows, unit_t, coords)
+        unit, _ = linalg.unit_rows(rows)
+        _fail_at(linalg.leaks(unit, unit_t), coords, ConormalMismatch,
+                 f"implicit conormal of {core.name!r} fails to annihilate the tangent")
+        _fail_at(_rank_loss(unit, linalg.RANK_TOL), coords, DegenerateCovectors,
+                 f"implicit jacobian of {core.name!r} loses rank")
     m = max(len(tangents), len(rows))
     frames = tuple(a if len(a) == m else np.broadcast_to(a, (m,) + a.shape[1:])
                    for a in (tangents, rows))

@@ -99,8 +99,8 @@ def _tubes(state: GeometricState, eps_list) -> list[AmbientDensity]:
     if not isinstance(state.coeff, ExprField):
         raise NonExpressionCoefficient("mollification needs an expression-backed coefficient")
     for eps in eps_list:
-        if not 0.0 < eps < math.inf:
-            raise InvalidEps(f"tube width must be positive and finite, got {eps}")
+        if not (0.0 < eps < math.inf and eps * eps > 0.0):  # the tube's rate divides by eps^2
+            raise InvalidEps(f"tube width and its square must be positive and finite, got {eps}")
     if core.dim and state.support is None:
         raise UnboundedDomain("mollification needs a bounded state support")
 

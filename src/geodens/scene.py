@@ -3,9 +3,12 @@
 A scene pins down everything a CLI run needs.  Loading parses each expression
 field once, builds the geometry from the trees, checks each field where it
 enters and validates every request (degree sums too, so a bad scene fails
-before any quadrature runs).  ``Scene.source`` holds the canonical form:
-expressions printed from those trees, degrees as [re, im] pairs, entries
-sorted by name.  Dumping and reloading the normalized form is a fixed point.
+before any quadrature runs, and no request asks for more than MAX_SAMPLES
+samples).  A GeodensError from building a core, state or test becomes a
+SceneError, a DegreeMismatch excepted; any other exception is a bug and
+propagates.  ``Scene.source`` holds the canonical form: expressions printed
+from those trees, degrees as [re, im] pairs, entries sorted by name.  Dumping
+and reloading the normalized form is a fixed point.
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ from .geometry import Submanifold
 from .states import GeometricState, _check_degree_sum, make_state
 
 REQUEST_OPS = ("check", "pair", "product", "inner", "oracle", "sweep")
+MAX_SAMPLES = 10_000  # product grid nodes, grid^k on a k-dim intersection, or sweep values
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,8 +69,6 @@ def scene_from_dict(data: dict,
         raise
     except GeodensError as exc:
         raise SceneError(f"scene is inconsistent: {exc}") from exc
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise SceneError(f"malformed scene: {exc}") from exc
 
 
 def _need(entry: dict, key: str, where: str):
@@ -287,13 +289,13 @@ def _norm_request(entry: dict, index: int, cores, states, tests, params) -> dict
     elif op in ("product", "inner", "oracle"):
         out["state1"] = ref("state1", states, "state")
         out["state2"] = ref("state2", states, "state")
+        # the intersection's dimension, which transversality fixes
+        c, d = states[out["state1"]].core, states[out["state2"]].core
+        k = c.dim + d.dim - c.ambient.dim
         if entry.get("intersection") is not None:
             out["intersection"] = ref("intersection", cores, "core")
         if entry.get("support") is not None:
-            # a chart box on the intersection, whose dimension transversality fixes
-            c, d = states[out["state1"]].core, states[out["state2"]].core
-            out["support"] = _box(entry["support"], f"{where} support on the intersection",
-                                  c.dim + d.dim - c.ambient.dim)
+            out["support"] = _box(entry["support"], f"{where} support on the intersection", k)
         if op != "product":
             _check_degree_sum(states[out["state1"]].degree,
                               states[out["state2"]].degree, where)
@@ -301,6 +303,8 @@ def _norm_request(entry: dict, index: int, cores, states, tests, params) -> dict
             out["grid"] = _integer(entry["grid"], f"{where} grid")
             if out["grid"] < 1:
                 raise SceneError(f"{where} needs grid >= 1")
+            if out["grid"] ** max(k, 1) > MAX_SAMPLES:  # a point bounds the grid alone
+                raise SceneError(f"{where} grid {entry['grid']!r} passes {MAX_SAMPLES} samples")
     else:  # sweep
         out["param"] = ref("param", params, "parameter")
         if entry.get("values") is not None:
@@ -309,8 +313,8 @@ def _norm_request(entry: dict, index: int, cores, states, tests, params) -> dict
             start = _number(_need(entry, "start", where), f"{where} start")
             stop = _number(_need(entry, "stop", where), f"{where} stop")
             count = _integer(_need(entry, "count", where), f"{where} count")
-            if count < 2:
-                raise SceneError(f"{where} needs count >= 2")
+            if not 2 <= count <= MAX_SAMPLES:
+                raise SceneError(f"{where} needs 2 <= count <= {MAX_SAMPLES}, got {count}")
             out["values"] = [float(v) for v in np.linspace(start, stop, count)]
         inner_req = _json(_need(entry, "request", where), dict, f"{where} request")
         if inner_req.get("op") not in ("pair", "inner"):

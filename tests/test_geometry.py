@@ -13,6 +13,8 @@ from geodens.errors import (
     DegenerateCovectors,
     GeometryError,
     ImmersionFailure,
+    InputError,
+    InvalidCore,
     MissingImplicitForm,
     NoIntersectionFound,
     NotOnBothCores,
@@ -55,9 +57,9 @@ def unit_circle(name="S"):
 # construction
 
 def test_ambient_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidCore):
         Ambient(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidCore):
         Ambient(11)
 
 
@@ -102,22 +104,28 @@ def test_point_core():
 
 def test_chart_shape_validation():
     # chart dimension cannot exceed the ambient dimension it maps into
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidCore):
         Submanifold.chart("C", ["u1 + u2"], [[-1.0, 1.0], [-1.0, 1.0]])
     Submanifold.chart("C", ["u1"], [[-1.0, 1.0]])  # full R^1 is fine
 
 
 def test_chart_rejects_unbounded_or_inverted_domain():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidCore):
         Submanifold.chart("C", ["u1", "u1"], [[-np.inf, 1.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidCore):
         Submanifold.chart("C", ["u1", "0"], [[2.0, 1.0]])
 
 
 def test_chart_immersion_failure():
-    # jacobian (2u, 3u^2) vanishes at u = 0
-    with pytest.raises(ImmersionFailure):
+    # jacobian (2u, 3u^2) vanishes at u = 0: construction samples it there, and a
+    # batch at u = 0 on a domain whose 5-point grid misses it fails in the same words
+    with pytest.raises(ImmersionFailure) as built:
         Submanifold.chart("cusp", ["u1^2", "u1^3"], [[-1.0, 1.0]])
+    cusp = Submanifold.chart("cusp", ["u1^2", "u1^3"], [[-1.0, 2.0]])
+    with pytest.raises(ImmersionFailure) as sampled:
+        frames_many(cusp, [[0.0]])
+    assert str(built.value) == str(sampled.value)
+    assert str(built.value) == "tangent frame of 'cusp' degenerates at u = [0.]"
 
 
 def test_frames_on_a_grid_name_the_failing_node():
@@ -131,9 +139,13 @@ def test_frames_on_a_grid_name_the_failing_node():
 
 
 def test_implicit_must_vanish_on_core():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidCore, match="implicit form of 'S' does not vanish") as info:
         Submanifold.chart("S", ["cos(u1)", "sin(u1)"], [[0.0, 6.28]],
                           implicit=["x1 + x2"])
+    # an input error (exit 2) that is still the ValueError it was, as every
+    # InvalidCore of the construction tests above is
+    assert isinstance(info.value, InputError) and isinstance(info.value, ValueError)
+    assert info.value.exit_code == 2
 
 
 def test_implicit_jacobian_must_have_full_rank():
@@ -142,15 +154,16 @@ def test_implicit_jacobian_must_have_full_rank():
 
 
 def test_implicit_rank_loss_off_the_construction_grid():
-    # the 3-point validation grid misses u = 0.5, where the jacobian (0, x1 - 0.5)
-    # vanishes; sampling there raises the construction-time type and wording
+    # construction's 3-point grid of [-1, 1] misses u = 0.5, where the jacobian
+    # (0, x1 - 0.5) vanishes; a batch there fails in _frames, the one place that
+    # judges frames at construction too
     core = Submanifold.affine("L", [0, 0], [1, 0], implicit=["x2*(x1-0.5)"])
     with pytest.raises(DegenerateCovectors, match="implicit jacobian of 'L' loses rank"):
         frames_many(core, [[0.5]])
 
 
 def test_implicit_count():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidCore):
         Submanifold.affine("X", [0.0, 0.0], [1.0, 0.0],
                            implicit=["x2", "x2"])
 

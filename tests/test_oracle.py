@@ -85,6 +85,8 @@ def test_mollify_rejects_bad_width_and_missing_support():
     th = unit_state(x_axis())
     with pytest.raises(InvalidEps):
         mollify(th, 0.0)
+    with pytest.raises(InvalidEps):  # its square, which the tube's rate divides by, is 0
+        mollify(th, 1e-300)
     with pytest.raises(UnboundedDomain):
         mollify(make_state(x_axis(), 0.5, "1"), 0.1)
 

@@ -4,12 +4,16 @@ The CLI happy paths and negative controls run ``python -m geodens`` as a
 subprocess, so the documented exit codes are checked end to end.  The
 exit-code tests call ``cli.main`` in-process, so a runner can be replaced.
 """
+import copy
 import csv
 import ctypes
+import functools
 import gc
 import json
 import math
+import operator
 import os
+import random
 import re
 import subprocess
 import sys
@@ -249,6 +253,18 @@ def sweep_count_bool(d):
                         "request": {"op": "pair", "state": "s", "test": "t"}}
 
 
+def product_grid_past_the_sample_bound(d):
+    d["requests"][0] = {"op": "product", "state1": "s", "state2": "s",
+                        "intersection": "E", "grid": 1e300}
+
+
+def sweep_count_past_the_sample_bound(d):
+    d["params"] = {"a": 1.0}
+    d["requests"][0] = {"op": "sweep", "param": "a", "start": 0.0, "stop": 1.0,
+                        "count": 1e12,
+                        "request": {"op": "pair", "state": "s", "test": "t"}}
+
+
 def ambient_mismatch(d):
     d["cores"][0] = {"name": "X", "kind": "affine", "base": [0, 0, 0],
                      "tangent": [[1, 0, 0]]}
@@ -301,7 +317,7 @@ NOT_NUMBER_MUTATIONS = [_put_not_number(place, label)
     reversed_request_support, support_rows_off_dimension,
     check_sample_outside_ambient, product_grid_zero, negative_resolution,
     ambient_fractional, ambient_bool, ambient_infinite, product_grid_fractional,
-    product_grid_bool,
+    product_grid_bool, product_grid_past_the_sample_bound, sweep_count_past_the_sample_bound,
     sweep_count_fractional, sweep_count_bool, *NOT_NUMBER_MUTATIONS,
 ], ids=lambda f: f.__name__)
 def test_malformed_scene_raises(mutate):
@@ -421,6 +437,16 @@ def test_cli_inner_curved_scene():
     assert "(2 intersection points)" in proc.stdout
     value = float(VALUE_RE.search(proc.stdout).group(1))
     assert value == pytest.approx(2.0, rel=1e-12)
+
+
+def test_cli_inner_probability_past_the_float_range(tmp_path, capsys):
+    # |value|^2 passes the float range, where a Python float's ** raises
+    data = json.loads((SCENES / "axes_r2.json").read_text())
+    data["states"][0]["coeff"] = "1e300*exp(-u1^2)"
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["inner", str(path)]) == 0
+    assert "probability inf estimate" in capsys.readouterr().out
 
 
 def test_cli_product_csv(tmp_path):
@@ -723,6 +749,11 @@ def point_location_one_number(d):
     return "core 'E' location needs 2 components for R^2, got 1"
 
 
+def chart_implicit_not_vanishing(d):
+    d["cores"][1]["implicit"] = ["x1 + x2"]
+    return "implicit form of 'D' does not vanish on the core"
+
+
 @pytest.mark.parametrize("mutate", [
     long_sum_in_test_coeff, nested_parentheses_in_test_coeff, huge_literal_in_state_coeff,
     chart_domain_null, density_support_rows_off_ambient, state_support_rows_off_core_dimension,
@@ -731,6 +762,7 @@ def point_location_one_number(d):
     check_samples_not_rows, core_entry_a_number, check_cores_a_number, request_a_number,
     params_a_list, sweep_request_a_number, chart_map_one_component, affine_base_three_numbers,
     affine_tangent_row_three_numbers, point_location_one_number, state_conormal_three_numbers,
+    chart_implicit_not_vanishing,
 ], ids=lambda f: f.__name__)
 def test_cli_bad_scene_field_exit_2(mutate, tmp_path, capsys):
     data = json.loads((SCENES / "tilted_lines.json").read_text())
@@ -983,6 +1015,58 @@ def test_cli_typed_failure_exit_codes(mutate, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+# seeded mutations: whatever a scene file says, each command exits with a documented code
+
+MUTANT_VALUES = [None, True, "x", 3, -1, 0, 2.5, 1e300, -1e300, 1e12, [], {}, [1, 2],
+                 {"a": 1}, [[1, 2]]]
+MUTANT_EXPRESSIONS = ["1 +", "((", "", "log(-1)", "sqrt(-1)", "x1/0", "foo(x1)", "u9",
+                      "1e400", "exp(1000)"]
+
+
+def json_paths(v, at=()):
+    """The path of every value inside a JSON document, depth first."""
+    items = v.items() if isinstance(v, dict) else enumerate(v) if isinstance(v, list) else ()
+    for key, x in items:
+        yield at + (key,)
+        yield from json_paths(x, at + (key,))
+
+
+def mutant(rng, data):
+    """``data`` with one value deleted, or replaced by a number far out of range or
+    negated, a value of another JSON type, or an expression that fails to parse or
+    evaluate; returns what was done."""
+    *path, key = rng.choice(list(json_paths(data)))
+    parent = functools.reduce(operator.getitem, path, data)
+    old, kind = parent[key], rng.randrange(4)
+    if kind == 0:
+        del parent[key]
+        return f"deleted {[*path, key]}"
+    if kind == 1 and isinstance(old, (int, float)) and not isinstance(old, bool):
+        parent[key] = rng.choice([-old, old * 1e300, 1e12, -1e12, 0, 1e-300, old + 0.5])
+    elif kind == 2 and isinstance(old, str):
+        parent[key] = rng.choice(MUTANT_EXPRESSIONS)
+    else:
+        parent[key] = rng.choice(MUTANT_VALUES)
+    return f"{[*path, key]} = {parent[key]!r}"
+
+
+# numbers near 1e300 overflow numpy's squares and powers on the way to a typed
+# error or a result; the exit code is checked, and an invalid value still fails
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_cli_exits_with_a_documented_code_on_mutated_scenes(tmp_path, capsys):
+    scenes = [(p.name, json.loads(p.read_text())) for p in sorted(SCENES.glob("*.json"))]
+    rng = random.Random(32)
+    path = tmp_path / "scene.json"
+    for _ in range(600):
+        name, data = rng.choice(scenes)
+        data = copy.deepcopy(data)
+        what = mutant(rng, data)
+        path.write_text(json.dumps(data))
+        for command in cli.COMMANDS:
+            assert cli.main([command, str(path)]) in (0, 2, 3, 4, 5, 6), (name, what, command)
+            assert "malformed scene" not in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_oracle_exits_5_on_non_finite_tube_values(tmp_path, capsys):
     # exp(1000 x2) overflows on the widest tubes, where exp(1000 x2) exp(-1000 x2)
@@ -1005,7 +1089,7 @@ def test_cli_oracle_exits_5_on_non_finite_tube_values(tmp_path, capsys):
 
 EXIT_CODES = {
     "SceneError": 2, "ExprSyntaxError": 2, "UnknownFunction": 2,
-    "UnboundIdentifier": 2, "DomainError": 2,
+    "UnboundIdentifier": 2, "DomainError": 2, "InvalidCore": 2,
     "ImmersionFailure": 3, "RankDeficient": 3, "SpanMismatch": 3,
     "DegenerateCovectors": 3, "SingularFrame": 3, "MissingImplicitForm": 3,
     "NoIntersectionFound": 3, "UserChartRequired": 3,

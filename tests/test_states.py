@@ -320,7 +320,10 @@ def test_constant_frames_are_checked_once_and_cached():
     for core, _, _, constant, _ in cases:
         assert core.frames_constant == constant
     slanted, wavy = cases[2][0], cases[3][0]
+    # construction checked slanted's frames, which it keeps from then on
+    built = slanted._cache["frames"]
     first = frames_many(slanted, [[0.1], [0.2]])
+    assert first[1] is built[0] and first[2] is built[1]
     again = frames_many(slanted, [[0.7]])
     assert first[1] is again[1] and first[2] is again[2]
     assert not first[2].flags.writeable

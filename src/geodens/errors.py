@@ -73,6 +73,10 @@ class ConormalMismatch(GeometryError):
     """Conormal covectors fail to annihilate the tangent frame."""
 
 
+class FrameShapeMismatch(InputError, ValueError):
+    """A determinant's matrix is not square, or a frame is not a 2-D array of columns."""
+
+
 # expression language
 
 class ExprSyntaxError(InputError, SyntaxError):

@@ -37,6 +37,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, fields
+from functools import reduce
 from typing import Mapping, Union
 
 import numpy as np
@@ -45,7 +46,7 @@ from .errors import DomainError, ExprSyntaxError, UnboundIdentifier, UnknownFunc
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call",
-    "parse", "evaluate", "diff", "jacobian", "subst", "reads", "to_source",
+    "parse", "evaluate", "diff", "jacobian", "subst", "affine", "reads", "to_source",
     "add", "sub", "mul", "ZERO", "ONE", "FUNCTIONS", "CONSTANTS", "MAX_DEPTH",
 ]
 
@@ -436,6 +437,14 @@ def subst(expr: Expr, mapping: Mapping[str, Expr]) -> Expr:
     if isinstance(expr, Call):
         return Call(expr.func, subst(expr.arg, mapping))
     return BinOp(expr.op, subst(expr.left, mapping), subst(expr.right, mapping))
+
+
+def affine(base, matrix, prefix: str) -> list[Expr]:
+    """The components b_i + sum_j A_ij <prefix>j of an affine map, for ``subst``: zero
+    entries give no term, and the terms add in order, from b_i."""
+    return [reduce(add, (mul(Num(float(a)), Var(f"{prefix}{j + 1}"))
+                         for j, a in enumerate(row) if a), Num(float(b)))
+            for b, row in zip(base, matrix)]
 
 
 def reads(expr: Expr) -> frozenset[str]:

@@ -1,12 +1,14 @@
 """Coefficient fields: complex scalar functions of chart or ambient coordinates.
 
 Expression-backed fields evaluate vectorized through the expression engine's
-array path, and at one point on float64 scalars; callable ones loop.  ``factors``
-gives a field's values on a grid as factors for ``quadrature.weighted_sum``:
-a real expression field splits its top-level product, and an ``exp`` of a sum
-by the coordinates its terms read (see EXP_SPLIT_LIMIT), so tube and test
-Gaussians stay one axis long; ``factor_axes`` names the axes each factor reads
-on a grid, by the trees and the same range guard.  Fields that differ only in
+array path, and at one point on float64 scalars; callable ones loop, or take
+the whole batch.  ``factors`` gives a field's values on a grid as factors for
+``quadrature.weighted_sum``: a real expression field splits its top-level
+product, and an ``exp`` of a sum by the coordinates its terms read (see
+EXP_SPLIT_LIMIT), so tube and test Gaussians stay one axis long; a square of a
+sum or a product of sums there expands, and its like monomials collect, first.
+``factor_axes`` names the axes each factor reads on a grid, by the trees and the
+same range guard, evaluated once per grid for both.  Fields that differ only in
 parameter values (``with_params``) share their factor groups, which split and
 compile once.  Coordinates are named ``<prefix>1 .. <prefix>dim`` with prefix
 "u" on charts and "x" in the ambient space.
@@ -14,7 +16,8 @@ compile once.  Coordinates are named ``<prefix>1 .. <prefix>dim`` with prefix
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from typing import Callable, Mapping, get_args
+from typing import Callable, Mapping, MutableMapping, get_args
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -54,6 +57,7 @@ class ExprField(ScalarField):
         self.im_expr = im_expr
         self.prefix = prefix
         self.params = dict(params or {})
+        self._splits: MutableMapping[Grid, list] = WeakKeyDictionary()
 
     def eval_many(self, points) -> np.ndarray:
         # each sub-expression runs on the coordinate arrays it reads; a real field
@@ -101,15 +105,19 @@ class ExprField(ScalarField):
                 for _, spans, exps, _ in self._split(grid)
                 for names in (spans if exps else [frozenset().union(*spans)])]
 
-    def _split(self, grid: Grid):
+    def _split(self, grid: Grid) -> list:
         # per multiplicand: its tree, the coordinates its exp's groups read, their exponents
         # on the grid where their largest magnitudes sum within EXP_SPLIT_LIMIT (else
-        # None), and the bindings
+        # None), and the bindings; once per live grid, for factor_axes and factors both
+        if grid in self._splits:
+            return self._splits[grid]
         b = {f"{self.prefix}{i + 1}": c for i, c in enumerate(grid.columns())} | self.params
+        out = self._splits[grid] = []
         for f, groups, spans in self._factor_trees:
             exps = [np.asarray(exprlang.evaluate(g, b), dtype=float) for g in groups]
             split = exps and sum(abs(e).max() for e in exps) <= EXP_SPLIT_LIMIT
-            yield f, spans, exps if split else None, b
+            out.append((f, spans, exps if split else None, b))
+        return out
 
     def with_params(self, values: Mapping[str, float]) -> "ExprField":
         """The field with new values for some of its parameters.  Where it binds no new
@@ -123,12 +131,14 @@ class ExprField(ScalarField):
     @cached_property
     def _factor_trees(self) -> list[tuple[Expr, list[Expr], list[frozenset[str]]]]:
         # multiplicands, an exp's terms summed per set of coordinates read, and the
-        # coordinates each group reads (the tree's, where it has no groups); built to
-        # compile once
+        # coordinates each group reads (the tree's, where it has no groups); an exp whose
+        # argument expands has its monomials collected first; built to compile once
         fixed, out = self.params.keys() | exprlang.CONSTANTS.keys(), []
         for f in _multiplicands(self.re_expr):
             groups: dict[frozenset, list[Expr]] = {}
-            for t in _terms(f.arg) if isinstance(f, Call) and f.func == "exp" else []:
+            terms = _terms(f.arg) if isinstance(f, Call) and f.func == "exp" else []
+            expanded = _terms(f.arg, fixed) if terms else []
+            for t in _collected(expanded) if len(expanded) > len(terms) else terms:
                 groups.setdefault(exprlang.reads(t) - fixed, []).append(t)
             split = len(groups) > 1
             out.append((f, [reduce(add, g) for g in groups.values()] if split else [],
@@ -149,17 +159,56 @@ def _multiplicands(e: Expr) -> list[Expr]:
     return _multiplicands(e.left) + _multiplicands(e.right) if split else [e]
 
 
-def _terms(e: Expr) -> list[Expr]:
-    # e as a sum of terms: unary minus, - and * or / by a literal distribute over +
+def _terms(e: Expr, fixed: frozenset | None = None) -> list[Expr]:
+    # e as a sum of terms: unary minus, - and * or / by a literal distribute over +; given
+    # the names that are not coordinates, so do a square of a sum and a product of two
+    # sums that read two coordinates or more, into products of their collected terms
     if not isinstance(e, BinOp):
-        return [sub(ZERO, t) for t in _terms(e.arg)] if isinstance(e, Neg) else [e]
+        return [sub(ZERO, t) for t in _terms(e.arg, fixed)] if isinstance(e, Neg) else [e]
     if e.op in "+-":
-        return _terms(e.left) + _terms(e.right if e.op == "+" else Neg(e.right))
+        return _terms(e.left, fixed) + _terms(e.right if e.op == "+" else Neg(e.right), fixed)
     if e.op == "*" and isinstance(e.left, Num):
         e = BinOp("*", e.right, e.left)  # c*x is x*c, bitwise
     if e.op in "*/" and isinstance(e.right, Num):
-        return [BinOp(e.op, t, e.right) for t in _terms(e.left)]
+        return [BinOp(e.op, t, e.right) for t in _terms(e.left, fixed)]
+    if fixed is not None and (e.op == "*" or e.op == "^" and e.right == Num(2.0)) \
+            and len(exprlang.reads(e) - fixed) > 1:
+        left = _collected(_terms(e.left, fixed))  # fewer and better-rounded products
+        right = left if e.op == "^" else _collected(_terms(e.right, fixed))
+        if len(left) > 1 and len(right) > 1:
+            return [BinOp("*", a, b) for a in left for b in right]
     return [e]
+
+
+def _collected(terms: list[Expr]) -> list[Expr]:
+    # like monomials as one: the literal coefficients of the same product of other
+    # multiplicands sum, and a monomial whose coefficients cancel is left out
+    sums: dict[tuple[Expr, ...], float] = {}
+    for c, factors in map(_monomial, terms):
+        key = tuple(sorted(factors, key=exprlang.to_source))
+        sums[key] = sums.get(key, 0.0) + c
+    return [reduce(mul, key, Num(c)) for key, c in sums.items() if c != 0.0]
+
+
+def _monomial(e: Expr) -> tuple[float, list[Expr]]:
+    # a term as a literal coefficient times its other multiplicands; / 0 stays one of them
+    if isinstance(e, Num):
+        return e.value, []
+    if isinstance(e, Neg):
+        c, factors = _monomial(e.arg)
+        return -c, factors
+    if isinstance(e, BinOp) and (e.op == "*" or e.op == "/" and isinstance(e.right, Num)
+                                 and e.right.value != 0.0):
+        (a, left), (b, right) = _monomial(e.left), _monomial(e.right)
+        return (a * b, left + right) if e.op == "*" else (a / b, left)
+    return 1.0, [e]
+
+
+class BatchField(ScalarField):
+    """Field defined by a python callable on a whole batch, as ``eval_many`` takes it."""
+
+    def __init__(self, fn: Callable[[object], np.ndarray]):
+        self.eval_many = fn
 
 
 class FuncField(ScalarField):

@@ -15,6 +15,7 @@ from .errors import (
     AmbientMismatch,
     ConormalMismatch,
     DegenerateCovectors,
+    FrameShapeMismatch,
     RankDeficient,
     SingularFrame,
     SpanMismatch,
@@ -51,14 +52,14 @@ def det_abs_pow(matrix, degree) -> complex:
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        raise FrameShapeMismatch(f"expected a square matrix, got shape {m.shape}")
     return complex(_det_abs_pows(m[None], degree)[0])
 
 
 def _as_columns(frame) -> np.ndarray:
     a = np.asarray(frame, dtype=float)
     if a.ndim != 2:
-        raise ValueError("expected a 2-d column matrix")
+        raise FrameShapeMismatch(f"expected a 2-d column matrix, got shape {a.shape}")
     return a
 
 

@@ -21,7 +21,6 @@ factor once.  An eps sweep builds one tube per state, whose Gaussians read
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from . import exprlang, linalg, quadrature
 from .density import AmbientDensity
 from .errors import (InvalidEps, NonAffineCore, NonConvergent, NonExpressionCoefficient,
                      UnboundedDomain)
-from .exprlang import ZERO, BinOp, Call, Neg, Num, Var, add, mul, sub
+from .exprlang import ZERO, BinOp, Call, Neg, Num, Var, mul
 from .fields import ExprField
 from .geometry import Submanifold
 from .product import inner_product
@@ -51,12 +50,6 @@ DEFAULT_EPS = (0.2, 0.1, 0.05)
 FINAL_REL_TOL = 1e-2  # converge_check: largest relative error of the last oracle value
 FLOOR_REL = 1e-8      # and its noise floor, FLOOR_REL |geometric| + FLOOR_ABS
 FLOOR_ABS = 1e-14
-
-
-def _linear_expr(coeffs, origin) -> exprlang.Expr:
-    terms = (mul(Num(float(c)), sub(Var(f"x{i + 1}"), Num(float(o))))
-             for i, (c, o) in enumerate(zip(coeffs, origin)))
-    return functools.reduce(add, terms, ZERO)
 
 
 def _gaussian_expr(arg: exprlang.Expr, peak: str, rate: str) -> exprlang.Expr:
@@ -117,14 +110,16 @@ def _tubes(state: GeometricState, eps_list) -> list[AmbientDensity]:
 
     coeff = state.coeff
     peak, rate = _unread(coeff, "tube_peak", "tube_rate")
-    coord_exprs = {f"u{i + 1}": _linear_expr(proj[i], x0) for i in range(k)}
+    # u = proj @ (x - x0) and the tubes' nu_hat @ (x - x0), as b + A x
+    coord_exprs = dict(zip([f"u{i + 1}" for i in range(k)],
+                           exprlang.affine(-proj @ x0, proj, "x")))
     field = ExprField(
         exprlang.subst(coeff.re_expr, coord_exprs),
         None if coeff.im_expr is None else exprlang.subst(coeff.im_expr, coord_exprs),
         "x", coeff.params | dict.fromkeys((peak, rate), math.nan),
     ).scaled(tangent_factor * conormal_factor)
-    for j in range(nu_hat.shape[0]):
-        tube = _gaussian_expr(_linear_expr(nu_hat[j], x0), peak, rate)
+    for arg in exprlang.affine(-nu_hat @ x0, nu_hat, "x"):
+        tube = _gaussian_expr(arg, peak, rate)
         field = ExprField(mul(field.re_expr, tube),
                           None if field.im_expr is None else mul(field.im_expr, tube),
                           "x", field.params)

@@ -158,7 +158,8 @@ def weighted_sum(f_many, grid: Grid, weights: Grid, axes=None) -> complex:
     step = max(1, EVAL_CHUNK // max(per_row)) if per_row else rows
     total = 0.0 + 0.0j
     for start in range(0, rows, step):
-        block = Grid([x[start:start + step] for x in grid.axes[:1]] + list(grid.axes[1:]))
+        block = grid if step >= rows else Grid(
+            [x[start:start + step] for x in grid.axes[:1]] + list(grid.axes[1:]))
         w = [x[start:start + step] for x in weights.axes[:1]] + list(weights.axes[1:])
         total += _contract(f_many(block), block.dims, w)
     return total
@@ -201,7 +202,7 @@ def _check_budget(nodes: int, what: str) -> None:
             f"{what} needs {nodes:,} nodes, over the node budget of {MAX_NODES:,}")
 
 
-def integrate(f_many, box, options: QuadratureOptions | None = None):
+def integrate(f_many, box, options: QuadratureOptions | None = None, axes=None):
     """Integrate over a box; returns (value, error_estimate) once they meet tolerance.
 
     Level j uses order round(base * 2^(j/2)) (32, 45, 64, 91, ...), one more
@@ -217,17 +218,19 @@ def integrate(f_many, box, options: QuadratureOptions | None = None):
     computed", says why).  At MAX_ORDER, or on a NaN estimate or
     tolerance, which never meet it, QuadratureNotConverged is raised.  So is
     it where a level's grid would pass MAX_NODES, before that grid is built.
+    ``axes``, where given, maps each level's Grid to the axes that each factor of
+    ``f_many`` reads there, for ``weighted_sum``.
     """
     opts = options or QuadratureOptions()
     b = as_box(box)
     order = opts.order
     grid, w = tensor_rule(b, order)
-    value = weighted_sum(f_many, grid, w)
+    value = weighted_sum(f_many, grid, w, axes and axes(grid))
     last = before = math.nan
     for level in itertools.count(1):
         order = max(order + 1, round(opts.order * 2 ** (level / 2)))
         grid, w = tensor_rule(b, order)
-        refined = weighted_sum(f_many, grid, w)
+        refined = weighted_sum(f_many, grid, w, axes and axes(grid))
         estimate = abs(refined - value)
         value = refined
         if estimate <= opts.rel_tol * abs(value) + ABS_TOL:

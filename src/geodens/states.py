@@ -9,7 +9,9 @@ integrates the restricted test density against the state over the core:
     <theta, phi> = integral over C of  g(u) f(psi(u)) |det [t(u) | n(u)]|^(1-alpha) du
 
 with n(u) the dual frame of the state's conormal family, so the result does
-not depend on any of the frame choices.
+not depend on any of the frame choices.  The integrand is the coefficient's
+factors and those of the restricted test (``restrict``), contracted one axis at a
+time: on an affine core the test is pulled back along x0 + T u and splits by axis.
 """
 from __future__ import annotations
 
@@ -142,19 +144,13 @@ def pair_with_test(state: GeometricState, phi: AmbientDensity,
     theorem, the hook exists to test it.
     """
     _check_degree_sum(state.degree, phi.degree, "pairing")
-    integrand = _pairing_integrand(state, phi, normal_solver)
-    if state.core.dim == 0:
-        return PairingResult(complex(integrand(quadrature.Grid([]))), 0.0)
-    box = intersect_boxes(state.core.domain, state.support)
-    if box is None:
+    box = intersect_boxes(state.core.domain, state.support) if state.core.dim else None
+    if state.core.dim and box is None:
         return PairingResult(0.0 + 0.0j, 0.0)
-    return PairingResult(*quadrature.integrate(integrand, box, options))
-
-
-def _pairing_integrand(state: GeometricState, phi: AmbientDensity,
-                       solver: NormalSolver | None):
-    """g(u) times the test density restricted to the core, ``restrict`` with the
-    state's conormal family, on a quadrature Grid in its dims; float64 for a
-    real degree with real coefficients."""
-    return lambda grid: state.coeff.eval_many(grid) * restrict(
-        phi, state.core, grid, state.conormal, solver)
+    coeff, test = state.coeff, restrict(phi, state.core, state.conormal, normal_solver)
+    if not state.core.dim:
+        grid = quadrature.Grid([])
+        return PairingResult(complex(coeff.eval_many(grid) * test.eval_many(grid)), 0.0)
+    return PairingResult(*quadrature.integrate(
+        lambda g: coeff.factors(g) + test.factors(g), box, options,
+        lambda g: coeff.factor_axes(g) + test.factor_axes(g)))

@@ -1,6 +1,8 @@
 """Ambient densities and restriction to a core.
 
-``restrict`` runs on a batch of chart coordinates, flat or a quadrature grid.
+``restrict`` gives a field of chart coordinates, which runs on a batch of them,
+flat or a quadrature grid: on an affine core with constant frames an expression
+test pulls back as a tree, and elsewhere the field evaluates the formula.
 The cross-check compares it with a per-node evaluation built from
 ``frames_at``, the solver and ``det_abs_pow`` at the grid's flat points.
 """
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from geodens.density import AmbientDensity, restrict
+from geodens.fields import ExprField
 from geodens.geometry import Submanifold, frames_at
 from geodens.linalg import change_of_basis, det_abs_pow, dual_normal_frame
 from geodens.quadrature import Grid
@@ -38,7 +41,7 @@ def test_value_in_frame():
     # restriction is the density's value against that frame: coeff |det frame|^alpha
     for frame in (np.diag([2.0, 3.0]), np.array([[0.0, 3.0], [2.0, 0.0]])):
         core = Submanifold.affine("V", [0.0, 0.0], frame)
-        got = restrict(gaussian(0.5), core, [[0.0, 0.0]])
+        got = restrict(gaussian(0.5), core).eval_many([[0.0, 0.0]])
         assert got.shape == (1,) and got.dtype == float
         assert got[0] == pytest.approx(math.sqrt(6.0), rel=1e-14)
 
@@ -46,9 +49,9 @@ def test_value_in_frame():
 def test_density_value_scales_with_frame():
     # doubling the frame of a full-dimensional core scales the value by |det 2I|^alpha
     phi = gaussian(0.5)
-    unit = restrict(phi, Submanifold.affine("I", [0.0, 0.0], np.eye(2)), [[0.0, 0.0]])
-    doubled = restrict(phi, Submanifold.affine("D", [0.0, 0.0], 2.0 * np.eye(2)),
-                       [[0.0, 0.0]])
+    unit = restrict(phi, Submanifold.affine("I", [0.0, 0.0], np.eye(2))).eval_many([[0.0, 0.0]])
+    doubled = restrict(phi, Submanifold.affine("D", [0.0, 0.0], 2.0 * np.eye(2))).eval_many(
+        [[0.0, 0.0]])
     assert doubled[0] == pytest.approx(unit[0] * det_abs_pow(2.0 * np.eye(2), 0.5))
     assert doubled[0] == pytest.approx(2.0, rel=1e-14)
 
@@ -56,14 +59,14 @@ def test_density_value_scales_with_frame():
 def test_restrict_to_axis_is_the_coefficient():
     # [t | n] is the standard frame, so the determinant factor is 1
     axis = Submanifold.affine("X", [0.0, 0.0], [1.0, 0.0])
-    got = restrict(gaussian(0.5), axis, [[0.7], [0.0]])
+    got = restrict(gaussian(0.5), axis).eval_many([[0.7], [0.0]])
     assert got.shape == (2,) and got.dtype == float
     assert got == pytest.approx([math.exp(-0.49), 1.0], rel=1e-14)
 
 
 def test_restrict_to_tilted_line_default_normal():
     # orthonormal tangent plus orthonormal complement: rotation frame, det 1
-    got = restrict(gaussian(0.5), tilted(0.4), [[1.2]])
+    got = restrict(gaussian(0.5), tilted(0.4)).eval_many([[1.2]])
     assert got[0] == pytest.approx(math.exp(-1.44), rel=1e-13)
 
 
@@ -72,7 +75,7 @@ def test_restrict_with_explicit_normal():
     th, alpha = 0.4, 0.3
     phi = AmbientDensity.make(alpha, "exp(-x1^2 - x2^2)")
     e2 = np.array([[0.0], [1.0]])
-    got = restrict(phi, tilted(th), [[0.0]], solver=lambda nu, t: e2)
+    got = restrict(phi, tilted(th), solver=lambda nu, t: e2).eval_many([[0.0]])
     assert got[0] == pytest.approx(math.cos(th) ** alpha, rel=1e-13)
 
 
@@ -84,11 +87,11 @@ def test_restricted_values_transport_consistently():
     coords = np.linspace(-1.0, 1.0, 7)[:, None]
     t = line.form.tangent
     n = dual_normal_frame(frames_at(line, [0.0])[2], t)
-    default = restrict(phi, line, coords)
+    default = restrict(phi, line).eval_many(coords)
     assert default.dtype == complex
     # e2, a doubled normal (B = diag(1, 2)) and a sheared one (det B = 1)
     for other in (np.array([[0.0], [1.0]]), 2.0 * n, n + 0.7 * t):
-        moved = restrict(phi, line, coords, solver=lambda nu, t, m=other: m)
+        moved = restrict(phi, line, solver=lambda nu, t, m=other: m).eval_many(coords)
         b = change_of_basis(np.hstack([t, n]), np.hstack([t, other]))
         assert moved == pytest.approx(default * det_abs_pow(b, beta), rel=1e-12)
 
@@ -96,9 +99,9 @@ def test_restricted_values_transport_consistently():
 def test_restrict_point_core():
     # conormal of a point is the full standard coframe, its dual has det 1
     p = Submanifold.point("P", [0.3, 0.0])
-    got = restrict(gaussian(1.0), p, np.zeros((1, 0)))
+    got = restrict(gaussian(1.0), p).eval_many(np.zeros((1, 0)))
     assert got.shape == (1,) and got[0] == pytest.approx(math.exp(-0.09), rel=1e-14)
-    got = restrict(gaussian(1.0), p, Grid([]))
+    got = restrict(gaussian(1.0), p).eval_many(Grid([]))
     assert got.shape == () and got == pytest.approx(math.exp(-0.09), rel=1e-14)
 
 
@@ -160,6 +163,20 @@ def test_restrict_matches_per_node_frames(case):
         grid = Grid([np.sort(rng.uniform(lo, hi, int(rng.integers(1, 6)))) for lo, hi in box])
         want = _per_node(phi, core, grid.points(), conormal, solver)
         for coords, shape in ((grid, grid.dims), (grid.points(), (grid.shape[0],))):
-            got = restrict(phi, core, coords, conormal, solver)
+            got = restrict(phi, core, conormal, solver).eval_many(coords)
             assert got.shape == shape and got.dtype == (float if real else complex)
             assert np.all(np.abs(got.ravel() - want) <= 1e-14 * np.abs(want))
+
+
+def test_names_that_chart_coordinates_would_capture_are_not_pulled_back():
+    # u1 is the test's parameter, not the chart coordinate the pullback would bind to it
+    line = Submanifold.affine("X", [0.0, 0.0], [1.0, 0.0])
+    phi = AmbientDensity.make(0.5, "exp(-x1^2 - u1)", params={"u1": 2.0})
+    test = restrict(phi, line)
+    assert not isinstance(test, ExprField)
+    assert test.eval_many([[0.5]])[0] == pytest.approx(math.exp(-2.25), rel=1e-14)
+    # a parameter named like an ambient coordinate keeps its value, as on the array path
+    phi = AmbientDensity.make(0.5, "exp(-x1^2 - x2^2)", params={"x2": 3.0})
+    test = restrict(phi, line)
+    assert isinstance(test, ExprField)
+    assert test.eval_many([[0.5]])[0] == pytest.approx(math.exp(-9.25), rel=1e-14)

@@ -14,9 +14,12 @@ import numpy as np
 import pytest
 
 from _exprgen import random_expr
+from geodens import exprlang
+from geodens.density import AmbientDensity, restrict
 from geodens.errors import DomainError, GeodensError
 from geodens.exprlang import BinOp, Call, Neg, Num, Var, parse, subst, to_source
 from geodens.fields import EXP_SPLIT_LIMIT, ExprField, FuncField, as_field
+from geodens.geometry import Submanifold
 from geodens.quadrature import Grid, tensor_rule, weighted_sum
 
 
@@ -390,3 +393,38 @@ def test_with_params_of_a_new_name_builds_its_own_groups():
     assert bound.factor_axes(grid) == [set(), {0}, set(), set()]
     product = np.broadcast_to(reduce(np.multiply, bound.factors(grid)), (3, 4))
     assert np.allclose(product, bound.eval_many(grid), rtol=1e-14, atol=0.0)
+
+
+def test_expanded_groups_sum_to_the_exponent_near_the_range_limit():
+    # a Gaussian pulled back to a sheared plane expands into four groups (1, u1, u2 and
+    # u1 u2); on a box where the exponent nears 700 the guard still splits it, and the
+    # groups' sum is the unexpanded exponent to within 4 * 708 * 2^-52 everywhere
+    core = Submanifold.affine("S", [0.3, -0.2, 0.1],
+                              np.transpose([[1.0, 0.5, 0.0], [0.4, 1.0, 0.7]]))
+    test = restrict(AmbientDensity.make(
+        0.5, "exp(-((x1-0.5)^2+(x2+0.25)^2+(x3-0.75)^2)/0.125)"), core)
+    (f, groups, spans), = [t for t in test._factor_trees if t[1]]
+    assert spans == [set(), {"u1"}, {"u2"}, {"u1", "u2"}]
+    grid = Grid([np.linspace(-4.15, 4.15, 83)] * 2)
+    b = dict(zip(["u1", "u2"], grid.columns()))
+    exponent = np.broadcast_to(exprlang.evaluate(f.arg, b), grid.dims)
+    summed = np.broadcast_to(sum(exprlang.evaluate(g, b) for g in groups), grid.dims)
+    assert 690.0 < np.abs(exponent).max() < EXP_SPLIT_LIMIT
+    assert len(test.factors(grid)) == 5  # the frame factor and the four groups
+    assert np.abs(summed - exponent).max() <= 4 * 708.0 * 2.0 ** -52
+
+
+def test_only_squares_that_read_two_coordinates_expand():
+    # a square of one coordinate stays one term, so the exp keeps the trees it had and
+    # no monomial is collected; a square of two expands, and its like monomials collect
+    kept = as_field("exp(-((x1-0.1)^2+(x2+0.2)^2)/1.1)", prefix="x")
+    assert [to_source(g) for _, groups, _ in kept._factor_trees for g in groups] == [
+        "-(x1 - 0.1)^2/1.1", "-(x2 + 0.2)^2/1.1"]
+    expanded = as_field("exp(-(x1 + x2 - 1)^2)", prefix="x")
+    assert [(to_source(g), set(s)) for _, groups, spans in expanded._factor_trees
+            for g, s in zip(groups, spans)] == [
+        ("-1*x1*x1 + 2*x1", {"x1"}), ("-2*x1*x2", {"x1", "x2"}),
+        ("-1*x2*x2 + 2*x2", {"x2"}), ("-1", set())]
+    grid = Grid([np.linspace(-1.0, 1.0, 3), np.linspace(0.0, 1.0, 4)])
+    got = np.broadcast_to(reduce(np.multiply, expanded.factors(grid)), grid.dims)
+    np.testing.assert_allclose(got, expanded.eval_many(grid), rtol=1e-14, atol=0.0)

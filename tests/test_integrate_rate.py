@@ -200,9 +200,9 @@ def run(case: Case) -> Run:
         boxes.append(box)
         return tensor_rule(box, order)
 
-    def summed(f_many, grid, w):
+    def summed(f_many, grid, w, axes=None):
         integrands.append(f_many)
-        values.append(weighted_sum(f_many, grid, w))
+        values.append(weighted_sum(f_many, grid, w, axes))
         return values[-1]
 
     with pytest.MonkeyPatch.context() as mp:

@@ -9,6 +9,7 @@ from geodens.errors import (
     AmbientMismatch,
     ConormalMismatch,
     DegenerateCovectors,
+    FrameShapeMismatch,
     RankDeficient,
     SingularFrame,
     SpanMismatch,
@@ -70,8 +71,13 @@ def test_det_pow_empty_matrix():
 
 
 def test_det_pow_rejects_non_square():
-    with pytest.raises(ValueError):
+    with pytest.raises(FrameShapeMismatch):
         det_abs_pow(np.zeros((2, 3)), 1.0)
+
+
+def test_a_frame_that_is_not_2d_is_typed():
+    with pytest.raises(FrameShapeMismatch, match=r"2-d column matrix, got shape \(3,\)"):
+        change_of_basis(np.ones(3), np.eye(3))
 
 
 # change of basis

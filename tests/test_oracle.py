@@ -121,7 +121,8 @@ def test_tube_fields():
 def test_tube_trees_are_pinned():
     # printed trees of a complex coefficient on a plane in R^3 with a declared
     # conormal; the Gaussian reads its two eps constants as parameters, whose
-    # values at eps 0.1 are the literals the hand-folded builders printed
+    # values at eps 0.1 are the literals the hand-folded builders printed; u and the
+    # tube's argument are b + A x from the affine helper, whose zero entries give no term
     plane = Submanifold.affine("P", [0.5, 0.0, -0.25],
                                [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     coeff = ExprField(parse("exp(-u1^2)"), parse("u2"))
@@ -129,10 +130,10 @@ def test_tube_trees_are_pinned():
                     support=[[-1.0, 1.0], [-1.0, 1.0]])
     tube = mollify(th, 0.1).coeff
     assert tube.params == {"tube_peak": 3.989422804014327, "tube_rate": 49.99999999999999}
-    gauss = "(tube_peak*exp(-(tube_rate*(x3 - -0.25)^2)))"
-    assert to_source(tube.re_expr) == "0.7071067811865476*exp(-(x1 - 0.5)^2)*" + gauss
+    gauss = "(tube_peak*exp(-(tube_rate*(0.25 + x3)^2)))"
+    assert to_source(tube.re_expr) == "0.7071067811865476*exp(-(-0.5 + x1)^2)*" + gauss
     assert to_source(tube.im_expr) == "0.7071067811865476*x2*" + gauss
-    # the negative Num in x3 - -0.25 reads back as itself
+    # the negative Num in -0.5 + x1 reads back as itself
     assert parse(to_source(tube.re_expr)) == tube.re_expr
     assert parse(to_source(tube.im_expr)) == tube.im_expr
 

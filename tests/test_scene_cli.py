@@ -1089,7 +1089,7 @@ def test_cli_oracle_exits_5_on_non_finite_tube_values(tmp_path, capsys):
 
 EXIT_CODES = {
     "SceneError": 2, "ExprSyntaxError": 2, "UnknownFunction": 2,
-    "UnboundIdentifier": 2, "DomainError": 2, "InvalidCore": 2,
+    "UnboundIdentifier": 2, "DomainError": 2, "InvalidCore": 2, "FrameShapeMismatch": 2,
     "ImmersionFailure": 3, "RankDeficient": 3, "SpanMismatch": 3,
     "DegenerateCovectors": 3, "SingularFrame": 3, "MissingImplicitForm": 3,
     "NoIntersectionFound": 3, "UserChartRequired": 3,

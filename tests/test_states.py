@@ -8,32 +8,36 @@ does not move.  The cross-check compares the pairing integrand, which runs
 on a quadrature grid's axes, with a per-node evaluation built from
 ``frames_at`` at the grid's flat points.
 """
+import importlib.util
 import math
 import re
+import sys
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from geodens.density import AmbientDensity
-from geodens import states
+from geodens.density import AmbientDensity, restrict
+from geodens import exprlang, quadrature, states
 from geodens.errors import (
     ConormalMismatch,
     ConormalShapeMismatch,
     DegreeMismatch,
+    FrameShapeMismatch,
+    InputError,
     UnboundedDomain,
 )
 from geodens.fields import ExprField, FuncField
 from geodens.geometry import Submanifold, frames_at, frames_many
 from geodens.exprlang import parse
-from geodens.linalg import det_abs_pow, dual_normal_frame
+from geodens.linalg import det_abs_pow, dual_normal_frame, frame_factors
 from geodens.oracle import smooth_pair
 from geodens.product import inner_product
-from geodens.quadrature import Grid
-from geodens.scene import load_scene
+from geodens.quadrature import Grid, integrate, intersect_boxes
+from geodens.scene import load_scene, scene_from_dict
 from geodens.states import (
     ConormalFamily,
-    _pairing_integrand,
     make_state,
     pair_with_test,
     recombine_conormal,
@@ -273,19 +277,29 @@ def _random_grid(core, rng):
 CROSS_CHECK_CASES = range(len(_cross_check_cases()))
 
 
+def _integrand(th, test, grid):
+    # pair_with_test's integrand: the coefficient's factors times the restricted test's
+    return np.broadcast_to(reduce(np.multiply, th.coeff.factors(grid) + test.factors(grid)),
+                           grid.dims)
+
+
 @pytest.mark.parametrize("case", CROSS_CHECK_CASES)
 def test_batched_integrand_matches_per_node_frames(case):
     # the batch is a quadrature grid, the reference the frames at its flat points
     core, coeff, phi, constant, degree = _cross_check_cases()[case]
     th = make_state(core, degree, coeff)
+    test = restrict(phi, core, th.conormal, dual_normal_frame)
+    # real expression fields keep the product real: where the test is evaluated on each
+    # batch, a real degree and a real test coefficient; where it pulls back, a real frame
+    # factor, as |det [t | n]|^beta = 1^beta is on the slanted line
+    real = isinstance(th.coeff, ExprField) and th.coeff.im_expr is None and (
+        test.im_expr is None if isinstance(test, ExprField) else complex(degree).imag == 0.0
+        and isinstance(phi.coeff, ExprField) and phi.coeff.im_expr is None)
     rng = np.random.default_rng(20261018 + case)
     for _ in range(5):
         grid = _random_grid(core, rng)
-        got = _pairing_integrand(th, phi, dual_normal_frame)(grid)
+        got = _integrand(th, test, grid)
         assert got.shape == grid.dims
-        # a real degree and real expression coefficients keep the product real
-        real = complex(degree).imag == 0.0 and all(
-            isinstance(f, ExprField) and f.im_expr is None for f in (th.coeff, phi.coeff))
         assert got.dtype == (float if real else complex)
         want = _per_node_integrand(th, phi, grid.points())
         assert np.all(np.abs(got.ravel() - want) <= 1e-14 * np.abs(want))
@@ -481,6 +495,14 @@ def test_recombination_scales_the_coefficient():
                        4.0 * th.conormal.rows_at([0.2]))
 
 
+def test_recombination_by_a_non_square_matrix_is_typed():
+    th = make_state(Submanifold.affine("Q", [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]), 0.5, "1")
+    with pytest.raises(FrameShapeMismatch, match=r"square matrix, got shape \(2, 3\)") as info:
+        recombine_conormal(th, np.ones((2, 3)))
+    assert isinstance(info.value, InputError) and isinstance(info.value, ValueError)
+    assert info.value.exit_code == 2
+
+
 def test_recombination_of_callable_coefficients():
     th = make_state(x_axis(), 0.5, lambda u: math.exp(-u[0] ** 2),
                     support=[[-8.0, 8.0]])
@@ -530,3 +552,114 @@ def test_pairing_survives_reparametrization():
     a = pair_with_test(flat, phi).value
     b = pair_with_test(curved, phi).value
     assert abs(a - b) <= 1e-7 * abs(a)
+
+
+# the factor path against the array integrand it replaced on affine cores
+
+def _array_pairing(state, phi, solver=None):
+    # the whole-grid integrand pair_with_test used before tests pulled back: the state
+    # coefficient times the test at the core's points times the frame factors, one array
+    def integrand(grid):
+        points, tangents, rows = frames_many(state.core, grid)
+        rows = state.conormal.rows_many(grid, rows)
+        factors = frame_factors(tangents, rows, phi.degree, solver)
+        return state.coeff.eval_many(grid) * (phi.coeff.eval_many(points) * factors.reshape(
+            grid.dims if len(factors) > 1 else ()))
+    return integrate(integrand, intersect_boxes(state.core.domain, state.support))[0]
+
+
+SHEARED = Submanifold.affine("S", [0.3, -0.2, 0.1],
+                             np.transpose([[1.0, 0.5, 0.0], [0.4, 1.0, 0.7]]))
+PLANE_R4 = Submanifold.affine("Q", [0.1, 0.2, 0.3, 0.4],
+                              np.transpose([[1.0, 0.0, 0.0, 2.0], [0.0, 3.0, 0.0, -1.0]]))
+GAUSS_R3 = "exp(-((x1-0.5)^2+(x2+0.25)^2+(x3-0.75)^2)/0.8)"
+
+
+def _shifted_normals(nu, t):
+    return dual_normal_frame(nu, t) + t @ np.full((t.shape[1], nu.shape[0]), 0.3)
+
+
+def _factor_path_cases():
+    # (state, test, solver, whether the test pulls back as a tree)
+    box = [[-2.0, 2.0], [-1.5, 1.5]]
+    sheared = make_state(SHEARED, 0.5, "exp(-u1^2/3)*cos(u2)", support=box)
+    rows = make_state(PLANE_R4, 0.25, "exp(-u1^2-u2^2)",
+                      conormal=[[0.0, 0.0, 0.6, 0.0], [-6.0, 1.0, 0.0, 3.0]], support=box)
+    gauss_r4 = "exp(-((x1-0.2)^2+(x2-0.1)^2+x3^2+(x4+0.3)^2)/2)"
+    complex_test = ExprField(parse(GAUSS_R3), parse("x1/2 - x3"), prefix="x")
+    return {
+        "sheared": (sheared, AmbientDensity.make(0.5, GAUSS_R3), None, True),
+        "unsplit": (sheared, AmbientDensity.make(0.5, "1/(1+x1^2+x2^2+x3^2)"), None, True),
+        "complex test": (sheared, AmbientDensity.make(0.5, complex_test), None, True),
+        "complex degree": (make_state(SHEARED, 0.4 + 0.2j, "exp(-u2^2)", support=box),
+                           AmbientDensity.make(0.6 - 0.2j, GAUSS_R3), None, True),
+        "callable test": (sheared, AmbientDensity.make(
+            0.5, lambda x: math.exp(-x @ x) * (1.0 + 0.5j * x[0])), None, False),
+        "declared rows": (rows, AmbientDensity.make(0.75, gauss_r4), None, True),
+        "recombined": (recombine_conormal(rows, [[1.0, 2.0], [0.5, 3.0]]),
+                       AmbientDensity.make(0.75, gauss_r4), None, True),
+        "solver": (sheared, AmbientDensity.make(0.5, GAUSS_R3), _shifted_normals, True),
+    }
+
+
+@pytest.mark.parametrize("name", list(_factor_path_cases()))
+def test_factor_path_matches_the_array_integrand(name):
+    state, phi, solver, pulled = _factor_path_cases()[name]
+    test = restrict(phi, state.core, state.conormal, solver)
+    assert isinstance(test, ExprField) == pulled
+    got = pair_with_test(state, phi, normal_solver=solver).value
+    want = _array_pairing(state, phi, solver)
+    assert abs(got - want) <= 1e-13 * abs(want), (got, want)
+
+
+def test_a_sheared_tangent_keeps_its_cross_term():
+    # T^T T is not diagonal, so the pulled-back Gaussian has a u1 u2 group of its own
+    test = restrict(AmbientDensity.make(0.5, GAUSS_R3), SHEARED)
+    grid = Grid([np.linspace(-1.0, 1.0, 3), np.linspace(-1.0, 1.0, 4)])
+    assert {0, 1} in test.factor_axes(grid) and {0} in test.factor_axes(grid)
+
+
+def _benchmark_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module by name
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_benchmark_affine_pairings_match_the_array_integrand(seed):
+    bench = _benchmark_workloads()
+    for case in bench.make_cases(bench.WORKLOADS["affine-pairs"], seed):
+        scene = scene_from_dict(case.files["scene.json"])
+        for request in scene.requests:
+            state, phi = scene.states[request["state"]], scene.tests[request["test"]]
+            assert isinstance(restrict(phi, state.core, state.conormal), ExprField)
+            got, want = pair_with_test(state, phi).value, _array_pairing(state, phi)
+            assert abs(got - want) <= 1e-13 * abs(want), (request, got, want)
+
+
+def test_each_factor_group_is_evaluated_once_per_level(monkeypatch):
+    # a level starts at its rule; its factors' trees, split groups and whole multiplicands,
+    # are each evaluated once, by factor_axes and factors together
+    calls, levels, made = [0], [], []
+    evaluate, rule, total = exprlang.evaluate, quadrature.tensor_rule, quadrature.weighted_sum
+
+    def counted(*args):
+        calls[0] += 1
+        return evaluate(*args)
+
+    def summed(f, grid, w, axes=None):
+        value = total(lambda g: made.append(f(g)) or made[-1], grid, w, axes)
+        levels[-1] = (calls[0] - levels[-1][0], len(made.pop()))
+        return value
+
+    monkeypatch.setattr(exprlang, "evaluate", counted)
+    monkeypatch.setattr(quadrature, "tensor_rule",
+                        lambda *a: levels.append((calls[0], None)) or rule(*a))
+    monkeypatch.setattr(quadrature, "weighted_sum", summed)
+    state, phi, _, _ = _factor_path_cases()["sheared"]
+    pair_with_test(state, phi)
+    # exp(-u1^2/3), cos(u2), the frame factor and the test's four groups
+    assert levels and all(level == (7, 7) for level in levels), levels

@@ -7,21 +7,22 @@ the whole batch.  ``factors`` gives a field's values on a grid as factors for
 product, and an ``exp`` of a sum by the coordinates its terms read (see
 EXP_SPLIT_LIMIT), so tube and test Gaussians stay one axis long; a square of a
 sum or a product of sums there expands, and its like monomials collect, first.
-``factor_axes`` names the axes each factor reads on a grid, by the trees and the
-same range guard, evaluated once per grid for both.  Fields that differ only in
-parameter values (``with_params``) share their factor groups, which split and
-compile once.  Coordinates are named ``<prefix>1 .. <prefix>dim`` with prefix
-"u" on charts and "x" in the ambient space.
+Each group is evaluated once per grid, where the range guard reads it, and is
+an array factor; one that reads every axis splits off only on a grid of at
+most EVAL_CHUNK nodes.  A multiplicand left whole is an array evaluated once
+if it reads fewer than every axis, else a callable run on each block.  Fields
+that differ only in parameter values (``with_params``) share their factor
+groups, which split and compile once.  Coordinates are named ``<prefix>1 ..
+<prefix>dim`` with prefix "u" on charts and "x" in the ambient space.
 """
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from typing import Callable, Mapping, MutableMapping, get_args
-from weakref import WeakKeyDictionary
+from typing import Callable, Mapping, get_args
 
 import numpy as np
 
-from . import exprlang
+from . import exprlang, quadrature
 from .exprlang import ZERO, BinOp, Call, Expr, Neg, Num, add, mul, sub
 from .quadrature import Grid
 
@@ -36,13 +37,9 @@ class ScalarField:
     def eval_many(self, points) -> np.ndarray:
         raise NotImplementedError
 
-    def factors(self, grid: Grid) -> tuple[np.ndarray, ...]:
-        """Values on a ``Grid`` as factors whose broadcast product is ``eval_many``."""
-        return (self.eval_many(grid),)
-
-    def factor_axes(self, grid: Grid) -> list[frozenset[int]]:
-        """The axes of ``grid`` that each factor of ``factors`` reads, at most, in order."""
-        return [frozenset(range(len(grid.dims)))]
+    def factors(self, grid: Grid) -> tuple:
+        """Factors of ``eval_many`` on a ``Grid`` for ``quadrature.weighted_sum``."""
+        return (self.eval_many,)
 
     def __call__(self, point) -> complex:
         return complex(self.eval_many(np.asarray(point, dtype=float).reshape(1, -1))[0])
@@ -57,7 +54,6 @@ class ExprField(ScalarField):
         self.im_expr = im_expr
         self.prefix = prefix
         self.params = dict(params or {})
-        self._splits: MutableMapping[Grid, list] = WeakKeyDictionary()
 
     def eval_many(self, points) -> np.ndarray:
         # each sub-expression runs on the coordinate arrays it reads; a real field
@@ -69,7 +65,7 @@ class ExprField(ScalarField):
         else:
             points = np.asarray(points, dtype=float)
             cols, shape = points.T, points.shape[:1]
-        b = {f"{self.prefix}{i + 1}": c for i, c in enumerate(cols)} | self.params
+        b = self._bindings(cols)
         value = np.asarray(exprlang.evaluate(self.re_expr, b), dtype=float)
         if self.im_expr is not None:
             value = value + 1j * np.asarray(exprlang.evaluate(self.im_expr, b))
@@ -79,45 +75,32 @@ class ExprField(ScalarField):
         """The value at one point, bound as float64 scalars: a power that overflows gives
         inf, as in ``eval_many``, not a Python float's DomainError.  Values agree with
         ``eval_many`` to a few ulp: numpy's scalar exp, sin and cos may round otherwise."""
-        coords = enumerate(np.asarray(point, dtype=float).ravel(), 1)
-        b = {f"{self.prefix}{i}": c for i, c in coords} | self.params
+        b = self._bindings(np.asarray(point, dtype=float).ravel())
         value = exprlang.evaluate(self.re_expr, b)
         if self.im_expr is not None:
             value = value + 1j * exprlang.evaluate(self.im_expr, b)
         return complex(value)
 
-    def factors(self, grid: Grid) -> tuple[np.ndarray, ...]:
-        # a real field's top-level * chain on the columns each reads; an exp of a sum by groups
+    def factors(self, grid: Grid) -> tuple:
+        # a real field's * chain, and an exp's groups where they may split (module docstring)
         if self.im_expr is not None:
             return super().factors(grid)
-        out = []
-        for f, _, exps, b in self._split(grid):
-            out += map(np.exp, exps) if exps else [np.asarray(exprlang.evaluate(f, b), float)]
+        every = frozenset(f"{self.prefix}{i + 1}" for i in range(len(grid.dims)))
+        b, out = self._bindings(grid.columns()), []
+        for f, groups, spans in self._factor_trees:
+            groups = groups if every not in spans or len(grid) <= quadrature.EVAL_CHUNK else []
+            exps = [np.asarray(exprlang.evaluate(g, b), dtype=float) for g in groups]
+            if exps and sum(abs(e).max() for e in exps) <= EXP_SPLIT_LIMIT:
+                out += map(np.exp, exps)
+            elif every <= frozenset().union(*spans):
+                out.append(lambda block, f=f: np.asarray(
+                    exprlang.evaluate(f, self._bindings(block.columns())), dtype=float))
+            else:
+                out.append(np.asarray(exprlang.evaluate(f, b), dtype=float))
         return tuple(out)
 
-    def factor_axes(self, grid: Grid) -> list[frozenset[int]]:
-        # an exp's groups where the range guard lets it split on the grid, else their union;
-        # on a part of the grid the guard may split what it keeps whole here, never the reverse
-        if self.im_expr is not None:
-            return super().factor_axes(grid)
-        axis = {f"{self.prefix}{i + 1}": i for i in range(len(grid.dims))}
-        return [frozenset(axis[v] for v in names if v in axis)
-                for _, spans, exps, _ in self._split(grid)
-                for names in (spans if exps else [frozenset().union(*spans)])]
-
-    def _split(self, grid: Grid) -> list:
-        # per multiplicand: its tree, the coordinates its exp's groups read, their exponents
-        # on the grid where their largest magnitudes sum within EXP_SPLIT_LIMIT (else
-        # None), and the bindings; once per live grid, for factor_axes and factors both
-        if grid in self._splits:
-            return self._splits[grid]
-        b = {f"{self.prefix}{i + 1}": c for i, c in enumerate(grid.columns())} | self.params
-        out = self._splits[grid] = []
-        for f, groups, spans in self._factor_trees:
-            exps = [np.asarray(exprlang.evaluate(g, b), dtype=float) for g in groups]
-            split = exps and sum(abs(e).max() for e in exps) <= EXP_SPLIT_LIMIT
-            out.append((f, spans, exps if split else None, b))
-        return out
+    def _bindings(self, cols) -> dict:
+        return {f"{self.prefix}{i + 1}": c for i, c in enumerate(cols)} | self.params
 
     def with_params(self, values: Mapping[str, float]) -> "ExprField":
         """The field with new values for some of its parameters.  Where it binds no new

@@ -13,9 +13,8 @@ data) to the geometric pairings as eps -> 0.
 
 Nothing here calls the geometric integration path: tube pairings run on a
 composite panel rule sized by the tube width, and reach it as the factors of
-each coefficient, contracted one axis at a time and never multiplied out; a
-pairing whose products along the first axis fit ``EVAL_CHUNK`` evaluates each
-factor once.  An eps sweep builds one tube per state, whose Gaussians read
+each coefficient, made once per grid and contracted one axis at a time, never
+multiplied out.  An eps sweep builds one tube per state, whose Gaussians read
 1/sqrt(2 pi eps^2) and 1/(2 eps^2) as parameters, and binds them once per eps.
 """
 from __future__ import annotations
@@ -147,7 +146,7 @@ def smooth_pair(phi1: AmbientDensity, phi2: AmbientDensity) -> complex:
 
     The integration box is the intersection of the support hints; panels
     follow the finest resolution hint so Gaussian tubes are resolved.  The
-    coefficients' factors go to ``weighted_sum`` with the axes each reads.
+    coefficients' factors go to ``weighted_sum``, which reads their spans off their shapes.
     """
     _check_degree_sum(phi1.degree, phi2.degree, "smooth pairing")
     box = intersect_boxes(phi1.support, phi2.support)
@@ -156,8 +155,7 @@ def smooth_pair(phi1: AmbientDensity, phi2: AmbientDensity) -> complex:
     panel = np.minimum(_axis_panels(phi1, box), _axis_panels(phi2, box))
     grid, weights = quadrature.composite_rule(box, panel, ORACLE_ORDER)
     return quadrature.weighted_sum(
-        lambda g: phi1.coeff.factors(g) + phi2.coeff.factors(g), grid, weights,
-        phi1.coeff.factor_axes(grid) + phi2.coeff.factor_axes(grid))
+        lambda g: phi1.coeff.factors(g) + phi2.coeff.factors(g), grid, weights)
 
 
 def _axis_panels(phi: AmbientDensity, box: np.ndarray) -> np.ndarray:

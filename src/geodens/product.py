@@ -145,4 +145,4 @@ def inner_product(theta1: GeometricState, theta2: GeometricState,
         return np.array([product_at_point(theta1, theta2, core_e, w, dual_solver)
                          for w in grid.points()], dtype=complex)
 
-    return PairingResult(*quadrature.integrate(integrand, box, options))
+    return PairingResult(*quadrature.integrate(lambda g: (integrand,), box, options))

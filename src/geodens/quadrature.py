@@ -8,14 +8,14 @@ the mollifier oracle uses to resolve tubes whose cross section is a width-eps
 Gaussian; a fixed-order global rule cannot see those.  Both return a
 ``Grid`` of per-axis nodes, flattened only for an integrand that asks, so
 expression fields evaluate each sub-expression on the axes it reads, and a
-``Grid`` of per-axis weights, which ``weighted_sum`` contracts with each block
-one axis at a time, factor by factor where the integrand returns a tuple of
-factors: no rule builds a grid-sized array, and factors are never multiplied
-out on a block.  An integrand runs on blocks of rows sized by the products
-the contraction forms; one that names the axes each factor reads runs as one
-block where its largest product fits, and each factor is evaluated once.  The
-bounded-box rule lives here too: ``as_box`` and ``intersect_boxes`` raise
-UnboundedDomain where there is no box, and InvalidBox on a malformed one.
+``Grid`` of per-axis weights, which ``weighted_sum`` contracts one axis at a
+time, factor by factor: no rule builds a grid-sized array, and factors are
+never multiplied out on a block.  The integrand runs once per grid and returns
+its factors: arrays, which read the axes their open-grid shape is long along
+and are evaluated once, and callables, which read every axis and run on blocks
+of rows sized by the products the contraction forms.  The bounded-box rule
+lives here too: ``as_box`` and ``intersect_boxes`` raise UnboundedDomain where
+there is no box, and InvalidBox on a malformed one.
 """
 from __future__ import annotations
 
@@ -140,33 +140,40 @@ def composite_rule(box, panel_width, order: int = 12):
     return Grid(x for x, _ in axes), Grid(w for _, w in axes)
 
 
-def weighted_sum(f_many, grid: Grid, weights: Grid, axes=None) -> complex:
-    """sum_i w_i f(p_i), f run on blocks of whole first-axis rows; f takes a block's Grid
-    and returns its values in its dims or flat, or a tuple of factors that broadcast to
-    its dims.  ``axes`` holds the grid axes each factor reads, at most; None stands for
-    one array that reads every axis.  A block holds as many rows as keep each product
-    the contraction forms along the first axis within EVAL_CHUNK nodes (one row at
-    least), so where the largest fits over the whole grid, the grid is one block and
-    each factor is evaluated once.
+def weighted_sum(f_many, grid: Grid, weights: Grid) -> complex:
+    """sum_i w_i f(p_i).  ``f_many`` runs once, on the whole grid, and returns a tuple of
+    factors whose broadcast product is f, or f's values in the grid's dims or flat.  An
+    array reads the axes it is longer than 1 along, and each block gets its rows; a
+    callable reads every axis and returns a block's values, in its dims or flat.  A block
+    holds as many whole first-axis rows as keep each product the contraction forms along
+    the first axis within EVAL_CHUNK nodes (one row at least).  An array that reads fewer
+    than every axis has at most MAX_NODES / (shortest axis) entries; what reads every
+    axis runs, or is sliced, block by block.
     A block meets the weights one axis at a time, last first: the factors of full length
     along the axis multiply and meet its weights by ``@``, the others keep their index-0
     slice, and if none is of full length the axis gives ``w.sum()``; one array runs
     exactly ``reduce(np.matmul, reversed(w), values)``."""
+    values, k = f_many(grid), len(grid.dims)
+    factors = [f if callable(f) else np.reshape(f, (1,) * (k - np.ndim(f)) + np.shape(f))
+               for f in (values if isinstance(values, tuple) else [np.reshape(values, grid.dims)])]
+    spans = _products([range(k) if callable(f) else [i for i, n in enumerate(f.shape) if n > 1]
+                       for f in factors], grid.dims)
     rows = math.prod(grid.dims[:1])
-    spans = _products([range(len(grid.dims))] if axes is None else axes, grid.dims)
     per_row = [math.prod(grid.dims[i] for i in s if i) for s in spans if 0 in s]
     step = max(1, EVAL_CHUNK // max(per_row)) if per_row else rows
     total = 0.0 + 0.0j
     for start in range(0, rows, step):
-        block = grid if step >= rows else Grid(
-            [x[start:start + step] for x in grid.axes[:1]] + list(grid.axes[1:]))
-        w = [x[start:start + step] for x in weights.axes[:1]] + list(weights.axes[1:])
-        total += _contract(f_many(block), block.dims, w)
+        cut = slice(start, start + step)
+        block = grid if step >= rows else Grid([grid.axes[0][cut], *grid.axes[1:]])
+        w = [x[cut] for x in weights.axes[:1]] + list(weights.axes[1:])
+        total += _contract([np.reshape(f(block), block.dims) if callable(f)
+                            else f[cut] if k and len(f) > 1 else f for f in factors],
+                           block.dims, w)
     return total
 
 
 def _products(axes, dims) -> list[frozenset[int]]:
-    # the axes each product _contract forms spans, given what each factor reads: at
+    # the axes each product _contract forms spans, given the axes each factor reads: at
     # each axis, last first, the factors of full length along it (all, at length 1)
     # multiply into one that spans their union, and spans it less that axis after @
     spans, out = [frozenset(a) for a in axes], []
@@ -178,9 +185,8 @@ def _products(axes, dims) -> list[frozenset[int]]:
     return out
 
 
-def _contract(values, dims, w) -> complex:
-    factors = ([np.reshape(f, (1,) * (len(dims) - np.ndim(f)) + np.shape(f)) for f in values]
-               if isinstance(values, tuple) else [np.reshape(values, dims)])
+def _contract(factors, dims, w) -> complex:
+    # factors of the grid's rank, each of length 1 or full along every axis
     for axis in reversed(range(len(dims))):
         varying = [f for f in factors if f.shape[axis] == dims[axis]]
         factors = [f[..., 0] for f in factors if f.shape[axis] != dims[axis]]
@@ -202,7 +208,7 @@ def _check_budget(nodes: int, what: str) -> None:
             f"{what} needs {nodes:,} nodes, over the node budget of {MAX_NODES:,}")
 
 
-def integrate(f_many, box, options: QuadratureOptions | None = None, axes=None):
+def integrate(f_many, box, options: QuadratureOptions | None = None):
     """Integrate over a box; returns (value, error_estimate) once they meet tolerance.
 
     Level j uses order round(base * 2^(j/2)) (32, 45, 64, 91, ...), one more
@@ -218,19 +224,18 @@ def integrate(f_many, box, options: QuadratureOptions | None = None, axes=None):
     computed", says why).  At MAX_ORDER, or on a NaN estimate or
     tolerance, which never meet it, QuadratureNotConverged is raised.  So is
     it where a level's grid would pass MAX_NODES, before that grid is built.
-    ``axes``, where given, maps each level's Grid to the axes that each factor of
-    ``f_many`` reads there, for ``weighted_sum``.
+    Each level's sum is ``weighted_sum(f_many, grid, weights)``.
     """
     opts = options or QuadratureOptions()
     b = as_box(box)
     order = opts.order
     grid, w = tensor_rule(b, order)
-    value = weighted_sum(f_many, grid, w, axes and axes(grid))
+    value = weighted_sum(f_many, grid, w)
     last = before = math.nan
     for level in itertools.count(1):
         order = max(order + 1, round(opts.order * 2 ** (level / 2)))
         grid, w = tensor_rule(b, order)
-        refined = weighted_sum(f_many, grid, w, axes and axes(grid))
+        refined = weighted_sum(f_many, grid, w)
         estimate = abs(refined - value)
         value = refined
         if estimate <= opts.rel_tol * abs(value) + ABS_TOL:

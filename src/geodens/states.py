@@ -152,5 +152,4 @@ def pair_with_test(state: GeometricState, phi: AmbientDensity,
         grid = quadrature.Grid([])
         return PairingResult(complex(coeff.eval_many(grid) * test.eval_many(grid)), 0.0)
     return PairingResult(*quadrature.integrate(
-        lambda g: coeff.factors(g) + test.factors(g), box, options,
-        lambda g: coeff.factor_axes(g) + test.factor_axes(g)))
+        lambda g: coeff.factors(g) + test.factors(g), box, options))

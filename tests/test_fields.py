@@ -6,6 +6,7 @@ Its ``factors`` multiply back to those values.
 """
 import json
 import math
+import tracemalloc
 import warnings
 from functools import reduce
 from pathlib import Path
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from _exprgen import random_expr
-from geodens import exprlang
+from geodens import exprlang, quadrature
 from geodens.density import AmbientDensity, restrict
 from geodens.errors import DomainError, GeodensError
 from geodens.exprlang import BinOp, Call, Neg, Num, Var, parse, subst, to_source
@@ -248,7 +249,19 @@ def test_funcfield_on_a_grid_returns_its_dims():
     assert np.array_equal(got, [[1 + 3j, 1 + 4j, 1 + 5j], [2 + 3j, 2 + 4j, 2 + 5j]])
 
 
-# factors: a field's values on a grid, for weighted_sum to contract one by one
+# factors: a field's values on a grid, for weighted_sum to contract one by one: arrays
+# that read the axes they are long along, and callables that read every axis
+
+
+def on_grid(factors, grid):
+    """The product of the factors on the grid, each callable run on the whole grid."""
+    return np.broadcast_to(reduce(np.multiply, [f(grid) if callable(f) else f
+                                                for f in factors]), grid.dims)
+
+
+def shape_axes(f, k):
+    """The axes an array factor reads on a k-axis grid: those it is longer than 1 along."""
+    return {i for i, n in enumerate((1,) * (k - np.ndim(f)) + np.shape(f)) if n > 1}
 
 
 def test_factors_split_a_real_product_by_the_axes_each_reads():
@@ -295,7 +308,7 @@ def test_factors_multiply_to_the_grid_values(k):
         assert len(factors) >= (1 if isinstance(re, BinOp) and re.op == "+" else len(parts))
         split += sum(len(ExprField(p, params=field.params).factors(grid)) > 1
                      for p in parts if isinstance(p, Call))
-        got = np.broadcast_to(reduce(np.multiply, factors), grid.dims)
+        got = on_grid(factors, grid)
         np.testing.assert_allclose(got, field.eval_many(grid), rtol=1e-14, atol=0.0)
     assert split > 10 if k else split == 0, split
 
@@ -321,8 +334,8 @@ def test_an_exp_whose_split_could_leave_the_floats_stays_whole():
     field = as_field("exp(1000*x1-1000*x2-x1^2)", prefix="x")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        (values,) = field.factors(grid)
-        assert np.array_equal(values, field.eval_many(grid))
+        (values,) = field.factors(grid)  # it reads both axes: a callable run on each block
+        assert callable(values) and np.array_equal(values(grid), field.eval_many(grid))
         assert weighted_sum(field.factors, grid, weights) == weighted_sum(
             field.eval_many, grid, weights)
         # three groups, each within the floats, whose largest magnitudes sum past the limit
@@ -336,36 +349,61 @@ def test_factors_of_a_complex_or_callable_field_are_its_values():
     grid = Grid([np.array([1.0, 2.0]), np.array([3.0, 4.0, 5.0])])
     for field in (ExprField(parse("u1*u2"), parse("u1")), FuncField(lambda x: x[0] * x[1])):
         (values,) = field.factors(grid)
-        assert np.array_equal(values, field.eval_many(grid))
+        assert callable(values) and np.array_equal(values(grid), field.eval_many(grid))
 
 
-def test_factor_axes_name_what_each_factor_reads():
-    # the product's multiplicands, and an exp's groups where it splits; an exp of one
-    # group, a complex field and a callable field read what their trees read
+def test_factor_shapes_name_what_each_factor_reads():
+    # the product's multiplicands, and an exp's groups where it splits, as arrays that
+    # are long along what they read; a multiplicand left whole that reads every axis,
+    # a complex field and a callable field are one callable each
     field = as_field("2*x1*exp(-x3^2)*(x2 + x1)*exp(-(x1-a)^2 - x3/2 + a)", prefix="x",
                      params={"a": 0.3})
     grid = Grid([np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 4), np.linspace(1.0, 2.0, 5)])
-    assert field.factor_axes(grid) == [set(), {0}, {2}, {0, 1}, {0}, {2}, set()]
     factors = field.factors(grid)
-    assert len(factors) == 7
-    for f, axes in zip(factors, field.factor_axes(grid), strict=True):
-        shape = (1,) * (3 - np.ndim(f)) + np.shape(f)
-        assert {i for i, n in enumerate(shape) if n > 1} == axes
-    assert ExprField(parse("x1"), parse("x2"), "x").factor_axes(grid) == [{0, 1, 2}]
-    assert FuncField(lambda x: x[0]).factor_axes(Grid(grid.axes[:2])) == [{0, 1}]
+    assert [shape_axes(f, 3) for f in factors] == [set(), {0}, {2}, {0, 1}, {0}, {2}, set()]
+    np.testing.assert_allclose(on_grid(factors, grid), field.eval_many(grid), rtol=1e-14)
+    whole = as_field("x1*(x2 + x3)*sin(x1*x2*x3)", prefix="x").factors(grid)
+    assert [callable(f) for f in whole] == [False, False, True]
+    for field in (ExprField(parse("x1"), parse("x2"), "x"), FuncField(lambda x: x[0])):
+        (f,) = field.factors(grid)
+        assert callable(f) and np.array_equal(f(grid), field.eval_many(grid))
 
 
-def test_factor_axes_follow_the_range_guard():
+def test_factor_shapes_follow_the_range_guard():
     # the groups of exp(-(x1^2 + x3^2)/0.01) reach 100 on [0, 1] and 2500 on [0, 5]:
     # the guard splits the first and keeps the second whole, which reads both axes
     field = as_field("x2*exp(-(x1^2 + x3^2)/0.01)", prefix="x")
     for hi, want in ((1.0, [{1}, {0}, {2}]), (5.0, [{1}, {0, 2}])):
         grid = Grid([np.linspace(0.0, hi, 3), np.linspace(0.0, 1.0, 4),
                      np.linspace(0.0, hi, 5)])
-        assert field.factor_axes(grid) == want
-        for f, axes in zip(field.factors(grid), want, strict=True):
-            shape = (1,) * (3 - np.ndim(f)) + np.shape(f)
-            assert {i for i, n in enumerate(shape) if n > 1} == axes
+        assert [shape_axes(f, 3) for f in field.factors(grid)] == want
+    # on the x1, x3 plane the exp left whole reads every axis, and runs on each block
+    plane = as_field("exp(-(x1^2 + x2^2)/0.01)", prefix="x")
+    (f,) = plane.factors(Grid([np.linspace(0.0, 5.0, 3), np.linspace(0.0, 5.0, 5)]))
+    assert callable(f)
+
+
+def test_a_group_that_reads_every_axis_splits_off_within_one_chunk(monkeypatch):
+    # the x1 x2 x3 group is an array of the grid's size, so it splits off only where
+    # the grid fits one EVAL_CHUNK; past it the exp runs whole on each block
+    field = as_field("exp(-(x1^2+x2^2+x3^2)/4 - x1*x2*x3/10)", prefix="x")
+    grid = Grid([np.linspace(-2.0, 2.0, 6)] * 3)
+    factors = field.factors(grid)
+    assert sorted(map(len, (shape_axes(f, 3) for f in factors))) == [1, 1, 1, 3]
+    monkeypatch.setattr(quadrature, "EVAL_CHUNK", len(grid) - 1)
+    (whole,) = field.factors(grid)
+    assert callable(whole) and np.array_equal(whole(grid), field.eval_many(grid))
+    np.testing.assert_allclose(on_grid(factors, grid), whole(grid), rtol=1e-14)
+    monkeypatch.undo()
+    big, weights = tensor_rule([[-2.0, 2.0]] * 3, 128)
+    weighted_sum(field.factors, big, weights)  # compile the trees, cache the nodes
+    tracemalloc.start()
+    try:
+        weighted_sum(field.factors, big, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(big)  # no float64 array of the grid's 2.1 M nodes
 
 
 def test_with_params_shares_the_factor_groups():
@@ -387,11 +425,11 @@ def test_with_params_of_a_new_name_builds_its_own_groups():
     field = as_field("c*exp(-r*(x1-1)^2 - x2^2)*exp(-r*x2)", prefix="x",
                      params={"c": 1.0, "r": 2.0})
     grid = Grid([np.linspace(-1.0, 1.0, 3), np.linspace(0.0, 1.0, 4)])
-    assert field.factor_axes(grid) == [set(), {0}, {1}, {1}]
+    assert [shape_axes(f, 2) for f in field.factors(grid)] == [set(), {0}, {1}, {1}]
     bound = field.with_params({"x2": 0.5})
     assert bound._factor_trees is not field._factor_trees
-    assert bound.factor_axes(grid) == [set(), {0}, set(), set()]
-    product = np.broadcast_to(reduce(np.multiply, bound.factors(grid)), (3, 4))
+    assert [shape_axes(f, 2) for f in bound.factors(grid)] == [set(), {0}, set(), set()]
+    product = on_grid(bound.factors(grid), grid)
     assert np.allclose(product, bound.eval_many(grid), rtol=1e-14, atol=0.0)
 
 

@@ -523,8 +523,7 @@ def test_one_dim_inner_makes_one_product_call_per_node(factors, monkeypatch):
     monkeypatch.setattr(module, "product_at_point",
                         lambda *args, **kw: calls.append(1) or point(*args, **kw))
     monkeypatch.setattr(quadrature, "weighted_sum",
-                        lambda f, grid, w, axes=None: nodes.append(len(w))
-                        or total(f, grid, w, axes))
+                        lambda f, grid, w: nodes.append(len(w)) or total(f, grid, w))
     th1, th2, e = factors()
     th1, th2 = (make_state(th.core, 0.5, "exp(-u1^2 - u2^2)") for th in (th1, th2))
     inner_product(th1, th2, e, support=[[-1.5, 1.5]])

@@ -197,7 +197,7 @@ def test_weighted_sum_peaks_at_the_axes_and_one_block():
     tracemalloc.start()
     try:
         grid, weights = tensor_rule(BOX3, 128)
-        total = weighted_sum(lambda g: np.ones(g.dims), grid, weights)
+        total = weighted_sum(lambda g: (lambda b: np.ones(b.dims),), grid, weights)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -258,7 +258,7 @@ def test_weighted_sum_blocks_match_a_flat_sum(monkeypatch, chunk, dims):
         return f(block.points())
 
     want = np.sum(f(grid.points()) * node_weights(weights))
-    got = weighted_sum(flat, grid, weights)
+    got = weighted_sum(lambda g: (flat,), grid, weights)  # a callable runs on each block
     assert abs(got - want) <= 1e-15 * abs(want)
     row = math.prod(dims[1:])
     assert all(b[1:] == dims[1:] and b[0] * row <= max(chunk, row) for b in blocks)
@@ -435,11 +435,24 @@ def random_factors(rng, dims):
     return factors
 
 
+def recorded_blocks(monkeypatch):
+    """The dims of each block weighted_sum contracts, in order."""
+    blocks, contract = [], quadrature._contract
+    monkeypatch.setattr(quadrature, "_contract",
+                        lambda f, dims, w: blocks.append(dims) or contract(f, dims, w))
+    return blocks
+
+
 def on_block(factors, dims, block):
     """The factors restricted to a block: its first axis holds their row indices."""
     rows = block.axes[0].astype(int) if dims else None
     return tuple(f[rows] if dims and np.ndim(f) == len(dims) and np.shape(f)[0] > 1 else f
                  for f in factors)
+
+
+def product_on_block(factors, dims):
+    """A callable that multiplies the factors out on each block."""
+    return lambda b: np.broadcast_to(reduce(np.multiply, on_block(factors, dims, b)), b.dims)
 
 
 @pytest.mark.parametrize("chunk", [7, 200_000])
@@ -451,11 +464,10 @@ def test_weighted_sum_contracts_factor_tuples(monkeypatch, chunk, dims):
     grid = Grid([np.arange(float(n)) for n in dims])  # a block's rows read as indices
     weights = Grid([rng.uniform(0.1, 1.0, n) for n in dims])
     for _ in range(20):
+        # the factors as arrays, sliced by block, against their product made on each block
         factors = random_factors(rng, dims)
-        got = weighted_sum(lambda b: on_block(factors, dims, b), grid, weights)
-        want = weighted_sum(
-            lambda b: np.broadcast_to(reduce(np.multiply, on_block(factors, dims, b)),
-                                      b.dims), grid, weights)
+        got = weighted_sum(lambda g: tuple(factors), grid, weights)
+        want = weighted_sum(lambda g: (product_on_block(factors, dims),), grid, weights)
         assert abs(got - want) <= 1e-14 * abs(want)
 
 
@@ -482,18 +494,13 @@ def test_factor_integrands_block_by_their_largest_first_axis_product(monkeypatch
     rng = np.random.default_rng(len(dims) * 100 + math.prod(dims) + chunk % 11)
     grid = Grid([np.arange(float(n)) for n in dims])  # a block's rows read as indices
     weights = Grid([rng.uniform(0.1, 1.0, n) for n in dims])
+    blocks = recorded_blocks(monkeypatch)
     for _ in range(20):
         factors = random_factors(rng, dims)
         shapes = [(1,) * (len(dims) - np.ndim(f)) + np.shape(f) for f in factors]
-        axes = [frozenset(i for i, n in enumerate(shape) if n > 1) for shape in shapes]
-        blocks = []
-
-        def fn(b):
-            blocks.append(b.dims)
-            return on_block(factors, dims, b)
-
-        got = weighted_sum(fn, grid, weights, axes)
-        want = weighted_sum(lambda b: on_block(factors, dims, b), grid, weights)
+        want = weighted_sum(lambda g: (product_on_block(factors, dims),), grid, weights)
+        blocks.clear()
+        got = weighted_sum(lambda g: tuple(factors), grid, weights)
         assert abs(got - want) <= 1e-14 * abs(want)
         assert [b[1:] for b in blocks] == [dims[1:]] * len(blocks)
         assert sum(math.prod(b[:1]) for b in blocks) == math.prod(dims[:1])
@@ -511,11 +518,24 @@ def test_blocks_count_the_union_of_factors_multiplied_together(monkeypatch):
     monkeypatch.setattr(quadrature, "EVAL_CHUNK", 20)
     grid = Grid([np.arange(6.0), np.arange(5.0), np.arange(4.0)])
     weights = Grid([np.ones(6), np.ones(5), np.ones(4)])
-    rows = []
-    fn = lambda b: rows.append(len(b.axes[0])) or (np.ones((len(b.axes[0]), 1, 4)),
-                                                   np.ones((5, 4)))
-    assert weighted_sum(fn, grid, weights, [{0, 2}, {1, 2}]) == 120.0
-    assert rows == [1] * 6
+    blocks = recorded_blocks(monkeypatch)
+    assert weighted_sum(lambda g: (np.ones((6, 1, 4)), np.ones((5, 4))), grid, weights) == 120.0
+    assert [b[0] for b in blocks] == [1] * 6
+
+
+def test_factors_of_length_one_along_the_first_axis_reach_every_block(monkeypatch):
+    # a (1, d1) factor is the same on every block, and a (d0, 1) one is sliced by it;
+    # the products along the first axis are one node a row, so a chunk of 2 is two rows
+    monkeypatch.setattr(quadrature, "EVAL_CHUNK", 2)
+    rng = np.random.default_rng(34)
+    grid = Grid([rng.uniform(-1.0, 1.0, 7), rng.uniform(-1.0, 1.0, 4)])
+    weights = Grid([rng.uniform(0.1, 1.0, 7), rng.uniform(0.1, 1.0, 4)])
+    across, down = rng.uniform(0.5, 1.5, (1, 4)), rng.uniform(0.5, 1.5, (7, 1))
+    blocks = recorded_blocks(monkeypatch)
+    got = weighted_sum(lambda g: (across, down), grid, weights)
+    assert [b[0] for b in blocks] == [2, 2, 2, 1]
+    want = np.sum((across * down).ravel() * node_weights(weights))
+    assert abs(got - want) <= 1e-15 * abs(want)
 
 
 def matmul_chain_sum(f_many, grid, weights):
@@ -545,4 +565,5 @@ def test_weighted_sum_of_one_array_is_bitwise_the_matmul_chain(monkeypatch, chun
     rng = np.random.default_rng(math.prod(dims) + chunk)
     grid = Grid([rng.uniform(-1.0, 1.0, n) for n in dims])
     weights = Grid([rng.uniform(0.0, 1.0, n) for n in dims])
-    assert weighted_sum(integrand, grid, weights) == matmul_chain_sum(integrand, grid, weights)
+    assert weighted_sum(lambda g: (integrand,), grid, weights) == matmul_chain_sum(
+        integrand, grid, weights)

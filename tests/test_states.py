@@ -278,9 +278,11 @@ CROSS_CHECK_CASES = range(len(_cross_check_cases()))
 
 
 def _integrand(th, test, grid):
-    # pair_with_test's integrand: the coefficient's factors times the restricted test's
-    return np.broadcast_to(reduce(np.multiply, th.coeff.factors(grid) + test.factors(grid)),
-                           grid.dims)
+    # pair_with_test's integrand: the coefficient's factors times the restricted test's,
+    # each callable run on the whole grid
+    factors = th.coeff.factors(grid) + test.factors(grid)
+    return np.broadcast_to(reduce(np.multiply, [f(grid) if callable(f) else f
+                                                for f in factors]), grid.dims)
 
 
 @pytest.mark.parametrize("case", CROSS_CHECK_CASES)
@@ -565,7 +567,7 @@ def _array_pairing(state, phi, solver=None):
         factors = frame_factors(tangents, rows, phi.degree, solver)
         return state.coeff.eval_many(grid) * (phi.coeff.eval_many(points) * factors.reshape(
             grid.dims if len(factors) > 1 else ()))
-    return integrate(integrand, intersect_boxes(state.core.domain, state.support))[0]
+    return integrate(lambda g: (integrand,), intersect_boxes(state.core.domain, state.support))[0]
 
 
 SHEARED = Submanifold.affine("S", [0.3, -0.2, 0.1],
@@ -616,7 +618,8 @@ def test_a_sheared_tangent_keeps_its_cross_term():
     # T^T T is not diagonal, so the pulled-back Gaussian has a u1 u2 group of its own
     test = restrict(AmbientDensity.make(0.5, GAUSS_R3), SHEARED)
     grid = Grid([np.linspace(-1.0, 1.0, 3), np.linspace(-1.0, 1.0, 4)])
-    assert {0, 1} in test.factor_axes(grid) and {0} in test.factor_axes(grid)
+    shapes = [np.shape(f) for f in test.factors(grid)]
+    assert (3, 4) in shapes and (3, 1) in shapes
 
 
 def _benchmark_workloads():
@@ -640,9 +643,8 @@ def test_benchmark_affine_pairings_match_the_array_integrand(seed):
             assert abs(got - want) <= 1e-13 * abs(want), (request, got, want)
 
 
-def test_each_factor_group_is_evaluated_once_per_level(monkeypatch):
-    # a level starts at its rule; its factors' trees, split groups and whole multiplicands,
-    # are each evaluated once, by factor_axes and factors together
+def _evaluations_per_level(monkeypatch, state, phi):
+    # (exprlang.evaluate calls, factors) of each level, from its rule to its sum
     calls, levels, made = [0], [], []
     evaluate, rule, total = exprlang.evaluate, quadrature.tensor_rule, quadrature.weighted_sum
 
@@ -650,16 +652,38 @@ def test_each_factor_group_is_evaluated_once_per_level(monkeypatch):
         calls[0] += 1
         return evaluate(*args)
 
-    def summed(f, grid, w, axes=None):
-        value = total(lambda g: made.append(f(g)) or made[-1], grid, w, axes)
-        levels[-1] = (calls[0] - levels[-1][0], len(made.pop()))
+    def summed(f, grid, w):
+        value = total(lambda g: made.append(f(g)) or made[-1], grid, w)
+        levels[-1] = (calls[0] - levels[-1][0], len(made.pop()), grid.dims)
         return value
 
     monkeypatch.setattr(exprlang, "evaluate", counted)
     monkeypatch.setattr(quadrature, "tensor_rule",
                         lambda *a: levels.append((calls[0], None)) or rule(*a))
     monkeypatch.setattr(quadrature, "weighted_sum", summed)
-    state, phi, _, _ = _factor_path_cases()["sheared"]
     pair_with_test(state, phi)
+    return levels
+
+
+def test_each_factor_group_is_evaluated_once_per_level(monkeypatch):
+    # a level's factors, split groups and whole multiplicands, are each evaluated once
+    state, phi, _, _ = _factor_path_cases()["sheared"]
+    levels = _evaluations_per_level(monkeypatch, state, phi)
     # exp(-u1^2/3), cos(u2), the frame factor and the test's four groups
-    assert levels and all(level == (7, 7) for level in levels), levels
+    assert levels and all(level[:2] == (7, 7) for level in levels), levels
+
+
+def test_a_level_of_row_blocks_evaluates_each_group_once(monkeypatch):
+    # the seed-31 affine-pairs 3-D pairing: its order-64 level is two row blocks, and
+    # still evaluates the coefficient, the test's seven groups and its frame factor once
+    bench = _benchmark_workloads()
+    case = bench.make_cases(bench.WORKLOADS["affine-pairs"], 31)[0]
+    scene = scene_from_dict(case.files["scene.json"])
+    request = next(r for r in scene.requests if scene.states[r["state"]].core.dim == 3)
+    state, phi = scene.states[request["state"]], scene.tests[request["test"]]
+    contract, blocks = quadrature._contract, []
+    monkeypatch.setattr(quadrature, "_contract", lambda *a: blocks.append(a[1]) or contract(*a))
+    levels = _evaluations_per_level(monkeypatch, state, phi)
+    assert [level[2][0] for level in levels][:3] == [32, 45, 64]
+    assert len([b for b in blocks if b[1:] == (64, 64)]) == 2
+    assert all(level[0] == 9 for level in levels), levels

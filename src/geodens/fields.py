@@ -1,22 +1,23 @@
 """Coefficient fields: complex scalar functions of chart or ambient coordinates.
 
-Expression-backed fields evaluate vectorized through the expression engine's
-array path, and at one point on float64 scalars; callable ones loop, or take
-the whole batch.  ``factors`` gives a field's values on a grid as factors for
-``quadrature.weighted_sum``: a real expression field splits its top-level
-product, and an ``exp`` of a sum by the coordinates its terms read (see
-EXP_SPLIT_LIMIT), so tube and test Gaussians stay one axis long; a square of a
-sum or a product of sums there expands, and its like monomials collect, first.
-Each group is evaluated once per grid, where the range guard reads it, and is
-an array factor; one that reads every axis splits off only on a grid of at
-most EVAL_CHUNK nodes.  A multiplicand left whole is an array evaluated once
-if it reads fewer than every axis, else a callable run on each block.  Fields
-that differ only in parameter values (``with_params``) share their factor
+Expression-backed fields evaluate vectorized through the expression engine's array
+path, and at one point on float64 scalars; callable ones loop, or take the whole
+batch.  ``factors`` gives a field's values on a grid as factors for
+``quadrature.weighted_sum``: a real expression field splits its top-level product,
+and an ``exp`` of a sum by the coordinates its terms read (see EXP_SPLIT_LIMIT), so
+tube and test Gaussians stay one axis long; a square of a sum or a product of sums
+there expands first, and its like monomials collect, a coefficient within its own
+rounding bound counting as zero.  Each group is evaluated once per grid, where the
+range guard reads it, and is an array factor; one that reads every axis splits off
+only on a grid of at most EVAL_CHUNK nodes.  A multiplicand left whole is an array
+evaluated once if it reads fewer than every axis, else a callable run on each block.
+Fields that differ only in parameter values (``with_params``) share their factor
 groups, which split and compile once.  Coordinates are named ``<prefix>1 ..
 <prefix>dim`` with prefix "u" on charts and "x" in the ambient space.
 """
 from __future__ import annotations
 
+import operator
 from functools import cached_property, reduce
 from typing import Callable, Mapping, get_args
 
@@ -113,15 +114,15 @@ class ExprField(ScalarField):
 
     @cached_property
     def _factor_trees(self) -> list[tuple[Expr, list[Expr], list[frozenset[str]]]]:
-        # multiplicands, an exp's terms summed per set of coordinates read, and the
-        # coordinates each group reads (the tree's, where it has no groups); an exp whose
-        # argument expands has its monomials collected first; built to compile once
+        # multiplicands, an exp's terms (its collected monomials, where it expands) summed
+        # per set of coordinates read, and what each group reads; built to compile once
         fixed, out = self.params.keys() | exprlang.CONSTANTS.keys(), []
         for f in _multiplicands(self.re_expr):
             groups: dict[frozenset, list[Expr]] = {}
-            terms = _terms(f.arg) if isinstance(f, Call) and f.func == "exp" else []
-            expanded = _terms(f.arg, fixed) if terms else []
-            for t in _collected(expanded) if len(expanded) > len(terms) else terms:
+            terms = _terms(f.arg, fixed) if isinstance(f, Call) and f.func == "exp" else []
+            if any(t is None for t, *_ in terms):
+                terms = [(reduce(mul, key, Num(c)),) for c, key, _ in _collected(terms)]
+            for t, *_ in terms:
                 groups.setdefault(exprlang.reads(t) - fixed, []).append(t)
             split = len(groups) > 1
             out.append((f, [reduce(add, g) for g in groups.values()] if split else [],
@@ -142,49 +143,54 @@ def _multiplicands(e: Expr) -> list[Expr]:
     return _multiplicands(e.left) + _multiplicands(e.right) if split else [e]
 
 
-def _terms(e: Expr, fixed: frozenset | None = None) -> list[Expr]:
-    # e as a sum of terms: unary minus, - and * or / by a literal distribute over +; given
-    # the names that are not coordinates, so do a square of a sum and a product of two
-    # sums that read two coordinates or more, into products of their collected terms
+def _terms(e: Expr, fixed: frozenset) -> list[tuple]:
+    # e as a sum of terms (tree, c, factors, err): a literal coefficient c, rounded by at
+    # most u err, times other multiplicands.  Unary minus, - and * or / by a nonzero literal
+    # distribute over +, and so do a square of a sum and a product of two sums that read
+    # two coordinates or more, into products of their collected terms, with no tree
+    if isinstance(e, Neg):
+        return [(t and sub(ZERO, t), -c, f, err) for t, c, f, err in _terms(e.arg, fixed)]
     if not isinstance(e, BinOp):
-        return [sub(ZERO, t) for t in _terms(e.arg, fixed)] if isinstance(e, Neg) else [e]
+        return [(e, e.value, (), 0.0) if isinstance(e, Num) else (e, 1.0, (e,), 0.0)]
     if e.op in "+-":
         return _terms(e.left, fixed) + _terms(e.right if e.op == "+" else Neg(e.right), fixed)
     if e.op == "*" and isinstance(e.left, Num):
         e = BinOp("*", e.right, e.left)  # c*x is x*c, bitwise
-    if e.op in "*/" and isinstance(e.right, Num):
-        return [BinOp(e.op, t, e.right) for t in _terms(e.left, fixed)]
-    if fixed is not None and (e.op == "*" or e.op == "^" and e.right == Num(2.0)) \
-            and len(exprlang.reads(e) - fixed) > 1:
-        left = _collected(_terms(e.left, fixed))  # fewer and better-rounded products
-        right = left if e.op == "^" else _collected(_terms(e.right, fixed))
-        if len(left) > 1 and len(right) > 1:
-            return [BinOp("*", a, b) for a in left for b in right]
-    return [e]
+    if e.op in "*/" and isinstance(e.right, Num) and (e.op == "*" or e.right.value):
+        k, op = e.right.value, operator.mul if e.op == "*" else operator.truediv
+        return [(t and BinOp(e.op, t, e.right), op(c, k), f, op(err, abs(k)) + abs(op(c, k)))
+                for t, c, f, err in _terms(e.left, fixed)]
+    square = e.op == "^" and e.right == Num(2.0)
+    wide = (e.op == "*" or square) and len(exprlang.reads(e) - fixed) > 1
+    if e.op != "*" and not wide:
+        return [(e, 1.0, (e,), 0.0)]
+    left = _terms(e.left, fixed)
+    right = left if square else _terms(e.right, fixed)
+    if wide and len(cl := _collected(left)) > 1 and len(cr := _collected(right)) > 1:
+        return [(None, *_times(a, b)) for a in cl for b in cr]  # fewer, better-rounded
+    if square:
+        return [(e, 1.0, (e,), 0.0)]
+    return [(e, *_times(*(s[0][1:] if len(s) == 1 else (1.0, (x,), 0.0)  # a side of several
+                          for s, x in ((left, e.left), (right, e.right)))))]  # terms stays whole
 
 
-def _collected(terms: list[Expr]) -> list[Expr]:
-    # like monomials as one: the literal coefficients of the same product of other
-    # multiplicands sum, and a monomial whose coefficients cancel is left out
-    sums: dict[tuple[Expr, ...], float] = {}
-    for c, factors in map(_monomial, terms):
-        key = tuple(sorted(factors, key=exprlang.to_source))
-        sums[key] = sums.get(key, 0.0) + c
-    return [reduce(mul, key, Num(c)) for key, c in sums.items() if c != 0.0]
+def _times(a: tuple, b: tuple) -> tuple:
+    # the product of monomials (c, factors, err), its coefficient rounded once more
+    (ca, fa, ra), (cb, fb, rb) = a, b
+    return ca * cb, fa + fb, abs(ca) * rb + abs(cb) * ra + abs(ca * cb)
 
 
-def _monomial(e: Expr) -> tuple[float, list[Expr]]:
-    # a term as a literal coefficient times its other multiplicands; / 0 stays one of them
-    if isinstance(e, Num):
-        return e.value, []
-    if isinstance(e, Neg):
-        c, factors = _monomial(e.arg)
-        return -c, factors
-    if isinstance(e, BinOp) and (e.op == "*" or e.op == "/" and isinstance(e.right, Num)
-                                 and e.right.value != 0.0):
-        (a, left), (b, right) = _monomial(e.left), _monomial(e.right)
-        return (a * b, left + right) if e.op == "*" else (a / b, left)
-    return 1.0, [e]
+def _collected(terms: list[tuple]) -> list[tuple]:
+    # like monomials as one (c, factors, err): their coefficients sum in order, and a sum
+    # within a finite rounding bound is zero and left out (Higham, Accuracy and Stability
+    # of Numerical Algorithms, ch. 3): u = 2^-53 times the terms' magnitudes, each weighted
+    # by its own roundings and the n - 1 additions.  An overflow stays for the range guard.
+    sums: dict[tuple[Expr, ...], list] = {}
+    for _, c, factors, err in terms:
+        s = sums.setdefault(tuple(sorted(factors, key=exprlang.to_source)), [0.0, 0.0, 0.0, 0])
+        s[:] = s[0] + c, s[1] + err, s[2] + abs(c), s[3] + 1
+    kept = [(c, key, err + (n - 1) * size) for key, (c, err, size, n) in sums.items()]
+    return [m for m in kept if not abs(m[0]) <= 2.0 ** -53 * m[2] < np.inf]
 
 
 class BatchField(ScalarField):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from _exprgen import random_expr
+from test_states import _benchmark_workloads
 from geodens import exprlang, quadrature
 from geodens.density import AmbientDensity, restrict
 from geodens.errors import DomainError, GeodensError
@@ -22,6 +23,7 @@ from geodens.exprlang import BinOp, Call, Neg, Num, Var, parse, subst, to_source
 from geodens.fields import EXP_SPLIT_LIMIT, ExprField, FuncField, as_field
 from geodens.geometry import Submanifold
 from geodens.quadrature import Grid, tensor_rule, weighted_sum
+from geodens.scene import scene_from_dict
 
 
 def test_string_coercion_uses_the_prefix():
@@ -466,3 +468,72 @@ def test_only_squares_that_read_two_coordinates_expand():
     grid = Grid([np.linspace(-1.0, 1.0, 3), np.linspace(0.0, 1.0, 4)])
     got = np.broadcast_to(reduce(np.multiply, expanded.factors(grid)), grid.dims)
     np.testing.assert_allclose(got, expanded.eval_many(grid), rtol=1e-14, atol=0.0)
+
+
+# collection drops a coefficient that its own rounding bound cannot tell from zero
+
+
+def _rotated_plane(m=0):
+    # a 3-plane in R^4 whose columns are orthonormal only to rounding (Gram-Schmidt on a
+    # fixed matrix, in Python floats, so every platform rounds alike), scaled by 0.9, 1.0
+    # and 1.1, and a Gaussian test; core and test mapped by x -> 2^m x
+    cols = []
+    for a in ([0.3, -0.5, -0.9, -1.0], [0.6, 0.8, 0.2, 0.5], [0.1, 0.9, 0.6, -1.0]):
+        for q in cols:
+            d = math.fsum(x * y for x, y in zip(a, q))
+            a = [x - d * y for x, y in zip(a, q)]
+        cols.append([x / math.sqrt(math.fsum(x * x for x in a)) for x in a])
+    tangent = [[2.0 ** m * s * x for x in q] for q, s in zip(cols, (0.9, 1.0, 1.1))]
+    core = Submanifold.affine("R", [2.0 ** m * b for b in (0.3, -0.2, 0.1, 0.05)],
+                              np.transpose(tangent))
+    gauss = "+".join(f"(x{i + 1}-{2.0 ** m * c!r})^2"
+                     for i, c in enumerate([0.5, -0.25, 0.75, 0.2]))
+    return core, AmbientDensity.make(0.75, f"exp(-({gauss})/{4.0 ** m * 0.36!r})")
+
+
+def _spans(field):
+    return [set(s) for _, groups, spans in field._factor_trees if groups for s in spans]
+
+
+def test_a_plane_orthonormal_to_rounding_pulls_back_to_one_axis_groups():
+    # its u_j u_l coefficients are sums of eight terms that cancel to rounding, so they
+    # drop; the same at any scale x -> 2^m x, since the bound scales with the terms
+    for m in range(-60, 61, 20):
+        core, phi = _rotated_plane(m)
+        assert _spans(restrict(phi, core)) == [set(), {"u1"}, {"u2"}, {"u3"}], m
+
+
+def test_the_benchmark_3_plane_test_pulls_back_to_one_axis_factors():
+    # the seed-31 affine-pairs 3-D test: 7 monomials in 4 groups, where its u_j u_l
+    # coefficients of 4e-16 to 1e-15, rounding only, made 10 in 7
+    bench = _benchmark_workloads()
+    scene = scene_from_dict(bench.make_cases(bench.WORKLOADS["affine-pairs"], 31)[0]
+                            .files["scene.json"])
+    request = next(r for r in scene.requests if scene.states[r["state"]].core.dim == 3)
+    state, phi = scene.states[request["state"]], scene.tests[request["test"]]
+    test = restrict(phi, state.core, state.conormal)
+    grid = Grid([np.linspace(-1.0, 1.0, 3), np.linspace(-1.0, 1.0, 4), np.linspace(-1.0, 1.0, 5)])
+    assert [np.shape(f) for f in test.factors(grid)] == [(), (), (3, 1, 1), (1, 4, 1), (1, 1, 5)]
+
+
+def test_a_small_cross_coefficient_that_does_not_cancel_is_kept():
+    # the rule reads cancellation, not size: the tangent column (1, 1e-20, 0, 0) gives
+    # the u1 u2 coefficient -2 (1e-20)(0.6)/0.5 = -2.4e-20, a sum of two like terms
+    core = Submanifold.affine("S", [0.1, 0.2, 0.3, 0.4], np.transpose(
+        [[1.0, 1e-20, 0.0, 0.0], [0.0, 0.6, 0.8, 0.0]]))
+    test = restrict(AmbientDensity.make(
+        0.5, "exp(-((x1-0.5)^2+(x2+0.25)^2+(x3-0.75)^2+x4^2)/0.5)"), core)
+    assert {"u1", "u2"} in _spans(test)
+    grid = Grid([np.linspace(-1.0, 1.0, 3), np.linspace(-1.0, 1.0, 4)])
+    assert (3, 4) in [np.shape(f) for f in test.factors(grid)]
+
+
+def test_a_coefficient_that_overflowed_is_kept_and_the_exp_stays_whole():
+    # x1 x1, x1 x2 and x2 x2 collect to -inf, which is no larger than its bound, inf: a
+    # rule that dropped it would split off exp(-x1) exp(-x2), where the exp is 0
+    field = as_field("exp(-(1e308*x1 + 1e308*x2)^2 - x1 - x2)", prefix="x")
+    assert sorted(map(sorted, _spans(field))) == [["x1"], ["x1", "x2"], ["x2"]]
+    grid = Grid([np.linspace(0.5, 1.0, 3)] * 2)
+    with np.errstate(over="ignore"):
+        (values,) = field.factors(grid)
+        assert callable(values) and np.array_equal(values(grid), np.zeros((3, 3)))

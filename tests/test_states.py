@@ -674,16 +674,17 @@ def test_each_factor_group_is_evaluated_once_per_level(monkeypatch):
 
 
 def test_a_level_of_row_blocks_evaluates_each_group_once(monkeypatch):
-    # the seed-31 affine-pairs 3-D pairing: its order-64 level is two row blocks, and
-    # still evaluates the coefficient, the test's seven groups and its frame factor once
-    bench = _benchmark_workloads()
-    case = bench.make_cases(bench.WORKLOADS["affine-pairs"], 31)[0]
-    scene = scene_from_dict(case.files["scene.json"])
-    request = next(r for r in scene.requests if scene.states[r["state"]].core.dim == 3)
-    state, phi = scene.states[request["state"]], scene.tests[request["test"]]
+    # a sheared 3-plane in R^4 against a Gaussian: T^T T is not diagonal, so the test
+    # has u_j u_l groups, which the range guard splits on this box; its order-64 level is
+    # two row blocks, and still evaluates the coefficient, the test's seven groups and
+    # its frame factor once
+    core = Submanifold.affine("S", [0.3, -0.2, 0.1, 0.05], np.transpose(
+        [[1.0, 0.5, 0.0, 0.2], [0.4, 1.0, 0.7, 0.0], [0.0, 0.3, 1.0, 0.6]]))
+    state = make_state(core, 0.25, "1", support=[[-2.5, 2.5]] * 3)
+    phi = AmbientDensity.make(0.75, "exp(-((x1-0.5)^2+(x2+0.25)^2+(x3-0.75)^2+(x4-0.2)^2)/0.1)")
     contract, blocks = quadrature._contract, []
     monkeypatch.setattr(quadrature, "_contract", lambda *a: blocks.append(a[1]) or contract(*a))
     levels = _evaluations_per_level(monkeypatch, state, phi)
     assert [level[2][0] for level in levels][:3] == [32, 45, 64]
-    assert len([b for b in blocks if b[1:] == (64, 64)]) == 2
-    assert all(level[0] == 9 for level in levels), levels
+    assert sorted(b for b in blocks if b[1:] == (64, 64)) == [(16, 64, 64), (48, 64, 64)]
+    assert all(level[:2] == (9, 9) for level in levels), levels
